@@ -34,6 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from _harness import outcome_signature
 from repro.datasets.synthetic import generator_for
 from repro.service import (
     QueryService,
@@ -43,13 +44,6 @@ from repro.service import (
     run_sweep,
 )
 from repro.system.mithrilog import MithriLogSystem
-
-
-def outcome_signature(report):
-    return tuple(
-        (r.request.tenant, r.outcome.value, round(r.latency_s, 12), r.matches)
-        for r in report.responses
-    )
 
 
 def run(args: argparse.Namespace) -> int:

@@ -41,6 +41,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from _harness import outcome_signature
 from repro.datasets.synthetic import generator_for
 from repro.faults.injectors import ServiceFaultInjector
 from repro.faults.reporting import FaultLog
@@ -79,13 +80,6 @@ class OnsetStampingInjector(ServiceFaultInjector):
         if multiplier > 1.0 and self.first_slow_at_s is None:
             self.first_slow_at_s = self._clock.now
         return multiplier
-
-
-def outcome_signature(report):
-    return tuple(
-        (r.request.tenant, r.outcome.value, round(r.latency_s, 12), r.matches)
-        for r in report.responses
-    )
 
 
 def bench_slos(args) -> list[SLO]:

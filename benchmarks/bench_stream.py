@@ -49,6 +49,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from _harness import outcome_signature
 from repro.datasets.synthetic import generator_for
 from repro.obs.expose import bootstrap_families
 from repro.obs.journal import QueryJournal, validate_journal_payload
@@ -69,13 +70,6 @@ from repro.stream import (
 from repro.system.mithrilog import MithriLogSystem
 from repro.system.streaming import StreamingIngestor
 from repro.core.query import parse_query
-
-
-def outcome_signature(report):
-    return tuple(
-        (r.request.tenant, r.outcome.value, round(r.latency_s, 12), r.matches)
-        for r in report.responses
-    )
 
 
 # ---------------------------------------------------------------------------

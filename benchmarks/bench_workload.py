@@ -42,6 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from _harness import outcome_signature
 from repro.analytics.workload import mine
 from repro.core.query import Query
 from repro.datasets.synthetic import generator_for
@@ -61,13 +62,6 @@ from repro.service import (
 from repro.system.mithrilog import MithriLogSystem
 from repro.templates.fttree import FTTree, FTTreeParams
 from repro.templates.querygen import build_workload
-
-
-def outcome_signature(report):
-    return tuple(
-        (r.request.tenant, r.outcome.value, round(r.latency_s, 12), r.matches)
-        for r in report.responses
-    )
 
 
 def build_pool(lines, fast_queries: int, seed: int):

@@ -23,10 +23,6 @@ these analyses run over *extracted* data, never raw logs.
 """
 
 from repro.analytics.aggregate import AggregateReport, aggregate_matches
-from repro.analytics.anomaly import PCAAnomalyDetector
-from repro.analytics.clustering import KMeans
-from repro.analytics.counting import TemplateCountMatrix, count_windows
-from repro.analytics.sequences import TransitionModel
 from repro.analytics.workload import (
     DriftReport,
     SliceStats,
@@ -35,6 +31,16 @@ from repro.analytics.workload import (
     hot_templates,
     mine,
 )
+from repro.core.backend import numpy_or_none
+
+# ``repro.obs`` pulls this package in at ``import repro`` time, and a host
+# without numpy must still get the scan path (which routes itself to the
+# reference kernel there); only the analyses below need numpy.
+if numpy_or_none() is not None:
+    from repro.analytics.anomaly import PCAAnomalyDetector
+    from repro.analytics.clustering import KMeans
+    from repro.analytics.counting import TemplateCountMatrix, count_windows
+    from repro.analytics.sequences import TransitionModel
 
 __all__ = [
     "AggregateReport",

@@ -15,16 +15,14 @@ Public surface:
 - :mod:`repro.core.pipeline` — one filter pipeline (Figure 3).
 - :mod:`repro.core.engine` — the multi-pipeline engine with query
   compilation, concurrent-query support and software fallback.
-- :mod:`repro.core.backend` — scan backend/kernel selection (numpy vs
-  pure-Python fallback; vectorized vs reference kernel).
+- :mod:`repro.core.backend` — scan kernel selection (the numpy
+  ``vectorized`` kernel vs the pure-Python ``reference`` kernel).
 - :mod:`repro.core.vectokenizer` — the offset-array tokenizer feeding
   the vectorized scan kernel.
 """
 
 from repro.core.backend import (
     BackendUnavailableError,
-    available_backends,
-    resolve_backend,
     resolve_kernel,
 )
 from repro.core.engine import EngineResult, TokenFilterEngine
@@ -42,9 +40,7 @@ __all__ = [
     "TokenFilterEngine",
     "TokenWord",
     "Tokenizer",
-    "available_backends",
     "parse_query",
-    "resolve_backend",
     "resolve_kernel",
     "split_tokens",
     "tokenize_page_offsets",

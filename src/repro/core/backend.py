@@ -1,21 +1,18 @@
-"""Scan-path backend and kernel selection.
+"""Scan-kernel selection.
 
-The vectorized scan path (``repro.core.vectokenizer`` + the hash
-filter's array kernel) has two interchangeable array backends:
+Each scan stage has exactly two implementations:
 
-- ``numpy`` — boolean-mask tokenization and signature pre-filtering over
-  ``np.frombuffer`` views of the decompressed arena (zero copies until a
-  line is actually kept),
-- ``fallback`` — pure-Python/memoryview offset bookkeeping with the
-  exact same outputs, for hosts without numpy.
+- ``vectorized`` — the numpy kernel: boolean-mask tokenization and
+  signature pre-filtering over ``np.frombuffer`` views of the
+  decompressed arena (zero copies until a line is actually kept),
+- ``reference`` — the pure-Python per-line kernel, which doubles as the
+  oracle the differential suite compares the numpy kernel against and
+  as the only kernel on hosts without numpy.
 
-Selection is explicit and testable: :func:`resolve_backend` honours the
-``REPRO_SCAN_BACKEND`` environment variable (``auto`` | ``numpy`` |
-``fallback``), and the differential suite force-selects each backend to
-prove they are byte-for-byte equivalent. The same pattern applies one
-level up: :func:`resolve_kernel` picks between the ``vectorized`` scan
-kernel and the retained ``reference`` kernel (PR 3's per-line path, kept
-as the oracle) via ``REPRO_SCAN_KERNEL``.
+:func:`resolve_kernel` is the single switch: ``auto`` (the default, also
+via the ``REPRO_SCAN_KERNEL`` environment variable) means ``vectorized``
+iff numpy imports, else ``reference``; an explicit ``vectorized`` without
+numpy raises :class:`BackendUnavailableError`.
 
 Nothing here imports numpy at module load; the probe is lazy and cached
 so a missing numpy costs one failed import per process, ever.
@@ -27,25 +24,17 @@ import os
 from typing import Optional
 
 __all__ = [
-    "BACKEND_ENV",
     "KERNEL_ENV",
     "BackendUnavailableError",
-    "available_backends",
     "numpy_or_none",
     "resolve_backend",
     "resolve_kernel",
 ]
 
-#: Environment variable forcing an array backend (auto/numpy/fallback).
-BACKEND_ENV = "REPRO_SCAN_BACKEND"
-
 #: Environment variable forcing a scan kernel (auto/vectorized/reference).
 KERNEL_ENV = "REPRO_SCAN_KERNEL"
 
-#: Array backends, in auto-selection preference order.
-BACKENDS = ("numpy", "fallback")
-
-#: Scan kernels; ``auto`` resolves to ``vectorized``.
+#: Scan kernels, in auto-selection preference order.
 KERNELS = ("vectorized", "reference")
 
 #: Lazy numpy probe result; ``False`` means "probed, absent".
@@ -53,7 +42,7 @@ _NUMPY: object = None
 
 
 class BackendUnavailableError(RuntimeError):
-    """A backend was requested explicitly but cannot be imported."""
+    """The numpy kernel was requested explicitly but numpy is missing."""
 
 
 def numpy_or_none():
@@ -69,53 +58,35 @@ def numpy_or_none():
     return _NUMPY or None
 
 
-def available_backends() -> tuple[str, ...]:
-    """Backends importable in this process, preference order."""
-    return tuple(
-        b for b in BACKENDS if b != "numpy" or numpy_or_none() is not None
-    )
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend name (or the environment) to a usable backend.
-
-    ``None``/``"auto"`` prefers numpy and silently falls back;
-    an explicit ``"numpy"`` raises :class:`BackendUnavailableError` when
-    numpy is missing — tests use that to prove the fallback leg really
-    ran without it.
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV, "auto")
-    name = name.strip().lower() or "auto"
-    if name == "auto":
-        return "numpy" if numpy_or_none() is not None else "fallback"
-    if name == "numpy":
-        if numpy_or_none() is None:
-            raise BackendUnavailableError(
-                "REPRO_SCAN_BACKEND=numpy but numpy is not importable"
-            )
-        return "numpy"
-    if name == "fallback":
-        return "fallback"
-    raise ValueError(
-        f"unknown scan backend {name!r}; expected auto, numpy or fallback"
-    )
-
-
 def resolve_kernel(name: Optional[str] = None) -> str:
     """Resolve a scan-kernel name (or the environment) to a kernel.
 
-    ``None``/``"auto"`` means the vectorized path; ``"reference"`` pins
-    the retained PR 3 kernel — the oracle the differential suite and the
-    hot-path benchmark compare against.
+    ``None``/``"auto"`` prefers the numpy kernel and silently routes
+    hosts without numpy to the reference kernel; ``"reference"`` pins
+    the oracle (the differential suite and the hot-path benchmark do);
+    an explicit ``"vectorized"`` raises :class:`BackendUnavailableError`
+    when numpy is missing.
     """
     if name is None:
         name = os.environ.get(KERNEL_ENV, "auto")
     name = name.strip().lower() or "auto"
     if name == "auto":
-        return "vectorized"
-    if name in KERNELS:
-        return name
-    raise ValueError(
-        f"unknown scan kernel {name!r}; expected auto, vectorized or reference"
-    )
+        return "vectorized" if numpy_or_none() is not None else "reference"
+    if name not in KERNELS:
+        raise ValueError(
+            f"unknown scan kernel {name!r}; expected auto, vectorized or reference"
+        )
+    if name == "vectorized" and numpy_or_none() is None:
+        raise BackendUnavailableError(
+            "scan kernel 'vectorized' needs numpy, which is not importable"
+        )
+    return name
+
+
+def resolve_backend(kernel: Optional[str] = None) -> str:
+    """The array library behind the resolved kernel, for record headers.
+
+    ``"numpy"`` for the vectorized kernel, ``"fallback"`` (plain Python
+    lists) for the reference kernel. Not a switch: the kernel is.
+    """
+    return "numpy" if resolve_kernel(kernel) == "vectorized" else "fallback"

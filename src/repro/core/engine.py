@@ -225,25 +225,3 @@ class TokenFilterEngine:
             return any(q.matches_line(line) for q in self._queries)
         hash_filter = self._pipelines[0].filters[0]
         return any(hash_filter.evaluate_tokens(split_tokens(line)))
-
-    def verdicts_for_token_lists(
-        self, token_lists: Sequence[Sequence[bytes]]
-    ) -> list[tuple[bool, ...]]:
-        """Batch per-query verdicts for pre-tokenized lines.
-
-        The scan executor's fast path: one verdict tuple per line, with
-        the hardware path running the :meth:`HashFilter
-        <repro.core.hashfilter.HashFilter.evaluate_token_lists>` batch
-        kernel and the software fallback evaluating the query oracles per
-        token list. Does not touch the filtering metrics — the system
-        accounts matched lines once, the same way the per-line
-        :meth:`keep_line` path does.
-        """
-        self._require_compiled()
-        if self._program is None:
-            return [
-                tuple(q.matches_tokens(tokens) for q in self._queries)
-                for tokens in token_lists
-            ]
-        hash_filter = self._pipelines[0].filters[0]
-        return hash_filter.evaluate_token_lists(token_lists)

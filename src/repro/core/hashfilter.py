@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from repro.core.backend import numpy_or_none
 from repro.core.cuckoo import CuckooHashTable
 from repro.core.query import Query
 from repro.core.tokenizer import TokenWord, reassemble_tokens
@@ -319,9 +320,8 @@ class HashFilter:
         table, and a line with zero table hits always gets the program's
         precomputed default verdict. So the kernel only materialises
         tokens whose ``(length, first_byte)`` signature matches a table
-        token — a couple of array comparisons on the numpy backend, a
-        set probe per token on the fallback — and runs the full filter
-        state machine just for lines that had a signature hit.
+        token — a couple of numpy array comparisons — and runs the full
+        filter state machine just for lines that had a signature hit.
         """
         program = self.program
         num_tokens = page.num_tokens
@@ -330,34 +330,22 @@ class HashFilter:
         self.tokens_processed += num_tokens
         default = program.default_verdict()
         verdicts = [default] * num_lines
-        if num_tokens == 0:
-            return verdicts
         signatures = program.signatures()
+        if num_tokens == 0 or not signatures:
+            return verdicts
         buffer = page.buffer
         token_starts = page.token_starts
         token_ends = page.token_ends
         token_lines = page.token_lines
         token_positions = page.token_positions
 
-        if page.backend == "numpy" and signatures:
-            from repro.core.backend import numpy_or_none
-
-            np = numpy_or_none()
-            lengths = token_ends - token_starts
-            firsts = np.frombuffer(buffer, dtype=np.uint8)[token_starts]
-            mask = np.zeros(num_tokens, dtype=bool)
-            for length, first in signatures:
-                mask |= (lengths == length) & (firsts == first)
-            candidates = np.flatnonzero(mask).tolist()
-        elif signatures:
-            candidates = [
-                j
-                for j in range(num_tokens)
-                if (token_ends[j] - token_starts[j], buffer[token_starts[j]])
-                in signatures
-            ]
-        else:
-            candidates = []
+        np = numpy_or_none()
+        lengths = token_ends - token_starts
+        firsts = np.frombuffer(buffer, dtype=np.uint8)[token_starts]
+        mask = np.zeros(num_tokens, dtype=bool)
+        for length, first in signatures:
+            mask |= (lengths == length) & (firsts == first)
+        candidates = np.flatnonzero(mask).tolist()
 
         # group surviving (position, effect) hits per line; most lines
         # have none and keep the default verdict untouched

@@ -18,13 +18,10 @@ per distinct ``(token, column)`` term:
 - anywhere-fact ``(t, None)`` — line contains token ``t``;
 - column-fact ``(t, c)`` — the line's token at position ``c`` is ``t``.
 
-On the numpy backend each fact becomes a boolean line-vector built from
-a handful of array comparisons (length mask, then one byte-compare per
-token byte), and every query's verdict vector is an OR of ANDs over
-those fact vectors — no per-line Python at all. The fallback backend
-keeps a per-fact line-set via the same ``(length, first_byte)``
-signature prefilter the offloaded kernel uses, then replays the boolean
-structure only for lines that hit at least one fact.
+Each fact becomes a boolean line-vector built from a handful of numpy
+array comparisons (length mask, then one byte-compare per token byte),
+and every query's verdict vector is an OR of ANDs over those fact
+vectors — no per-line Python at all.
 
 The matcher is deliberately counter-free: the reference software path
 touches no :class:`~repro.core.hashfilter.HashFilter` counters, so
@@ -73,11 +70,6 @@ class SoftwareBatchMatcher:
         self.token_facts: Dict[bytes, List[Tuple[int, Optional[int]]]] = {}
         for (token, column), index in fact_index.items():
             self.token_facts.setdefault(token, []).append((index, column))
-        #: ``(length, first_byte)`` prefilter for the fallback backend.
-        #: An empty term token never matches (page tokens are non-empty).
-        self.signatures = frozenset(
-            (len(token), token[0]) for token in self.token_facts if token
-        )
 
     # -- evaluation --------------------------------------------------------
 
@@ -88,22 +80,16 @@ class SoftwareBatchMatcher:
             return []
         if self.num_facts == 0 or page.num_tokens == 0:
             return [self.default_verdict] * num_lines
-        if page.backend == "numpy":
-            return self._evaluate_numpy(page)
-        return self._evaluate_fallback(page)
-
-    def _evaluate_numpy(self, page) -> list[tuple[bool, ...]]:
         np = numpy_or_none()
         arr = np.frombuffer(page.buffer, dtype=np.uint8)
         token_starts = page.token_starts
         lengths = page.token_ends - token_starts
         token_lines = page.token_lines
         token_positions = page.token_positions
-        num_lines = page.num_lines
         fact_true = np.zeros((self.num_facts, num_lines), dtype=bool)
         for token, fact_list in self.token_facts.items():
             length = len(token)
-            if length == 0:
+            if length == 0:  # page tokens are non-empty: never matches
                 continue
             sel = np.flatnonzero(lengths == length)
             if sel.size == 0:
@@ -136,40 +122,3 @@ class SoftwareBatchMatcher:
             columns.append(query_vector)
         matrix = np.stack(columns, axis=1)
         return list(map(tuple, matrix.tolist()))
-
-    def _evaluate_fallback(self, page) -> list[tuple[bool, ...]]:
-        buffer = page.buffer
-        token_starts = page.token_starts
-        token_ends = page.token_ends
-        token_lines = page.token_lines
-        token_positions = page.token_positions
-        signatures = self.signatures
-        token_facts = self.token_facts
-        fact_lines: list[set] = [set() for _ in range(self.num_facts)]
-        hit_lines: set = set()
-        for j in range(page.num_tokens):
-            start = token_starts[j]
-            if (token_ends[j] - start, buffer[start]) not in signatures:
-                continue
-            facts = token_facts.get(bytes(buffer[start : token_ends[j]]))
-            if not facts:
-                continue
-            line = int(token_lines[j])
-            position = int(token_positions[j])
-            for index, column in facts:
-                if column is None or column == position:
-                    fact_lines[index].add(line)
-                    hit_lines.add(line)
-        verdicts = [self.default_verdict] * page.num_lines
-        for line in hit_lines:
-            verdicts[line] = tuple(
-                any(
-                    all(
-                        (line in fact_lines[index]) != negative
-                        for index, negative in terms
-                    )
-                    for terms in isets
-                )
-                for isets in self.structure
-            )
-        return verdicts

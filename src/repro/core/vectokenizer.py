@@ -8,35 +8,29 @@ token belongs to, and its position within that line. Nothing is copied
 out of the buffer until a token is actually needed as ``bytes`` (a hash
 -filter candidate) or a line is actually kept.
 
-Two backends produce identical arrays (``repro.core.backend``):
+The arrays come from numpy: boolean delimiter masks over an
+``np.frombuffer`` view of the page (zero-copy even from a decode-arena
+``memoryview``), token boundaries from mask edges, line membership from
+a ``searchsorted`` against newline positions.
 
-- **numpy** — boolean delimiter masks over an ``np.frombuffer`` view of
-  the page (zero-copy even from a decode-arena ``memoryview``), token
-  boundaries from mask edges, line membership from a ``searchsorted``
-  against newline positions.
-- **fallback** — C-level ``bytes.find``/``split`` bookkeeping that emits
-  plain Python lists. Used when numpy is absent; also the cross-check
-  the differential suite compares the numpy arrays against.
-
-Line semantics follow ``bytes.splitlines`` exactly. The vector fast
-paths assume ``\\n``-terminated text (what the ingest path stores); a
-page containing ``\\r`` takes a scalar walk that reproduces the full
-``\\r``/``\\n``/``\\r\\n`` terminator set, so equivalence holds on
-arbitrary bytes, not just well-formed logs.
+Line semantics follow ``bytes.splitlines`` on ``\\n``-terminated text
+(what the ingest path stores). A page containing ``\\r`` needs the full
+``\\r``/``\\n``/``\\r\\n`` terminator set, which only the reference
+tokenizer implements: :func:`has_carriage_return` is the probe the scan
+kernel routes such a page by, and :func:`tokenize_page_offsets` refuses
+it rather than mis-split it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.core.backend import numpy_or_none, resolve_backend
-from repro.core.tokenizer import _DELIM_TRANSLATE, split_tokens
+from repro.core.backend import BackendUnavailableError, numpy_or_none
 
-__all__ = ["PageTokens", "tokenize_page_offsets"]
+__all__ = ["PageTokens", "has_carriage_return", "tokenize_page_offsets"]
 
 _NL = 0x0A
-_CR = 0x0D
 _SPACE = 0x20
 _TAB = 0x09
 
@@ -52,8 +46,7 @@ class PageTokens:
     ``token_positions[j]`` its position within that line (the value the
     hash filter checks column constraints against).
 
-    Arrays are numpy ``int64``/``uint8``-derived on the numpy backend
-    and plain lists on the fallback — consumers index them uniformly.
+    Arrays are numpy ``int64``.
     """
 
     buffer: "bytes | memoryview"
@@ -63,7 +56,6 @@ class PageTokens:
     token_ends: Sequence[int]
     token_lines: Sequence[int]
     token_positions: Sequence[int]
-    backend: str = "fallback"
 
     @property
     def num_lines(self) -> int:
@@ -96,38 +88,33 @@ class PageTokens:
         return raw_lines, token_lists
 
 
+def has_carriage_return(payload: "bytes | bytearray | memoryview") -> bool:
+    """Whether the page carries ``\\r`` and so needs the reference tokenizer."""
+    # one memcpy plus a C-level search: ~20x cheaper than a numpy compare
+    return b"\r" in bytes(payload)
+
+
 def tokenize_page_offsets(
     payload: "bytes | bytearray | memoryview",
-    backend: Optional[str] = None,
 ) -> PageTokens:
     """Tokenize one decompressed page into offset arrays.
 
-    ``payload`` may be a ``memoryview`` into a reusable decode arena —
-    the numpy backend reads it zero-copy; the fallback materialises one
-    ``bytes`` per page (which it needs for C-level ``find``/``split``
-    anyway). The result must be fully consumed before the arena is
-    reused for the next page.
+    ``payload`` may be a ``memoryview`` into a reusable decode arena,
+    read zero-copy; the result must be fully consumed before the arena
+    is reused for the next page. Raises ``ValueError`` for a page
+    containing ``\\r`` (see :func:`has_carriage_return`).
     """
-    backend = resolve_backend(backend)
-    if backend == "numpy":
-        tokens = _tokenize_numpy(payload)
-        if tokens is not None:
-            return tokens
-        # a page carrying \r takes the exact-terminator scalar walk; its
-        # arrays are plain lists, so it is labelled (and consumed as)
-        # fallback regardless of the requested backend
-    data = payload if isinstance(payload, bytes) else bytes(payload)
-    if b"\r" in data:
-        return _tokenize_generic(data, "fallback")
-    return _tokenize_fallback(data, "fallback")
-
-
-# -- numpy backend ---------------------------------------------------------
-
-
-def _tokenize_numpy(payload) -> Optional[PageTokens]:
-    """Mask-based tokenization; ``None`` when the page needs the \\r walk."""
     np = numpy_or_none()
+    if np is None:
+        raise BackendUnavailableError(
+            "the offset-array tokenizer needs numpy; use "
+            "repro.core.tokenizer.tokenize_page"
+        )
+    if has_carriage_return(payload):
+        raise ValueError(
+            "page contains \\r; the offset-array tokenizer splits lines on "
+            "\\n only — use repro.core.tokenizer.tokenize_page"
+        )
     arr = np.frombuffer(payload, dtype=np.uint8)
     n = arr.size
     empty = np.empty(0, dtype=np.int64)
@@ -137,11 +124,7 @@ def _tokenize_numpy(payload) -> Optional[PageTokens]:
             line_starts=empty, line_ends=empty,
             token_starts=empty, token_ends=empty,
             token_lines=empty, token_positions=empty,
-            backend="numpy",
         )
-    if bool((arr == _CR).any()):
-        return None
-
     is_nl = arr == _NL
     nl_pos = np.flatnonzero(is_nl)
     line_starts = np.concatenate((np.zeros(1, dtype=np.int64), nl_pos + 1))
@@ -157,7 +140,6 @@ def _tokenize_numpy(payload) -> Optional[PageTokens]:
             line_starts=line_starts, line_ends=line_ends,
             token_starts=empty, token_ends=empty,
             token_lines=empty, token_positions=empty,
-            backend="numpy",
         )
     prev = np.empty_like(tok)
     prev[0] = False
@@ -183,122 +165,4 @@ def _tokenize_numpy(payload) -> Optional[PageTokens]:
         token_ends=token_ends.astype(np.int64, copy=False),
         token_lines=token_lines.astype(np.int64, copy=False),
         token_positions=token_positions,
-        backend="numpy",
     )
-
-
-# -- fallback backend ------------------------------------------------------
-
-
-def _append_line_tokens(
-    data: bytes,
-    start: int,
-    end: int,
-    line_index: int,
-    token_starts: list,
-    token_ends: list,
-    token_lines: list,
-    token_positions: list,
-) -> None:
-    """Offsets of the tokens in ``data[start:end]`` (one line's body)."""
-    body = data[start:end]
-    if b"\t" in body:
-        body = body.translate(_DELIM_TRANSLATE)
-    offset = 0
-    position = 0
-    for piece in body.split(b" "):
-        if piece:
-            token_starts.append(start + offset)
-            token_ends.append(start + offset + len(piece))
-            token_lines.append(line_index)
-            token_positions.append(position)
-            position += 1
-        offset += len(piece) + 1
-
-
-def _tokenize_fallback(data: bytes, backend: str) -> PageTokens:
-    """Offset bookkeeping over ``find``/``split`` (no ``\\r`` in data)."""
-    line_starts: list[int] = []
-    line_ends: list[int] = []
-    token_starts: list[int] = []
-    token_ends: list[int] = []
-    token_lines: list[int] = []
-    token_positions: list[int] = []
-    find = data.find
-    n = len(data)
-    pos = 0
-    line_index = 0
-    while pos < n:
-        nl = find(b"\n", pos)
-        end = n if nl == -1 else nl
-        line_starts.append(pos)
-        line_ends.append(end)
-        _append_line_tokens(
-            data, pos, end, line_index,
-            token_starts, token_ends, token_lines, token_positions,
-        )
-        line_index += 1
-        pos = end + 1
-    return PageTokens(
-        buffer=data,
-        line_starts=line_starts, line_ends=line_ends,
-        token_starts=token_starts, token_ends=token_ends,
-        token_lines=token_lines, token_positions=token_positions,
-        backend=backend,
-    )
-
-
-def _tokenize_generic(data: bytes, backend: str) -> PageTokens:
-    """Exact ``bytes.splitlines`` walk for pages containing ``\\r``.
-
-    Rare in real logs; exists so equivalence with the reference path
-    holds on *arbitrary* byte strings (the hypothesis suite feeds some).
-    """
-    line_starts: list[int] = []
-    line_ends: list[int] = []
-    token_starts: list[int] = []
-    token_ends: list[int] = []
-    token_lines: list[int] = []
-    token_positions: list[int] = []
-    n = len(data)
-    pos = 0
-    line_index = 0
-    while pos < n:
-        a = data.find(b"\n", pos)
-        b = data.find(b"\r", pos)
-        if a == -1:
-            cut = b
-        elif b == -1:
-            cut = a
-        else:
-            cut = a if a < b else b
-        end = n if cut == -1 else cut
-        line_starts.append(pos)
-        line_ends.append(end)
-        _append_line_tokens(
-            data, pos, end, line_index,
-            token_starts, token_ends, token_lines, token_positions,
-        )
-        line_index += 1
-        if cut == -1:
-            pos = n
-        elif data[cut] == _CR and cut + 1 < n and data[cut + 1] == _NL:
-            pos = cut + 2
-        else:
-            pos = cut + 1
-    return PageTokens(
-        buffer=data,
-        line_starts=line_starts, line_ends=line_ends,
-        token_starts=token_starts, token_ends=token_ends,
-        token_lines=token_lines, token_positions=token_positions,
-        backend=backend,
-    )
-
-
-def _self_check(payload: bytes) -> bool:
-    """Debug helper: offsets agree with the reference tokenizer."""
-    page = tokenize_page_offsets(payload)
-    raw_lines, token_lists = page.to_token_lists()
-    return raw_lines == payload.splitlines() and token_lists == [
-        split_tokens(line) for line in raw_lines
-    ]

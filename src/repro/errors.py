@@ -14,8 +14,6 @@ instead of crashing it.
 
 from __future__ import annotations
 
-import warnings
-
 
 class MithriLogError(Exception):
     """Base class for all errors raised by this library."""
@@ -117,15 +115,3 @@ class IngestError(MithriLogError):
 #: Transient storage faults the device read path retries; everything else
 #: under :class:`StorageError` is persistent and fails fast.
 RETRYABLE_STORAGE_ERRORS = (PageReadError, PageCorruptionError)
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``IndexError_`` was renamed to ``LogIndexError``."""
-    if name == "IndexError_":
-        warnings.warn(
-            "repro.errors.IndexError_ is deprecated; use LogIndexError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return LogIndexError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

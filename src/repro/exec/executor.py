@@ -10,19 +10,22 @@ evaluation for *all* queries at once — out over a process pool, while
 flash reads, fault injection, retry accounting and simulated timing stay
 in the calling process, in page order, exactly as the serial path does.
 
-The partition kernel itself comes in two equivalence-tested variants,
-selected by :class:`ScanProgramSpec.kernel`:
+The partition kernel is one loop over per-page *stage callables*
+(decode, tokenize, evaluate, line bytes), and there are two equivalence
+-tested stage sets, selected by :class:`ScanProgramSpec.kernel`:
 
-- ``vectorized`` — the zero-copy hot path: pages decompress into a
-  reusable :class:`~repro.compression.arena.DecodeArena`, tokenization
-  emits offset arrays (``repro.core.vectokenizer``), and the filter runs
-  the signature-prefiltered array kernel
+- ``vectorized`` — the numpy hot path: pages decompress into a reusable
+  :class:`~repro.compression.arena.DecodeArena`, tokenization emits
+  offset arrays (``repro.core.vectokenizer``), and the filter runs the
+  signature-prefiltered array kernel
   (:meth:`~repro.core.hashfilter.HashFilter.evaluate_token_arrays` for
   offloaded programs, :class:`~repro.core.softmatch
   .SoftwareBatchMatcher` for programs that exceeded hardware
-  provisioning and run in software).
-- ``reference`` — PR 3's per-page token-list path, retained verbatim as
-  the oracle the differential suite compares against.
+  provisioning and run in software). A page containing ``\\r`` takes
+  the reference stages, for that page only.
+- ``reference`` — the per-page token-list path, retained as the oracle
+  the differential suite compares against and as the kernel of hosts
+  without numpy.
 
 Determinism is by construction: ``workers=1`` runs the very same
 partition kernel inline (no pool, no processes), partitions are
@@ -43,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.hashfilter import compile_queries
+from repro.core.hashfilter import HashFilter, compile_queries
 from repro.core.query import Query
 from repro.core.tokenizer import tokenize_page
 from repro.errors import QueryError
@@ -66,10 +69,10 @@ class ScanProgramSpec:
     (:func:`repro.core.hashfilter.compile_queries` is deterministic in
     ``(queries, params, seed)``), so nothing stateful crosses the process
     boundary — only frozen parameter dataclasses, query algebra, and the
-    resolved kernel/backend names. The parent resolves ``kernel`` and
-    ``backend`` (env vars, numpy availability) *before* building the
-    spec so every pool worker runs the same code path even if its own
-    environment would resolve differently.
+    resolved kernel name. The parent resolves ``kernel`` (environment,
+    numpy availability) *before* building the spec so every pool worker
+    runs the same code path even if its own environment would resolve
+    differently.
     """
 
     queries: tuple[Query, ...]
@@ -78,7 +81,6 @@ class ScanProgramSpec:
     offloaded: bool
     lzah_params: LZAHParams
     kernel: str = "reference"
-    backend: str = "fallback"
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,12 @@ class KernelResult:
     decoded: tuple = ()
 
 
+#: Entries each per-process memo below may hold; the oldest is evicted.
+#: A compiled program carries a cuckoo table plus two token caches, and
+#: the service mints a new query tuple for every distinct pass, so an
+#: unbounded memo grows for as long as the process lives.
+_MEMO_ENTRIES = 128
+
 #: Per-process memo of compiled filter programs, keyed by the hashable
 #: ``(queries, cuckoo_params, seed)`` triple: a pool worker serving many
 #: partitions of many scans compiles each program once.
@@ -131,12 +139,95 @@ _PROGRAM_MEMO: dict = {}
 #: Per-process memo of LZAH codecs by parameter bundle.
 _CODEC_MEMO: dict = {}
 
+#: Per-process memo of software batch matchers, keyed by the query tuple.
+_MATCHER_MEMO: dict = {}
+
 #: Per-process decode arena, grown to the largest page seen and recycled
 #: across partitions and scans (the zero-copy path's whole point).
 _ARENA = None
 
-#: Per-process memo of software batch matchers, keyed by the query tuple.
-_MATCHER_MEMO: dict = {}
+
+def _memoized(memo: dict, key, build):
+    value = memo.get(key)
+    if value is None:
+        value = build()
+        if len(memo) >= _MEMO_ENTRIES:
+            del memo[next(iter(memo))]  # dicts iterate oldest-first
+        memo[key] = value
+    return value
+
+
+def _codec(spec: ScanProgramSpec):
+    from repro.compression.lzah import LZAHCompressor
+
+    return _memoized(
+        _CODEC_MEMO, spec.lzah_params, lambda: LZAHCompressor(spec.lzah_params)
+    )
+
+
+def _compiled_program(spec: ScanProgramSpec):
+    return _memoized(
+        _PROGRAM_MEMO,
+        (spec.queries, spec.cuckoo_params, spec.seed),
+        lambda: compile_queries(
+            spec.queries, params=spec.cuckoo_params, seed=spec.seed
+        ),
+    )
+
+
+def _reference_stages(spec: ScanProgramSpec) -> tuple:
+    """``(decode, tokenize, evaluate, line_bytes)`` of the reference kernel.
+
+    A page is the ``(raw_lines, token_lists)`` pair of
+    :func:`~repro.core.tokenizer.tokenize_page`.
+    """
+    if spec.offloaded:
+        verdicts_of = HashFilter(_compiled_program(spec)).evaluate_token_lists
+    else:
+        queries = spec.queries
+
+        def verdicts_of(token_lists):
+            return [
+                tuple(q.matches_tokens(tokens) for q in queries)
+                for tokens in token_lists
+            ]
+
+    return (
+        _codec(spec).decompress,
+        tokenize_page,
+        lambda page: verdicts_of(page[1]),
+        lambda page, i: page[0][i],
+    )
+
+
+def _vectorized_stages(spec: ScanProgramSpec) -> tuple:
+    """``(decode, tokenize, evaluate, line_bytes)`` of the numpy kernel.
+
+    A page is a :class:`~repro.core.vectokenizer.PageTokens` over the
+    decode arena: kept lines are copied out as immutable ``bytes``, so
+    recycling the arena for the next page cannot corrupt them.
+    """
+    from repro.compression.arena import DecodeArena
+    from repro.core.softmatch import SoftwareBatchMatcher
+    from repro.core.vectokenizer import PageTokens, tokenize_page_offsets
+
+    global _ARENA
+    if _ARENA is None:
+        _ARENA = DecodeArena()
+    arena = _ARENA
+    decompress_into = _codec(spec).decompress_into
+    if spec.offloaded:
+        evaluate = HashFilter(_compiled_program(spec)).evaluate_token_arrays
+    else:
+        evaluate = _memoized(
+            _MATCHER_MEMO, spec.queries, lambda: SoftwareBatchMatcher(spec.queries)
+        ).evaluate
+    return (
+        lambda payload: decompress_into(payload, arena),
+        tokenize_page_offsets,
+        evaluate,
+        PageTokens.line_bytes,
+    )
 
 
 def _partition_kernel(
@@ -154,28 +245,22 @@ def _partition_kernel(
     record that makes subprocess work visible to the parent's registry
     and tracer (pool workers' own metrics die with the pool).
 
+    Both kernels run this one loop, so output, counts and stage
+    calls/units cannot depend on the kernel; only wall-clock does.
     Module-level and argument-picklable so it runs identically inline
     (``workers=1``) and in a pool worker.
     """
-    from repro.core.hashfilter import HashFilter
-
+    reference = _reference_stages(spec)
     if spec.kernel == "vectorized":
-        return _vectorized_kernel(spec, items, want_decoded)
+        # the offset-array tokenizer splits on \n only; a page with \r
+        # needs the reference tokenizer's full \r/\n/\r\n terminator set
+        from repro.core.vectokenizer import has_carriage_return as needs_reference
 
-    from repro.compression.lzah import LZAHCompressor
-
-    codec = _CODEC_MEMO.get(spec.lzah_params)
-    if codec is None:
-        codec = LZAHCompressor(spec.lzah_params)
-        _CODEC_MEMO[spec.lzah_params] = codec
-    decode = codec.decompress
-
-    verdict_fn = None
-    if spec.offloaded:
-        program = _compiled_program(spec)
-        verdict_fn = HashFilter(program).evaluate_token_lists
-    queries = spec.queries
-    num_queries = len(queries)
+        decode, *page_stages = _vectorized_stages(spec)
+    else:
+        needs_reference = None
+        decode, *page_stages = reference
+    num_queries = len(spec.queries)
 
     profile = ProfileBuilder()
     clock = time.perf_counter
@@ -195,110 +280,28 @@ def _partition_kernel(
             text = decode(payload)
             profile.add("decompress", units=len(text), wall_s=clock() - t0)
             if want_decoded:
-                decoded_pages.append(text)
-        bytes_decompressed += len(text)
-        t0 = clock()
-        raw_lines, token_lists = tokenize_page(text)
-        profile.add("tokenize", units=len(raw_lines), wall_s=clock() - t0)
-        lines_seen += len(raw_lines)
-        t0 = clock()
-        if verdict_fn is not None:
-            verdicts = verdict_fn(token_lists)
-        else:
-            verdicts = [
-                tuple(q.matches_tokens(tokens) for q in queries)
-                for tokens in token_lists
-            ]
-        kept = []
-        for line, verdict in zip(raw_lines, verdicts):
-            if True in verdict:
-                kept.append(line)
-                for q in range(num_queries):
-                    if verdict[q]:
-                        counts[q] += 1
-        profile.add("filter", units=len(raw_lines), wall_s=clock() - t0)
-        lines_kept += len(kept)
-        out_chunks.append(b"\n".join(kept) + (b"\n" if kept else b""))
-    return KernelResult(
-        data=b"".join(out_chunks),
-        bytes_decompressed=bytes_decompressed,
-        lines_seen=lines_seen,
-        lines_kept=lines_kept,
-        per_query_counts=tuple(counts),
-        stages=profile.build_items(),
-        decoded=tuple(decoded_pages) if want_decoded else (),
-    )
-
-
-def _vectorized_kernel(
-    spec: ScanProgramSpec,
-    items: Sequence[tuple[bool, bytes]],
-    want_decoded: bool,
-) -> KernelResult:
-    """Zero-copy partition scan: arena decode → offset arrays → batch filter.
-
-    Produces a :class:`KernelResult` byte-identical to the reference
-    kernel's (the differential suite and the workers×kernel invariance
-    tests pin this down), including identical stage calls/units — only
-    wall-clock differs.
-    """
-    from repro.compression.arena import DecodeArena
-    from repro.compression.lzah import LZAHCompressor
-    from repro.core.hashfilter import HashFilter
-    from repro.core.vectokenizer import tokenize_page_offsets
-
-    global _ARENA
-    codec = _CODEC_MEMO.get(spec.lzah_params)
-    if codec is None:
-        codec = LZAHCompressor(spec.lzah_params)
-        _CODEC_MEMO[spec.lzah_params] = codec
-    if _ARENA is None:
-        _ARENA = DecodeArena()
-    arena = _ARENA
-    if spec.offloaded:
-        evaluate = HashFilter(_compiled_program(spec)).evaluate_token_arrays
-    else:
-        evaluate = _software_matcher(spec.queries).evaluate
-    backend = spec.backend
-    num_queries = len(spec.queries)
-
-    profile = ProfileBuilder()
-    clock = time.perf_counter
-    out_chunks: list[bytes] = []
-    decoded_pages: list = []
-    counts = [0] * num_queries
-    bytes_decompressed = 0
-    lines_seen = 0
-    lines_kept = 0
-    for is_decoded, payload in items:
-        if is_decoded:
-            text = payload
-            if want_decoded:
-                decoded_pages.append(None)
-        else:
-            t0 = clock()
-            text = codec.decompress_into(payload, arena)
-            profile.add("decompress", units=len(text), wall_s=clock() - t0)
-            if want_decoded:
                 decoded_pages.append(bytes(text))
         bytes_decompressed += len(text)
         t0 = clock()
-        page = tokenize_page_offsets(text, backend)
-        profile.add("tokenize", units=page.num_lines, wall_s=clock() - t0)
-        lines_seen += page.num_lines
-        t0 = clock()
+        tokenize, evaluate, line_bytes = page_stages
+        if needs_reference is not None and needs_reference(text):
+            tokenize, evaluate, line_bytes = reference[1:]
+            text = bytes(text)  # an arena view has no splitlines
+        page = tokenize(text)
+        t1 = clock()
         verdicts = evaluate(page)
         kept = []
         for i, verdict in enumerate(verdicts):
             if True in verdict:
-                kept.append(page.line_bytes(i))
+                kept.append(line_bytes(page, i))
                 for q in range(num_queries):
                     if verdict[q]:
                         counts[q] += 1
-        profile.add("filter", units=page.num_lines, wall_s=clock() - t0)
+        num_lines = len(verdicts)
+        profile.add("tokenize", units=num_lines, wall_s=t1 - t0)
+        profile.add("filter", units=num_lines, wall_s=clock() - t1)
+        lines_seen += num_lines
         lines_kept += len(kept)
-        # kept lines are immutable copies, so recycling the arena for the
-        # next page (the decompress_into above) cannot corrupt them
         out_chunks.append(b"\n".join(kept) + (b"\n" if kept else b""))
     return KernelResult(
         data=b"".join(out_chunks),
@@ -309,27 +312,6 @@ def _vectorized_kernel(
         stages=profile.build_items(),
         decoded=tuple(decoded_pages) if want_decoded else (),
     )
-
-
-def _software_matcher(queries: tuple[Query, ...]):
-    matcher = _MATCHER_MEMO.get(queries)
-    if matcher is None:
-        from repro.core.softmatch import SoftwareBatchMatcher
-
-        matcher = SoftwareBatchMatcher(queries)
-        _MATCHER_MEMO[queries] = matcher
-    return matcher
-
-
-def _compiled_program(spec: ScanProgramSpec):
-    memo_key = (spec.queries, spec.cuckoo_params, spec.seed)
-    program = _PROGRAM_MEMO.get(memo_key)
-    if program is None:
-        program = compile_queries(
-            spec.queries, params=spec.cuckoo_params, seed=spec.seed
-        )
-        _PROGRAM_MEMO[memo_key] = program
-    return program
 
 
 class ScanExecutor:

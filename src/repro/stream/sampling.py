@@ -15,7 +15,7 @@ Two properties matter more than the estimator itself:
   ``(seed, template fingerprint, page id)``, hashed with sha1 (stable
   across processes and ``PYTHONHASHSEED``). The selection happens in
   the parent *before* the scan executor partitions pages over workers,
-  so results are worker-count- and backend-invariant and any run can be
+  so results are worker-count- and kernel-invariant and any run can be
   replayed exactly (pinned by ``tests/differential``).
 - **Honest uncertainty** — each page is an independent Bernoulli draw
   at rate ``fraction``, so the Horvitz–Thompson estimate of the total
@@ -49,7 +49,7 @@ def page_in_sample(
     The sha1 of ``seed:fingerprint:page_addr`` is mapped to [0, 1);
     the page is sampled iff it lands below ``fraction``. No RNG state:
     the decision is a pure function, so it cannot depend on scan order,
-    worker count, or backend.
+    worker count, or kernel.
     """
     digest = hashlib.sha1(
         f"{seed}:{fingerprint}:{page_addr}".encode()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.compression.lzah import LZAHCompressor
-from repro.core.backend import resolve_backend, resolve_kernel
+from repro.core.backend import resolve_kernel
 from repro.core.engine import TokenFilterEngine
 from repro.core.query import Query
 from repro.errors import IngestError, QueryError
@@ -229,17 +229,15 @@ class MithriLogSystem:
         tracer: Optional[SpanTracer] = None,
         cache_pages: int = DEFAULT_CACHE_PAGES,
         scan_kernel: Optional[str] = None,
-        scan_backend: Optional[str] = None,
         journal=None,
         monitor=None,
     ) -> None:
         self.params = params if params is not None else PROTOTYPE
-        #: Scan kernel/backend overrides (None defers to the
-        #: REPRO_SCAN_KERNEL / REPRO_SCAN_BACKEND environment variables,
-        #: then auto-selection). Resolved per scan, in this process, so
-        #: pool workers inherit the parent's choice via the program spec.
+        #: Scan kernel override (None defers to the REPRO_SCAN_KERNEL
+        #: environment variable, then auto-selection). Resolved per scan,
+        #: in this process, so pool workers inherit the parent's choice
+        #: via the program spec.
         self.scan_kernel = scan_kernel
-        self.scan_backend = scan_backend
         self.device = (
             device if device is not None else MithriLogDevice(self.params.storage)
         )
@@ -545,7 +543,7 @@ class MithriLogSystem:
         ``sample_fraction`` runs an *approximate* scan: only the seeded
         deterministic fraction of candidate pages (keyed on
         ``(sample_seed, template fingerprint, page id)``, so results are
-        worker-count- and backend-invariant) is read, and the outcome
+        worker-count- and kernel-invariant) is read, and the outcome
         carries one :class:`repro.stream.sampling.SampleEstimate` per
         query scaling the sampled count back to the full candidate set
         with a confidence interval.
@@ -831,20 +829,15 @@ class MithriLogSystem:
                 items.append((True, cached))
             else:
                 items.append((False, payload))
-        # Kernel and backend resolve here, in the parent, so every pool
-        # worker runs the identical code path. Offloaded programs filter
-        # through the compiled cuckoo table's array kernel; software
-        # -fallback programs (provisioning exceeded) go through the batch
-        # matcher in repro.core.softmatch — same vectorized front end.
-        kernel = resolve_kernel(self.scan_kernel)
+        # The kernel resolves here, in the parent, so every pool worker
+        # runs the identical code path.
         spec = ScanProgramSpec(
             queries=tuple(queries),
             cuckoo_params=self.engine.cuckoo_params,
             seed=self.engine.seed,
             offloaded=self.engine.offloaded,
             lzah_params=self.params.lzah,
-            kernel=kernel,
-            backend=resolve_backend(self.scan_backend),
+            kernel=resolve_kernel(self.scan_kernel),
         )
         # the inline path hands decoded pages back so repeated scans hit
         # the cache exactly as the old serial path did; pool workers keep

@@ -1,9 +1,9 @@
 """Differential harness: vectorized scan path vs the reference kernels.
 
-PR 3's kernels are the oracle; the vectorized zero-copy path (offset
--array tokenizer, arena decoder, signature-prefiltered filter kernel)
-must be byte-for-byte equivalent to them on *arbitrary* inputs, on both
-array backends. Three layers of evidence:
+The reference kernel is the oracle; the numpy path (offset-array
+tokenizer, arena decoder, signature-prefiltered filter kernel) must be
+byte-for-byte equivalent to it on *arbitrary* inputs. Three layers of
+evidence:
 
 1. **Hypothesis** — randomized pages (structured log lines, multibyte
    UTF-8, raw binary including ``\\r``/NUL/empty-token shapes), codecs
@@ -13,16 +13,18 @@ array backends. Three layers of evidence:
    appended there so they replay on every run without hypothesis.
 3. **End-to-end invariance** — full scans must produce identical
    matches, per-query counts, and *simulated* stats (breakdown,
-   bottleneck, profile) across kernel × backend × workers.
+   bottleneck, profile) across kernel × workers.
 
-Backend force-selection lives here too: the suite proves the fallback
-leg really runs without numpy and that explicit selection fails loudly
-when the requested backend is absent.
+The numpy tokenizer splits lines on ``\\n`` only, so the partition kernel
+routes a page containing ``\\r`` to the reference stages; the stage-level
+checks below follow the same rule and the whole-kernel checks prove the
+routing itself. Kernel selection lives here too: the suite proves that
+hosts without numpy land on the reference kernel and that an explicit
+``vectorized`` fails loudly there.
 """
 
 import base64
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -39,20 +41,23 @@ from repro.compression.lzah import LZAHCompressor
 from repro.core import backend as backend_mod
 from repro.core.backend import (
     BackendUnavailableError,
-    available_backends,
+    numpy_or_none,
     resolve_backend,
     resolve_kernel,
 )
 from repro.core.hashfilter import HashFilter, compile_queries
 from repro.core.query import IntersectionSet, Query, Term
 from repro.core.softmatch import SoftwareBatchMatcher
-from repro.core.tokenizer import split_tokens, tokenize_page
-from repro.core.vectokenizer import tokenize_page_offsets
+from repro.core.tokenizer import tokenize_page
+from repro.core.vectokenizer import has_carriage_return, tokenize_page_offsets
 from repro.errors import CompressedFormatError
-from repro.exec.executor import ScanProgramSpec, _partition_kernel
+from repro.exec.executor import ScanExecutor, ScanProgramSpec, _partition_kernel
 from repro.params import CuckooParams, LZAHParams
 
-BACKENDS = available_backends()
+#: Everything that drives the numpy kernel; the no-numpy CI leg skips it.
+needs_numpy = pytest.mark.skipif(
+    numpy_or_none() is None, reason="the vectorized kernel needs numpy"
+)
 
 CORPUS_PATH = Path(__file__).with_name("corpus_cases.json")
 CORPUS = [
@@ -63,9 +68,57 @@ CORPUS_IDS = [name for name, _ in CORPUS]
 CORPUS_PAGES = [data for _, data in CORPUS]
 
 
-def _assert_tokenization_matches(payload: bytes, backend: str) -> None:
+#: Offloaded program: three queries the cuckoo table holds comfortably.
+FILTER_QUERIES = (
+    Query(intersections=(IntersectionSet(terms=(Term(token=b"session"),)),)),
+    Query(
+        intersections=(
+            IntersectionSet(
+                terms=(Term(token=b"svc"), Term(token=b"ERR", column=2))
+            ),
+        )
+    ),
+    Query(
+        intersections=(
+            IntersectionSet(
+                terms=(
+                    Term(token=b"opened"),
+                    Term(token=b"admin", negative=True),
+                )
+            ),
+        )
+    ),
+)
+
+#: Software-fallback program: adds a pure-negative set on a long token.
+SOFT_QUERIES = FILTER_QUERIES[:2] + (
+    Query(
+        intersections=FILTER_QUERIES[2].intersections
+        + (IntersectionSet(terms=(Term(token=b"x" * 64, negative=True),)),)
+    ),
+)
+
+
+def _offsets_or_refusal(payload: bytes):
+    """Offset arrays of a page the numpy tokenizer accepts, else ``None``.
+
+    A page containing ``\\r`` must be flagged by the probe the kernel
+    routes by and refused by the tokenizer (never mis-split).
+    """
+    if b"\r" in payload:
+        assert has_carriage_return(payload)
+        with pytest.raises(ValueError):
+            tokenize_page_offsets(payload)
+        return None
+    assert not has_carriage_return(payload)
+    return tokenize_page_offsets(payload)
+
+
+def _assert_tokenization_matches(payload: bytes) -> None:
     """One page: offset arrays must re-materialise the reference output."""
-    page = tokenize_page_offsets(payload, backend)
+    page = _offsets_or_refusal(payload)
+    if page is None:
+        return
     raw_lines, token_lists = page.to_token_lists()
     want_lines, want_tokens = tokenize_page(payload)
     assert raw_lines == want_lines
@@ -76,85 +129,79 @@ def _assert_tokenization_matches(payload: bytes, backend: str) -> None:
     for j in range(page.num_tokens):
         start, end = int(page.token_starts[j]), int(page.token_ends[j])
         line = int(page.token_lines[j])
-        assert int(page.line_starts[line]) <= start < end <= int(page.line_ends[line]) or (
-            # tokens never cross their line's span except via the tab
-            # translation, which cannot move bytes — so this must hold
-            False
-        )
+        assert int(page.line_starts[line]) <= start < end <= int(page.line_ends[line])
+
+
+def _spec(queries, offloaded: bool, kernel: str) -> ScanProgramSpec:
+    return ScanProgramSpec(
+        queries=tuple(queries),
+        cuckoo_params=CuckooParams(),
+        seed=0,
+        offloaded=offloaded,
+        lzah_params=LZAHParams(),
+        kernel=kernel,
+    )
+
+
+def _stage_counts(stages) -> dict:
+    return {name: (s.calls, s.units) for name, s in stages}
+
+
+def _assert_kernels_agree(queries, offloaded: bool, pages) -> None:
+    """Whole-partition equivalence: output bytes, per-query counts and
+    deterministic stage calls/units match across the two kernels."""
+    codec = LZAHCompressor()
+    items = [(False, codec.compress(page)) for page in pages]
+    ref, vec = (
+        _partition_kernel(_spec(queries, offloaded, kernel), items, want_decoded=True)
+        for kernel in ("reference", "vectorized")
+    )
+    assert vec.data == ref.data
+    assert vec.per_query_counts == ref.per_query_counts
+    assert vec.lines_seen == ref.lines_seen
+    assert vec.lines_kept == ref.lines_kept
+    assert vec.bytes_decompressed == ref.bytes_decompressed
+    assert vec.decoded == ref.decoded
+    assert _stage_counts(vec.stages) == _stage_counts(ref.stages)
 
 
 # ---------------------------------------------------------------------------
-# replayable corpus: every pinned page through every variant
+# replayable corpus: every pinned page through both kernels
 # ---------------------------------------------------------------------------
 
 
 class TestCorpusReplay:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @needs_numpy
     @pytest.mark.parametrize("payload", CORPUS_PAGES, ids=CORPUS_IDS)
-    def test_tokenizer_matches_reference(self, payload, backend):
-        _assert_tokenization_matches(payload, backend)
+    def test_tokenizer_matches_reference(self, payload):
+        _assert_tokenization_matches(payload)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @needs_numpy
     @pytest.mark.parametrize("payload", CORPUS_PAGES, ids=CORPUS_IDS)
-    def test_filter_matches_reference(self, payload, backend):
-        queries = (
-            Query(intersections=(IntersectionSet(terms=(Term(token=b"session"),)),)),
-            Query(
-                intersections=(
-                    IntersectionSet(
-                        terms=(Term(token=b"svc"), Term(token=b"ERR", column=2))
-                    ),
-                )
-            ),
-            Query(
-                intersections=(
-                    IntersectionSet(
-                        terms=(
-                            Term(token=b"opened"),
-                            Term(token=b"admin", negative=True),
-                        )
-                    ),
-                )
-            ),
-        )
-        program = compile_queries(queries, seed=0)
-        page = tokenize_page_offsets(payload, backend)
+    def test_filter_matches_reference(self, payload):
+        _assert_kernels_agree(FILTER_QUERIES, True, [payload])
+        page = _offsets_or_refusal(payload)
+        if page is None:
+            return
+        program = compile_queries(FILTER_QUERIES, seed=0)
         fast = HashFilter(program).evaluate_token_arrays(page)
         _, token_lists = tokenize_page(payload)
         slow = HashFilter(program).evaluate_token_lists(token_lists)
         assert fast == slow
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @needs_numpy
     @pytest.mark.parametrize("payload", CORPUS_PAGES, ids=CORPUS_IDS)
-    def test_softmatch_matches_query_oracle(self, payload, backend):
+    def test_softmatch_matches_query_oracle(self, payload):
         """The software-fallback batch matcher (no compiled table) agrees
         with per-line ``Query.matches_tokens`` on every pinned page."""
-        queries = (
-            Query(intersections=(IntersectionSet(terms=(Term(token=b"session"),)),)),
-            Query(
-                intersections=(
-                    IntersectionSet(
-                        terms=(Term(token=b"svc"), Term(token=b"ERR", column=2))
-                    ),
-                )
-            ),
-            Query(
-                intersections=(
-                    IntersectionSet(
-                        terms=(
-                            Term(token=b"opened"),
-                            Term(token=b"admin", negative=True),
-                        )
-                    ),
-                    IntersectionSet(terms=(Term(token=b"x" * 64, negative=True),)),
-                )
-            ),
-        )
-        page = tokenize_page_offsets(payload, backend)
-        fast = SoftwareBatchMatcher(queries).evaluate(page)
+        _assert_kernels_agree(SOFT_QUERIES, False, [payload])
+        page = _offsets_or_refusal(payload)
+        if page is None:
+            return
+        fast = SoftwareBatchMatcher(SOFT_QUERIES).evaluate(page)
         _, token_lists = tokenize_page(payload)
         slow = [
-            tuple(q.matches_tokens(tokens) for q in queries)
+            tuple(q.matches_tokens(tokens) for q in SOFT_QUERIES)
             for tokens in token_lists
         ]
         assert fast == slow
@@ -166,6 +213,49 @@ class TestCorpusReplay:
         arena = DecodeArena(initial_bytes=1)
         assert bytes(codec.decompress_into(blob, arena)) == codec.decompress(blob)
         assert codec.decompress(blob) == payload
+
+
+# ---------------------------------------------------------------------------
+# \r routing: mixed partitions through the executor
+# ---------------------------------------------------------------------------
+
+
+@needs_numpy
+class TestCarriageReturnRouting:
+    """A page with ``\\r`` takes the reference stages for that page only;
+    its ``\\n``-only neighbours stay on the numpy stages, and nothing
+    observable depends on the kernel or the worker count."""
+
+    PAGES = [
+        b"session opened for root\nsvc up ERR\nnoise line\n" * 20,
+        b"session opened\r\nadmin opened\rsvc x ERR\r\n\rsession closed\n" * 15,
+        b"svc a ERR b\nopened by admin\nsession session\n" * 20,
+        b"lone\rcarriage\rreturns session\r",
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "queries, offloaded",
+        [(FILTER_QUERIES, True), (SOFT_QUERIES, False)],
+        ids=["offloaded", "software"],
+    )
+    def test_mixed_partition_matches_reference(self, queries, offloaded, workers):
+        codec = LZAHCompressor()
+        items = [(False, codec.compress(page)) for page in self.PAGES]
+        with ScanExecutor(workers) as executor:
+            ref, vec = (
+                executor.scan(_spec(queries, offloaded, kernel), items)
+                for kernel in ("reference", "vectorized")
+            )
+        assert ref.lines_kept > 0
+        assert ref.lines_seen == sum(len(p.splitlines()) for p in self.PAGES)
+        assert vec.data == ref.data
+        assert vec.per_query_counts == ref.per_query_counts
+        assert vec.lines_seen == ref.lines_seen
+        assert [_stage_counts(p.stages) for p in vec.partitions] == [
+            _stage_counts(p.stages) for p in ref.partitions
+        ]
+        assert _stage_counts(vec.profile) == _stage_counts(ref.profile)
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +303,20 @@ if HAVE_HYPOTHESIS:
         max_size=2,
     ).map(lambda isets: Query(intersections=tuple(isets)))
 
+    @needs_numpy
     class TestHypothesisDifferential:
         @settings(max_examples=150, deadline=None)
-        @given(payload=any_page, backend=st.sampled_from(BACKENDS))
-        def test_tokenizer_differential(self, payload, backend):
-            _assert_tokenization_matches(payload, backend)
+        @given(payload=any_page)
+        def test_tokenizer_differential(self, payload):
+            _assert_tokenization_matches(payload)
 
         @settings(max_examples=100, deadline=None)
         @given(
             payload=any_page,
-            backend=st.sampled_from(BACKENDS),
             queries=st.lists(query_strategy, min_size=1, max_size=3),
             seed=st.integers(min_value=0, max_value=3),
         )
-        def test_filter_differential(self, payload, backend, queries, seed):
+        def test_filter_differential(self, payload, queries, seed):
             from repro.errors import CapacityError, PlacementError
 
             try:
@@ -236,7 +326,10 @@ if HAVE_HYPOTHESIS:
                 # provisioning; the system runs those in software, where
                 # test_softmatch_differential covers the vectorized path
                 assume(False)
-            page = tokenize_page_offsets(payload, backend)
+            page = _offsets_or_refusal(payload)
+            # a \r page never reaches the array kernel: the partition
+            # -kernel differentials below cover its routing
+            assume(page is not None)
             fast_filter = HashFilter(program)
             fast = fast_filter.evaluate_token_arrays(page)
             raw_lines, token_lists = tokenize_page(payload)
@@ -252,17 +345,17 @@ if HAVE_HYPOTHESIS:
         @settings(max_examples=100, deadline=None)
         @given(
             payload=any_page,
-            backend=st.sampled_from(BACKENDS),
             queries=st.lists(query_strategy, min_size=1, max_size=4),
         )
-        def test_softmatch_differential(self, payload, backend, queries):
+        def test_softmatch_differential(self, payload, queries):
             """Software-fallback batch matcher vs per-line query oracle.
 
             No compilation involved, so *every* random program is in
             scope — including ones that exceed hardware provisioning,
             which is precisely when the system routes through softmatch.
             """
-            page = tokenize_page_offsets(payload, backend)
+            page = _offsets_or_refusal(payload)
+            assume(page is not None)
             fast = SoftwareBatchMatcher(tuple(queries)).evaluate(page)
             _, token_lists = tokenize_page(payload)
             slow = [
@@ -315,14 +408,12 @@ if HAVE_HYPOTHESIS:
             assert outcomes[0] == outcomes[1] == outcomes[2]
 
         @settings(max_examples=30, deadline=None)
-        @given(
-            pages=st.lists(structured_page, min_size=1, max_size=4),
-            backend=st.sampled_from(BACKENDS),
-        )
-        def test_partition_kernel_software_differential(self, pages, backend):
-            """Same whole-partition equivalence for a *software-fallback*
+        @given(pages=st.lists(any_page, min_size=1, max_size=4))
+        def test_partition_kernel_software_differential(self, pages):
+            """Whole-partition equivalence for a *software-fallback*
             program (``offloaded=False``): the vectorized kernel routes
-            through SoftwareBatchMatcher instead of the cuckoo table."""
+            through SoftwareBatchMatcher instead of the cuckoo table, and
+            pages carrying ``\\r`` through the reference stages."""
             queries = (
                 Query(
                     intersections=(
@@ -343,135 +434,67 @@ if HAVE_HYPOTHESIS:
                     )
                 ),
             )
-            codec = LZAHCompressor()
-            items = [(False, codec.compress(p)) for p in pages]
-            results = {}
-            for kernel in ("reference", "vectorized"):
-                spec = ScanProgramSpec(
-                    queries=queries,
-                    cuckoo_params=CuckooParams(),
-                    seed=0,
-                    offloaded=False,
-                    lzah_params=LZAHParams(),
-                    kernel=kernel,
-                    backend=backend,
-                )
-                results[kernel] = _partition_kernel(spec, items, want_decoded=True)
-            ref, vec = results["reference"], results["vectorized"]
-            assert vec.data == ref.data
-            assert vec.per_query_counts == ref.per_query_counts
-            assert vec.lines_seen == ref.lines_seen
-            assert vec.lines_kept == ref.lines_kept
-            assert vec.bytes_decompressed == ref.bytes_decompressed
-            assert vec.decoded == ref.decoded
-            def counts(stages):
-                return {name: (s.calls, s.units) for name, s in stages}
-
-            assert counts(vec.stages) == counts(ref.stages)
+            _assert_kernels_agree(queries, False, pages)
 
         @settings(max_examples=40, deadline=None)
-        @given(
-            pages=st.lists(structured_page, min_size=1, max_size=4),
-            backend=st.sampled_from(BACKENDS),
-        )
-        def test_partition_kernel_differential(self, pages, backend):
-            """Whole-partition equivalence: output bytes, per-query
-            counts, and deterministic stage units match across kernels."""
-            queries = (
-                Query(
-                    intersections=(
-                        IntersectionSet(terms=(Term(token=b"session"),)),
-                    )
-                ),
-                Query(
-                    intersections=(
-                        IntersectionSet(
-                            terms=(
-                                Term(token=b"opened"),
-                                Term(token=b"admin", negative=True),
-                            )
-                        ),
-                    )
-                ),
-            )
-            codec = LZAHCompressor()
-            items = [(False, codec.compress(p)) for p in pages]
-            results = {}
-            for kernel in ("reference", "vectorized"):
-                spec = ScanProgramSpec(
-                    queries=queries,
-                    cuckoo_params=CuckooParams(),
-                    seed=0,
-                    offloaded=True,
-                    lzah_params=LZAHParams(),
-                    kernel=kernel,
-                    backend=backend,
-                )
-                results[kernel] = _partition_kernel(spec, items, want_decoded=True)
-            ref, vec = results["reference"], results["vectorized"]
-            assert vec.data == ref.data
-            assert vec.per_query_counts == ref.per_query_counts
-            assert vec.lines_seen == ref.lines_seen
-            assert vec.lines_kept == ref.lines_kept
-            assert vec.bytes_decompressed == ref.bytes_decompressed
-            assert vec.decoded == ref.decoded
-            def counts(stages):
-                return {name: (s.calls, s.units) for name, s in stages}
-
-            assert counts(vec.stages) == counts(ref.stages)
+        @given(pages=st.lists(any_page, min_size=1, max_size=4))
+        def test_partition_kernel_differential(self, pages):
+            """Whole-partition equivalence on arbitrary bytes: output,
+            per-query counts, and deterministic stage units match across
+            kernels, whichever pages take the ``\\r`` route."""
+            _assert_kernels_agree(FILTER_QUERIES[::2], True, pages)
 
 
 # ---------------------------------------------------------------------------
-# backend force-selection
+# kernel selection
 # ---------------------------------------------------------------------------
 
 
 class TestBackendSelection:
-    def test_fallback_always_available(self):
-        assert "fallback" in available_backends()
-        assert resolve_backend("fallback") == "fallback"
+    def test_fallback_always_available(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "_NUMPY", False)
+        assert resolve_kernel("reference") == "reference"
+        assert resolve_backend("reference") == "fallback"
 
     def test_auto_prefers_numpy_when_available(self):
-        if backend_mod.numpy_or_none() is not None:
+        if numpy_or_none() is not None:
+            assert resolve_kernel(None) == resolve_kernel("auto") == "vectorized"
             assert resolve_backend(None) == "numpy"
-            assert resolve_backend("auto") == "numpy"
         else:
+            assert resolve_kernel(None) == "reference"
             assert resolve_backend(None) == "fallback"
 
     def test_explicit_numpy_without_numpy_raises(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "_NUMPY", False)
-        assert available_backends() == ("fallback",)
-        assert resolve_backend("auto") == "fallback"
+        assert resolve_kernel(None) == resolve_kernel("auto") == "reference"
         with pytest.raises(BackendUnavailableError):
-            resolve_backend("numpy")
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.BACKEND_ENV, "fallback")
-        assert resolve_backend(None) == "fallback"
-        monkeypatch.setenv(backend_mod.BACKEND_ENV, "bogus")
-        with pytest.raises(ValueError):
-            resolve_backend(None)
+            resolve_kernel("vectorized")
+        with pytest.raises(BackendUnavailableError):
+            tokenize_page_offsets(b"one line\n")
 
     def test_env_var_selects_kernel(self, monkeypatch):
         monkeypatch.setenv(backend_mod.KERNEL_ENV, "reference")
         assert resolve_kernel(None) == "reference"
         monkeypatch.setenv(backend_mod.KERNEL_ENV, "auto")
-        assert resolve_kernel(None) == "vectorized"
+        assert resolve_kernel(None) == resolve_kernel("auto")
         monkeypatch.setenv(backend_mod.KERNEL_ENV, "bogus")
         with pytest.raises(ValueError):
             resolve_kernel(None)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_force_each_backend_end_to_end(self, backend):
-        """Each importable backend, force-selected, produces identical
-        scan results on a small end-to-end system."""
+    @pytest.mark.parametrize(
+        "kernel", [None, pytest.param("vectorized", marks=needs_numpy)]
+    )
+    def test_force_each_backend_end_to_end(self, kernel):
+        """The kernel the system picks by itself, and the numpy kernel
+        force-selected, produce the reference kernel's scan results on a
+        small end-to-end system."""
         from repro.core.query import parse_query
         from repro.datasets.synthetic import generator_for
         from repro.system.mithrilog import MithriLogSystem
 
         corpus = list(generator_for("Liberty2", seed=3).iter_lines(600))
         query = parse_query("session AND opened")
-        system = MithriLogSystem(seed=3, cache_pages=0, scan_backend=backend)
+        system = MithriLogSystem(seed=3, cache_pages=0, scan_kernel=kernel)
         system.ingest(corpus)
         outcome = system.scan_all(query)
         system.close()
@@ -483,13 +506,24 @@ class TestBackendSelection:
         assert outcome.per_query_counts == expected.per_query_counts
         assert outcome.stats.profile == expected.stats.profile
 
-    def test_tokenizer_backends_agree_without_numpy(self, monkeypatch):
-        """Force the numpy probe to 'absent': auto-resolution must pick
-        the fallback and still match the reference tokenizer."""
+    def test_scan_without_numpy_matches_grep(self, monkeypatch):
+        """Force the numpy probe to 'absent': auto-resolution must route
+        the whole scan through the reference kernel (the offset-array
+        tokenizer would raise) and still agree with the grep oracle."""
+        from repro.baselines.grep import grep_indices
+        from repro.core.query import parse_query
+        from repro.datasets.synthetic import generator_for
+        from repro.system.mithrilog import MithriLogSystem
+
         monkeypatch.setattr(backend_mod, "_NUMPY", False)
-        for _name, payload in CORPUS:
-            page = tokenize_page_offsets(payload)
-            assert page.backend == "fallback"
-            raw_lines, token_lists = page.to_token_lists()
-            assert raw_lines == payload.splitlines()
-            assert token_lists == [split_tokens(ln) for ln in raw_lines]
+        corpus = list(generator_for("Liberty2", seed=3).iter_lines(600))
+        queries = [parse_query("session AND opened"), parse_query("root OR admin")]
+        system = MithriLogSystem(seed=3, cache_pages=0)
+        system.ingest(corpus)
+        outcome = system.scan_all(*queries)
+        system.close()
+        expected = [grep_indices(q, corpus) for q in queries]
+        assert list(outcome.per_query_counts) == [len(hits) for hits in expected]
+        assert outcome.matched_lines == [
+            corpus[i] for i in sorted(set().union(*expected))
+        ]

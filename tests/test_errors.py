@@ -2,8 +2,7 @@
 
 Every public exception class must be raised by at least one real code
 path; an introspective completeness check keeps the parametrization
-honest when new classes are added. Also pins the ``IndexError_`` ->
-``LogIndexError`` rename (deprecated alias kept).
+honest when new classes are added.
 """
 
 import inspect
@@ -177,17 +176,6 @@ def test_retryable_tuple_contains_only_transients():
     }
     for exc in (BadBlockError, UnwrittenPageError, PageBoundsError):
         assert not issubclass(exc, errors_module.RETRYABLE_STORAGE_ERRORS)
-
-
-class TestDeprecatedAlias:
-    def test_index_error_alias_warns_and_resolves(self):
-        with pytest.deprecated_call():
-            alias = errors_module.IndexError_
-        assert alias is LogIndexError
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            errors_module.NoSuchError
 
 
 class TestUnwrittenPageRegression:

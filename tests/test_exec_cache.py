@@ -132,6 +132,7 @@ class TestArenaReuseGuard:
         rewrite a flash page (the write listener invalidates), and check
         the next scan sees the new bytes — against a never-cached oracle.
         """
+        pytest.importorskip("numpy")
         system = MithriLogSystem(seed=5, scan_kernel="vectorized")
         system.ingest(corpus)
         first = system.scan_all(QUERY)  # cold: arena decodes fill the cache

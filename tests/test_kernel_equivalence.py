@@ -235,6 +235,7 @@ class TestScanInvariance:
 
     @pytest.fixture(scope="class")
     def corpus(self):
+        pytest.importorskip("numpy")  # every test here pins "vectorized"
         return list(generator_for("Liberty2", seed=13).iter_lines(2500))
 
     def run_variant(self, corpus, workers, kernel, queries=None, offloaded=True):

@@ -19,7 +19,7 @@ from repro.core.pipeline import FilterPipeline
 from repro.core.query import Query
 from repro.core.tokenizer import split_tokens
 from repro.errors import CapacityError, PlacementError, QueryError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import NULL, handle
 from repro.params import CuckooParams, PipelineParams
 
 
@@ -71,25 +71,9 @@ class TokenFilterEngine:
         self._queries: tuple[Query, ...] = ()
         self._program: Optional[CompiledQuery] = None
         self._pipelines: list[FilterPipeline] = []
-        registry = get_registry()
-        if registry is not None:
-            self._m_compiles = registry.counter(
-                "mithrilog_pipeline_compiles_total",
-                "Query compilations by execution mode",
-                labelnames=("mode",),
-            )
-            self._m_lines_filtered = registry.counter(
-                "mithrilog_pipeline_lines_filtered_total",
-                "Lines evaluated by the filter engine",
-            )
-            self._m_lines_kept = registry.counter(
-                "mithrilog_pipeline_lines_kept_total",
-                "Lines that survived filtering",
-            )
-        else:
-            self._m_compiles = None
-            self._m_lines_filtered = None
-            self._m_lines_kept = None
+        self._m_compiles = handle("mithrilog_pipeline_compiles_total")
+        self._m_lines_filtered = handle("mithrilog_pipeline_lines_filtered_total")
+        self._m_lines_kept = handle("mithrilog_pipeline_lines_kept_total")
 
     # -- compilation -------------------------------------------------------
 
@@ -112,15 +96,13 @@ class TokenFilterEngine:
                 raise
             self._program = None
             self._pipelines = []
-            if self._m_compiles is not None:
-                self._m_compiles.inc(mode="software")
+            self._m_compiles.inc(mode="software")
             return False
         self._pipelines = [
             FilterPipeline(self._program, self.pipeline_params)
             for _ in range(self.num_pipelines)
         ]
-        if self._m_compiles is not None:
-            self._m_compiles.inc(mode="hardware")
+        self._m_compiles.inc(mode="hardware")
         return True
 
     @property
@@ -187,7 +169,7 @@ class TokenFilterEngine:
             result = EngineResult(
                 verdicts=verdicts, offloaded=True, num_queries=len(self._queries)
             )
-        if self._m_lines_filtered is not None and result.lines:
+        if self._m_lines_filtered is not NULL and result.lines:
             self._m_lines_filtered.inc(result.lines)
             kept = sum(1 for v in result.verdicts if any(v))
             if kept:
@@ -205,7 +187,7 @@ class TokenFilterEngine:
         """
         if kept is None:
             kept = lines
-        if self._m_lines_filtered is not None and lines:
+        if lines:
             self._m_lines_filtered.inc(lines)
             if kept:
                 self._m_lines_kept.inc(kept)

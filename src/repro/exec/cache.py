@@ -27,7 +27,7 @@ import zlib
 from collections import OrderedDict
 from typing import Callable, Hashable, Optional
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 
 #: Default capacity in pages (~a few MB of decompressed text at the
 #: prototype's 8 KiB pages and ~2x compression).
@@ -65,29 +65,10 @@ class PageCache:
         self._entries: "OrderedDict[tuple[int, int], tuple[Hashable, tuple[int, int], bytes]]" = (
             OrderedDict()
         )
-        registry = get_registry()
-        if registry is not None:
-            self._m_hits = registry.counter(
-                "mithrilog_scan_cache_hits_total",
-                "Decompressed-page cache hits (LZAH decodes skipped)",
-            )
-            self._m_misses = registry.counter(
-                "mithrilog_scan_cache_misses_total",
-                "Decompressed-page cache misses",
-            )
-            self._m_evictions = registry.counter(
-                "mithrilog_scan_cache_evictions_total",
-                "Decompressed pages evicted by the LRU bound",
-            )
-            self._m_pages = registry.gauge(
-                "mithrilog_scan_cache_pages",
-                "Decompressed pages currently cached",
-            )
-        else:
-            self._m_hits = None
-            self._m_misses = None
-            self._m_evictions = None
-            self._m_pages = None
+        self._m_hits = handle("mithrilog_scan_cache_hits_total")
+        self._m_misses = handle("mithrilog_scan_cache_misses_total")
+        self._m_evictions = handle("mithrilog_scan_cache_evictions_total")
+        self._m_pages = handle("mithrilog_scan_cache_pages")
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -119,12 +100,10 @@ class PageCache:
         ):
             self._entries.move_to_end((device_key, address))
             self.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
+            self._m_hits.inc()
             return entry[2]
         self.misses += 1
-        if self._m_misses is not None:
-            self._m_misses.inc()
+        self._m_misses.inc()
         return None
 
     def get_or_decode(
@@ -172,10 +151,8 @@ class PageCache:
         while len(entries) > self.max_pages:
             entries.popitem(last=False)
             self.evictions += 1
-            if self._m_evictions is not None:
-                self._m_evictions.inc()
-        if self._m_pages is not None:
-            self._m_pages.set(len(entries))
+            self._m_evictions.inc()
+        self._m_pages.set(len(entries))
 
     def invalidate(self, device_key: int, address: int) -> None:
         """Drop the entry for one page of one device (O(1)).
@@ -185,11 +162,9 @@ class PageCache:
         index compaction all funnel through the same two write methods.
         """
         if self._entries.pop((device_key, address), None) is not None:
-            if self._m_pages is not None:
-                self._m_pages.set(len(self._entries))
+            self._m_pages.set(len(self._entries))
 
     def clear(self) -> None:
         """Drop everything (used when a store is reloaded wholesale)."""
         self._entries.clear()
-        if self._m_pages is not None:
-            self._m_pages.set(0)
+        self._m_pages.set(0)

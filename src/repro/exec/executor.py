@@ -50,7 +50,7 @@ from repro.core.hashfilter import HashFilter, compile_queries
 from repro.core.query import Query
 from repro.core.tokenizer import tokenize_page
 from repro.errors import QueryError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.obs.profile import (
     PartitionProfile,
     ProfileBuilder,
@@ -330,16 +330,7 @@ class ScanExecutor:
             raise QueryError("scan executor needs at least one worker")
         self.workers = workers
         self._pool: Optional[ProcessPoolExecutor] = None
-        registry = get_registry()
-        self._m_partitions = (
-            registry.counter(
-                "mithrilog_scan_partitions_total",
-                "Scan partitions executed, by execution mode",
-                labelnames=("mode",),
-            )
-            if registry is not None
-            else None
-        )
+        self._m_partitions = handle("mithrilog_scan_partitions_total")
 
     # -- lifecycle -------------------------------------------------------
 
@@ -379,8 +370,7 @@ class ScanExecutor:
         back would dwarf the scan itself).
         """
         if self.workers == 1 or len(items) <= 1:
-            if self._m_partitions is not None:
-                self._m_partitions.inc(mode="inline")
+            self._m_partitions.inc(mode="inline")
             result = _partition_kernel(spec, items, want_decoded)
             record = PartitionProfile(
                 index=0,
@@ -407,8 +397,7 @@ class ScanExecutor:
             pool.submit(_partition_kernel, spec, items[start:stop])
             for start, stop in partitions
         ]
-        if self._m_partitions is not None:
-            self._m_partitions.inc(len(futures), mode="pool")
+        self._m_partitions.inc(len(futures), mode="pool")
         chunks: list[bytes] = []
         records: list[PartitionProfile] = []
         counts = [0] * len(spec.queries)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 
 #: Which component each fault kind strikes (the metrics label).
 FAULT_COMPONENTS = {
@@ -75,16 +75,7 @@ class FaultLog:
     def __post_init__(self) -> None:
         # Fault events double as metrics: one counter labeled by kind and
         # component, bound from the registry active at construction.
-        registry = get_registry()
-        self._m_faults = (
-            registry.counter(
-                "mithrilog_faults_injected_total",
-                "Injected faults by kind and component",
-                labelnames=("kind", "component"),
-            )
-            if registry is not None
-            else None
-        )
+        self._m_faults = handle("mithrilog_faults_injected_total")
 
     def record(
         self,
@@ -103,13 +94,12 @@ class FaultLog:
         self.events.append(
             FaultEvent(kind=kind, op_index=op_index, address=address, detail=detail)
         )
-        if self._m_faults is not None:
-            self._m_faults.inc(
-                kind=kind,
-                component=component
-                if component is not None
-                else FAULT_COMPONENTS.get(kind, "unknown"),
-            )
+        self._m_faults.inc(
+            kind=kind,
+            component=component
+            if component is not None
+            else FAULT_COMPONENTS.get(kind, "unknown"),
+        )
 
     def count(self, kind: Optional[str] = None) -> int:
         """Number of injected faults, optionally of one kind."""

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.params import (
     DECOMPRESSOR_BYTES_PER_SEC,
     INTERNAL_BANDWIDTH,
@@ -92,16 +92,9 @@ def measure_tokenized_stats(
         useful_bytes=useful,
         datapath_bytes=datapath_bytes,
     )
-    registry = get_registry()
-    if registry is not None and stats.token_words:
-        registry.gauge(
-            "mithrilog_pipeline_useful_bits_ratio",
-            "Non-padding share of the tokenized datapath stream (Figure 13)",
-        ).set(stats.useful_fraction)
-        registry.gauge(
-            "mithrilog_pipeline_padding_amplification",
-            "Tokenized bytes per raw input byte",
-        ).set(stats.amplification)
+    if stats.token_words:
+        handle("mithrilog_pipeline_useful_bits_ratio").set(stats.useful_fraction)
+        handle("mithrilog_pipeline_padding_amplification").set(stats.amplification)
     return stats
 
 
@@ -170,12 +163,8 @@ class PipelineCycleModel:
                 words = sum(self._line_token_words(line) for line in assigned)
                 filter_cycles = max(filter_cycles, words)
             total_cycles += max(decomp_cycles, tok_cycles, filter_cycles)
-        registry = get_registry()
-        if registry is not None and total_cycles:
-            registry.counter(
-                "mithrilog_pipeline_cycles_total",
-                "Filter pipeline cycles modelled",
-            ).inc(total_cycles)
+        if total_cycles:
+            handle("mithrilog_pipeline_cycles_total").inc(total_cycles)
         return PipelineCycleCount(
             cycles=total_cycles, raw_bytes=raw_total, params=p
         )

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from repro.core.query import Query
 from repro.errors import LogIndexError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import NULL, handle
 from repro.index.hashindex import HashIndexTable
 from repro.index.snapshots import SnapshotIndex
 from repro.index.storetree import NIL, TreeListStore
@@ -69,32 +69,11 @@ class InvertedIndex:
         self.store = TreeListStore(flash, page_bytes)
         self.snapshots = SnapshotIndex(self.params.snapshot_leaf_threshold)
         self._data_pages: list[int] = []  # ascending (append-only ingest)
-        registry = get_registry()
-        if registry is not None:
-            self._m_lookups = registry.counter(
-                "mithrilog_index_lookups_total", "Inverted-index token lookups"
-            )
-            self._m_root_visits = registry.counter(
-                "mithrilog_index_root_visits_total",
-                "Root-node hops paid during index traversal",
-            )
-            self._m_full_scans = registry.counter(
-                "mithrilog_index_full_scans_total",
-                "Queries the index could not narrow (full-scan fallback)",
-            )
-            self._m_pages_indexed = registry.counter(
-                "mithrilog_index_pages_indexed_total", "Data pages indexed"
-            )
-            self._m_memory = registry.gauge(
-                "mithrilog_index_memory_bytes",
-                "In-memory footprint of the ingest-side index state",
-            )
-        else:
-            self._m_lookups = None
-            self._m_root_visits = None
-            self._m_full_scans = None
-            self._m_pages_indexed = None
-            self._m_memory = None
+        self._m_lookups = handle("mithrilog_index_lookups_total")
+        self._m_root_visits = handle("mithrilog_index_root_visits_total")
+        self._m_full_scans = handle("mithrilog_index_full_scans_total")
+        self._m_pages_indexed = handle("mithrilog_index_pages_indexed_total")
+        self._m_memory = handle("mithrilog_index_memory_bytes")
 
     # -- ingest --------------------------------------------------------
 
@@ -124,8 +103,7 @@ class InvertedIndex:
                 f"(last was {self._data_pages[-1]})"
             )
         self._data_pages.append(page_addr)
-        if self._m_pages_indexed is not None:
-            self._m_pages_indexed.inc()
+        self._m_pages_indexed.inc()
         for token in sorted(set(tokens)):  # sorted: deterministic balancing
             self.table.insert(token, page_addr, self.store)
         if timestamp is not None and self.snapshots.should_flush(
@@ -231,12 +209,12 @@ class InvertedIndex:
             p for p in sorted(candidates) if p >= low and (high is None or p < high)
         ]
         stats.candidate_pages = len(bounded)
-        if self._m_lookups is not None:
-            if stats.tokens_looked_up:
-                self._m_lookups.inc(stats.tokens_looked_up)
-            if stats.root_visits:
-                self._m_root_visits.inc(stats.root_visits)
-            if stats.full_scan:
-                self._m_full_scans.inc()
+        if stats.tokens_looked_up:
+            self._m_lookups.inc(stats.tokens_looked_up)
+        if stats.root_visits:
+            self._m_root_visits.inc(stats.root_visits)
+        if stats.full_scan:
+            self._m_full_scans.inc()
+        if self._m_memory is not NULL:  # the footprint walks every hash row
             self._m_memory.set(self.memory_footprint_bytes())
         return IndexLookupResult(pages=tuple(bounded), stats=stats)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import LogIndexError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.sim.clock import SimClock
 from repro.storage.flash import FlashArray
 from repro.storage.page import Page
@@ -209,15 +209,7 @@ class TreeListStore:
     def __init__(self, flash: FlashArray, page_bytes: int) -> None:
         self.leaves = NodePool(flash, _LEAF_STRUCT.size, page_bytes)
         self.roots = NodePool(flash, _ROOT_NODE_BYTES, page_bytes)
-        registry = get_registry()
-        self._m_node_visits = (
-            registry.counter(
-                "mithrilog_index_node_visits_total",
-                "Tree nodes visited during index traversal",
-            )
-            if registry is not None
-            else None
-        )
+        self._m_node_visits = handle("mithrilog_index_node_visits_total")
 
     def write_leaf(self, addresses: list[int]) -> int:
         return self.leaves.append(LeafNode(addresses=tuple(addresses)).pack())
@@ -257,6 +249,6 @@ class TreeListStore:
             for blob in leaf_blobs:
                 addresses.extend(LeafNode.unpack(blob).addresses)
             root_id = root.next_root
-        if self._m_node_visits is not None and (hops or leaves_visited):
+        if hops or leaves_visited:
             self._m_node_visits.inc(hops + leaves_visited)
         return WalkResult(addresses=addresses, root_visits=hops)

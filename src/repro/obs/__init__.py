@@ -6,8 +6,9 @@ interpretation layer on top of it:
 
 - :mod:`repro.obs.metrics` — labeled, thread-safe counters / gauges /
   histograms behind a default-on but nullable process-wide registry.
-  Components bind metric handles at construction; with metrics disabled
-  the hot path is a single ``is None`` test.
+  Every family is declared once in :mod:`repro.obs.families`; components
+  bind handles at construction and call them unconditionally (no-ops
+  with metrics disabled).
 - :mod:`repro.obs.tracing` — spans timestamped on the simulation clock
   (and wall time), exported as Chrome trace-event JSON so a query's
   index-lookup → flash-read → decompress → filter → host-transfer

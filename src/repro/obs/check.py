@@ -6,9 +6,9 @@ It exits non-zero when
 
 - a trace file is missing, malformed, contains no duration events, or
   carries overlapping utilization counter samples on one track,
-- a ``.prom`` snapshot is missing any of the canonical metric families
-  (storage, pipeline, index, WAL, faults, scan executor/cache,
-  explain/profile/utilization),
+- a ``.prom`` snapshot is missing any subsystem's metric families (one
+  ``mithrilog_<subsystem>_`` prefix per subsystem in
+  :data:`repro.obs.families.FAMILIES`),
 - a ``.json`` metrics snapshot is not a valid snapshot object,
 - a ``.json`` explain report fails :func:`repro.obs.explain
   .validate_explain_report` (malformed plan tree, bottleneck
@@ -46,6 +46,7 @@ from repro.obs.explain import (
     looks_like_explain,
     validate_explain_report,
 )
+from repro.obs.families import FAMILIES
 from repro.obs.journal import looks_like_journal, validate_journal_payload
 from repro.obs.log import get_logger
 from repro.obs.recorder import (
@@ -62,22 +63,10 @@ from repro.stream.status import (
     validate_stream_status,
 )
 
-#: Family prefixes a complete Prometheus snapshot must mention.
-REQUIRED_FAMILY_PREFIXES = (
-    "mithrilog_storage_",
-    "mithrilog_pipeline_",
-    "mithrilog_index_",
-    "mithrilog_wal_",
-    "mithrilog_faults_",
-    "mithrilog_scan_",
-    "mithrilog_explain_",
-    "mithrilog_util_",
-    "mithrilog_profile_",
-    "mithrilog_service_",
-    "mithrilog_workload_",
-    "mithrilog_slo_",
-    "mithrilog_ingest_",
-    "mithrilog_stream_",
+#: Family prefixes a complete Prometheus snapshot must mention: one
+#: ``mithrilog_<subsystem>_`` per subsystem that has a row in the table.
+REQUIRED_FAMILY_PREFIXES = tuple(
+    sorted({"_".join(name.split("_", 2)[:2]) + "_" for name in FAMILIES})
 )
 
 LOG = get_logger("repro.obs.check")

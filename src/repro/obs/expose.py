@@ -9,10 +9,11 @@ production deployment consumes it:
 - :func:`snapshot` / :func:`write_snapshot` — a JSON object suitable
   for benchmark artifacts and offline diffing.
 
-:func:`bootstrap_families` pre-registers the stack's canonical metric
-families with zero values, the way long-running services register their
-metrics at startup, so an exposition taken before any fault or WAL
-activity still lists every family a dashboard would scrape.
+:func:`bootstrap_families` pre-registers every family in
+:data:`repro.obs.families.FAMILIES` with zero values, the way
+long-running services register their metrics at startup, so an
+exposition taken before any fault or WAL activity still lists every
+family a dashboard would scrape.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import math
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
+from repro.obs.families import FAMILIES
+from repro.obs.metrics import Histogram, MetricsRegistry, get_registry, handle
 
 __all__ = [
     "render_prometheus",
@@ -131,211 +133,11 @@ def write_snapshot(
 
 
 def bootstrap_families(registry: Optional[MetricsRegistry] = None) -> None:
-    """Pre-register the stack's canonical metric families (zero-valued).
+    """Pre-register every family in :data:`FAMILIES` (zero-valued).
 
-    Storage, pipeline, index, WAL, fault and query families are the ones
-    every exposition should carry even before the matching subsystem has
-    run — a scrape of a freshly started system must not look different
-    in shape from a scrape of a busy one.
+    Every exposition should carry every family even before the matching
+    subsystem has run — a scrape of a freshly started system must not
+    look different in shape from a scrape of a busy one.
     """
-    registry = registry if registry is not None else get_registry()
-    if registry is None:
-        return
-    registry.counter(
-        "mithrilog_storage_pages_read_total", "Flash pages read"
-    )
-    registry.counter(
-        "mithrilog_storage_bytes_read_total", "Bytes read from flash"
-    )
-    registry.counter(
-        "mithrilog_storage_pages_written_total", "Flash pages written"
-    )
-    registry.counter(
-        "mithrilog_storage_read_retries_total",
-        "Transient page faults absorbed by device retries",
-    )
-    registry.counter(
-        "mithrilog_storage_bad_block_retirements_total",
-        "Erase blocks permanently retired by the FTL",
-    )
-    registry.counter(
-        "mithrilog_pipeline_cycles_total", "Filter pipeline cycles modelled"
-    )
-    registry.gauge(
-        "mithrilog_pipeline_useful_bits_ratio",
-        "Non-padding share of the tokenized datapath stream (Figure 13)",
-    )
-    registry.counter(
-        "mithrilog_index_lookups_total", "Inverted-index token lookups"
-    )
-    registry.counter(
-        "mithrilog_index_full_scans_total",
-        "Queries the index could not narrow (full-scan fallback)",
-    )
-    registry.counter("mithrilog_wal_appends_total", "WAL batches journalled")
-    registry.counter(
-        "mithrilog_wal_recoveries_total",
-        "WAL recovery outcomes",
-        labelnames=("outcome",),
-    )
-    registry.counter(
-        "mithrilog_faults_injected_total",
-        "Injected faults by kind and component",
-        labelnames=("kind", "component"),
-    )
-    registry.counter(
-        "mithrilog_query_total", "End-to-end queries", labelnames=("path",)
-    )
-    registry.counter(
-        "mithrilog_scan_cache_hits_total",
-        "Decompressed-page cache hits",
-    )
-    registry.counter(
-        "mithrilog_scan_cache_misses_total",
-        "Decompressed-page cache misses",
-    )
-    registry.gauge(
-        "mithrilog_scan_workers",
-        "Worker count used by the most recent scan",
-    )
-    registry.gauge(
-        "mithrilog_scan_batch_queries",
-        "Concurrent queries in the most recent scan batch",
-    )
-    registry.counter(
-        "mithrilog_explain_requests_total",
-        "EXPLAIN reports built, by mode (estimate/analyze)",
-        labelnames=("mode",),
-    )
-    registry.counter(
-        "mithrilog_service_requests_total",
-        "Service requests by tenant and outcome",
-        labelnames=("tenant", "outcome"),
-    )
-    registry.gauge(
-        "mithrilog_service_queue_depth",
-        "Admission queue depth per tenant",
-        labelnames=("tenant",),
-    )
-    registry.gauge(
-        "mithrilog_service_backlog",
-        "Total queued requests across tenants",
-    )
-    registry.histogram(
-        "mithrilog_service_latency_seconds",
-        "Per-tenant end-to-end simulated latency (OK only)",
-        labelnames=("tenant",),
-    )
-    registry.counter(
-        "mithrilog_service_passes_total",
-        "Accelerator passes the service scheduled",
-    )
-    registry.histogram(
-        "mithrilog_service_batch_size",
-        "Queries packed per accelerator pass",
-        buckets=(1.0, 2.0, 4.0, 8.0, 16.0, math.inf),
-    )
-    registry.counter(
-        "mithrilog_workload_journal_records_total",
-        "Journal records appended, by outcome",
-        labelnames=("outcome",),
-    )
-    registry.gauge(
-        "mithrilog_workload_templates",
-        "Distinct query templates the journal has seen",
-    )
-    registry.counter(
-        "mithrilog_workload_hint_demotions_total",
-        "Requests demoted by template admission hints",
-    )
-    registry.gauge(
-        "mithrilog_workload_slow_templates",
-        "Templates the active hint provider marks as pathologically slow",
-    )
-    registry.gauge(
-        "mithrilog_util_busy_fraction",
-        "Per-resource busy fraction of the latest query's scan window",
-        labelnames=("resource",),
-    )
-    registry.counter(
-        "mithrilog_profile_calls_total",
-        "Host-side kernel invocations by scan stage",
-        labelnames=("stage",),
-    )
-    registry.counter(
-        "mithrilog_profile_units_total",
-        "Work units processed by scan stage (bytes or lines)",
-        labelnames=("stage",),
-    )
-    registry.counter(
-        "mithrilog_profile_wall_seconds_total",
-        "Measured host wall-clock by scan stage",
-        labelnames=("stage",),
-    )
-    registry.counter(
-        "mithrilog_slo_evaluations_total",
-        "Burn-rate evaluation sweeps the monitor has run",
-    )
-    registry.counter(
-        "mithrilog_slo_transitions_total",
-        "Alert state transitions by SLO and new state",
-        labelnames=("slo", "state"),
-    )
-    registry.gauge(
-        "mithrilog_slo_burn_rate",
-        "Latest burn rate by SLO and window",
-        labelnames=("slo", "window"),
-    )
-    registry.gauge(
-        "mithrilog_slo_error_budget_used_ratio",
-        "Cumulative error budget consumed (1.0 = exhausted)",
-        labelnames=("slo",),
-    )
-    registry.gauge(
-        "mithrilog_slo_alerts_firing",
-        "Alerts currently in the firing state",
-    )
-    registry.counter(
-        "mithrilog_slo_incidents_recorded_total",
-        "Incident bundles captured by the flight recorder",
-    )
-    registry.gauge(
-        "mithrilog_ingest_pending_lines",
-        "Lines buffered in the arrival tail, not yet persisted",
-    )
-    registry.counter(
-        "mithrilog_ingest_overflow_shed_total",
-        "Arriving lines dropped by the bounded-buffer shed policy",
-    )
-    registry.gauge(
-        "mithrilog_service_degraded_to_sample",
-        "Requests degraded to the sampled admission class "
-        "instead of being shed",
-    )
-    registry.counter(
-        "mithrilog_stream_evaluations_total",
-        "Standing-query incremental evaluations",
-        labelnames=("query",),
-    )
-    registry.counter(
-        "mithrilog_stream_matches_total",
-        "Lines matched by standing queries over newly sealed pages",
-        labelnames=("query",),
-    )
-    registry.gauge(
-        "mithrilog_stream_window_value",
-        "Latest windowed aggregate value per standing query",
-        labelnames=("query", "aggregate"),
-    )
-    registry.gauge(
-        "mithrilog_stream_standing_queries",
-        "Standing queries currently registered",
-    )
-    registry.counter(
-        "mithrilog_stream_sampled_scans_total",
-        "Approximate scans served from a sampled page subset",
-    )
-    registry.counter(
-        "mithrilog_stream_sampled_pages_skipped_total",
-        "Candidate pages the sampler let approximate scans skip",
-    )
+    for name in FAMILIES:
+        handle(name, registry)

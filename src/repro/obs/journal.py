@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.request import Request, Response
@@ -179,20 +179,8 @@ class QueryJournal:
         self.evicted = 0  #: records dropped by ring retention
         self._appended = 0  #: total appends ever (sequence source)
         self._tallies: dict[str, _TenantTally] = {}
-        registry = get_registry()
-        if registry is not None:
-            self._m_records = registry.counter(
-                "mithrilog_workload_journal_records_total",
-                "Journal records appended, by outcome",
-                labelnames=("outcome",),
-            )
-            self._m_templates = registry.gauge(
-                "mithrilog_workload_templates",
-                "Distinct query templates the journal has seen",
-            )
-        else:
-            self._m_records = None
-            self._m_templates = None
+        self._m_records = handle("mithrilog_workload_journal_records_total")
+        self._m_templates = handle("mithrilog_workload_templates")
 
     # -- writing ----------------------------------------------------------
 
@@ -209,8 +197,7 @@ class QueryJournal:
         fingerprint = template_fingerprint(query_text)
         if fingerprint not in self.templates:
             self.templates[fingerprint] = query_text
-            if self._m_templates is not None:
-                self._m_templates.set(len(self.templates))
+            self._m_templates.set(len(self.templates))
         return fingerprint
 
     @property
@@ -233,8 +220,7 @@ class QueryJournal:
             self.evicted += overflow
         tally = self._tallies.setdefault(record.tenant, _TenantTally())
         setattr(tally, record.outcome, getattr(tally, record.outcome) + 1)
-        if self._m_records is not None:
-            self._m_records.inc(outcome=record.outcome)
+        self._m_records.inc(outcome=record.outcome)
 
     def observe(self, response: "Response") -> JournalRecord:
         """Append a record for a resolved service response."""

@@ -16,14 +16,24 @@ All three support Prometheus-style labels and are thread-safe. A
 :class:`MetricsRegistry` owns metrics by name with get-or-create
 semantics, so two components naming the same counter share it.
 
-Instrumented components follow one pattern: at *construction* they bind
-handles from the active registry (:func:`get_registry`), and on the hot
-path they pay exactly one ``is None`` test when metrics are disabled::
+Every ``mithrilog_*`` family is declared once, in
+:data:`repro.obs.families.FAMILIES`. Instrumented components follow one
+pattern: at *construction* they bind each family with :func:`handle`,
+and on the hot path they call the handle unconditionally::
 
-    self._m_reads = _counter("mithrilog_storage_pages_read_total", "...")
+    self._m_reads = handle("mithrilog_storage_pages_read_total")
     ...
-    if self._m_reads is not None:
-        self._m_reads.inc()
+    self._m_reads.inc()
+
+:func:`handle` returns the active registry's metric, or the shared
+no-op :data:`NULL` when metrics are disabled, so there is no enabled /
+disabled fork at a publishing site. Compare against :data:`NULL` only to
+skip work that is not the metric call itself (summing page sizes for an
+argument, say). A few publishers have no construction to bind at and
+resolve the registry *per call* instead: ``measure_tokenized_stats``,
+``PipelineCycleModel.count_cycles`` and ``merge_into_registry`` publish
+to whichever registry is active when they run, not when the system that
+calls them was built.
 
 The registry is **default-on** (a process-wide default registry) and
 **nullable**: :func:`disable` turns the handle off, :func:`enable` turns
@@ -37,6 +47,8 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, Mapping, Optional, Sequence
 
+from repro.obs.families import FAMILIES
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -44,6 +56,8 @@ __all__ = [
     "MetricsRegistry",
     "MetricError",
     "DEFAULT_BUCKETS",
+    "NULL",
+    "handle",
     "get_registry",
     "set_registry",
     "enable",
@@ -137,6 +151,16 @@ class Gauge(_Metric):
         self.inc(-amount, **labels)
 
 
+def _bucket_edges(name: str, buckets: Sequence[float]) -> tuple[float, ...]:
+    """Sorted bucket edges, always closed by ``+Inf``."""
+    edges = tuple(sorted(float(b) for b in buckets))
+    if not edges:
+        raise MetricError(f"histogram {name} needs at least one bucket")
+    if edges[-1] != float("inf"):
+        edges = edges + (float("inf"),)
+    return edges
+
+
 class Histogram(_Metric):
     """Cumulative-bucket histogram (Prometheus semantics)."""
 
@@ -150,12 +174,7 @@ class Histogram(_Metric):
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> None:
         super().__init__(name, help, labelnames)
-        edges = tuple(sorted(float(b) for b in buckets))
-        if not edges:
-            raise MetricError(f"histogram {name} needs at least one bucket")
-        if edges[-1] != float("inf"):
-            edges = edges + (float("inf"),)
-        self.buckets = edges
+        self.buckets = _bucket_edges(name, buckets)
         # per label key: [bucket counts...] + observation sum + count
         self._series: dict[tuple[str, ...], list[float]] = {}
 
@@ -193,8 +212,9 @@ class MetricsRegistry:
 
     Creation is idempotent: asking twice for the same name returns the
     same object, so independently constructed components share totals.
-    Asking for an existing name with a different kind or label schema is
-    a programming error and raises :class:`MetricError`.
+    Asking for an existing name with a different kind, label schema or
+    histogram buckets is a programming error and raises
+    :class:`MetricError`.
     """
 
     def __init__(self) -> None:
@@ -213,6 +233,13 @@ class MetricsRegistry:
                     raise MetricError(
                         f"metric {name!r} already registered with labels "
                         f"{existing.labelnames}"
+                    )
+                if "buckets" in kwargs and existing.buckets != _bucket_edges(
+                    name, kwargs["buckets"]
+                ):
+                    raise MetricError(
+                        f"metric {name!r} already registered with buckets "
+                        f"{existing.buckets}"
                     )
                 return existing
             metric = cls(name, help, labelnames, **kwargs)
@@ -268,12 +295,7 @@ _active_lock = threading.Lock()
 
 
 def get_registry() -> Optional[MetricsRegistry]:
-    """The active registry, or ``None`` when metrics are disabled.
-
-    Components consult this once, at construction, and bind per-metric
-    handles; ``None`` makes every handle ``None`` and the hot path a
-    single null check.
-    """
+    """The active registry, or ``None`` when metrics are disabled."""
     return _active
 
 
@@ -312,3 +334,38 @@ def use_registry(
         yield registry
     finally:
         set_registry(old)
+
+
+class _NullHandle:
+    """What :func:`handle` binds when metrics are disabled: every call a no-op."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        pass
+
+    dec = set = observe = inc
+
+
+#: The one shared no-op handle.
+NULL = _NullHandle()
+
+
+def handle(name: str, registry: Optional[MetricsRegistry] = None):
+    """Bind the family ``name`` from :data:`repro.obs.families.FAMILIES`.
+
+    Returns the metric in ``registry`` (default: the active registry),
+    created from the table row on first use, or :data:`NULL` when metrics
+    are disabled. A name the table does not declare raises
+    :class:`MetricError`.
+    """
+    family = FAMILIES.get(name)
+    if family is None:
+        raise MetricError(f"metric family {name!r} is not in repro.obs.families")
+    registry = registry if registry is not None else _active
+    if registry is None:
+        return NULL
+    extra = {"buckets": family.buckets} if family.buckets else {}
+    return getattr(registry, family.kind)(
+        name, family.help, family.labelnames, **extra
+    )

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 
 __all__ = [
     "SCAN_STAGES",
@@ -240,24 +240,11 @@ def merge_into_registry(profile: Mapping[str, StageProfile]) -> None:
     work done in pool workers (whose registries die with the process)
     still lands in the parent's exposition.
     """
-    registry = get_registry()
-    if registry is None or not profile:
+    if not profile:
         return
-    calls = registry.counter(
-        "mithrilog_profile_calls_total",
-        "Host-side kernel calls by scan stage",
-        labelnames=("stage",),
-    )
-    units = registry.counter(
-        "mithrilog_profile_units_total",
-        "Work units (bytes decoded, lines processed) by scan stage",
-        labelnames=("stage",),
-    )
-    wall = registry.counter(
-        "mithrilog_profile_wall_seconds_total",
-        "Host wall-clock seconds by scan stage",
-        labelnames=("stage",),
-    )
+    calls = handle("mithrilog_profile_calls_total")
+    units = handle("mithrilog_profile_units_total")
+    wall = handle("mithrilog_profile_wall_seconds_total")
     for stage, entry in profile.items():
         if entry.calls:
             calls.inc(entry.calls, stage=stage)

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from repro.obs.explain import looks_like_explain, validate_explain_report
 from repro.obs.journal import OUTCOMES
 from repro.obs.log import get_logger
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.obs.slo import SLO, Alert, AlertState, SLOMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -94,15 +94,7 @@ class FlightRecorder:
         self.bundles: list[dict] = []
         self.written: list[Path] = []
         monitor.on_transition.append(self._on_transition)
-        registry = get_registry()
-        self._m_incidents = (
-            registry.counter(
-                "mithrilog_slo_incidents_recorded_total",
-                "Incident bundles captured by the flight recorder",
-            )
-            if registry is not None
-            else None
-        )
+        self._m_incidents = handle("mithrilog_slo_incidents_recorded_total")
 
     # -- the listener ------------------------------------------------------
 
@@ -113,8 +105,7 @@ class FlightRecorder:
             return
         bundle = self.capture(slo, alert, now_s)
         self.bundles.append(bundle)
-        if self._m_incidents is not None:
-            self._m_incidents.inc()
+        self._m_incidents.inc()
         if self.out_dir is not None:
             self.written.extend(write_bundle(bundle, self.out_dir))
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import NULL, handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.journal import QueryJournal
@@ -285,37 +285,11 @@ class SLOMonitor:
         self._timeline: list[dict] = []
         self._last_eval_s: Optional[float] = None
         self.evaluations = 0
-        registry = get_registry()
-        if registry is not None:
-            self._m_evals = registry.counter(
-                "mithrilog_slo_evaluations_total",
-                "Burn-rate evaluation sweeps the monitor has run",
-            )
-            self._m_transitions = registry.counter(
-                "mithrilog_slo_transitions_total",
-                "Alert state transitions by SLO and new state",
-                labelnames=("slo", "state"),
-            )
-            self._m_burn = registry.gauge(
-                "mithrilog_slo_burn_rate",
-                "Latest burn rate by SLO and window",
-                labelnames=("slo", "window"),
-            )
-            self._m_budget = registry.gauge(
-                "mithrilog_slo_error_budget_used_ratio",
-                "Cumulative error budget consumed (1.0 = exhausted)",
-                labelnames=("slo",),
-            )
-            self._m_firing = registry.gauge(
-                "mithrilog_slo_alerts_firing",
-                "Alerts currently in the firing state",
-            )
-        else:
-            self._m_evals = None
-            self._m_transitions = None
-            self._m_burn = None
-            self._m_budget = None
-            self._m_firing = None
+        self._m_evals = handle("mithrilog_slo_evaluations_total")
+        self._m_transitions = handle("mithrilog_slo_transitions_total")
+        self._m_burn = handle("mithrilog_slo_burn_rate")
+        self._m_budget = handle("mithrilog_slo_error_budget_used_ratio")
+        self._m_firing = handle("mithrilog_slo_alerts_firing")
 
     def add_slo(self, slo: SLO) -> None:
         """Register another objective on a live monitor.
@@ -372,13 +346,12 @@ class SLOMonitor:
         """Advance every alert state machine to simulated time ``now_s``."""
         self._last_eval_s = now_s
         self.evaluations += 1
-        if self._m_evals is not None:
-            self._m_evals.inc()
+        self._m_evals.inc()
         if self.sampler is not None:
             self.sampler.maybe_sample(now_s)
         for runtime in self._runtimes:
             self._evaluate_one(runtime, now_s)
-        if self._m_firing is not None:
+        if self._m_firing is not NULL:
             self._m_firing.set(
                 sum(
                     1
@@ -392,10 +365,9 @@ class SLOMonitor:
         runtime.prune(now_s)
         burn_fast = runtime.burn(slo.fast_window_s, now_s)
         burn_slow = runtime.burn(slo.slow_window_s, now_s)
-        if self._m_burn is not None:
-            self._m_burn.set(burn_fast, slo=slo.name, window="fast")
-            self._m_burn.set(burn_slow, slo=slo.name, window="slow")
-        if self._m_budget is not None and runtime.total_events:
+        self._m_burn.set(burn_fast, slo=slo.name, window="fast")
+        self._m_burn.set(burn_slow, slo=slo.name, window="slow")
+        if runtime.total_events:
             budget = (1.0 - slo.target) * runtime.total_events
             self._m_budget.set(
                 runtime.bad_events / budget if budget > 0 else 0.0,
@@ -471,8 +443,7 @@ class SLOMonitor:
                 "to": state.value,
             }
         )
-        if self._m_transitions is not None:
-            self._m_transitions.inc(slo=runtime.slo.name, state=state.value)
+        self._m_transitions.inc(slo=runtime.slo.name, state=state.value)
         if runtime.alert is not None:
             for listener in self.on_transition:
                 listener(runtime.slo, runtime.alert, state, now_s)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import QueryError
 from repro.obs.journal import template_fingerprint
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analytics.workload import WorkloadProfile
@@ -64,18 +64,8 @@ class TemplateHintProvider:
         self.demotion = demotion
         self.source = source  #: provenance note ("manual", "mined:<window>")
         self._memo: dict[str, bool] = {}
-        registry = get_registry()
-        self._m_demotions = None
-        if registry is not None:
-            self._m_demotions = registry.counter(
-                "mithrilog_workload_hint_demotions_total",
-                "Requests demoted by template admission hints",
-            )
-            registry.gauge(
-                "mithrilog_workload_slow_templates",
-                "Templates the active hint provider marks as "
-                "pathologically slow",
-            ).set(len(self.slow_templates))
+        self._m_demotions = handle("mithrilog_workload_hint_demotions_total")
+        handle("mithrilog_workload_slow_templates").set(len(self.slow_templates))
 
     @classmethod
     def from_profile(
@@ -137,8 +127,7 @@ class TemplateHintProvider:
 
     def note_demotion(self) -> None:
         """Record that a demoted request actually lost a shedding tie."""
-        if self._m_demotions is not None:
-            self._m_demotions.inc()
+        self._m_demotions.inc()
 
     def describe(self) -> dict:
         return {

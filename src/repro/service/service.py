@@ -29,7 +29,7 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.errors import QueryError, StorageError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.obs.tracing import SpanTracer
 from repro.service.admission import AdmissionController
 from repro.service.request import (
@@ -51,9 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.slo import SLOMonitor
     from repro.service.hints import TemplateHintProvider
     from repro.service.workload import WorkloadSource
-
-#: Histogram buckets for batch sizes (queries per accelerator pass).
-BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, float("inf"))
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -181,49 +178,13 @@ class QueryService:
         #: simulated completion time (burn-rate alerting, flight recorder)
         self.monitor = monitor
         self.passes = 0
-        registry = get_registry()
-        if registry is not None:
-            self._m_requests = registry.counter(
-                "mithrilog_service_requests_total",
-                "Service requests by tenant and outcome",
-                labelnames=("tenant", "outcome"),
-            )
-            self._m_queue_depth = registry.gauge(
-                "mithrilog_service_queue_depth",
-                "Admission queue depth per tenant",
-                labelnames=("tenant",),
-            )
-            self._m_backlog = registry.gauge(
-                "mithrilog_service_backlog",
-                "Total queued requests across tenants",
-            )
-            self._m_latency = registry.histogram(
-                "mithrilog_service_latency_seconds",
-                "Per-tenant end-to-end simulated latency (OK only)",
-                labelnames=("tenant",),
-            )
-            self._m_passes = registry.counter(
-                "mithrilog_service_passes_total",
-                "Accelerator passes the service scheduled",
-            )
-            self._m_batch = registry.histogram(
-                "mithrilog_service_batch_size",
-                "Queries packed per accelerator pass",
-                buckets=BATCH_BUCKETS,
-            )
-            self._m_degraded_to_sample = registry.gauge(
-                "mithrilog_service_degraded_to_sample",
-                "Requests degraded to the sampled admission class "
-                "instead of being shed",
-            )
-        else:
-            self._m_requests = None
-            self._m_queue_depth = None
-            self._m_backlog = None
-            self._m_latency = None
-            self._m_passes = None
-            self._m_batch = None
-            self._m_degraded_to_sample = None
+        self._m_requests = handle("mithrilog_service_requests_total")
+        self._m_queue_depth = handle("mithrilog_service_queue_depth")
+        self._m_backlog = handle("mithrilog_service_backlog")
+        self._m_latency = handle("mithrilog_service_latency_seconds")
+        self._m_passes = handle("mithrilog_service_passes_total")
+        self._m_batch = handle("mithrilog_service_batch_size")
+        self._m_degraded_to_sample = handle("mithrilog_service_degraded_to_sample")
 
     # ------------------------------------------------------------------
     # The event loop
@@ -269,12 +230,11 @@ class QueryService:
                 self.journal.observe(response)
             if self.monitor is not None:
                 self.monitor.observe_response(response, self.clock.now)
-            if self._m_requests is not None:
-                self._m_requests.inc(
-                    tenant=tenant, outcome=response.outcome.value
-                )
-                if response.answered:
-                    self._m_latency.observe(response.latency_s, tenant=tenant)
+            self._m_requests.inc(
+                tenant=tenant, outcome=response.outcome.value
+            )
+            if response.answered:
+                self._m_latency.observe(response.latency_s, tenant=tenant)
             if source is not None:
                 for follow_up in source.on_complete(response, self.clock.now - t0):
                     push(follow_up)
@@ -426,9 +386,8 @@ class QueryService:
                 self.clock.advance(extra)
                 elapsed += extra
         self.passes += 1
-        if self._m_passes is not None:
-            self._m_passes.inc()
-            self._m_batch.observe(len(batch))
+        self._m_passes.inc()
+        self._m_batch.observe(len(batch))
         if self.tracer is not None:
             self.tracer.record(
                 "service_pass",
@@ -456,8 +415,6 @@ class QueryService:
         ]
 
     def _publish_queue_gauges(self) -> None:
-        if self._m_queue_depth is None:
-            return
         for name, state in self.admission.tenants.items():
             self._m_queue_depth.set(state.backlog, tenant=name)
         self._m_backlog.set(self.admission.total_backlog)

@@ -28,7 +28,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.faults.policies import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.params import StorageParams
 from repro.sim.clock import SimClock
 from repro.storage.flash import FlashArray
@@ -112,25 +112,9 @@ class MithriLogDevice:
         self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
-        registry = get_registry()
-        if registry is not None:
-            self._m_reads = registry.counter(
-                "mithrilog_storage_device_reads_total",
-                "Device read requests by mode",
-                labelnames=("mode",),
-            )
-            self._m_retries = registry.counter(
-                "mithrilog_storage_read_retries_total",
-                "Transient page faults absorbed by device retries",
-            )
-            self._m_bytes_to_host = registry.counter(
-                "mithrilog_storage_bytes_to_host_total",
-                "Bytes DMAed across the host link",
-            )
-        else:
-            self._m_reads = None
-            self._m_retries = None
-            self._m_bytes_to_host = None
+        self._m_reads = handle("mithrilog_storage_device_reads_total")
+        self._m_retries = handle("mithrilog_storage_read_retries_total")
+        self._m_bytes_to_host = handle("mithrilog_storage_bytes_to_host_total")
 
     # -- configuration -------------------------------------------------
 
@@ -225,7 +209,7 @@ class MithriLogDevice:
         executor fetch is still one FILTER-shaped request).
         """
         pages, retries = self._read_batch_with_retry(list(addresses), None)
-        if self._m_reads is not None and count_mode is not None:
+        if count_mode is not None:
             self._m_reads.inc(mode=count_mode.value)
             if retries:
                 self._m_retries.inc(retries)
@@ -233,8 +217,7 @@ class MithriLogDevice:
 
     def account_host_bytes(self, nbytes: int) -> None:
         """Count bytes an external scan DMAed across the host link."""
-        if self._m_bytes_to_host is not None:
-            self._m_bytes_to_host.inc(nbytes)
+        self._m_bytes_to_host.inc(nbytes)
 
     # -- reads -----------------------------------------------------------
 
@@ -318,11 +301,10 @@ class MithriLogDevice:
         if clock is not None:
             self.host_link.send_to_host(len(data), clock=clock)
         elapsed = (clock.now - start) if clock is not None else 0.0
-        if self._m_reads is not None:
-            self._m_reads.inc(mode=mode.value)
-            self._m_bytes_to_host.inc(len(data))
-            if read_retries:
-                self._m_retries.inc(read_retries)
+        self._m_reads.inc(mode=mode.value)
+        self._m_bytes_to_host.inc(len(data))
+        if read_retries:
+            self._m_retries.inc(read_retries)
         return DeviceReadResult(
             data=data,
             pages_read=pages_read,

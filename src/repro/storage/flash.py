@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.errors import PageBoundsError, StorageError, UnwrittenPageError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import NULL, handle
 from repro.params import StorageParams
 from repro.sim.bandwidth import LinkModel
 from repro.sim.clock import SimClock
@@ -31,9 +31,8 @@ class FlashArray:
     (``fault_injector``); it is consulted on every page read and may raise
     a transient/persistent storage error or hand back a bit-flipped copy.
     When no injector is attached the read path pays one ``is None`` test.
-    Metric handles are bound the same way: from the registry active at
-    construction, or ``None`` (one null check per operation) if metrics
-    are disabled.
+    Metric handles are bound from the registry active at construction
+    (no-ops if metrics are disabled).
     """
 
     def __init__(
@@ -55,25 +54,10 @@ class FlashArray:
             bandwidth=self.params.internal_bandwidth,
             latency_s=self.params.latency_s,
         )
-        registry = get_registry()
-        if registry is not None:
-            self._m_pages_read = registry.counter(
-                "mithrilog_storage_pages_read_total", "Flash pages read"
-            )
-            self._m_bytes_read = registry.counter(
-                "mithrilog_storage_bytes_read_total", "Bytes read from flash"
-            )
-            self._m_pages_written = registry.counter(
-                "mithrilog_storage_pages_written_total", "Flash pages written"
-            )
-            self._m_bytes_written = registry.counter(
-                "mithrilog_storage_bytes_written_total", "Bytes written to flash"
-            )
-        else:
-            self._m_pages_read = None
-            self._m_bytes_read = None
-            self._m_pages_written = None
-            self._m_bytes_written = None
+        self._m_pages_read = handle("mithrilog_storage_pages_read_total")
+        self._m_bytes_read = handle("mithrilog_storage_bytes_read_total")
+        self._m_pages_written = handle("mithrilog_storage_pages_written_total")
+        self._m_bytes_written = handle("mithrilog_storage_bytes_written_total")
 
     # -- capacity ----------------------------------------------------------
 
@@ -104,9 +88,8 @@ class FlashArray:
         self._pages[address] = page
         if address >= self._next_free:
             self._next_free = address + 1
-        if self._m_pages_written is not None:
-            self._m_pages_written.inc()
-            self._m_bytes_written.inc(len(page))
+        self._m_pages_written.inc()
+        self._m_bytes_written.inc(len(page))
         if self.write_listeners:
             for listener in self.write_listeners:
                 listener(address)
@@ -117,9 +100,8 @@ class FlashArray:
         self._check_address(address)
         self._pages[address] = page
         self._next_free = address + 1
-        if self._m_pages_written is not None:
-            self._m_pages_written.inc()
-            self._m_bytes_written.inc(len(page))
+        self._m_pages_written.inc()
+        self._m_bytes_written.inc(len(page))
         if self.write_listeners:
             for listener in self.write_listeners:
                 listener(address)
@@ -139,9 +121,8 @@ class FlashArray:
         if clock is not None:
             self.internal_link.transfer_on(clock, len(page))
         page.verify()
-        if self._m_pages_read is not None:
-            self._m_pages_read.inc()
-            self._m_bytes_read.inc(len(page))
+        self._m_pages_read.inc()
+        self._m_bytes_read.inc(len(page))
         return page
 
     def read_pages(
@@ -176,7 +157,7 @@ class FlashArray:
                 prev = addr
         if clock is not None and run_bytes:
             self.internal_link.transfer_on(clock, run_bytes)
-        if self._m_pages_read is not None and pages:
+        if self._m_pages_read is not NULL and pages:
             self._m_pages_read.inc(len(pages))
             self._m_bytes_read.inc(sum(len(p) for p in pages))
         return pages

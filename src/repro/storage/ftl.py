@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import BadBlockError, PageBoundsError, StorageError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.params import StorageParams
 from repro.storage.flash import FlashArray
 from repro.storage.page import Page
@@ -99,28 +99,10 @@ class FlashTranslationLayer:
         self.gc_relocations = 0
         self.bad_blocks: set[int] = set()
         self._lost: set[int] = set()  # logical pages destroyed with a bad block
-        registry = get_registry()
-        if registry is not None:
-            self._m_retirements = registry.counter(
-                "mithrilog_storage_bad_block_retirements_total",
-                "Erase blocks permanently retired by the FTL",
-            )
-            self._m_erases = registry.counter(
-                "mithrilog_storage_gc_erases_total", "Erase operations performed"
-            )
-            self._m_relocations = registry.counter(
-                "mithrilog_storage_gc_relocations_total",
-                "Live pages relocated by GC or block retirement",
-            )
-            self._m_lost_pages = registry.counter(
-                "mithrilog_storage_pages_lost_total",
-                "Logical pages lost with unreadable bad blocks",
-            )
-        else:
-            self._m_retirements = None
-            self._m_erases = None
-            self._m_relocations = None
-            self._m_lost_pages = None
+        self._m_retirements = handle("mithrilog_storage_bad_block_retirements_total")
+        self._m_erases = handle("mithrilog_storage_gc_erases_total")
+        self._m_relocations = handle("mithrilog_storage_gc_relocations_total")
+        self._m_lost_pages = handle("mithrilog_storage_pages_lost_total")
 
     # -- capacity -----------------------------------------------------------
 
@@ -249,10 +231,9 @@ class FlashTranslationLayer:
         victim.erase_count += 1
         self.erases += 1
         self._free.append(victim.index)
-        if self._m_erases is not None:
-            self._m_erases.inc()
-            if live:
-                self._m_relocations.inc(len(live))
+        self._m_erases.inc()
+        if live:
+            self._m_relocations.inc(len(live))
 
     # -- bad-block management --------------------------------------------------
 
@@ -293,12 +274,11 @@ class FlashTranslationLayer:
                 relocated += 1
             else:
                 self._lost.add(logical)
-        if self._m_retirements is not None:
-            self._m_retirements.inc()
-            if relocated:
-                self._m_relocations.inc(relocated)
-            if len(live) - relocated:
-                self._m_lost_pages.inc(len(live) - relocated)
+        self._m_retirements.inc()
+        if relocated:
+            self._m_relocations.inc(relocated)
+        if len(live) - relocated:
+            self._m_lost_pages.inc(len(live) - relocated)
         if self.free_blocks <= self.gc_threshold:
             self._collect_garbage()
         return len(live)

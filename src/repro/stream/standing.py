@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.analytics.workload import line_template_fingerprint
 from repro.core.query import Query, parse_query
 from repro.errors import QueryError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.obs.slo import SLO, AlertState, SLOMonitor
 from repro.stream.windows import WINDOW_AGGREGATES, WindowAggregator, WindowSpec
 
@@ -226,32 +226,10 @@ class StandingQueryRegistry:
         self._states: dict[str, _StandingState] = {}
         self._pages_seen = len(system.index.data_pages)
         self.evaluations = 0
-        registry = get_registry()
-        if registry is not None:
-            self._m_evals = registry.counter(
-                "mithrilog_stream_evaluations_total",
-                "Incremental standing-query evaluations",
-                labelnames=("query",),
-            )
-            self._m_matches = registry.counter(
-                "mithrilog_stream_matches_total",
-                "Lines matched by standing queries (cumulative)",
-                labelnames=("query",),
-            )
-            self._m_window = registry.gauge(
-                "mithrilog_stream_window_value",
-                "Live window value by standing query and aggregate",
-                labelnames=("query", "aggregate"),
-            )
-            self._m_registered = registry.gauge(
-                "mithrilog_stream_standing_queries",
-                "Standing queries currently registered",
-            )
-        else:
-            self._m_evals = None
-            self._m_matches = None
-            self._m_window = None
-            self._m_registered = None
+        self._m_evals = handle("mithrilog_stream_evaluations_total")
+        self._m_matches = handle("mithrilog_stream_matches_total")
+        self._m_window = handle("mithrilog_stream_window_value")
+        self._m_registered = handle("mithrilog_stream_standing_queries")
 
     # -- registration ------------------------------------------------------
 
@@ -267,8 +245,7 @@ class StandingQueryRegistry:
         )
         if standing.threshold is not None:
             self.monitor.add_slo(standing.threshold.slo_for(standing.name))
-        if self._m_registered is not None:
-            self._m_registered.set(len(self._states))
+        self._m_registered.set(len(self._states))
 
     def attach(self, ingestor: "StreamingIngestor") -> None:
         """Evaluate after every flush of this ingestor."""
@@ -328,15 +305,13 @@ class StandingQueryRegistry:
             values = state.aggregator.observe(now_s, matches, fingerprints)
             self.evaluations += 1
             name = state.query.name
-            if self._m_evals is not None:
-                self._m_evals.inc(query=name)
-            if self._m_matches is not None and matches:
+            self._m_evals.inc(query=name)
+            if matches:
                 self._m_matches.inc(matches, query=name)
-            if self._m_window is not None:
-                for aggregate, value in values.items():
-                    self._m_window.set(
-                        value, query=name, aggregate=aggregate
-                    )
+            for aggregate, value in values.items():
+                self._m_window.set(
+                    value, query=name, aggregate=aggregate
+                )
             threshold = state.query.threshold
             if threshold is not None:
                 breached = threshold.breached(values[threshold.aggregate])

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.query import Query
 from repro.errors import IngestError, QueryError, StorageError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.obs.profile import TraceContext
 from repro.params import SystemParams
 from repro.system.mithrilog import IngestReport, MithriLogSystem, QueryOutcome
@@ -152,25 +152,9 @@ class MithriLogCluster:
         self.fault_injector = fault_injector
         #: Monotonic scatter-gather counter, minting cluster trace ids.
         self._query_seq = 0
-        registry = get_registry()
-        if registry is not None:
-            self._m_shard_latency = registry.histogram(
-                "mithrilog_cluster_shard_query_seconds",
-                "Per-shard simulated query latency",
-            )
-            self._m_degraded = registry.counter(
-                "mithrilog_cluster_degraded_queries_total",
-                "Scatter-gather queries answered with at least one shard down",
-            )
-            self._m_shard_errors = registry.counter(
-                "mithrilog_cluster_shard_errors_total",
-                "Shard failures during scatter-gather, by error class",
-                labelnames=("error",),
-            )
-        else:
-            self._m_shard_latency = None
-            self._m_degraded = None
-            self._m_shard_errors = None
+        self._m_shard_latency = handle("mithrilog_cluster_shard_query_seconds")
+        self._m_degraded = handle("mithrilog_cluster_degraded_queries_total")
+        self._m_shard_errors = handle("mithrilog_cluster_shard_errors_total")
 
     @property
     def num_shards(self) -> int:
@@ -256,16 +240,14 @@ class MithriLogCluster:
                         shard=index, error=type(exc).__name__, message=str(exc)
                     )
                 )
-                if self._m_shard_errors is not None:
-                    self._m_shard_errors.inc(error=type(exc).__name__)
+                self._m_shard_errors.inc(error=type(exc).__name__)
                 continue
             per_shard.append(outcome)
-            if self._m_shard_latency is not None:
-                self._m_shard_latency.observe(outcome.stats.elapsed_s)
+            self._m_shard_latency.observe(outcome.stats.elapsed_s)
             matched.extend(outcome.matched_lines)
             for q in range(len(queries)):
                 counts[q] += outcome.per_query_counts[q]
-        if shard_errors and self._m_degraded is not None:
+        if shard_errors:
             self._m_degraded.inc()
         return ClusterQueryOutcome(
             per_shard=per_shard,

@@ -30,7 +30,7 @@ from repro.hw.perf import PipelineCycleModel, measure_tokenized_stats
 from repro.index.inverted import InvertedIndex
 from repro.obs.explain import ExplainReport, build_explain
 from repro.obs.journal import template_fingerprint
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, handle
 from repro.obs.profile import (
     ProfileBuilder,
     TraceContext,
@@ -295,64 +295,19 @@ class MithriLogSystem:
         self.monitor = monitor
         #: Monotonic query counter, minting trace ids (``q1``, ``q2``, ...).
         self._query_seq = 0
-        registry = get_registry()
-        if registry is not None:
-            self._m_queries = registry.counter(
-                "mithrilog_query_total",
-                "End-to-end queries",
-                labelnames=("path",),
-            )
-            self._m_query_seconds = registry.histogram(
-                "mithrilog_query_seconds", "Simulated end-to-end query latency"
-            )
-            self._m_ingest_lines = registry.counter(
-                "mithrilog_ingest_lines_total", "Log lines ingested"
-            )
-            self._m_ingest_bytes = registry.counter(
-                "mithrilog_ingest_bytes_total", "Original bytes ingested"
-            )
-            self._m_ingest_compressed = registry.counter(
-                "mithrilog_ingest_compressed_bytes_total",
-                "Compressed bytes stored",
-            )
-            self._m_scan_workers = registry.gauge(
-                "mithrilog_scan_workers",
-                "Worker count used by the most recent scan",
-            )
-            self._m_batch_queries = registry.gauge(
-                "mithrilog_scan_batch_queries",
-                "Concurrent queries in the most recent scan batch",
-            )
-            self._m_explain = registry.counter(
-                "mithrilog_explain_requests_total",
-                "EXPLAIN reports built, by mode (estimate/analyze)",
-                labelnames=("mode",),
-            )
-            self._m_util = registry.gauge(
-                "mithrilog_util_busy_fraction",
-                "Per-resource busy fraction of the latest query's scan window",
-                labelnames=("resource",),
-            )
-            self._m_sampled_scans = registry.counter(
-                "mithrilog_stream_sampled_scans_total",
-                "Approximate scans served from a sampled page subset",
-            )
-            self._m_sampled_pages_skipped = registry.counter(
-                "mithrilog_stream_sampled_pages_skipped_total",
-                "Candidate pages the sampler let approximate scans skip",
-            )
-        else:
-            self._m_queries = None
-            self._m_query_seconds = None
-            self._m_ingest_lines = None
-            self._m_ingest_bytes = None
-            self._m_ingest_compressed = None
-            self._m_scan_workers = None
-            self._m_batch_queries = None
-            self._m_explain = None
-            self._m_util = None
-            self._m_sampled_scans = None
-            self._m_sampled_pages_skipped = None
+        self._m_queries = handle("mithrilog_query_total")
+        self._m_query_seconds = handle("mithrilog_query_seconds")
+        self._m_ingest_lines = handle("mithrilog_ingest_lines_total")
+        self._m_ingest_bytes = handle("mithrilog_ingest_bytes_total")
+        self._m_ingest_compressed = handle("mithrilog_ingest_compressed_bytes_total")
+        self._m_scan_workers = handle("mithrilog_scan_workers")
+        self._m_batch_queries = handle("mithrilog_scan_batch_queries")
+        self._m_explain = handle("mithrilog_explain_requests_total")
+        self._m_util = handle("mithrilog_util_busy_fraction")
+        self._m_sampled_scans = handle("mithrilog_stream_sampled_scans_total")
+        self._m_sampled_pages_skipped = handle(
+            "mithrilog_stream_sampled_pages_skipped_total"
+        )
 
     # ------------------------------------------------------------------
     # Ingest
@@ -400,10 +355,9 @@ class MithriLogSystem:
             / (self.params.num_pipelines * self.params.pipeline.wire_speed_bytes_per_sec),
             host_time_s=cost.host_seconds(len(lines), postings),
         )
-        if self._m_ingest_lines is not None:
-            self._m_ingest_lines.inc(report.lines)
-            self._m_ingest_bytes.inc(report.original_bytes)
-            self._m_ingest_compressed.inc(report.compressed_bytes)
+        self._m_ingest_lines.inc(report.lines)
+        self._m_ingest_bytes.inc(report.original_bytes)
+        self._m_ingest_compressed.inc(report.compressed_bytes)
         if self.tracer is not None:
             t0 = self.clock.now
             self.tracer.record(
@@ -591,17 +545,15 @@ class MithriLogSystem:
             )
             stats.sample_fraction = sample_fraction
             stats.pages_sampled = len(candidates)
-            if self._m_sampled_scans is not None:
-                self._m_sampled_scans.inc()
-                self._m_sampled_pages_skipped.inc(
-                    sample_pool - len(candidates)
-                )
+            self._m_sampled_scans.inc()
+            self._m_sampled_pages_skipped.inc(
+                sample_pool - len(candidates)
+            )
         if newest_first:
             candidates = list(reversed(candidates))
 
-        if self._m_scan_workers is not None:
-            self._m_scan_workers.set(workers)
-            self._m_batch_queries.set(len(queries))
+        self._m_scan_workers.set(workers)
+        self._m_batch_queries.set(len(queries))
 
         hits_before = self.page_cache.hits
         misses_before = self.page_cache.misses
@@ -656,9 +608,8 @@ class MithriLogSystem:
             # the kernel already produced per-query verdicts; account the
             # filter-engine metrics the recount used to bump
             self.engine.account_filtered(len(matched))
-        if self._m_queries is not None:
-            self._m_queries.inc(path="scan" if stats.index_full_scan else "index")
-            self._m_query_seconds.observe(stats.elapsed_s)
+        self._m_queries.inc(path="scan" if stats.index_full_scan else "index")
+        self._m_query_seconds.observe(stats.elapsed_s)
         if self.tracer is not None:
             self._trace_query(
                 stats, len(matched), per_query, context=context,
@@ -715,8 +666,7 @@ class MithriLogSystem:
                 },
                 host_profile=stats.host_profile,
             )
-            if self._m_explain is not None:
-                self._m_explain.inc(mode="analyze")
+            self._m_explain.inc(mode="analyze")
         return QueryOutcome(
             matched_lines=matched, per_query_counts=per_query, stats=stats,
             explain=report, estimates=estimates,
@@ -778,8 +728,7 @@ class MithriLogSystem:
             plan,
             program=self.engine.program_summary(),
         )
-        if self._m_explain is not None:
-            self._m_explain.inc(mode="estimate")
+        self._m_explain.inc(mode="estimate")
         return report
 
     def _cached_decompress(self, address: int, payload: bytes) -> bytes:
@@ -929,7 +878,7 @@ class MithriLogSystem:
         the window — the bottleneck reads 1.0, everything else shows how
         much slack it had (the Figure 14 shape).
         """
-        if self._m_util is None or stats.scan_time_s <= 0:
+        if stats.scan_time_s <= 0:
             return
         for stage, stage_time in stats.breakdown.items():
             if stage == "index":

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.query import Query
 from repro.errors import IngestError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.system.mithrilog import MithriLogSystem, QueryOutcome
 
 #: A flush listener: ``(lines_flushed, now_s)`` after each persist.
@@ -62,19 +62,8 @@ class StreamingIngestor:
         self.lines_ingested = 0
         self.lines_shed = 0
         self.flush_listeners: list[FlushListener] = []
-        registry = get_registry()
-        if registry is not None:
-            self._m_pending = registry.gauge(
-                "mithrilog_ingest_pending_lines",
-                "Lines buffered in the arrival tail, not yet persisted",
-            )
-            self._m_overflow_shed = registry.counter(
-                "mithrilog_ingest_overflow_shed_total",
-                "Arriving lines dropped by the bounded-buffer shed policy",
-            )
-        else:
-            self._m_pending = None
-            self._m_overflow_shed = None
+        self._m_pending = handle("mithrilog_ingest_pending_lines")
+        self._m_overflow_shed = handle("mithrilog_ingest_overflow_shed_total")
 
     # -- arrival ---------------------------------------------------------
 
@@ -103,8 +92,7 @@ class StreamingIngestor:
         ):
             if self.overflow == "shed":
                 self.lines_shed += 1
-                if self._m_overflow_shed is not None:
-                    self._m_overflow_shed.inc()
+                self._m_overflow_shed.inc()
                 return
             raise IngestError(
                 f"pending buffer full ({len(self._pending)} lines >= "
@@ -113,8 +101,7 @@ class StreamingIngestor:
             )
         self._pending.append(line)
         self._pending_stamps.append(timestamp)
-        if self._m_pending is not None:
-            self._m_pending.set(len(self._pending))
+        self._m_pending.set(len(self._pending))
         if len(self._pending) >= self.batch_lines:
             self.flush()
 
@@ -139,8 +126,7 @@ class StreamingIngestor:
         have_stamps = all(s is not None for s in stamps)
         self.system.ingest(lines, timestamps=stamps if have_stamps else None)
         self.lines_ingested += len(lines)
-        if self._m_pending is not None:
-            self._m_pending.set(0)
+        self._m_pending.set(0)
         if have_stamps and self.snapshot_every_s is not None:
             latest = stamps[-1]
             if (

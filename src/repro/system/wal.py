@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from repro.errors import IngestError, TornRecordError, WalRecordError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import handle
 from repro.system.mithrilog import IngestReport, MithriLogSystem
 from repro.system.persistence import load_store, save_store
 
@@ -146,38 +146,12 @@ class WriteAheadLog:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.path.touch(exist_ok=True)
         self.fault_injector = fault_injector
-        registry = get_registry()
-        if registry is not None:
-            self._m_appends = registry.counter(
-                "mithrilog_wal_appends_total", "WAL batches journalled"
-            )
-            self._m_bytes = registry.counter(
-                "mithrilog_wal_bytes_appended_total", "WAL bytes journalled"
-            )
-            self._m_fsyncs = registry.counter(
-                "mithrilog_wal_fsync_batches_total",
-                "Flushed append batches (one fsync boundary each)",
-            )
-            self._m_recoveries = registry.counter(
-                "mithrilog_wal_recoveries_total",
-                "WAL recovery outcomes",
-                labelnames=("outcome",),
-            )
-            self._m_dropped = registry.counter(
-                "mithrilog_wal_records_dropped_total",
-                "Torn/corrupt tail records discarded by repair",
-            )
-            self._m_truncated = registry.counter(
-                "mithrilog_wal_bytes_truncated_total",
-                "Bytes cut off the WAL by repair",
-            )
-        else:
-            self._m_appends = None
-            self._m_bytes = None
-            self._m_fsyncs = None
-            self._m_recoveries = None
-            self._m_dropped = None
-            self._m_truncated = None
+        self._m_appends = handle("mithrilog_wal_appends_total")
+        self._m_bytes = handle("mithrilog_wal_bytes_appended_total")
+        self._m_fsyncs = handle("mithrilog_wal_fsync_batches_total")
+        self._m_recoveries = handle("mithrilog_wal_recoveries_total")
+        self._m_dropped = handle("mithrilog_wal_records_dropped_total")
+        self._m_truncated = handle("mithrilog_wal_bytes_truncated_total")
 
     def append(
         self,
@@ -192,13 +166,12 @@ class WriteAheadLog:
         record = encode_record(lines, timestamps)
         if self.fault_injector is not None:
             record = self.fault_injector.on_append(record)
-        with open(self.path, "ab") as handle:
-            handle.write(record)
-            handle.flush()
-        if self._m_appends is not None:
-            self._m_appends.inc()
-            self._m_bytes.inc(len(record))
-            self._m_fsyncs.inc()
+        with open(self.path, "ab") as journal:
+            journal.write(record)
+            journal.flush()
+        self._m_appends.inc()
+        self._m_bytes.inc(len(record))
+        self._m_fsyncs.inc()
 
     def scan(self) -> WalScanReport:
         """Walk the journal, collecting valid batches and tail diagnosis."""
@@ -247,14 +220,13 @@ class WriteAheadLog:
         if dropped:
             blob = self.path.read_bytes()
             self.path.write_bytes(blob[: report.valid_bytes])
-        if self._m_recoveries is not None:
-            outcome = "torn" if report.torn else (
-                "corrupt" if report.corrupt else "clean"
-            )
-            self._m_recoveries.inc(outcome=outcome)
-            if dropped:
-                self._m_dropped.inc()
-                self._m_truncated.inc(dropped)
+        outcome = "torn" if report.torn else (
+            "corrupt" if report.corrupt else "clean"
+        )
+        self._m_recoveries.inc(outcome=outcome)
+        if dropped:
+            self._m_dropped.inc()
+            self._m_truncated.inc(dropped)
         return dropped
 
     def truncate(self) -> None:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
+    NULL,
     MetricError,
     MetricsRegistry,
     disable,
@@ -118,6 +119,13 @@ class TestRegistry:
         with pytest.raises(MetricError):
             registry.counter("x_total", labelnames=("b",))
 
+    def test_bucket_clash_rejected(self, registry):
+        first = registry.histogram("h", buckets=(1, 2))
+        with pytest.raises(MetricError):
+            registry.histogram("h", buckets=(5, 10))
+        # the same edges in another spelling are the same histogram
+        assert registry.histogram("h", buckets=(2.0, 1.0, float("inf"))) is first
+
     def test_collect_sorted_and_contains(self, registry):
         registry.counter("b_total")
         registry.gauge("a_gauge")
@@ -151,9 +159,9 @@ class TestGlobalHandle:
 
     def test_disabled_components_bind_null_handles(self):
         # the instrumentation pattern: constructed while disabled means
-        # every metric handle is None and the hot path is one null check
+        # every metric handle is the shared no-op NULL
         from repro.storage.flash import FlashArray
 
         with use_registry(None):
             flash = FlashArray()
-        assert flash._m_pages_read is None
+        assert flash._m_pages_read is NULL

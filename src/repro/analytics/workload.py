@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from repro.errors import QueryError
-from repro.obs.journal import JournalRecord, QueryJournal, template_fingerprint
+from repro.obs.journal import (
+    JournalRecord,
+    QueryJournal,
+    nearest_rank,
+    template_fingerprint,
+)
 
 __all__ = [
     "DIMENSIONS",
@@ -54,14 +59,6 @@ def line_template_fingerprint(line: bytes) -> str:
     text = _HEX_RUN.sub("#", text)
     text = _DIGIT_RUN.sub("#", text)
     return template_fingerprint(text)
-
-
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile over pre-sorted values (deterministic)."""
-    if not values:
-        return 0.0
-    rank = max(1, -(-len(values) * q // 100))
-    return values[int(rank) - 1]
 
 
 @dataclass
@@ -124,15 +121,15 @@ class SliceStats:
 
     @property
     def p50_ms(self) -> float:
-        return _percentile(self._latencies_ms, 50)
+        return nearest_rank(self._latencies_ms, 50)
 
     @property
     def p95_ms(self) -> float:
-        return _percentile(self._latencies_ms, 95)
+        return nearest_rank(self._latencies_ms, 95)
 
     @property
     def p99_ms(self) -> float:
-        return _percentile(self._latencies_ms, 99)
+        return nearest_rank(self._latencies_ms, 99)
 
     @property
     def mean_ms(self) -> float:
@@ -142,7 +139,7 @@ class SliceStats:
 
     @property
     def p99_service_ms(self) -> float:
-        return _percentile(self._service_ms, 99)
+        return nearest_rank(self._service_ms, 99)
 
     @property
     def min_service_ms(self) -> float:

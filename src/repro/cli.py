@@ -45,6 +45,7 @@ from repro.datasets.loader import read_log_lines
 from repro.datasets.schema import DATASET_SPECS
 from repro.datasets.synthetic import generator_for
 from repro.errors import MithriLogError
+from repro.obs.artifacts import write_json
 from repro.obs.expose import bootstrap_families, render_prometheus, snapshot
 from repro.obs.log import get_logger
 from repro.obs.tracing import SpanTracer, TraceError, validate_chrome_trace
@@ -517,9 +518,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             f"{point.approximated:>8,}"
         )
     if args.out is not None:
-        Path(args.out).write_text(
-            json.dumps([p.record() for p in points], indent=2) + "\n"
-        )
+        write_json(args.out, [p.record() for p in points], indent=2)
         log.info(f"sweep records written to {args.out}")
     if args.p99_budget_ms is not None:
         worst = max(point.p99_ms for point in points)
@@ -585,9 +584,7 @@ def _cmd_workload_mine(args: argparse.Namespace) -> int:
     if args.as_json:
         print(json.dumps(profile.to_dict(args.top), indent=1, sort_keys=True))
     if args.out is not None:
-        Path(args.out).write_text(
-            json.dumps(profile.to_dict(args.top), indent=1, sort_keys=True) + "\n"
-        )
+        write_json(args.out, profile.to_dict(args.top), sort_keys=True)
         log.info(f"workload profile written to {args.out}")
     return 0
 
@@ -760,8 +757,7 @@ def _cmd_stream_register(args: argparse.Namespace) -> int:
             return 1
     queries.append(standing)
     payload = build_stream_config(queries, check_interval_s=interval)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_json(out, payload, sort_keys=True)
     alert = (
         f", alert when {threshold.aggregate} {threshold.op} "
         f"{threshold.value:g}"
@@ -827,10 +823,7 @@ def _cmd_stream_status(args: argparse.Namespace) -> int:
         for path in recorder.written:
             log.info(f"  incident artifact: {path}")
     if args.out is not None:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n"
-        )
+        write_json(args.out, payload, sort_keys=True)
         log.info(f"stream status written to {args.out}")
     if firing:
         log.warning(f"{len(firing)} standing quer(ies) firing: {firing}")

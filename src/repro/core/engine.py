@@ -19,7 +19,7 @@ from repro.core.pipeline import FilterPipeline
 from repro.core.query import Query
 from repro.core.tokenizer import split_tokens
 from repro.errors import CapacityError, PlacementError, QueryError
-from repro.obs.metrics import NULL, handle
+from repro.obs.metrics import handle
 from repro.params import CuckooParams, PipelineParams
 
 
@@ -169,7 +169,7 @@ class TokenFilterEngine:
             result = EngineResult(
                 verdicts=verdicts, offloaded=True, num_queries=len(self._queries)
             )
-        if self._m_lines_filtered is not NULL and result.lines:
+        if result.lines:
             self._m_lines_filtered.inc(result.lines)
             kept = sum(1 for v in result.verdicts if any(v))
             if kept:

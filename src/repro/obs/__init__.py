@@ -44,6 +44,11 @@ interpretation layer on top of it:
   EXPLAIN) captured the moment an alert fires.
 - :mod:`repro.obs.log` — the structured leveled logger the CLI uses
   instead of bare ``print``.
+- :mod:`repro.obs.check` — the one table of JSON artifact kinds
+  (:data:`~repro.obs.check.ARTIFACTS`: name, recogniser, validator) and
+  the ``python -m repro.obs.check`` validator over it;
+  :mod:`repro.obs.artifacts` holds what the kinds share (envelope
+  check, JSON file I/O, problem cap).
 
 See ``docs/OBSERVABILITY.md`` and ``docs/EXPLAIN.md`` for the full tour.
 """
@@ -93,7 +98,6 @@ from repro.obs.profile import (
 )
 from repro.obs.recorder import (
     FlightRecorder,
-    looks_like_incident_bundle,
     render_markdown,
     validate_incident_bundle,
     write_bundle,
@@ -178,7 +182,6 @@ __all__ = [
     "get_registry",
     "load_journal",
     "load_slo_config",
-    "looks_like_incident_bundle",
     "merge_profiles",
     "occupancy_series",
     "parse_slo_config",

@@ -1,64 +1,42 @@
 """Artifact validator: ``python -m repro.obs.check <files...>``.
 
-The CI observability job runs a smoke benchmark that writes a Prometheus
-snapshot and a Chrome trace, then runs this module over the artifacts.
-It exits non-zero when
+CI jobs write artifacts (Prometheus snapshots, traces, journals, incident
+bundles, ...) and run this module over them. It exits non-zero when
 
-- a trace file is missing, malformed, contains no duration events, or
-  carries overlapping utilization counter samples on one track,
+- a file is missing, is not JSON, or is not a ``.prom`` / ``.json`` file,
 - a ``.prom`` snapshot is missing any subsystem's metric families (one
   ``mithrilog_<subsystem>_`` prefix per subsystem in
   :data:`repro.obs.families.FAMILIES`),
-- a ``.json`` metrics snapshot is not a valid snapshot object,
-- a ``.json`` explain report fails :func:`repro.obs.explain
-  .validate_explain_report` (malformed plan tree, bottleneck
-  attribution not summing to the scan time),
-- a ``.json`` query journal fails :func:`repro.obs.journal
-  .validate_journal_payload` (broken conservation, unresolvable
-  template fingerprints, inconsistent latency decomposition),
-- a ``.json`` A/B workload report fails :func:`repro.obs.report
-  .validate_ab_report` (missing slices, contradictory flags),
-- a ``.json`` incident bundle fails :func:`repro.obs.recorder
-  .validate_incident_bundle` (alert timestamps out of order, burn
-  rates below threshold, journal evidence outside the window),
-- a ``.json`` SLO config fails :func:`repro.obs.slo
-  .validate_slo_config` (bad objectives, duplicate names),
-- a ``.json`` stream config fails :func:`repro.stream.status
-  .validate_stream_config` (unparseable standing queries, duplicate
-  names),
-- a ``.json`` stream status snapshot fails :func:`repro.stream.status
-  .validate_stream_status` (unknown alert states, missing window
-  series, non-monotone series timestamps).
+- a ``.json`` file is none of the kinds in :data:`ARTIFACTS`, or fails
+  the validator of the kind it is. The kinds, in dispatch order:
+  {kinds}.
 
-Keeping the validator in the library (rather than a shell one-liner in
-the workflow) makes the failure mode testable.
+Each row of :data:`ARTIFACTS` names the validator that owns a kind's
+invariants (conservation, attribution sum, window bounds, ...); a new
+artifact kind is one more row. Keeping the validator in the library
+(rather than a shell one-liner in the workflow) makes the failure mode
+testable.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from repro.obs.explain import (
-    ExplainError,
-    looks_like_explain,
-    validate_explain_report,
-)
+from repro.obs.artifacts import read_json
+from repro.obs.explain import SIGNATURE_KEYS, ExplainError, validate_explain_report
+from repro.obs.expose import validate_snapshot
 from repro.obs.families import FAMILIES
-from repro.obs.journal import looks_like_journal, validate_journal_payload
+from repro.obs.journal import JOURNAL_KIND, validate_journal_payload
 from repro.obs.log import get_logger
-from repro.obs.recorder import (
-    looks_like_incident_bundle,
-    validate_incident_bundle,
-)
-from repro.obs.report import looks_like_ab_report, validate_ab_report
-from repro.obs.slo import looks_like_slo_config, validate_slo_config
+from repro.obs.recorder import INCIDENT_KIND, validate_incident_bundle
+from repro.obs.report import AB_REPORT_KIND, validate_ab_report
+from repro.obs.slo import SLO_CONFIG_KIND, validate_slo_config
 from repro.obs.tracing import TraceError, validate_chrome_trace
 from repro.stream.status import (
-    looks_like_stream_config,
-    looks_like_stream_status,
+    STREAM_CONFIG_KIND,
+    STREAM_STATUS_KIND,
     validate_stream_config,
     validate_stream_status,
 )
@@ -70,6 +48,74 @@ REQUIRED_FAMILY_PREFIXES = tuple(
 )
 
 LOG = get_logger("repro.obs.check")
+
+
+class Artifact(NamedTuple):
+    """One JSON artifact kind. Callables take the top-level JSON object."""
+
+    name: str
+    matches: Callable[[dict], bool]  #: is the payload of this kind?
+    problems: Callable[[dict], list[str]]  #: empty list = valid
+    summary: Callable[[dict], dict[str, Any]]  #: log fields of a valid payload
+
+
+def _kind(kind: str) -> Callable[[dict], bool]:
+    return lambda payload: payload.get("kind") == kind
+
+
+def _count(key: str) -> Callable[[dict], dict[str, Any]]:
+    return lambda payload: {key: len(payload[key])}
+
+
+def _raising(
+    validate: Callable[[dict], Any], error_cls: type[Exception]
+) -> Callable[[dict], list[str]]:
+    """Adapt a validator that raises ``error_cls`` to one that lists problems."""
+
+    def problems(payload: dict) -> list[str]:
+        try:
+            validate(payload)
+        except error_cls as exc:
+            return [str(exc)]
+        return []
+
+    return problems
+
+
+#: Every JSON artifact kind, in dispatch order (first match wins). The two
+#: raising validators return a count; their ``summary`` calls them for it.
+ARTIFACTS: tuple[Artifact, ...] = (
+    Artifact(
+        "Chrome trace", lambda p: "traceEvents" in p,
+        _raising(validate_chrome_trace, TraceError),
+        lambda p: {"duration_events": validate_chrome_trace(p)},
+    ),
+    Artifact(
+        "explain report", lambda p: all(key in p for key in SIGNATURE_KEYS),
+        _raising(validate_explain_report, ExplainError),
+        lambda p: {"plan_nodes": validate_explain_report(p)},
+    ),
+    Artifact("query journal", _kind(JOURNAL_KIND), validate_journal_payload, _count("records")),
+    Artifact("A/B report", _kind(AB_REPORT_KIND), validate_ab_report, _count("slices")),
+    Artifact(
+        "incident bundle", _kind(INCIDENT_KIND), validate_incident_bundle,
+        lambda p: {"slo": p["slo"].get("name")},
+    ),
+    Artifact("SLO config", _kind(SLO_CONFIG_KIND), validate_slo_config, _count("slos")),
+    Artifact("stream config", _kind(STREAM_CONFIG_KIND), validate_stream_config, _count("queries")),
+    Artifact("stream status", _kind(STREAM_STATUS_KIND), validate_stream_status, _count("queries")),
+    Artifact("metrics snapshot", lambda p: "metrics" in p, validate_snapshot, _count("metrics")),
+)
+
+_KINDS = ", ".join(a.name for a in ARTIFACTS[:-1]) + f" or {ARTIFACTS[-1].name}"
+__doc__ = (__doc__ or "").format(kinds=_KINDS)  # None under -OO
+
+
+def identify(payload: object) -> Optional[Artifact]:
+    """The row a parsed JSON payload belongs to, or ``None``."""
+    if not isinstance(payload, dict):
+        return None
+    return next((a for a in ARTIFACTS if a.matches(payload)), None)
 
 
 def check_prometheus_text(text: str) -> list[str]:
@@ -86,93 +132,21 @@ def check_file(path: Path) -> Optional[str]:
         if missing:
             return f"{path}: missing metric families {missing}"
         return None
-    if path.suffix == ".json":
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            return f"{path}: invalid JSON ({exc})"
-        if "traceEvents" in payload:
-            try:
-                events = validate_chrome_trace(payload)
-            except TraceError as exc:
-                return f"{path}: {exc}"
-            LOG.debug("trace ok", path=str(path), duration_events=events)
-            return None
-        if looks_like_explain(payload):
-            try:
-                nodes = validate_explain_report(payload)
-            except ExplainError as exc:
-                return f"{path}: {exc}"
-            LOG.debug("explain ok", path=str(path), plan_nodes=nodes)
-            return None
-        if looks_like_journal(payload):
-            problems = validate_journal_payload(payload)
-            if problems:
-                return f"{path}: {'; '.join(problems)}"
-            LOG.debug(
-                "journal ok",
-                path=str(path),
-                records=len(payload.get("records", [])),
-            )
-            return None
-        if looks_like_ab_report(payload):
-            problems = validate_ab_report(payload)
-            if problems:
-                return f"{path}: {'; '.join(problems)}"
-            LOG.debug(
-                "ab report ok",
-                path=str(path),
-                slices=len(payload.get("slices", [])),
-            )
-            return None
-        if looks_like_incident_bundle(payload):
-            problems = validate_incident_bundle(payload)
-            if problems:
-                return f"{path}: {'; '.join(problems)}"
-            LOG.debug(
-                "incident bundle ok",
-                path=str(path),
-                slo=payload.get("slo", {}).get("name"),
-            )
-            return None
-        if looks_like_slo_config(payload):
-            problems = validate_slo_config(payload)
-            if problems:
-                return f"{path}: {'; '.join(problems)}"
-            LOG.debug(
-                "slo config ok",
-                path=str(path),
-                slos=len(payload.get("slos", [])),
-            )
-            return None
-        if looks_like_stream_config(payload):
-            problems = validate_stream_config(payload)
-            if problems:
-                return f"{path}: {'; '.join(problems)}"
-            LOG.debug(
-                "stream config ok",
-                path=str(path),
-                queries=len(payload.get("queries", [])),
-            )
-            return None
-        if looks_like_stream_status(payload):
-            problems = validate_stream_status(payload)
-            if problems:
-                return f"{path}: {'; '.join(problems)}"
-            LOG.debug(
-                "stream status ok",
-                path=str(path),
-                queries=len(payload.get("queries", [])),
-            )
-            return None
-        if "metrics" not in payload:
-            return (
-                f"{path}: not a Chrome trace, metrics snapshot, explain "
-                "report, query journal, A/B report, incident bundle, "
-                "SLO config, stream config, or stream status"
-            )
-        return None
-    return f"{path}: unknown artifact type (expected .prom or .json)"
+    if path.suffix != ".json":
+        return f"{path}: unknown artifact type (expected .prom or .json)"
+    try:
+        payload = read_json(path, ValueError, "JSON")
+    except ValueError as exc:
+        return str(exc)
+    artifact = identify(payload)
+    if artifact is None:
+        return f"{path}: unknown artifact (not a {_KINDS})"
+    problems = artifact.problems(payload)
+    if problems:
+        return f"{path}: {'; '.join(problems)}"
+    if LOG.is_enabled("debug"):  # two summaries re-run their validator
+        LOG.debug(f"{artifact.name} ok", path=str(path), **artifact.summary(payload))
+    return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -40,7 +40,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Optional, Union
 
+from repro.obs.artifacts import write_json
+
 __all__ = [
+    "SIGNATURE_KEYS",
     "ExplainError",
     "ExplainReport",
     "PlanNode",
@@ -186,10 +189,7 @@ class ExplainReport:
 
     def write(self, path: Union[str, Path]) -> Path:
         """Write the full report as a JSON artifact; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
+        return write_json(path, self.to_dict(), indent=2, sort_keys=True)
 
     def render(self) -> str:
         """The human tree, the way ``EXPLAIN`` output reads in a shell."""
@@ -377,14 +377,8 @@ def build_explain(
 # ---------------------------------------------------------------------------
 
 
-def looks_like_explain(payload: Any) -> bool:
-    """True when a JSON payload has an explain report's signature keys."""
-    return (
-        isinstance(payload, dict)
-        and "plan" in payload
-        and "mode" in payload
-        and "query" in payload
-    )
+#: An explain report carries no ``kind``; these keys are its signature.
+SIGNATURE_KEYS = ("query", "mode", "plan")
 
 
 def validate_explain_report(payload: dict[str, Any]) -> int:
@@ -395,7 +389,9 @@ def validate_explain_report(payload: dict[str, Any]) -> int:
     the scan node's simulated time (the invariant the acceptance tests
     and CI artifact validation pin down).
     """
-    if not looks_like_explain(payload):
+    if not isinstance(payload, dict) or not all(
+        key in payload for key in SIGNATURE_KEYS
+    ):
         raise ExplainError("not an explain report (missing query/mode/plan)")
     if payload["mode"] not in ("estimate", "analyze"):
         raise ExplainError(f"unknown explain mode {payload['mode']!r}")

@@ -18,17 +18,18 @@ family a dashboard would scrape.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.obs.artifacts import capped, write_json
 from repro.obs.families import FAMILIES
 from repro.obs.metrics import Histogram, MetricsRegistry, get_registry, handle
 
 __all__ = [
     "render_prometheus",
     "snapshot",
+    "validate_snapshot",
     "write_snapshot",
     "bootstrap_families",
 ]
@@ -122,14 +123,38 @@ def snapshot(registry: Optional[MetricsRegistry] = None) -> dict:
     return out
 
 
+def validate_snapshot(payload: object) -> list[str]:
+    """Problems with a :func:`snapshot` payload (an empty list = valid).
+
+    ``{"metrics": {}, "disabled": true}`` (metrics off) is valid. Every
+    entry must be shaped like its ``type``, and a ``mithrilog_*`` entry
+    must be a row of :data:`FAMILIES` of that kind.
+    """
+    metrics = payload.get("metrics") if isinstance(payload, dict) else None
+    if not isinstance(metrics, dict):
+        return ["metrics must be an object"]
+    problems: list[str] = []
+    for name, entry in metrics.items():
+        kind = entry.get("type") if isinstance(entry, dict) else None
+        lists = ("buckets", "series") if kind == "histogram" else ("samples",)
+        if kind not in ("counter", "gauge", "histogram"):
+            problems.append(f"{name}: type {kind!r} is not counter, gauge or histogram")
+        elif not all(isinstance(entry.get(key), list) for key in lists):
+            problems.append(f"{name}: a {kind} needs list-valued {' and '.join(lists)}")
+        elif name.startswith("mithrilog_") and (
+            name not in FAMILIES or FAMILIES[name].kind != kind
+        ):
+            problems.append(f"{name}: not a {kind} in the metric-family table")
+        if capped(problems):
+            break
+    return problems
+
+
 def write_snapshot(
     path: Union[str, Path], registry: Optional[MetricsRegistry] = None
 ) -> Path:
     """Write the JSON snapshot to ``path``; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(snapshot(registry), indent=1, sort_keys=True))
-    return path
+    return write_json(path, snapshot(registry), sort_keys=True, newline=False)
 
 
 def bootstrap_families(registry: Optional[MetricsRegistry] = None) -> None:

@@ -39,8 +39,14 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
+from repro.obs.artifacts import (
+    capped,
+    envelope_problems,
+    read_json,
+    write_json,
+)
 from repro.obs.metrics import handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,7 +61,7 @@ __all__ = [
     "JournalRecord",
     "QueryJournal",
     "load_journal",
-    "looks_like_journal",
+    "nearest_rank",
     "replay_requests",
     "template_fingerprint",
     "validate_journal_payload",
@@ -80,6 +86,19 @@ STAGES = ("", "flash", "decompress", "filter", "host", "index")
 
 class JournalError(ValueError):
     """A journal artifact that cannot be trusted (schema or math)."""
+
+
+def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-th percentile (0-100) of an ascending sequence.
+
+    The one ranking rule for request latencies: service reports, mined
+    workload profiles and incident bundles all call it, so one journal
+    ranks the same everywhere. 0.0 when empty.
+    """
+    if not sorted_values:
+        return 0.0
+    rank = max(1, -(-len(sorted_values) * q // 100))  # integer ceil
+    return sorted_values[int(rank) - 1]
 
 
 def template_fingerprint(query_text: str) -> str:
@@ -140,11 +159,7 @@ class _TenantTally:
     approximated: int = 0
 
     def conserved(self) -> bool:
-        return (
-            self.ok + self.rejected + self.shed + self.timed_out
-            + self.approximated
-            == self.submitted
-        )
+        return sum(getattr(self, o) for o in OUTCOMES) == self.submitted
 
 
 class QueryJournal:
@@ -324,14 +339,7 @@ class QueryJournal:
 
     def tenant_tallies(self) -> dict[str, dict[str, int]]:
         return {
-            tenant: {
-                "submitted": tally.submitted,
-                "ok": tally.ok,
-                "rejected": tally.rejected,
-                "shed": tally.shed,
-                "timed_out": tally.timed_out,
-                "approximated": tally.approximated,
-            }
+            tenant: asdict(tally)
             for tenant, tally in sorted(self._tallies.items())
         }
 
@@ -358,10 +366,7 @@ class QueryJournal:
         return json.dumps(self.to_payload(), indent=indent, sort_keys=False)
 
     def write(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
+        return write_json(path, self.to_payload())
 
     @classmethod
     def from_payload(cls, payload: dict) -> "QueryJournal":
@@ -375,30 +380,16 @@ class QueryJournal:
         journal.evicted = int(payload.get("evicted", 0))
         journal._appended = journal.evicted + len(journal.records)
         for tenant, tally in payload["tenants"].items():
+            # journals that predate the approximated outcome omit its tally
             journal._tallies[tenant] = _TenantTally(
-                submitted=tally["submitted"],
-                ok=tally["ok"],
-                rejected=tally["rejected"],
-                shed=tally["shed"],
-                timed_out=tally["timed_out"],
-                approximated=tally.get("approximated", 0),
+                **{k: tally[k] for k in ("submitted", *OUTCOMES) if k in tally}
             )
         return journal
 
 
 def load_journal(path: Union[str, Path]) -> QueryJournal:
     """Read and validate a journal artifact from disk."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise JournalError(f"{path}: unreadable journal ({exc})") from exc
-    return QueryJournal.from_payload(payload)
-
-
-def looks_like_journal(payload: object) -> bool:
-    """Is this payload shaped like an exported journal?"""
-    return isinstance(payload, dict) and payload.get("kind") == JOURNAL_KIND
+    return QueryJournal.from_payload(read_json(path, JournalError, "journal"))
 
 
 _NUMERIC_FIELDS = (
@@ -418,23 +409,19 @@ def validate_journal_payload(payload: object) -> list[str]:
     per-tenant tallies reproduce the records, and intake conservation
     holds for every tenant.
     """
-    if not looks_like_journal(payload):
-        return ["not a query journal (kind mismatch)"]
+    problems = envelope_problems(payload, JOURNAL_KIND, JOURNAL_VERSION)
+    if problems:
+        return problems
     assert isinstance(payload, dict)
-    problems: list[str] = []
-    if payload.get("version") != JOURNAL_VERSION:
-        problems.append(
-            f"unsupported journal version {payload.get('version')!r}"
-        )
     templates = payload.get("templates")
     records = payload.get("records")
     tenants = payload.get("tenants")
     if not isinstance(templates, dict):
-        return problems + ["templates map missing"]
+        return ["templates map missing"]
     if not isinstance(records, list):
-        return problems + ["records list missing"]
+        return ["records list missing"]
     if not isinstance(tenants, dict):
-        return problems + ["tenant tallies missing"]
+        return ["tenant tallies missing"]
 
     recount: dict[str, _TenantTally] = {}
     for i, entry in enumerate(records):
@@ -496,8 +483,7 @@ def validate_journal_payload(payload: object) -> list[str]:
             )
         tally = recount.setdefault(str(entry.get("tenant")), _TenantTally())
         setattr(tally, outcome, getattr(tally, outcome) + 1)
-        if len(problems) >= 20:
-            problems.append("... (further problems suppressed)")
+        if capped(problems):
             break
 
     evicted = payload.get("evicted", 0)

@@ -27,13 +27,14 @@ and on the hot path they call the handle unconditionally::
 
 :func:`handle` returns the active registry's metric, or the shared
 no-op :data:`NULL` when metrics are disabled, so there is no enabled /
-disabled fork at a publishing site. Compare against :data:`NULL` only to
-skip work that is not the metric call itself (summing page sizes for an
-argument, say). A few publishers have no construction to bind at and
-resolve the registry *per call* instead: ``measure_tokenized_stats``,
-``PipelineCycleModel.count_cycles`` and ``merge_into_registry`` publish
-to whichever registry is active when they run, not when the system that
-calls them was built.
+disabled fork at a publishing site: an argument passed to a handle must
+cost no more than the work its method already did. The one comparison
+against :data:`NULL` outside this module is the index probe's footprint
+gauge, whose value walks every hash row. A few publishers have no
+construction to bind at and resolve the registry *per call* instead:
+``measure_tokenized_stats``, ``PipelineCycleModel.count_cycles`` and
+``merge_into_registry`` publish to whichever registry is active when
+they run, not when the system that calls them was built.
 
 The registry is **default-on** (a process-wide default registry) and
 **nullable**: :func:`disable` turns the handle off, :func:`enable` turns

@@ -22,12 +22,13 @@ same seed write byte-identical bundles.
 
 from __future__ import annotations
 
-import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from repro.obs.explain import looks_like_explain, validate_explain_report
-from repro.obs.journal import OUTCOMES
+from repro.obs.artifacts import envelope_problems, write_json
+from repro.obs.explain import validate_explain_report
+from repro.obs.journal import OUTCOMES, nearest_rank
 from repro.obs.log import get_logger
 from repro.obs.metrics import handle
 from repro.obs.slo import SLO, Alert, AlertState, SLOMonitor
@@ -42,7 +43,6 @@ __all__ = [
     "INCIDENT_KIND",
     "INCIDENT_VERSION",
     "FlightRecorder",
-    "looks_like_incident_bundle",
     "validate_incident_bundle",
     "render_markdown",
     "write_bundle",
@@ -52,14 +52,6 @@ INCIDENT_KIND = "mithrilog_incident_bundle"
 INCIDENT_VERSION = 1
 
 LOG = get_logger("repro.obs.recorder")
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, int(round(q / 100.0 * len(sorted_values) + 0.5)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 class FlightRecorder:
@@ -170,17 +162,7 @@ class FlightRecorder:
         }
 
     def _faults(self) -> dict:
-        events = []
-        for log in self.fault_logs:
-            for event in log.events:
-                events.append(
-                    {
-                        "kind": event.kind,
-                        "op_index": event.op_index,
-                        "address": event.address,
-                        "detail": event.detail,
-                    }
-                )
+        events = [asdict(e) for log in self.fault_logs for e in log.events]
         by_kind: dict[str, int] = {}
         for event in events:
             by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
@@ -205,7 +187,7 @@ class FlightRecorder:
         for template, services in pools.items():
             services.sort()
             ranked.append(
-                (_percentile(services, 99), len(services), template)
+                (nearest_rank(services, 99), len(services), template)
             )
         ranked.sort(key=lambda item: (-item[0], -item[1], item[2]))
         p99_service, count, template = ranked[0]
@@ -245,10 +227,9 @@ def write_bundle(bundle: dict, out_dir: Union[str, Path]) -> list[Path]:
     time, so identical runs write identical artifacts.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = _bundle_stem(bundle)
     json_path = out_dir / f"{stem}.json"
-    json_path.write_text(json.dumps(bundle, indent=1, sort_keys=False) + "\n")
+    write_json(json_path, bundle)
     md_path = out_dir / f"{stem}.md"
     md_path.write_text(render_markdown(bundle))
     LOG.info(f"incident bundle written: {json_path}")
@@ -341,13 +322,6 @@ def render_markdown(bundle: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def looks_like_incident_bundle(payload: object) -> bool:
-    """Is this payload shaped like an incident bundle?"""
-    return (
-        isinstance(payload, dict) and payload.get("kind") == INCIDENT_KIND
-    )
-
-
 def validate_incident_bundle(payload: object) -> list[str]:
     """Schema + internal-consistency check; returns problem strings.
 
@@ -356,23 +330,19 @@ def validate_incident_bundle(payload: object) -> list[str]:
     every journal record sits inside the evidence window, and the
     embedded EXPLAIN (when present) passes the explain validator.
     """
-    if not looks_like_incident_bundle(payload):
-        return ["not an incident bundle (kind mismatch)"]
+    problems = envelope_problems(payload, INCIDENT_KIND, INCIDENT_VERSION)
+    if problems:
+        return problems
     assert isinstance(payload, dict)
-    problems: list[str] = []
-    if payload.get("version") != INCIDENT_VERSION:
-        problems.append(
-            f"unsupported bundle version {payload.get('version')!r}"
-        )
     slo = payload.get("slo")
     alert = payload.get("alert")
     window = payload.get("window")
     if not isinstance(slo, dict):
-        return problems + ["slo definition missing"]
+        return ["slo definition missing"]
     if not isinstance(alert, dict):
-        return problems + ["alert record missing"]
+        return ["alert record missing"]
     if not isinstance(window, dict):
-        return problems + ["evidence window missing"]
+        return ["evidence window missing"]
     fired = alert.get("fired_at_s")
     pending = alert.get("pending_at_s")
     if not isinstance(fired, (int, float)):
@@ -419,11 +389,8 @@ def validate_incident_bundle(payload: object) -> list[str]:
     if isinstance(slow, dict):
         explain = slow.get("explain")
         if explain is not None:
-            if not looks_like_explain(explain):
-                problems.append("slow_template.explain is not an explain report")
-            else:
-                try:
-                    validate_explain_report(explain)
-                except Exception as exc:
-                    problems.append(f"slow_template.explain invalid: {exc}")
+            try:
+                validate_explain_report(explain)
+            except Exception as exc:
+                problems.append(f"slow_template.explain invalid: {exc}")
     return problems

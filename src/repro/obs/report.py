@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.analytics.workload import DIMENSIONS, WorkloadProfile, drift
+from repro.obs.artifacts import capped, envelope_problems, write_json
 
 __all__ = [
     "AB_REPORT_KIND",
@@ -29,7 +30,6 @@ __all__ = [
     "ReportError",
     "SliceDelta",
     "build_ab_report",
-    "looks_like_ab_report",
     "validate_ab_report",
 ]
 
@@ -153,10 +153,7 @@ class ABReport:
         return json.dumps(self.to_payload(), indent=indent)
 
     def write_json(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
+        return write_json(path, self.to_payload())
 
     # -- markdown ---------------------------------------------------------
 
@@ -377,11 +374,6 @@ def build_ab_report(
     return report
 
 
-def looks_like_ab_report(payload: object) -> bool:
-    """Is this payload shaped like an exported A/B report?"""
-    return isinstance(payload, dict) and payload.get("kind") == AB_REPORT_KIND
-
-
 _REQUIRED_SLICE_KEYS = (
     "dimension",
     "value",
@@ -399,12 +391,10 @@ _REQUIRED_SLICE_KEYS = (
 
 def validate_ab_report(payload: object) -> list[str]:
     """Schema check for an exported A/B report; returns problems."""
-    if not looks_like_ab_report(payload):
-        return ["not an A/B report (kind mismatch)"]
+    problems = envelope_problems(payload, AB_REPORT_KIND, AB_REPORT_VERSION)
+    if problems:
+        return problems
     assert isinstance(payload, dict)
-    problems: list[str] = []
-    if payload.get("version") != AB_REPORT_VERSION:
-        problems.append(f"unsupported report version {payload.get('version')!r}")
     for key in ("label_a", "label_b"):
         if not isinstance(payload.get(key), str) or not payload.get(key):
             problems.append(f"{key} missing")
@@ -436,8 +426,7 @@ def validate_ab_report(payload: object) -> list[str]:
             problems.append(
                 f"slice {i}: cannot be both improved and regressed"
             )
-        if len(problems) >= 20:
-            problems.append("... (further problems suppressed)")
+        if capped(problems):
             break
     if hidden_counted != len(hidden_declared):
         problems.append(

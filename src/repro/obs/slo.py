@@ -29,13 +29,12 @@ Config files are JSON (``kind: mithrilog_slo_config``); see
 from __future__ import annotations
 
 import enum
-import json
 from collections import deque
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.obs.metrics import NULL, handle
+from repro.obs.artifacts import NamedEntriesConfig
+from repro.obs.metrics import handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.journal import QueryJournal
@@ -53,7 +52,6 @@ __all__ = [
     "default_slos",
     "parse_slo_config",
     "load_slo_config",
-    "looks_like_slo_config",
     "validate_slo_config",
     "replay_journal",
 ]
@@ -148,19 +146,7 @@ class SLO:
 
     def to_dict(self) -> dict:
         """JSON-ready form (used by configs and incident bundles)."""
-        return {
-            "name": self.name,
-            "objective": self.objective,
-            "tenant": self.tenant,
-            "target": self.target,
-            "latency_threshold_s": self.latency_threshold_s,
-            "fast_window_s": self.fast_window_s,
-            "slow_window_s": self.slow_window_s,
-            "burn_threshold": self.burn_threshold,
-            "pending_for_s": self.pending_for_s,
-            "resolve_after_s": self.resolve_after_s,
-            "count_degraded": self.count_degraded,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SLO":
@@ -169,12 +155,7 @@ class SLO:
             raise SLOError("slo entry must be an object")
         if "name" not in payload:
             raise SLOError("slo entry needs a name")
-        known = {
-            "name", "objective", "tenant", "target", "latency_threshold_s",
-            "fast_window_s", "slow_window_s", "burn_threshold",
-            "pending_for_s", "resolve_after_s", "count_degraded",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise SLOError(
                 f"slo {payload.get('name')!r}: unknown keys {sorted(unknown)}"
@@ -200,16 +181,7 @@ class Alert:
 
     def to_dict(self) -> dict:
         """JSON-ready form (used by timelines and incident bundles)."""
-        return {
-            "slo": self.slo,
-            "pending_at_s": self.pending_at_s,
-            "fired_at_s": self.fired_at_s,
-            "resolved_at_s": self.resolved_at_s,
-            "burn_fast_at_fire": self.burn_fast_at_fire,
-            "burn_slow_at_fire": self.burn_slow_at_fire,
-            "budget_total_events": self.budget_total_events,
-            "budget_bad_events": self.budget_bad_events,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -351,14 +323,9 @@ class SLOMonitor:
             self.sampler.maybe_sample(now_s)
         for runtime in self._runtimes:
             self._evaluate_one(runtime, now_s)
-        if self._m_firing is not NULL:
-            self._m_firing.set(
-                sum(
-                    1
-                    for r in self._runtimes
-                    if r.state is AlertState.FIRING
-                )
-            )
+        self._m_firing.set(
+            sum(1 for r in self._runtimes if r.state is AlertState.FIRING)
+        )
 
     def _evaluate_one(self, runtime: _SLORuntime, now_s: float) -> None:
         slo = runtime.slo
@@ -528,65 +495,17 @@ def default_slos() -> list[SLO]:
     ]
 
 
-def looks_like_slo_config(payload: object) -> bool:
-    """Is this payload shaped like an SLO config artifact?"""
-    return (
-        isinstance(payload, dict)
-        and payload.get("kind") == SLO_CONFIG_KIND
-    )
-
-
-def validate_slo_config(payload: object) -> list[str]:
-    """Schema check for a config payload; returns problem strings."""
-    if not isinstance(payload, dict):
-        return ["not an object"]
-    problems: list[str] = []
-    if not looks_like_slo_config(payload):
-        problems.append(
-            f"kind must be {SLO_CONFIG_KIND!r}, got {payload.get('kind')!r}"
-        )
-        return problems
-    if payload.get("version") != SLO_CONFIG_VERSION:
-        problems.append(
-            f"unsupported config version {payload.get('version')!r}"
-        )
-    interval = payload.get("check_interval_s", 0.005)
-    if not isinstance(interval, (int, float)) or interval <= 0:
-        problems.append("check_interval_s must be a positive number")
-    entries = payload.get("slos")
-    if not isinstance(entries, list) or not entries:
-        problems.append("slos must be a non-empty list")
-        return problems
-    names: set[str] = set()
-    for i, entry in enumerate(entries):
-        try:
-            slo = SLO.from_dict(entry)
-        except SLOError as exc:
-            problems.append(f"slos[{i}]: {exc}")
-            continue
-        if slo.name in names:
-            problems.append(f"slos[{i}]: duplicate name {slo.name!r}")
-        names.add(slo.name)
-    return problems
-
-
-def parse_slo_config(payload: dict) -> tuple[list[SLO], float]:
-    """Validated ``(slos, check_interval_s)`` from a config payload."""
-    problems = validate_slo_config(payload)
-    if problems:
-        raise SLOError("; ".join(problems))
-    slos = [SLO.from_dict(entry) for entry in payload["slos"]]
-    return slos, float(payload.get("check_interval_s", 0.005))
-
-
-def load_slo_config(path: Union[str, Path]) -> tuple[list[SLO], float]:
-    """Read and validate a JSON SLO config from disk."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SLOError(f"{path}: unreadable SLO config ({exc})") from exc
-    return parse_slo_config(payload)
+_CONFIG = NamedEntriesConfig(
+    kind=SLO_CONFIG_KIND,
+    version=SLO_CONFIG_VERSION,
+    key="slos",
+    entry_from_dict=SLO.from_dict,
+    error_cls=SLOError,
+    what="SLO config",
+)
+validate_slo_config = _CONFIG.validate  #: payload -> problem strings
+parse_slo_config = _CONFIG.parse  #: payload -> (slos, check_interval_s)
+load_slo_config = _CONFIG.load  #: path -> (slos, check_interval_s)
 
 
 def replay_journal(

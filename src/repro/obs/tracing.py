@@ -29,13 +29,13 @@ gets a ``thread_name`` metadata record so Perfetto labels the rows.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Optional, Union
 
+from repro.obs.artifacts import read_json, write_json
 from repro.sim.clock import SimClock
 
 __all__ = [
@@ -201,12 +201,9 @@ class SpanTracer:
         self, path: Union[str, Path], utilization: bool = False
     ) -> Path:
         """Serialise the Chrome trace to ``path``; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_chrome_trace(utilization=utilization), indent=1)
+        return write_json(
+            path, self.to_chrome_trace(utilization=utilization), newline=False
         )
-        return path
 
 
 def validate_chrome_trace(trace: Union[dict, str, Path]) -> int:
@@ -217,10 +214,7 @@ def validate_chrome_trace(trace: Union[dict, str, Path]) -> int:
     CI smoke job fails on exactly this.
     """
     if isinstance(trace, (str, Path)):
-        try:
-            trace = json.loads(Path(trace).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise TraceError(f"unreadable trace file: {exc}") from exc
+        trace = read_json(trace, TraceError, "trace file")
     if not isinstance(trace, dict) or "traceEvents" not in trace:
         raise TraceError("trace must be an object with a traceEvents list")
     events = trace["traceEvents"]

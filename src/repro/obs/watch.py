@@ -31,11 +31,12 @@ Exit codes follow the house convention: 0 pass, 1 regression(s),
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import median
 from typing import Any, Optional, Sequence
 
+from repro.obs.artifacts import read_json
 from repro.obs.log import get_logger
 
 __all__ = [
@@ -93,10 +94,7 @@ def load_trajectories(paths: Sequence[Path]) -> list[dict[str, Any]]:
     """
     records: list[dict[str, Any]] = []
     for path in paths:
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise WatchError(f"{path}: unreadable trajectory ({exc})") from exc
+        payload = read_json(path, WatchError, "trajectory")
         if not isinstance(payload, list) or not all(
             isinstance(r, dict) for r in payload
         ):
@@ -197,15 +195,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "tolerance": args.tolerance,
                     "records": len(records),
                     "regressions": [
-                        {
-                            "bench": r.bench,
-                            "config": r.config,
-                            "metric": r.metric,
-                            "baseline": r.baseline,
-                            "current": r.current,
-                            "drop": r.drop,
-                        }
-                        for r in regressions
+                        {**asdict(r), "drop": r.drop} for r in regressions
                     ],
                 },
                 indent=2,

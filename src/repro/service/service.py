@@ -29,6 +29,7 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.errors import QueryError, StorageError
+from repro.obs.journal import nearest_rank
 from repro.obs.metrics import handle
 from repro.obs.tracing import SpanTracer
 from repro.service.admission import AdmissionController
@@ -59,9 +60,7 @@ def percentile(values: Sequence[float], q: float) -> float:
         return 0.0
     if not 0 <= q <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil without math import
-    return ordered[int(rank) - 1]
+    return nearest_rank(sorted(values), q)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.errors import PageBoundsError, StorageError, UnwrittenPageError
-from repro.obs.metrics import NULL, handle
+from repro.obs.metrics import handle
 from repro.params import StorageParams
 from repro.sim.bandwidth import LinkModel
 from repro.sim.clock import SimClock
@@ -157,7 +157,7 @@ class FlashArray:
                 prev = addr
         if clock is not None and run_bytes:
             self.internal_link.transfer_on(clock, run_bytes)
-        if self._m_pages_read is not NULL and pages:
+        if pages:
             self._m_pages_read.inc(len(pages))
             self._m_bytes_read.inc(sum(len(p) for p in pages))
         return pages

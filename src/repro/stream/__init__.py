@@ -32,8 +32,6 @@ from repro.stream.status import (
     STREAM_STATUS_KIND,
     build_stream_config,
     load_stream_config,
-    looks_like_stream_config,
-    looks_like_stream_status,
     parse_stream_config,
     validate_stream_config,
     validate_stream_status,
@@ -56,8 +54,6 @@ __all__ = [
     "STREAM_STATUS_KIND",
     "build_stream_config",
     "load_stream_config",
-    "looks_like_stream_config",
-    "looks_like_stream_status",
     "parse_stream_config",
     "validate_stream_config",
     "validate_stream_status",

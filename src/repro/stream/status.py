@@ -9,18 +9,14 @@ Two JSON artifact kinds, both accepted by ``repro.obs.check``:
   per-query window-state series, alert states, and the monitor's
   transition timeline (what ``repro stream status --out`` writes).
 
-Validators follow the house style: ``looks_like_*`` is a cheap shape
-probe for dispatch, ``validate_*`` returns a list of problem strings
-(empty = valid).
+Both are rows of :data:`repro.obs.check.ARTIFACTS`; each ``validate_*``
+returns a list of problem strings (empty = valid).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Union
-
 from repro.errors import QueryError
+from repro.obs.artifacts import NamedEntriesConfig, capped, envelope_problems
 from repro.obs.slo import AlertState
 from repro.stream.standing import StandingQuery
 from repro.stream.windows import WINDOW_AGGREGATES
@@ -37,70 +33,17 @@ _ALERT_STATES = {state.value for state in AlertState}
 # Config artifacts
 # ---------------------------------------------------------------------------
 
-
-def looks_like_stream_config(payload: object) -> bool:
-    """Is this payload shaped like a stream registration config?"""
-    return (
-        isinstance(payload, dict)
-        and payload.get("kind") == STREAM_CONFIG_KIND
-    )
-
-
-def validate_stream_config(payload: object) -> list[str]:
-    """Schema check for a registration config; returns problem strings."""
-    if not isinstance(payload, dict):
-        return ["not an object"]
-    problems: list[str] = []
-    if not looks_like_stream_config(payload):
-        problems.append(
-            f"kind must be {STREAM_CONFIG_KIND!r}, got {payload.get('kind')!r}"
-        )
-        return problems
-    if payload.get("version") != STREAM_CONFIG_VERSION:
-        problems.append(
-            f"unsupported config version {payload.get('version')!r}"
-        )
-    interval = payload.get("check_interval_s", 0.005)
-    if not isinstance(interval, (int, float)) or interval <= 0:
-        problems.append("check_interval_s must be a positive number")
-    entries = payload.get("queries")
-    if not isinstance(entries, list) or not entries:
-        problems.append("queries must be a non-empty list")
-        return problems
-    names: set[str] = set()
-    for i, entry in enumerate(entries):
-        try:
-            standing = StandingQuery.from_dict(entry)
-        except QueryError as exc:
-            problems.append(f"queries[{i}]: {exc}")
-            continue
-        if standing.name in names:
-            problems.append(
-                f"queries[{i}]: duplicate name {standing.name!r}"
-            )
-        names.add(standing.name)
-    return problems
-
-
-def parse_stream_config(payload: dict) -> tuple[list[StandingQuery], float]:
-    """Validated ``(standing queries, check_interval_s)`` from a payload."""
-    problems = validate_stream_config(payload)
-    if problems:
-        raise QueryError("; ".join(problems))
-    queries = [StandingQuery.from_dict(entry) for entry in payload["queries"]]
-    return queries, float(payload.get("check_interval_s", 0.005))
-
-
-def load_stream_config(
-    path: Union[str, Path],
-) -> tuple[list[StandingQuery], float]:
-    """Read and validate a JSON stream config from disk."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise QueryError(f"{path}: unreadable stream config ({exc})") from exc
-    return parse_stream_config(payload)
+_CONFIG = NamedEntriesConfig(
+    kind=STREAM_CONFIG_KIND,
+    version=STREAM_CONFIG_VERSION,
+    key="queries",
+    entry_from_dict=StandingQuery.from_dict,
+    error_cls=QueryError,
+    what="stream config",
+)
+validate_stream_config = _CONFIG.validate  #: payload -> problem strings
+parse_stream_config = _CONFIG.parse  #: payload -> (queries, check_interval_s)
+load_stream_config = _CONFIG.load  #: path -> (queries, check_interval_s)
 
 
 def build_stream_config(
@@ -118,14 +61,6 @@ def build_stream_config(
 # ---------------------------------------------------------------------------
 # Status artifacts
 # ---------------------------------------------------------------------------
-
-
-def looks_like_stream_status(payload: object) -> bool:
-    """Is this payload shaped like a stream status snapshot?"""
-    return (
-        isinstance(payload, dict)
-        and payload.get("kind") == STREAM_STATUS_KIND
-    )
 
 
 def _check_series(entry: dict, i: int, problems: list[str]) -> None:
@@ -168,18 +103,12 @@ def _check_series(entry: dict, i: int, problems: list[str]) -> None:
 
 def validate_stream_status(payload: object) -> list[str]:
     """Integrity check for a status snapshot; returns problem strings."""
-    if not isinstance(payload, dict):
-        return ["not an object"]
-    problems: list[str] = []
-    if not looks_like_stream_status(payload):
-        problems.append(
-            f"kind must be {STREAM_STATUS_KIND!r}, got {payload.get('kind')!r}"
-        )
+    problems = envelope_problems(
+        payload, STREAM_STATUS_KIND, STREAM_STATUS_VERSION
+    )
+    if problems:
         return problems
-    if payload.get("version") != STREAM_STATUS_VERSION:
-        problems.append(
-            f"unsupported status version {payload.get('version')!r}"
-        )
+    assert isinstance(payload, dict)
     for key in ("generated_at_s", "pages_seen", "evaluations"):
         value = payload.get(key)
         if not isinstance(value, (int, float)) or value < 0:
@@ -219,8 +148,7 @@ def validate_stream_status(payload: object) -> list[str]:
                     "non-negative integer"
                 )
         _check_series(entry, i, problems)
-        if len(problems) >= 20:
-            problems.append("... further problems suppressed")
+        if capped(problems):
             break
     timeline = payload.get("monitor_timeline")
     if timeline is not None and not isinstance(timeline, list):

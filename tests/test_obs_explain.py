@@ -14,9 +14,9 @@ import pytest
 
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
+from repro.obs.check import identify
 from repro.obs.explain import (
     ExplainError,
-    looks_like_explain,
     validate_explain_report,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -93,7 +93,7 @@ class TestReportShape:
 
     def test_validator_accepts_own_output(self, report):
         payload = json.loads(report.to_json())
-        assert looks_like_explain(payload)
+        assert identify(payload).name == "explain report"
         assert validate_explain_report(payload) >= 7
 
 

@@ -99,6 +99,25 @@ class TestOneDeclaration:
             set(FAMILIES) - bound
         )
 
+    def test_one_publishing_site_forks_on_the_registry(self):
+        # NULL exists so nothing has to ask whether metrics are on. The one
+        # site left is the index probe's footprint walk (ROADMAP item 1).
+        forks = set()
+        for path in sorted(SRC.rglob("*.py")):
+            if path.name == "metrics.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Name) and n.id == "NULL"
+                    for n in (node.left, *node.comparators)
+                ):
+                    forks.add(path.relative_to(SRC).as_posix())
+                if isinstance(node, ast.ImportFrom) and "NULL" in [
+                    a.name for a in node.names
+                ]:
+                    forks.add(path.relative_to(SRC).as_posix())
+        assert forks == {"index/inverted.py"}
+
     def test_bootstrap_registers_exactly_the_table(self):
         registry = MetricsRegistry()
         bootstrap_families(registry)
@@ -192,3 +211,4 @@ class TestOffMeansOff:
         assert off == on
         assert off["queries"][0][0], "the session must match something"
         assert registry.get("mithrilog_query_total").value(path="index") > 0
+

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datasets.synthetic import generator_for
+from repro.obs.check import identify
 from repro.obs.journal import (
     JournalError,
     JournalRecord,
     QueryJournal,
     load_journal,
-    looks_like_journal,
+    nearest_rank,
     replay_requests,
     template_fingerprint,
     validate_journal_payload,
@@ -265,7 +266,7 @@ class TestSerialisation:
 
     def test_validator_rejects_kind_mismatch(self):
         assert validate_journal_payload({"kind": "nope"}) != []
-        assert not looks_like_journal([1, 2])
+        assert identify([1, 2]) is None
 
     @pytest.mark.parametrize(
         "mutate, fragment",
@@ -525,3 +526,37 @@ class TestConservationProperty:
             == tally["submitted"]
         )
         assert validate_journal_payload(journal.to_payload()) == []
+
+
+class TestNearestRank:
+    """One ranking rule: the ``ceil(n * q / 100)``-th smallest value."""
+
+    @pytest.mark.parametrize(
+        "n, q, rank",
+        [
+            # pairs where half-to-even rounding of q/100*n + 0.5 ranked one too high
+            (10, 90, 9),
+            (20, 95, 19),
+            (10, 50, 5),
+            (100, 99, 99),
+            # and the edges
+            (200, 99, 198),
+            (1, 99, 1),
+            (7, 0, 1),
+            (7, 100, 7),
+        ],
+    )
+    def test_rank(self, n, q, rank):
+        assert nearest_rank(list(range(1, n + 1)), q) == rank
+
+    def test_empty_is_zero(self):
+        assert nearest_rank([], 99) == 0.0
+
+    def test_service_percentile_is_the_same_rule(self):
+        from repro.service.service import percentile
+
+        for n in range(1, 121):
+            values = list(range(n, 0, -1))  # percentile() sorts for itself
+            for q in (50, 90, 95, 99):
+                assert percentile(values, q) == -(-n * q // 100)
+                assert percentile(values, q) == nearest_rank(sorted(values), q)

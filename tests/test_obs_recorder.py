@@ -4,14 +4,15 @@ import json
 
 import pytest
 
+from repro.analytics.workload import mine
 from repro.datasets.synthetic import generator_for
 from repro.faults.injectors import ServiceFaultInjector
 from repro.faults.schedules import AtOperationsSchedule
 from repro.obs.journal import QueryJournal
+from repro.obs.check import identify
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.recorder import (
     FlightRecorder,
-    looks_like_incident_bundle,
     render_markdown,
     validate_incident_bundle,
     write_bundle,
@@ -64,7 +65,7 @@ class TestCapture:
         recorder = synthetic_incident()
         assert len(recorder.bundles) == 1
         bundle = recorder.bundles[0]
-        assert looks_like_incident_bundle(bundle)
+        assert identify(bundle).name == "incident bundle"
         assert validate_incident_bundle(bundle) == []
         assert bundle["slo"]["name"] == "avail"
         assert bundle["alert"]["fired_at_s"] is not None
@@ -110,6 +111,25 @@ class TestCapture:
         assert bundle["journal"]["records"]
         assert validate_incident_bundle(bundle) == []
 
+    def test_slow_template_ranks_like_workload_mine(self):
+        # 100 OK records of 1..100 ms: nearest-rank p99 is the 99th, and
+        # the bundle must say what `workload mine` says of the same journal
+        journal = QueryJournal()
+        for i in range(100):
+            journal.note_submitted("t0")
+            journal.observe_direct(
+                "q",
+                latency_s=(i + 1) * 1e-3,
+                matches=1,
+                stage="flash",
+                completed_at_s=0.0,
+                tenant="t0",
+            )
+        slow = synthetic_incident(journal=journal).bundles[0]["slow_template"]
+        mined = mine(journal).slices("template")[slow["template"]]
+        assert slow["p99_service_ms"] == pytest.approx(99.0)
+        assert slow["p99_service_ms"] == pytest.approx(mined.p99_service_ms)
+
     def test_bundle_json_serialisable(self):
         recorder = synthetic_incident()
         json.dumps(recorder.bundles[0])
@@ -142,7 +162,7 @@ class TestValidator:
 
     def test_rejects_kind_mismatch(self):
         assert validate_incident_bundle({"kind": "nope"})
-        assert not looks_like_incident_bundle([1])
+        assert identify([1]) is None
 
     def test_rejects_unfired_alert(self):
         bundle = self.make_bundle()
@@ -236,7 +256,5 @@ class TestEndToEnd:
         if slow is not None:
             assert slow["template"] in journal.templates
             if "explain" in slow:
-                from repro.obs.explain import looks_like_explain
-
-                assert looks_like_explain(slow["explain"])
+                assert identify(slow["explain"]).name == "explain report"
         assert recorder.written  # artifacts were written at fire time

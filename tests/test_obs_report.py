@@ -5,12 +5,11 @@ import json
 import pytest
 
 from repro.analytics.workload import mine
-from repro.obs.check import check_file
+from repro.obs.check import check_file, identify
 from repro.obs.journal import QueryJournal
 from repro.obs.report import (
     ReportError,
     build_ab_report,
-    looks_like_ab_report,
     validate_ab_report,
 )
 
@@ -154,7 +153,7 @@ class TestRendering:
         json_path = report.write_json(tmp_path / "ab.json")
         md_path = report.write_markdown(tmp_path / "ab.md")
         payload = json.loads(json_path.read_text())
-        assert looks_like_ab_report(payload)
+        assert identify(payload).name == "A/B report"
         assert validate_ab_report(payload) == []
         assert md_path.read_text().startswith("# A/B workload report")
 

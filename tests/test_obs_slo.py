@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.check import identify
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.slo import (
     SLO,
@@ -12,7 +13,6 @@ from repro.obs.slo import (
     SLOMonitor,
     default_slos,
     load_slo_config,
-    looks_like_slo_config,
     parse_slo_config,
     replay_journal,
     validate_slo_config,
@@ -187,9 +187,9 @@ class TestConfig:
         assert slos[0].name == "avail"
 
     def test_looks_like(self):
-        assert looks_like_slo_config(self.payload())
-        assert not looks_like_slo_config({"kind": "other"})
-        assert not looks_like_slo_config([1])
+        assert identify(self.payload()).name == "SLO config"
+        assert identify({"kind": "other"}) is None
+        assert identify([1]) is None
 
     def test_validator_accepts_good(self):
         assert validate_slo_config(self.payload()) == []
@@ -220,7 +220,7 @@ class TestConfig:
             / "slo_config.json"
         )
         payload = json.loads(example.read_text())
-        assert looks_like_slo_config(payload)
+        assert identify(payload).name == "SLO config"
         assert validate_slo_config(payload) == []
 
 

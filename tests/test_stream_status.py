@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.core.query import parse_query
 from repro.errors import QueryError
+from repro.obs.check import identify
 from repro.stream import (
     STREAM_CONFIG_KIND,
     STREAM_STATUS_KIND,
@@ -17,8 +18,6 @@ from repro.stream import (
     WindowSpec,
     build_stream_config,
     load_stream_config,
-    looks_like_stream_config,
-    looks_like_stream_status,
     parse_stream_config,
     validate_stream_config,
     validate_stream_status,
@@ -44,7 +43,7 @@ def sample_queries():
 class TestConfigArtifacts:
     def test_build_parse_round_trip(self):
         payload = build_stream_config(sample_queries(), check_interval_s=0.01)
-        assert looks_like_stream_config(payload)
+        assert identify(payload).name == "stream config"
         assert validate_stream_config(payload) == []
         queries, interval = parse_stream_config(payload)
         assert interval == 0.01
@@ -113,7 +112,7 @@ class TestConfigArtifacts:
     def test_kind_mismatch_short_circuits(self):
         assert validate_stream_config({"kind": "nope"}) != []
         assert validate_stream_config([1]) != []
-        assert not looks_like_stream_config({"kind": STREAM_STATUS_KIND})
+        assert identify({"kind": STREAM_STATUS_KIND}).name == "stream status"
 
     def test_parse_raises_on_invalid(self):
         with pytest.raises(QueryError):
@@ -136,7 +135,7 @@ class TestStatusArtifacts:
         return registry.status_payload()
 
     def test_real_snapshot_validates(self, snapshot):
-        assert looks_like_stream_status(snapshot)
+        assert identify(snapshot).name == "stream status"
         assert validate_stream_status(snapshot) == []
 
     @pytest.mark.parametrize(

@@ -4,9 +4,8 @@ The vectorized scan decompresses every page of a partition through one
 :class:`DecodeArena`: a single ``bytearray`` that grows monotonically to
 the largest page seen and is recycled page after page.
 :meth:`LZAHCompressor.decompress_into <repro.compression.lzah.LZAHCompressor.decompress_into>`
-writes straight into it, so the steady state allocates **zero** bytes
-objects per page — the tokenizer reads the returned ``memoryview``
-directly (``np.frombuffer``).
+lands each decoded page in it, and the tokenizer reads the returned
+``memoryview`` directly (``np.frombuffer``).
 
 The lifetime contract is strict and is what the PageCache arena-reuse
 tests pin down: a view returned by :meth:`request` is valid only until

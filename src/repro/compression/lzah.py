@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.compression.base import Compressor
+from repro.core.backend import numpy_or_none
 from repro.errors import CompressedFormatError
 from repro.params import LZAHParams
 
@@ -86,33 +87,15 @@ class LZAHCompressor(Compressor):
     def _hash(self, word: bytes) -> int:
         return zlib.crc32(word) & (self.params.hash_table_slots - 1)
 
-    def _window_words(self, data: bytes) -> Iterator[bytes]:
-        """Yield zero-padded window words, cutting each window at a newline
-        (unless newline realignment is ablated away)."""
-        w = self.params.word_bytes
-        realign = self.params.newline_realign
-        pos = 0
-        n = len(data)
-        while pos < n:
-            limit = min(pos + w, n)
-            end = limit
-            if realign:
-                nl = data.find(b"\n", pos, limit)
-                if nl != -1:
-                    end = nl + 1
-            word = data[pos:end]
-            yield word + b"\0" * (w - len(word))
-            pos = end
-
     def compress(self, data: bytes) -> bytes:
         p = self.params
         table: list[Optional[bytes]] = [None] * p.hash_table_slots
         pairs: list[tuple[bool, bytes]] = []
         append_pair = pairs.append
         matches = 0
-        # window generation inlined from _window_words with loop
-        # invariants bound to locals: compress dominates ingest host time
-        # (page packing re-compresses chunks), so the per-word cost matters
+        # windows are cut in this loop, invariants bound to locals:
+        # compress dominates ingest host time (page packing re-compresses
+        # chunks), so the per-word cost matters
         w = p.word_bytes
         realign = p.newline_realign
         mask = p.hash_table_slots - 1
@@ -260,99 +243,115 @@ class LZAHCompressor(Compressor):
         return decoded
 
     def decompress_into(self, data: bytes, arena) -> memoryview:
-        """Decode one stream directly into a :class:`DecodeArena` buffer.
+        """Decode one stream into a :class:`DecodeArena` view (bulk path).
 
-        Zero-copy variant of :meth:`decompress`: the declared
-        uncompressed length sizes an arena view up front and every window
-        word is written in place, so the page's text never exists as an
-        intermediate ``bytes`` object. Byte-identical output and the same
-        :class:`repro.errors.CompressedFormatError` cases as
-        :meth:`decompress` — the differential suite pins both down. The
-        returned view is valid only until the arena's next ``request``.
+        :meth:`_bulk_decode` rebuilds the page with array operations and
+        returns it only after verifying its length and CRC; anything it
+        cannot vouch for (truncated, out-of-range or corrupt stream, no
+        numpy) goes to :meth:`decompress`, so output and every
+        :class:`repro.errors.CompressedFormatError` case and message are
+        the per-word decoder's. The returned view is valid only until
+        the arena's next ``request``.
         """
+        decoded = self._bulk_decode(data)
+        if decoded is None:
+            decoded = self.decompress(data)
+        out = arena.request(len(decoded))
+        out[:] = decoded
+        return out
+
+    def _bulk_decode(self, data: bytes):
+        """The decoded page as a ``uint8`` array, or ``None`` to defer.
+
+        Never raises on a malformed stream. The only Python-level loops
+        are over the page's chunks and over its literal words
+        (``zlib.crc32`` names each literal's table slot).
+        """
+        np = numpy_or_none()
         p = self.params
-        if len(data) < _LEN_HEADER:
-            raise CompressedFormatError("LZAH stream shorter than its header")
+        word_bytes = p.word_bytes
+        pairs_per_chunk = p.pairs_per_chunk
+        if np is None or len(data) < _LEN_HEADER or pairs_per_chunk % 8:
+            return None
         total_len = int.from_bytes(data[0:4], "little")
         num_pairs = int.from_bytes(data[4:8], "little")
-        expected_crc = int.from_bytes(data[8:12], "little")
-        header_bytes = p.pairs_per_chunk // 8
-        word_bytes = p.word_bytes
-        slots = p.hash_table_slots
-        realign = p.newline_realign
-        pairs_per_chunk = p.pairs_per_chunk
-        from_bytes = int.from_bytes
-        data_len = len(data)
+        header_bytes = pairs_per_chunk // 8
 
-        # a corrupt header may declare an absurd total_len; the stream can
-        # produce at most word_bytes per pair, so size the arena by what
-        # the payload bytes could actually decode to and let the
-        # produced != total_len check reject the lie without a huge alloc
-        max_producible = (
-            (data_len - _LEN_HEADER) // _INDEX_BYTES + pairs_per_chunk
-        ) * word_bytes
-        out = arena.request(min(total_len, max_producible))
+        # walk the chunks: a header's popcount gives its payload size, and
+        # so what to add to a pair's running payload offset in that chunk
+        headers, rebases = [], []
+        pos, payload = _LEN_HEADER, 0
+        for remaining in range(num_pairs, 0, -pairs_per_chunk):
+            header = data[pos : pos + header_bytes]
+            if len(header) < header_bytes:
+                return None
+            in_chunk = min(remaining, pairs_per_chunk)
+            bits = int.from_bytes(header, "little") & ((1 << in_chunk) - 1)
+            size = in_chunk * word_bytes - bits.bit_count() * (word_bytes - _INDEX_BYTES)
+            headers.append(header)
+            rebases.append(pos + header_bytes - payload)
+            payload += size
+            pos += header_bytes + size
+            if pos > len(data):
+                return None
+            pos += -(pos - _LEN_HEADER) % word_bytes  # alignment padding
+        stream = np.frombuffer(data, dtype=np.uint8)
+        is_match = np.unpackbits(
+            np.frombuffer(b"".join(headers), dtype=np.uint8), bitorder="little"
+        )[:num_pairs].astype(bool)
+        sizes = np.where(is_match, _INDEX_BYTES, word_bytes)
+        offsets = sizes.cumsum() - sizes
+        offsets += np.repeat(np.array(rebases, dtype=np.int64), pairs_per_chunk)[:num_pairs]
 
-        table: list[Optional[bytes]] = [None] * slots
-        hash_word = self._hash
-        pos = _LEN_HEADER
-        produced = 0
-        remaining = num_pairs
-        while remaining > 0:
-            if pos + header_bytes > data_len:
-                raise CompressedFormatError("truncated LZAH chunk header")
-            header = from_bytes(data[pos : pos + header_bytes], "little")
-            pos += header_bytes
-            in_chunk = remaining if remaining < pairs_per_chunk else pairs_per_chunk
-            for _ in range(in_chunk):
-                if header & 1:
-                    if pos + _INDEX_BYTES > data_len:
-                        raise CompressedFormatError("truncated LZAH match index")
-                    slot = data[pos] | (data[pos + 1] << 8)
-                    pos += _INDEX_BYTES
-                    if slot >= slots:
-                        raise CompressedFormatError(
-                            f"LZAH match index {slot} outside table"
-                        )
-                    padded = table[slot]
-                    if padded is None:
-                        raise CompressedFormatError(
-                            f"LZAH match references empty slot {slot}"
-                        )
-                else:
-                    end = pos + word_bytes
-                    if end > data_len:
-                        raise CompressedFormatError("truncated LZAH literal word")
-                    padded = data[pos:end]
-                    pos = end
-                    table[hash_word(padded)] = padded
-                header >>= 1
-                if realign:
-                    nl = padded.find(b"\n")
-                    consumed = padded[: nl + 1] if nl != -1 else padded
-                else:
-                    consumed = padded
-                new_produced = produced + len(consumed)
-                if new_produced > total_len:
-                    # only the final window may overrun the declared length
-                    consumed = consumed[: total_len - produced]
-                    new_produced = total_len
-                out[produced:new_produced] = consumed
-                produced = new_produced
-            remaining -= in_chunk
-            # skip the chunk's alignment padding
-            tail = (pos - _LEN_HEADER) % word_bytes
-            if tail:
-                pos += word_bytes - tail
-        if produced != total_len:
-            raise CompressedFormatError(
-                f"LZAH stream declared {total_len} bytes but decoded {produced}"
+        # literals: gather every word, crc32 each for its table slot
+        literal_at = np.flatnonzero(~is_match)
+        literal_offsets = offsets[literal_at]
+        literals = stream[literal_offsets[:, None] + np.arange(word_bytes)]
+        crc32 = zlib.crc32
+        mask = p.hash_table_slots - 1
+        literal_slots = np.array(
+            [crc32(data[o : o + word_bytes]) & mask for o in literal_offsets.tolist()],
+            dtype=np.int64,
+        )
+
+        # the literal each pair decodes to: itself, or for a match the
+        # latest earlier literal in the same slot. Literals sorted by
+        # (slot, position) make that one searchsorted.
+        source = np.empty(num_pairs, dtype=np.int64)
+        source[literal_at] = np.arange(literal_at.size)
+        match_at = np.flatnonzero(is_match)
+        if match_at.size:
+            match_offsets = offsets[match_at]
+            match_slots = stream[match_offsets] | (
+                stream[match_offsets + 1].astype(np.int64) << 8
             )
-        if zlib.crc32(out) != expected_crc:
-            raise CompressedFormatError(
-                "LZAH stream checksum mismatch: decoded data is corrupt"
+            keys = literal_slots * num_pairs + literal_at
+            order = np.argsort(keys)
+            found = keys[order].searchsorted(match_slots * num_pairs + match_at) - 1
+            if found.min() < 0:
+                return None  # no literal at all below the match's key
+            found = order[found]
+            if (literal_slots[found] != match_slots).any():
+                return None  # empty slot, or an index outside the table
+            source[match_at] = found
+
+        # cut each literal window just after its newline, then flatten
+        # every pair's kept bytes in order
+        if p.newline_realign:
+            is_newline = literals == 0x0A
+            lengths = np.where(
+                is_newline.any(axis=1), is_newline.argmax(axis=1) + 1, word_bytes
             )
-        return out
+            kept = np.arange(word_bytes) < lengths[:, None]
+            decoded = literals.take(source, axis=0)[kept.take(source, axis=0)]
+        else:
+            decoded = literals.take(source, axis=0).ravel()
+        if decoded.size < total_len:
+            return None
+        decoded = decoded[:total_len]  # the final window may overrun
+        if zlib.crc32(decoded) != int.from_bytes(data[8:12], "little"):
+            return None
+        return decoded
 
     def decompress_words(self, data: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Decode a stream word by word (reference decoder).

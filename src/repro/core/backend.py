@@ -2,9 +2,9 @@
 
 Each scan stage has exactly two implementations:
 
-- ``vectorized`` — the numpy kernel: boolean-mask tokenization and
-  signature pre-filtering over ``np.frombuffer`` views of the
-  decompressed arena (zero copies until a line is actually kept),
+- ``vectorized`` — the numpy kernel: bulk LZAH decode, boolean-mask
+  tokenization and the fact-matrix filter over ``np.frombuffer`` views
+  of the decompressed arena (no per-token objects, ever),
 - ``reference`` — the pure-Python per-line kernel, which doubles as the
   oracle the differential suite compares the numpy kernel against and
   as the only kernel on hosts without numpy.

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.core.backend import numpy_or_none
 from repro.core.cuckoo import CuckooHashTable
+from repro.core.factmatrix import FactProgram
 from repro.core.query import Query
 from repro.core.tokenizer import TokenWord, reassemble_tokens
 from repro.errors import CapacityError
@@ -92,40 +92,24 @@ class CompiledQuery:
                 cache[token] = effect
             return effect
 
-    def signatures(self) -> frozenset:
-        """``(length, first_byte)`` signatures of every table token.
+    def fact_program(self):
+        """This program as a :class:`repro.core.factmatrix.FactProgram`.
 
-        The vectorized kernel's pre-filter: a page token whose signature
-        is not in this set provably misses the table, so only signature
-        hits are materialised as ``bytes`` and probed. Cached — the table
-        is immutable once compiled.
+        One fact per table entry, one set per flag-pair column: "every
+        positive fact holds and no negative one" is "bitmap equals the
+        query bitmap and no violation". Cached — the table is immutable.
         """
-        cached = getattr(self, "_signatures", None)
+        cached = getattr(self, "_fact_program", None)
         if cached is None:
-            cached = frozenset(
-                (len(entry.token), entry.token[0])
-                for _row, entry in self.table.entries()
-                if entry.token
+            entries = [entry for _row, entry in self.table.entries()]
+            isets = [
+                (q, [(f, e.flags[k].negative) for f, e in enumerate(entries) if e.flags[k].valid])
+                for k, q in enumerate(self.iset_to_query)
+            ]
+            cached = FactProgram(
+                [(e.token, e.column) for e in entries], isets, self.num_queries
             )
-            object.__setattr__(self, "_signatures", cached)
-        return cached
-
-    def default_verdict(self) -> tuple[bool, ...]:
-        """Per-query verdict of a line whose tokens all miss the table.
-
-        Such a line has zero violations and all-zero bitmaps, so query
-        ``q`` keeps it iff ``q`` owns an intersection set whose query
-        bitmap is zero (e.g. a pure-negative set). Cached; the vectorized
-        kernel assigns it to every line with no signature hits.
-        """
-        cached = getattr(self, "_default_verdict", None)
-        if cached is None:
-            verdicts = [False] * self.num_queries
-            for k, bitmap in enumerate(self.query_bitmaps):
-                if bitmap == 0:
-                    verdicts[self.iset_to_query[k]] = True
-            cached = tuple(verdicts)
-            object.__setattr__(self, "_default_verdict", cached)
+            object.__setattr__(self, "_fact_program", cached)
         return cached
 
     @property
@@ -309,80 +293,14 @@ class HashFilter:
         self.tokens_processed += tokens_seen
         return verdicts
 
-    def evaluate_token_arrays(self, page) -> list[tuple[bool, ...]]:
-        """Vectorized batch kernel over one page's offset arrays.
+    def evaluate_token_arrays(self, page):
+        """Array kernel: one page's ``(lines × queries)`` boolean verdicts.
 
-        Consumes a :class:`repro.core.vectokenizer.PageTokens` and returns
-        the same verdict list :meth:`evaluate_token_lists` would for the
-        materialised token lists (the differential suite pins this down).
-
-        Two facts make it fast: almost every token misses the cuckoo
-        table, and a line with zero table hits always gets the program's
-        precomputed default verdict. So the kernel only materialises
-        tokens whose ``(length, first_byte)`` signature matches a table
-        token — a couple of numpy array comparisons — and runs the full
-        filter state machine just for lines that had a signature hit.
+        Consumes a :class:`repro.core.vectokenizer.PageTokens`; row ``i``
+        is the tuple :meth:`evaluate_token_lists` returns for line ``i``
+        (the differential suite pins this down), computed by the
+        program's :class:`~repro.core.factmatrix.FactProgram`.
         """
-        program = self.program
-        num_tokens = page.num_tokens
-        num_lines = page.num_lines
-        self.lines_processed += num_lines
-        self.tokens_processed += num_tokens
-        default = program.default_verdict()
-        verdicts = [default] * num_lines
-        signatures = program.signatures()
-        if num_tokens == 0 or not signatures:
-            return verdicts
-        buffer = page.buffer
-        token_starts = page.token_starts
-        token_ends = page.token_ends
-        token_lines = page.token_lines
-        token_positions = page.token_positions
-
-        np = numpy_or_none()
-        lengths = token_ends - token_starts
-        firsts = np.frombuffer(buffer, dtype=np.uint8)[token_starts]
-        mask = np.zeros(num_tokens, dtype=bool)
-        for length, first in signatures:
-            mask |= (lengths == length) & (firsts == first)
-        candidates = np.flatnonzero(mask).tolist()
-
-        # group surviving (position, effect) hits per line; most lines
-        # have none and keep the default verdict untouched
-        effect_cache = program._effect_cache
-        token_effect = program.token_effect
-        hits_by_line: dict[int, list] = {}
-        for j in candidates:
-            token = bytes(buffer[int(token_starts[j]) : int(token_ends[j])])
-            effect = effect_cache.get(token, _UNCACHED)
-            if effect is _UNCACHED:
-                effect = token_effect(token)
-            if effect is None:
-                continue
-            hits_by_line.setdefault(int(token_lines[j]), []).append(
-                (int(token_positions[j]), effect)
-            )
-
-        if not hits_by_line:
-            return verdicts
-        query_bitmaps = program.query_bitmaps
-        iset_to_query = program.iset_to_query
-        num_isets = program.num_isets
-        num_queries = program.num_queries
-        zero_bitmaps = [0] * num_isets
-        for line, hits in hits_by_line.items():
-            violated = 0
-            bitmaps = zero_bitmaps[:]
-            for position, effect in hits:
-                violate_mask, bit_updates, column = effect
-                if column is not None and position != column:
-                    continue
-                violated |= violate_mask
-                for iset_index, bit in bit_updates:
-                    bitmaps[iset_index] |= bit
-            line_verdict = [False] * num_queries
-            for k in range(num_isets):
-                if not (violated >> k) & 1 and bitmaps[k] == query_bitmaps[k]:
-                    line_verdict[iset_to_query[k]] = True
-            verdicts[line] = tuple(line_verdict)
-        return verdicts
+        self.lines_processed += page.num_lines
+        self.tokens_processed += page.num_tokens
+        return self.program.fact_program().evaluate(page)

@@ -16,9 +16,10 @@ a ``searchsorted`` against newline positions.
 Line semantics follow ``bytes.splitlines`` on ``\\n``-terminated text
 (what the ingest path stores). A page containing ``\\r`` needs the full
 ``\\r``/``\\n``/``\\r\\n`` terminator set, which only the reference
-tokenizer implements: :func:`has_carriage_return` is the probe the scan
-kernel routes such a page by, and :func:`tokenize_page_offsets` refuses
-it rather than mis-split it.
+tokenizer implements: :func:`tokenize_page_offsets` probes every page
+once (:func:`has_carriage_return`) and refuses such a page with
+:class:`CarriageReturnPage` rather than mis-split it — the refusal the
+scan kernel routes the page to the reference stages by.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import List, Sequence
 
 from repro.core.backend import BackendUnavailableError, numpy_or_none
 
-__all__ = ["PageTokens", "has_carriage_return", "tokenize_page_offsets"]
+__all__ = ["CarriageReturnPage", "PageTokens", "has_carriage_return", "tokenize_page_offsets"]
 
 _NL = 0x0A
 _SPACE = 0x20
@@ -88,6 +89,10 @@ class PageTokens:
         return raw_lines, token_lists
 
 
+class CarriageReturnPage(ValueError):
+    """The page carries ``\\r``: only the reference tokenizer splits it."""
+
+
 def has_carriage_return(payload: "bytes | bytearray | memoryview") -> bool:
     """Whether the page carries ``\\r`` and so needs the reference tokenizer."""
     # one memcpy plus a C-level search: ~20x cheaper than a numpy compare
@@ -101,8 +106,8 @@ def tokenize_page_offsets(
 
     ``payload`` may be a ``memoryview`` into a reusable decode arena,
     read zero-copy; the result must be fully consumed before the arena
-    is reused for the next page. Raises ``ValueError`` for a page
-    containing ``\\r`` (see :func:`has_carriage_return`).
+    is reused for the next page. Raises :class:`CarriageReturnPage` (a
+    ``ValueError``) for a page containing ``\\r``.
     """
     np = numpy_or_none()
     if np is None:
@@ -111,7 +116,7 @@ def tokenize_page_offsets(
             "repro.core.tokenizer.tokenize_page"
         )
     if has_carriage_return(payload):
-        raise ValueError(
+        raise CarriageReturnPage(
             "page contains \\r; the offset-array tokenizer splits lines on "
             "\\n only — use repro.core.tokenizer.tokenize_page"
         )

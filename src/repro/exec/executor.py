@@ -11,18 +11,18 @@ flash reads, fault injection, retry accounting and simulated timing stay
 in the calling process, in page order, exactly as the serial path does.
 
 The partition kernel is one loop over per-page *stage callables*
-(decode, tokenize, evaluate, line bytes), and there are two equivalence
+(decode, tokenize, evaluate, tally, line bytes), with two equivalence
 -tested stage sets, selected by :class:`ScanProgramSpec.kernel`:
 
-- ``vectorized`` — the numpy hot path: pages decompress into a reusable
+- ``vectorized`` — the numpy hot path: pages bulk-decode into a reusable
   :class:`~repro.compression.arena.DecodeArena`, tokenization emits
-  offset arrays (``repro.core.vectokenizer``), and the filter runs the
-  signature-prefiltered array kernel
-  (:meth:`~repro.core.hashfilter.HashFilter.evaluate_token_arrays` for
-  offloaded programs, :class:`~repro.core.softmatch
-  .SoftwareBatchMatcher` for programs that exceeded hardware
-  provisioning and run in software). A page containing ``\\r`` takes
-  the reference stages, for that page only.
+  offset arrays (``repro.core.vectokenizer``), and the filter is the
+  exact fact-matrix evaluator (``repro.core.factmatrix``), reached
+  through :meth:`~repro.core.hashfilter.HashFilter
+  .evaluate_token_arrays` for offloaded programs and
+  :class:`~repro.core.softmatch.SoftwareBatchMatcher` for programs that
+  exceeded hardware provisioning and run in software. A page containing
+  ``\\r`` takes the reference stages, for that page only.
 - ``reference`` — the per-page token-list path, retained as the oracle
   the differential suite compares against and as the kernel of hosts
   without numpy.
@@ -48,7 +48,9 @@ from typing import Optional, Sequence
 
 from repro.core.hashfilter import HashFilter, compile_queries
 from repro.core.query import Query
+from repro.core.softmatch import SoftwareBatchMatcher
 from repro.core.tokenizer import tokenize_page
+from repro.core.vectokenizer import CarriageReturnPage
 from repro.errors import QueryError
 from repro.obs.metrics import handle
 from repro.obs.profile import (
@@ -131,16 +133,14 @@ class KernelResult:
 #: unbounded memo grows for as long as the process lives.
 _MEMO_ENTRIES = 128
 
-#: Per-process memo of compiled filter programs, keyed by the hashable
-#: ``(queries, cuckoo_params, seed)`` triple: a pool worker serving many
-#: partitions of many scans compiles each program once.
+#: Per-process memo of built filter programs by ``(queries,
+#: cuckoo_params, seed, offloaded)``: a ``CompiledQuery`` when offloaded
+#: (both kernels filter through it), else the numpy kernel's
+#: ``SoftwareBatchMatcher``. Each is built once per key.
 _PROGRAM_MEMO: dict = {}
 
 #: Per-process memo of LZAH codecs by parameter bundle.
 _CODEC_MEMO: dict = {}
-
-#: Per-process memo of software batch matchers, keyed by the query tuple.
-_MATCHER_MEMO: dict = {}
 
 #: Per-process decode arena, grown to the largest page seen and recycled
 #: across partitions and scans (the zero-copy path's whole point).
@@ -165,24 +165,45 @@ def _codec(spec: ScanProgramSpec):
     )
 
 
-def _compiled_program(spec: ScanProgramSpec):
-    return _memoized(
-        _PROGRAM_MEMO,
-        (spec.queries, spec.cuckoo_params, spec.seed),
-        lambda: compile_queries(
-            spec.queries, params=spec.cuckoo_params, seed=spec.seed
-        ),
-    )
+def _filter_program(spec: ScanProgramSpec):
+    def build():
+        if spec.offloaded:
+            return compile_queries(spec.queries, params=spec.cuckoo_params, seed=spec.seed)
+        return SoftwareBatchMatcher(spec.queries)
+
+    key = (spec.queries, spec.cuckoo_params, spec.seed, spec.offloaded)
+    return _memoized(_PROGRAM_MEMO, key, build)
+
+
+def _tally_tuples(verdicts, counts: list[int]) -> list[int]:
+    """Kept line indices of one page's verdict tuples; bumps ``counts``."""
+    kept = []
+    for i, verdict in enumerate(verdicts):
+        if True in verdict:
+            kept.append(i)
+            for q, hit in enumerate(verdict):
+                if hit:
+                    counts[q] += 1
+    return kept
+
+
+def _tally_matrix(verdicts, counts: list[int]) -> list[int]:
+    """:func:`_tally_tuples` over a ``(lines × queries)`` boolean array."""
+    kept = verdicts.any(axis=1).nonzero()[0].tolist()
+    if kept:
+        for q, hits in enumerate(verdicts.sum(axis=0).tolist()):
+            counts[q] += hits
+    return kept
 
 
 def _reference_stages(spec: ScanProgramSpec) -> tuple:
-    """``(decode, tokenize, evaluate, line_bytes)`` of the reference kernel.
+    """``(decode, tokenize, evaluate, tally, line_bytes)``, reference kernel.
 
     A page is the ``(raw_lines, token_lists)`` pair of
     :func:`~repro.core.tokenizer.tokenize_page`.
     """
     if spec.offloaded:
-        verdicts_of = HashFilter(_compiled_program(spec)).evaluate_token_lists
+        verdicts_of = HashFilter(_filter_program(spec)).evaluate_token_lists
     else:
         queries = spec.queries
 
@@ -196,19 +217,19 @@ def _reference_stages(spec: ScanProgramSpec) -> tuple:
         _codec(spec).decompress,
         tokenize_page,
         lambda page: verdicts_of(page[1]),
+        _tally_tuples,
         lambda page, i: page[0][i],
     )
 
 
 def _vectorized_stages(spec: ScanProgramSpec) -> tuple:
-    """``(decode, tokenize, evaluate, line_bytes)`` of the numpy kernel.
+    """``(decode, tokenize, evaluate, tally, line_bytes)``, numpy kernel.
 
     A page is a :class:`~repro.core.vectokenizer.PageTokens` over the
     decode arena: kept lines are copied out as immutable ``bytes``, so
     recycling the arena for the next page cannot corrupt them.
     """
     from repro.compression.arena import DecodeArena
-    from repro.core.softmatch import SoftwareBatchMatcher
     from repro.core.vectokenizer import PageTokens, tokenize_page_offsets
 
     global _ARENA
@@ -216,16 +237,14 @@ def _vectorized_stages(spec: ScanProgramSpec) -> tuple:
         _ARENA = DecodeArena()
     arena = _ARENA
     decompress_into = _codec(spec).decompress_into
-    if spec.offloaded:
-        evaluate = HashFilter(_compiled_program(spec)).evaluate_token_arrays
-    else:
-        evaluate = _memoized(
-            _MATCHER_MEMO, spec.queries, lambda: SoftwareBatchMatcher(spec.queries)
-        ).evaluate
+    program = _filter_program(spec)
     return (
         lambda payload: decompress_into(payload, arena),
         tokenize_page_offsets,
-        evaluate,
+        HashFilter(program).evaluate_token_arrays
+        if spec.offloaded
+        else program.evaluate,
+        _tally_matrix,
         PageTokens.line_bytes,
     )
 
@@ -252,21 +271,15 @@ def _partition_kernel(
     """
     reference = _reference_stages(spec)
     if spec.kernel == "vectorized":
-        # the offset-array tokenizer splits on \n only; a page with \r
-        # needs the reference tokenizer's full \r/\n/\r\n terminator set
-        from repro.core.vectokenizer import has_carriage_return as needs_reference
-
         decode, *page_stages = _vectorized_stages(spec)
     else:
-        needs_reference = None
         decode, *page_stages = reference
-    num_queries = len(spec.queries)
 
     profile = ProfileBuilder()
     clock = time.perf_counter
     out_chunks: list[bytes] = []
     decoded_pages: list = []
-    counts = [0] * num_queries
+    counts = [0] * len(spec.queries)
     bytes_decompressed = 0
     lines_seen = 0
     lines_kept = 0
@@ -283,20 +296,17 @@ def _partition_kernel(
                 decoded_pages.append(bytes(text))
         bytes_decompressed += len(text)
         t0 = clock()
-        tokenize, evaluate, line_bytes = page_stages
-        if needs_reference is not None and needs_reference(text):
-            tokenize, evaluate, line_bytes = reference[1:]
-            text = bytes(text)  # an arena view has no splitlines
-        page = tokenize(text)
+        tokenize, evaluate, tally, line_bytes = page_stages
+        try:
+            page = tokenize(text)
+        except CarriageReturnPage:
+            # the offset-array tokenizer splits on \n only; this page needs
+            # the reference tokenizer's full \r/\n/\r\n terminator set
+            tokenize, evaluate, tally, line_bytes = reference[1:]
+            page = tokenize(bytes(text))  # an arena view has no splitlines
         t1 = clock()
         verdicts = evaluate(page)
-        kept = []
-        for i, verdict in enumerate(verdicts):
-            if True in verdict:
-                kept.append(line_bytes(page, i))
-                for q in range(num_queries):
-                    if verdict[q]:
-                        counts[q] += 1
+        kept = [line_bytes(page, i) for i in tally(verdicts, counts)]
         num_lines = len(verdicts)
         profile.add("tokenize", units=num_lines, wall_s=t1 - t0)
         profile.add("filter", units=num_lines, wall_s=clock() - t1)
@@ -371,70 +381,43 @@ class ScanExecutor:
         """
         if self.workers == 1 or len(items) <= 1:
             self._m_partitions.inc(mode="inline")
-            result = _partition_kernel(spec, items, want_decoded)
-            record = PartitionProfile(
-                index=0,
-                pages=len(items),
+            partitions = [(0, len(items))]
+            results = [_partition_kernel(spec, items, want_decoded)]
+        else:
+            pool = self._ensure_pool()
+            partitions = _partition_slices(len(items), self.workers)
+            futures = [
+                pool.submit(_partition_kernel, spec, items[start:stop])
+                for start, stop in partitions
+            ]
+            self._m_partitions.inc(len(futures), mode="pool")
+            results = [future.result() for future in futures]  # partition order
+        records = tuple(
+            PartitionProfile(
+                index=index,
+                pages=stop - start,
                 bytes_decompressed=result.bytes_decompressed,
                 lines_seen=result.lines_seen,
                 lines_kept=result.lines_kept,
                 stages=result.stages,
             )
-            merge_into_registry(dict(result.stages))
-            return ScanAggregate(
-                data=result.data,
-                bytes_decompressed=result.bytes_decompressed,
-                lines_seen=result.lines_seen,
-                lines_kept=result.lines_kept,
-                partitions=(record,),
-                profile=result.stages,
-                per_query_counts=result.per_query_counts,
-                decoded=result.decoded,
-            )
-        pool = self._ensure_pool()
-        partitions = _partition_slices(len(items), self.workers)
-        futures = [
-            pool.submit(_partition_kernel, spec, items[start:stop])
-            for start, stop in partitions
-        ]
-        self._m_partitions.inc(len(futures), mode="pool")
-        chunks: list[bytes] = []
-        records: list[PartitionProfile] = []
-        counts = [0] * len(spec.queries)
-        bytes_decompressed = 0
-        lines_seen = 0
-        lines_kept = 0
-        for index, future in enumerate(futures):  # partition order
-            result = future.result()
-            chunks.append(result.data)
-            start, stop = partitions[index]
-            records.append(
-                PartitionProfile(
-                    index=index,
-                    pages=stop - start,
-                    bytes_decompressed=result.bytes_decompressed,
-                    lines_seen=result.lines_seen,
-                    lines_kept=result.lines_kept,
-                    stages=result.stages,
-                )
-            )
-            bytes_decompressed += result.bytes_decompressed
-            lines_seen += result.lines_seen
-            lines_kept += result.lines_kept
-            for q, count in enumerate(result.per_query_counts):
-                counts[q] += count
+            for index, ((start, stop), result) in enumerate(zip(partitions, results))
+        )
         merged = merge_profiles(r.stage_dict() for r in records)
-        # the workers' registries died with their processes; fold their
-        # accounting into the parent's here, where it is actually scraped
+        # pool workers' registries died with their processes; fold every
+        # partition's accounting into the parent's, where it is scraped
         merge_into_registry(merged)
         return ScanAggregate(
-            data=b"".join(chunks),
-            bytes_decompressed=bytes_decompressed,
-            lines_seen=lines_seen,
-            lines_kept=lines_kept,
-            partitions=tuple(records),
+            data=b"".join(r.data for r in results),
+            bytes_decompressed=sum(r.bytes_decompressed for r in results),
+            lines_seen=sum(r.lines_seen for r in results),
+            lines_kept=sum(r.lines_kept for r in results),
+            partitions=records,
             profile=tuple(sorted(merged.items())),
-            per_query_counts=tuple(counts),
+            per_query_counts=tuple(
+                map(sum, zip(*(r.per_query_counts for r in results)))
+            ),
+            decoded=tuple(page for r in results for page in r.decoded),
         )
 
 

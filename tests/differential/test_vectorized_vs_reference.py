@@ -1,7 +1,7 @@
 """Differential harness: vectorized scan path vs the reference kernels.
 
 The reference kernel is the oracle; the numpy path (offset-array
-tokenizer, arena decoder, signature-prefiltered filter kernel) must be
+tokenizer, bulk arena decoder, fact-matrix filter) must be
 byte-for-byte equivalent to it on *arbitrary* inputs. Three layers of
 evidence:
 
@@ -114,6 +114,12 @@ def _offsets_or_refusal(payload: bytes):
     return tokenize_page_offsets(payload)
 
 
+def _rows(verdicts) -> list:
+    """The numpy kernel's ``(lines × queries)`` verdict array as the
+    reference kernel's list of per-line tuples."""
+    return [tuple(row) for row in verdicts.tolist()]
+
+
 def _assert_tokenization_matches(payload: bytes) -> None:
     """One page: offset arrays must re-materialise the reference output."""
     page = _offsets_or_refusal(payload)
@@ -145,6 +151,22 @@ def _spec(queries, offloaded: bool, kernel: str) -> ScanProgramSpec:
 
 def _stage_counts(stages) -> dict:
     return {name: (s.calls, s.units) for name, s in stages}
+
+
+def _decoder_outcomes(codec: LZAHCompressor, blob: bytes) -> list:
+    """What the per-word fast decoder, the bulk decoder and the word
+    -by-word reference make of one stream: bytes, or the refusal."""
+    outcomes = []
+    for decode in (
+        codec.decompress,
+        lambda b: bytes(codec.decompress_into(b, DecodeArena())),
+        lambda b: b"".join(c for c, _p in codec.decompress_words(b)),
+    ):
+        try:
+            outcomes.append(("ok", decode(blob)))
+        except CompressedFormatError:
+            outcomes.append(("error", None))
+    return outcomes
 
 
 def _assert_kernels_agree(queries, offloaded: bool, pages) -> None:
@@ -184,7 +206,7 @@ class TestCorpusReplay:
         if page is None:
             return
         program = compile_queries(FILTER_QUERIES, seed=0)
-        fast = HashFilter(program).evaluate_token_arrays(page)
+        fast = _rows(HashFilter(program).evaluate_token_arrays(page))
         _, token_lists = tokenize_page(payload)
         slow = HashFilter(program).evaluate_token_lists(token_lists)
         assert fast == slow
@@ -198,7 +220,7 @@ class TestCorpusReplay:
         page = _offsets_or_refusal(payload)
         if page is None:
             return
-        fast = SoftwareBatchMatcher(SOFT_QUERIES).evaluate(page)
+        fast = _rows(SoftwareBatchMatcher(SOFT_QUERIES).evaluate(page))
         _, token_lists = tokenize_page(payload)
         slow = [
             tuple(q.matches_tokens(tokens) for q in SOFT_QUERIES)
@@ -256,6 +278,279 @@ class TestCarriageReturnRouting:
             _stage_counts(p.stages) for p in ref.partitions
         ]
         assert _stage_counts(vec.profile) == _stage_counts(ref.profile)
+
+
+# ---------------------------------------------------------------------------
+# the fact-matrix filter: exact under collisions, odd tokens, odd programs
+# ---------------------------------------------------------------------------
+
+
+def _assert_filter_exact(queries, payload: bytes) -> None:
+    """Both routes into the fact-matrix evaluator equal the per-line
+    query oracles on one page (the offloaded route when the program
+    compiles, the software route always)."""
+    from repro.errors import CapacityError, PlacementError
+
+    queries = tuple(queries)
+    page = tokenize_page_offsets(payload)
+    _, token_lists = tokenize_page(payload)
+    want = [tuple(q.matches_tokens(tokens) for q in queries) for tokens in token_lists]
+    assert _rows(SoftwareBatchMatcher(queries).evaluate(page)) == want
+    try:
+        program = compile_queries(queries, seed=0)
+    except (PlacementError, CapacityError):
+        return
+    assert _rows(HashFilter(program).evaluate_token_arrays(page)) == want
+    assert HashFilter(program).evaluate_token_lists(token_lists) == want
+
+
+def _query(*isets) -> Query:
+    """``_query([(token, negative, column), ...], ...)``."""
+    return Query(
+        intersections=tuple(
+            IntersectionSet(
+                terms=tuple(Term(token=t, negative=n, column=c) for t, n, c in terms)
+            )
+            for terms in isets
+        )
+    )
+
+
+@needs_numpy
+class TestFactMatrixFilter:
+    LONG = b"L" * 300
+    PAGE = b"".join(
+        line + b"\n"
+        for line in (
+            b"svc up ERR svc",
+            b"ERR svc up",
+            b"up\tsvc  ERR",
+            b"nul\x00tok \xff\xfe high\x80 nul\x00tok",
+            b"L" * 300 + b" " + b"L" * 299 + b"M " + b"L" * 301,
+            b"L" * 256 + b" " + b"L" * 255,
+            b"",
+            b" \t ",
+            b"cab abc bca",
+            b"svc",
+        )
+    )
+
+    def test_forced_hash_collision_still_exact(self, monkeypatch):
+        """Hashing only routes: with the routing hash forced to one
+        constant every page token is compared with every term, and the
+        verdicts must not move."""
+        from repro.core import factmatrix
+
+        monkeypatch.setattr(
+            factmatrix,
+            "_route_hash",
+            lambda np, values, within, starts, powers: np.zeros(
+                starts.size, dtype=np.uint64
+            ),
+        )
+        for queries in (FILTER_QUERIES, SOFT_QUERIES):
+            for payload in CORPUS_PAGES + [self.PAGE]:
+                if b"\r" not in payload:
+                    _assert_filter_exact(queries, payload)
+        _assert_filter_exact(
+            [_query([(b"abc", False, None)], [(b"cab", False, 0), (b"bca", True, None)])],
+            self.PAGE,
+        )
+
+    @pytest.mark.parametrize(
+        "queries",
+        [
+            # NUL and high bytes inside tokens
+            [_query([(b"nul\x00tok", False, None)]), _query([(b"\xff\xfe", False, 1)]),
+             _query([(b"high\x80", False, None), (b"nul\x00tok", True, 0)])],
+            # tokens longer than 255 bytes, and their near misses
+            [_query([(LONG, False, None)]), _query([(b"L" * 256, False, 0)]),
+             _query([(b"L" * 299 + b"M", False, 1)]), _query([(b"L" * 302, False, None)])],
+            # one token under two different columns (software only: a
+            # cuckoo entry has one column field)
+            [_query([(b"svc", False, 0)], [(b"svc", False, 3)]),
+             _query([(b"svc", False, 1), (b"svc", True, 0)])],
+            # one token under both polarities: across sets, and inside
+            # one set (contradictory: matches nothing)
+            [_query([(b"up", False, None)], [(b"up", True, None), (b"ERR", False, None)]),
+             _query([(b"svc", False, None), (b"svc", True, None)])],
+            # the same term twice in one set
+            [_query([(b"svc", False, None), (b"svc", False, None), (b"up", False, None)])],
+            # negative-only sets: keep every line without the token
+            [_query([(b"svc", True, None)]), _query([(b"ERR", True, 0), (b"up", True, None)])],
+            # a query with zero intersection sets matches nothing
+            [Query(intersections=()), _query([(b"svc", False, None)])],
+            [Query(intersections=())],
+        ],
+        ids=["nul-high", "long", "two-columns", "both-polarities", "duplicate-term",
+             "negative-only", "empty-query-beside", "empty-query-alone"],
+    )
+    def test_edge_programs_and_tokens(self, queries):
+        _assert_filter_exact(queries, self.PAGE)
+
+    @pytest.mark.parametrize(
+        "payload", [b"", b"\n", b"\n\n\n", b" \t \n\t\t\n", b"   ", b"\t\n" * 50]
+    )
+    def test_empty_and_whitespace_only_pages(self, payload):
+        for queries in (FILTER_QUERIES, SOFT_QUERIES):
+            _assert_filter_exact(queries, payload)
+
+    def test_filter_cost_is_flat_in_query_count(self):
+        """Structural flatness (the paper's Figure 14 / Table 6 property
+        on the host clock): on a fixed 35-page corpus the evaluator
+        executes the same number of Python lines per page whether 1 or
+        16 pool queries are registered — no loop's trip count grows with
+        queries, terms or candidate tokens."""
+        import sys
+
+        from repro.core import factmatrix
+        from repro.datasets.synthetic import generator_for
+        from repro.service import query_pool
+
+        lines = generator_for("Liberty2", seed=1).generate(3010)
+        pool = query_pool(lines, max_queries=32, seed=2021, num_pairs=8)
+        pages = [
+            tokenize_page_offsets(b"".join(ln + b"\n" for ln in lines[i : i + 86]))
+            for i in range(0, len(lines), 86)
+        ]
+        assert len(pages) == 35 and len(pool) >= 16
+        one = compile_queries(pool[:1], seed=0).fact_program()
+        sixteen = SoftwareBatchMatcher(tuple(pool[:16])).program
+        assert sixteen.num_facts > 4 * one.num_facts
+        code_file = factmatrix.__file__
+
+        def lines_executed(program, page) -> int:
+            executed = 0
+
+            def tracer(frame, event, _arg):
+                nonlocal executed
+                if frame.f_code.co_filename != code_file:
+                    return None
+                if event == "line":
+                    executed += 1
+                return tracer
+
+            # template tokens are frequent: no page takes the early-out
+            assert program._hits(numpy_or_none(), page) is not None
+            sys.settrace(tracer)
+            try:
+                program.evaluate(page)
+            finally:
+                sys.settrace(None)
+            return executed
+
+        per_page_one = {lines_executed(one, page) for page in pages}
+        per_page_sixteen = {lines_executed(sixteen, page) for page in pages}
+        assert len(per_page_one) == 1
+        assert per_page_one == per_page_sixteen
+
+
+# ---------------------------------------------------------------------------
+# the bulk decoder: structural corruption, not just bit flips
+# ---------------------------------------------------------------------------
+
+
+def _chunk_boundaries(codec: LZAHCompressor, blob: bytes) -> list:
+    """Stream offsets where each chunk's header, payloads and padding end."""
+    p = codec.params
+    header_bytes = p.pairs_per_chunk // 8
+    remaining = int.from_bytes(blob[4:8], "little")
+    pos, marks = 12, []
+    while remaining > 0:
+        header = int.from_bytes(blob[pos : pos + header_bytes], "little")
+        in_chunk = min(remaining, p.pairs_per_chunk)
+        matches = bin(header & ((1 << in_chunk) - 1)).count("1")
+        marks.append(pos + header_bytes)
+        pos += header_bytes + 2 * matches + (in_chunk - matches) * p.word_bytes
+        marks.append(pos)
+        pos += -(pos - 12) % p.word_bytes
+        marks.append(pos)
+        remaining -= in_chunk
+    return marks
+
+
+def _first_match_offset(codec: LZAHCompressor, blob: bytes) -> int:
+    """Stream offset of the first match index of the first chunk."""
+    p = codec.params
+    header = int.from_bytes(blob[12 : 12 + p.pairs_per_chunk // 8], "little")
+    assert header, "the first chunk holds no match"
+    pos = 12 + p.pairs_per_chunk // 8
+    while not header & 1:
+        pos += p.word_bytes
+        header >>= 1
+    return pos
+
+
+class TestBulkDecoderFuzz:
+    #: 64-byte lines first, so every word size re-meets whole words (and
+    #: the first chunk holds matches) with or without newline realignment
+    PAYLOAD = (b"kernel: eth0 link is up, 1000 Mbps full duplex, flow control rx\n" * 6) + b"".join(
+        b"Jan %2d 03:%02d:%02d host%d sshd[%d]: session opened for user u%d\n"
+        % (i % 28 + 1, i % 60, i * 7 % 60, i % 5, 1000 + i * 13, i % 9)
+        for i in range(160)
+    )
+
+    @pytest.fixture(
+        params=[(w, r) for w in (8, 16, 32) for r in (True, False)],
+        ids=lambda wr: f"w{wr[0]}-{'realign' if wr[1] else 'fixed'}",
+    )
+    def codec(self, request):
+        word_bytes, realign = request.param
+        return LZAHCompressor(
+            LZAHParams(word_bytes=word_bytes, newline_realign=realign)
+        )
+
+    def _agree(self, codec, blob: bytes, want=None) -> None:
+        outcomes = _decoder_outcomes(codec, blob)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        if want is not None:
+            assert outcomes[0] == want
+        if numpy_or_none() is not None:
+            codec._bulk_decode(blob)  # defers (None) or decodes; never raises
+
+    def test_clean_stream_takes_the_bulk_path(self, codec):
+        blob = codec.compress(self.PAYLOAD)
+        assert len(_chunk_boundaries(codec, blob)) >= 9  # three chunks or more
+        self._agree(codec, blob, want=("ok", self.PAYLOAD))
+        if numpy_or_none() is not None:
+            assert bytes(codec._bulk_decode(blob)) == self.PAYLOAD
+
+    def test_truncation_at_every_chunk_boundary(self, codec):
+        blob = codec.compress(self.PAYLOAD)
+        cuts = {
+            cut + delta
+            for cut in [0, 4, 8, 12] + _chunk_boundaries(codec, blob)
+            for delta in (-1, 0, 1)
+        }
+        for cut in sorted(c for c in cuts if 0 <= c < len(blob)):
+            self._agree(codec, blob[:cut])
+        # bytes past the stream's last chunk are never read
+        self._agree(codec, blob + b"\x00" * 7, want=("ok", self.PAYLOAD))
+
+    def test_overwritten_match_indices(self, codec):
+        blob = bytearray(codec.compress(self.PAYLOAD))
+        at = _first_match_offset(codec, bytes(blob))
+        slots = codec.params.hash_table_slots
+        used = {codec._hash(padded) for _c, padded in codec.decompress_words(bytes(blob))}
+        empty = next(s for s in range(slots) if s not in used)
+        for slot in (slots, 0xFFFF, empty):
+            blob[at : at + 2] = slot.to_bytes(2, "little")
+            self._agree(codec, bytes(blob), want=("error", None))
+        other = next(s for s in sorted(used) if s.to_bytes(2, "little") != blob[at : at + 2])
+        blob[at : at + 2] = other.to_bytes(2, "little")  # a live slot, wrong word
+        self._agree(codec, bytes(blob))
+
+    def test_lying_length_and_pair_count(self, codec):
+        blob = codec.compress(self.PAYLOAD)
+        total_len = int.from_bytes(blob[0:4], "little")
+        num_pairs = int.from_bytes(blob[4:8], "little")
+        for lie in (0, 1, total_len - 1, total_len + 1, total_len * 2, 2**32 - 1):
+            self._agree(codec, lie.to_bytes(4, "little") + blob[4:], want=("error", None))
+        for lie in (0, 1, num_pairs - 1, num_pairs + 1, num_pairs * 2, 2**32 - 1):
+            self._agree(
+                codec, blob[:4] + lie.to_bytes(4, "little") + blob[8:],
+                want=("error", None),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +626,7 @@ if HAVE_HYPOTHESIS:
             # -kernel differentials below cover its routing
             assume(page is not None)
             fast_filter = HashFilter(program)
-            fast = fast_filter.evaluate_token_arrays(page)
+            fast = _rows(fast_filter.evaluate_token_arrays(page))
             raw_lines, token_lists = tokenize_page(payload)
             slow_filter = HashFilter(program)
             slow = slow_filter.evaluate_token_lists(token_lists)
@@ -356,7 +651,7 @@ if HAVE_HYPOTHESIS:
             """
             page = _offsets_or_refusal(payload)
             assume(page is not None)
-            fast = SoftwareBatchMatcher(tuple(queries)).evaluate(page)
+            fast = _rows(SoftwareBatchMatcher(tuple(queries)).evaluate(page))
             _, token_lists = tokenize_page(payload)
             slow = [
                 tuple(q.matches_tokens(tokens) for q in queries)
@@ -394,17 +689,7 @@ if HAVE_HYPOTHESIS:
             codec = LZAHCompressor()
             blob = bytearray(codec.compress(payload))
             blob[flip_at % len(blob)] ^= flip_bits
-            blob = bytes(blob)
-            outcomes = []
-            for decode in (
-                codec.decompress,
-                lambda b: bytes(codec.decompress_into(b, DecodeArena())),
-                lambda b: b"".join(c for c, _p in codec.decompress_words(b)),
-            ):
-                try:
-                    outcomes.append(("ok", decode(blob)))
-                except CompressedFormatError:
-                    outcomes.append(("error", None))
+            outcomes = _decoder_outcomes(codec, bytes(blob))
             assert outcomes[0] == outcomes[1] == outcomes[2]
 
         @settings(max_examples=30, deadline=None)

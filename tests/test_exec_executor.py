@@ -13,7 +13,6 @@ from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
 from repro.errors import QueryError
 from repro.baselines.grep import grep_indices
-from repro.core.backend import resolve_kernel
 from repro.exec import executor as executor_module
 from repro.exec.executor import ScanExecutor, _partition_slices
 from repro.faults import BernoulliSchedule, inject_page_faults
@@ -168,9 +167,9 @@ class TestExecutorUnit:
 
     def test_program_memos_are_bounded(self, corpus):
         """More distinct batches than the memo bound leave at most
-        ``_MEMO_ENTRIES`` compiled programs / matchers resident (the
-        oldest is evicted) and every batch still answers correctly —
-        including the ones scanned again after their eviction."""
+        ``_MEMO_ENTRIES`` built filter programs resident (the oldest is
+        evicted) and every batch still answers correctly — including the
+        ones scanned again after their eviction."""
         bound = executor_module._MEMO_ENTRIES
         page = corpus[:200]
         system = build_system(page)
@@ -178,7 +177,6 @@ class TestExecutorUnit:
         assert len(tokens) >= bound + 12
         singles = [parse_query(f'"{t.decode()}"') for t in tokens[: bound + 12]]
         executor_module._PROGRAM_MEMO.clear()
-        executor_module._MATCHER_MEMO.clear()
         # offloaded: compiled programs
         batches = [(q,) for q in singles[: bound + 2]]
         batches += [  # 10 intersection sets exceed provisioning: matchers
@@ -190,11 +188,9 @@ class TestExecutorUnit:
                 len(grep_indices(q, page)) for q in batch
             ]
         system.close()
+        # one memo holds both kinds (the reference kernel builds no
+        # software matchers: it evaluates those through the query oracles)
         assert len(executor_module._PROGRAM_MEMO) == bound
-        # only the numpy kernel memoises matchers; the reference kernel
-        # evaluates software-fallback programs through the query oracles
-        vectorized = resolve_kernel(None) == "vectorized"
-        assert len(executor_module._MATCHER_MEMO) == (bound if vectorized else 0)
 
 
 class TestObservability:

@@ -15,9 +15,11 @@ stays attached to its token, matching the paper's examples such as
 ``pbs_mom:``).
 
 The module-level :func:`split_tokens` is the single source of truth for
-token boundaries; the query oracle, the performance model, the inverted
-index and this hardware model all share it, so they cannot disagree about
-what a token is.
+token boundaries within a line; the query oracle, the performance model
+and this hardware model all share it, so they cannot disagree about what
+a token is. :func:`tokenize_page` and :func:`page_token_set` apply the
+same boundaries to a whole stored page, for the scan path and for the
+inverted index.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ _DELIM_SET = frozenset(DELIMITERS)
 #: split byte. Extending ``DELIMITERS`` only requires extending this map.
 _DELIM_TRANSLATE = bytes.maketrans(b"\t", b" ")
 
+#: The same map with the line terminators of ``bytes.splitlines`` folded
+#: in: over a whole page, a token ends at a delimiter *or* a line end.
+_PAGE_TRANSLATE = bytes.maketrans(b"\t\n\r", b"   ")
+
 
 def split_tokens(line: bytes) -> List[bytes]:
     """Split a log line into tokens on the delimiter set.
@@ -44,9 +50,9 @@ def split_tokens(line: bytes) -> List[bytes]:
     Runs of delimiters produce no empty tokens. The trailing newline, if
     present, is not part of any token.
 
-    This is the hot-path kernel: the entire scan pipeline (query oracle,
-    inverted index, performance model, hardware model) funnels every line
-    through it, so it stays on C-level bytes primitives — ``rstrip`` /
+    This is the hot-path kernel: everything that works line by line (query
+    oracle, performance model, hardware model) funnels every line through
+    it, so it stays on C-level bytes primitives — ``rstrip`` /
     ``translate`` with the precomputed delimiter table / ``split`` — and
     skips the translate copy when the line carries no tab at all.
     :func:`split_tokens_reference` is the byte-at-a-time specification it
@@ -103,6 +109,20 @@ def tokenize_page(payload: bytes) -> tuple[List[bytes], List[List[bytes]]]:
         [token for token in body.split(b" ") if token] for body in translated
     ]
     return raw_lines, token_lists
+
+
+def page_token_set(payload: bytes) -> set[bytes]:
+    """The distinct tokens of one page's text: the ingest-side index key.
+
+    Equals the union of :func:`tokenize_page`'s token lists (same
+    delimiters, same ``bytes.splitlines`` line ends) without building
+    the lines: one translate, one split. Indexing a page under the
+    tokens of the text it *stores* is what keeps the index and every
+    scan route agreeing about a line that carries ``\\n`` or ``\\r``.
+    """
+    tokens = set(payload.translate(_PAGE_TRANSLATE).split(b" "))
+    tokens.discard(b"")
+    return tokens
 
 
 @dataclass(frozen=True)

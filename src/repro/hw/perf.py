@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from repro.core.backend import numpy_or_none
+from repro.core.tokenizer import split_tokens
 from repro.obs.metrics import handle
 from repro.params import (
     DECOMPRESSOR_BYTES_PER_SEC,
@@ -62,6 +64,58 @@ class TokenizedStats:
         return self.tokenized_bytes / self.raw_bytes
 
 
+#: Lines per block of the array form. Its transient arrays come to about
+#: ten bytes per sample byte; 128 lines keep a block's worth inside heap
+#: the process already holds. At 512 they outgrew the allocator's trim
+#: threshold: each 2000-line sample gave ~400 KB back to the kernel and
+#: faulted it in again (~100 minor faults a call, none at 128), which
+#: cost more than the extra blocks do and made one call differ from the
+#: next.
+_BLOCK_LINES = 128
+
+
+def _line_shapes(lines: Sequence[bytes], datapath_bytes: int):
+    """Per-line ``(raw bytes, token words, useful bytes)`` int64 arrays.
+
+    The array form of the two scalar loops below: newline and delimiter
+    masks over the joined lines, token run lengths from the mask edges,
+    per-line sums from a running total cut at each line end. Returns
+    ``None`` when it cannot vouch for the answer: no numpy, no lines, or
+    a line carrying ``\\n`` (which :func:`split_tokens` strips from the
+    line's tail and keeps inside a token anywhere else).
+    """
+    np = numpy_or_none()
+    if np is None or not lines:
+        return None
+    blocks = []
+    for base in range(0, len(lines), _BLOCK_LINES):
+        block = lines[base : base + _BLOCK_LINES]
+        # a newline ahead of the first line as well: every line then sits
+        # between two breaks, and every token run opens inside the text
+        data = np.frombuffer(b"\n" + b"\n".join(block) + b"\n", dtype=np.uint8)
+        newline = data == 0x0A
+        breaks = np.flatnonzero(newline)
+        if breaks.size != len(block) + 1:
+            return None
+        in_token = ~(newline | (data == 0x20) | (data == 0x09))
+        # the byte before each run, then the run's last byte, alternating
+        edges = np.flatnonzero(in_token[1:] != in_token[:-1])
+        opens, lengths = edges[0::2], edges[1::2] - edges[0::2]
+        # tokens opened before each break: a running count, from 0
+        through = np.searchsorted(opens, breaks)
+
+        def per_line(per_token):
+            running = np.concatenate(([0], np.cumsum(per_token)))[through]
+            return running[1:] - running[:-1]
+
+        blocks.append((
+            breaks[1:] - breaks[:-1],  # the line and its newline
+            np.maximum(per_line(-(-lengths // datapath_bytes)), 1),
+            per_line(lengths),
+        ))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
 def measure_tokenized_stats(
     lines: Iterable[bytes], datapath_bytes: int = 16
 ) -> TokenizedStats:
@@ -69,25 +123,26 @@ def measure_tokenized_stats(
 
     Uses the same token-splitting rules as the functional tokenizer
     (:func:`repro.core.tokenizer.split_tokens`) so the model and the
-    functional engine cannot drift apart.
+    functional engine cannot drift apart; :func:`_line_shapes` computes
+    the same totals in bulk where it can.
     """
-    from repro.core.tokenizer import split_tokens
-
-    raw = 0
-    nlines = 0
-    words = 0
-    useful = 0
-    for line in lines:
-        nlines += 1
-        raw += len(line) + 1  # count the newline the storage stream carries
-        line_words = 0
-        for token in split_tokens(line):
-            useful += len(token)
-            line_words += max(1, math.ceil(len(token) / datapath_bytes))
-        words += max(1, line_words)  # token-less lines still emit one word
+    if not isinstance(lines, (list, tuple)):
+        lines = list(lines)
+    shapes = _line_shapes(lines, datapath_bytes)
+    if shapes is not None:
+        raw, words, useful = (int(column.sum()) for column in shapes)
+    else:
+        raw = words = useful = 0
+        for line in lines:
+            raw += len(line) + 1  # count the newline the storage stream carries
+            line_words = 0
+            for token in split_tokens(line):
+                useful += len(token)
+                line_words += max(1, math.ceil(len(token) / datapath_bytes))
+            words += max(1, line_words)  # token-less lines still emit one word
     stats = TokenizedStats(
         raw_bytes=raw,
-        lines=nlines,
+        lines=len(lines),
         token_words=words,
         useful_bytes=useful,
         datapath_bytes=datapath_bytes,
@@ -125,8 +180,6 @@ class PipelineCycleModel:
         self.params = params if params is not None else PipelineParams()
 
     def _line_token_words(self, line: bytes) -> int:
-        from repro.core.tokenizer import split_tokens
-
         w = self.params.datapath_bytes
         words = sum(max(1, math.ceil(len(t) / w)) for t in split_tokens(line))
         return max(1, words)  # token-less lines still emit one flagged word
@@ -144,6 +197,20 @@ class PipelineCycleModel:
         - each hash filter: one tokenized word per cycle over the lines of
           the tokenizer sub-group it gathers from.
         """
+        p = self.params
+        shapes = _line_shapes(lines, p.datapath_bytes)
+        if shapes is not None:
+            total_cycles, raw_total = self._reduce_groups(shapes[0], shapes[1])
+        else:
+            total_cycles, raw_total = self._walk_groups(lines)
+        if total_cycles:
+            handle("mithrilog_pipeline_cycles_total").inc(total_cycles)
+        return PipelineCycleCount(
+            cycles=total_cycles, raw_bytes=raw_total, params=p
+        )
+
+    def _walk_groups(self, lines: Sequence[bytes]) -> tuple[int, int]:
+        """``(cycles, raw bytes)``, one group and one line at a time."""
         p = self.params
         per_filter = p.tokenizers // p.hash_filters
         total_cycles = 0
@@ -163,11 +230,31 @@ class PipelineCycleModel:
                 words = sum(self._line_token_words(line) for line in assigned)
                 filter_cycles = max(filter_cycles, words)
             total_cycles += max(decomp_cycles, tok_cycles, filter_cycles)
-        if total_cycles:
-            handle("mithrilog_pipeline_cycles_total").inc(total_cycles)
-        return PipelineCycleCount(
-            cycles=total_cycles, raw_bytes=raw_total, params=p
+        return total_cycles, raw_total
+
+    def _reduce_groups(self, raw, words) -> tuple[int, int]:
+        """:meth:`_walk_groups` over per-line arrays, in integers.
+
+        The short last group is padded with zero-byte, zero-word lines,
+        which add nothing to any stage.
+        """
+        np = numpy_or_none()
+        p = self.params
+        per_filter = p.tokenizers // p.hash_filters
+        groups = -(-raw.size // p.tokenizers)
+        padded = np.zeros((2, groups * p.tokenizers), dtype=np.int64)
+        padded[:, : raw.size] = raw, words
+        raw_by_group, words_by_group = padded.reshape(2, groups, p.tokenizers)
+        decomp_cycles = -(-raw_by_group.sum(axis=1) // p.datapath_bytes)
+        tok_cycles = -(-raw_by_group.max(axis=1) // p.tokenizer_bytes_per_cycle)
+        filter_cycles = (
+            words_by_group[:, : p.hash_filters * per_filter]
+            .reshape(groups, p.hash_filters, per_filter)
+            .sum(axis=2)
+            .max(axis=1)
         )
+        cycles = np.maximum(np.maximum(decomp_cycles, tok_cycles), filter_cycles)
+        return int(cycles.sum()), int(raw.sum())
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.index.storetree import NIL, NODE_FANOUT, TreeListStore
 from repro.params import IndexParams
@@ -42,22 +42,26 @@ class HashIndexTable:
         self.params = params if params is not None else IndexParams()
         self.seed = seed
         self._rows: dict[int, RowState] = {}
-
-    def _hash(self, token: bytes, which: int) -> int:
-        digest = hashlib.blake2b(
-            token,
-            digest_size=8,
-            salt=(0x10 + which).to_bytes(8, "little"),
-            key=self.seed.to_bytes(8, "little"),
-        ).digest()
-        return int.from_bytes(digest, "little") & (self.params.hash_rows - 1)
+        # the keyed, salted hash states, set up once: hashing a token is
+        # a copy + update, bit-identical to building the state per call
+        self._hashers = tuple(
+            hashlib.blake2b(
+                digest_size=8,
+                salt=(0x10 + which).to_bytes(8, "little"),
+                key=seed.to_bytes(8, "little"),
+            )
+            for which in range(self.params.num_hash_functions)
+        )
 
     def candidate_rows(self, token: bytes) -> tuple[int, ...]:
         """The rows a token may occupy (one or two per configuration)."""
-        first = self._hash(token, 0)
-        if self.params.num_hash_functions == 1:
-            return (first,)
-        return (first, self._hash(token, 1))
+        mask = self.params.hash_rows - 1
+        rows = []
+        for hasher in self._hashers:
+            state = hasher.copy()
+            state.update(token)
+            rows.append(int.from_bytes(state.digest(), "little") & mask)
+        return tuple(rows)
 
     def row(self, row_id: int) -> RowState:
         state = self._rows.get(row_id)
@@ -75,19 +79,44 @@ class HashIndexTable:
         return min(candidates, key=lambda r: self.row(r).total_pages)
 
     def insert(self, token: bytes, page_addr: int, store: TreeListStore) -> None:
-        """Record that ``token`` occurs in data page ``page_addr``.
+        """Record that ``token`` occurs in data page ``page_addr``."""
+        self.insert_page((token,), page_addr, store)
 
+    def insert_page(
+        self, tokens: Iterable[bytes], page_addr: int, store: TreeListStore
+    ) -> None:
+        """Record that every token of ``tokens`` occurs in ``page_addr``.
+
+        Tokens go in sorted order (deterministic balancing), each to the
+        lighter of its candidate rows, ties to the first; both candidate
+        rows come into existence either way. A row takes a page once.
         Spills the 16-address buffer into a leaf node when full, and the
         16-leaf partial root into a persisted root (prepended to the
         linked list) when that fills.
         """
-        row = self.row(self.choose_insert_row(token))
-        if row.buffer and row.buffer[-1] == page_addr:
-            return  # this page is already recorded for this row
-        row.buffer.append(page_addr)
-        row.total_pages += 1
-        if len(row.buffer) == self.params.memory_buffer_addrs:
-            self._spill_buffer(row, store)
+        rows = self._rows
+        hashers = self._hashers
+        mask = self.params.hash_rows - 1
+        buffer_addrs = self.params.memory_buffer_addrs
+        from_bytes = int.from_bytes
+        for token in sorted(set(tokens)):
+            row = None
+            for hasher in hashers:  # candidate_rows, inlined: the hot loop
+                state = hasher.copy()
+                state.update(token)
+                row_id = from_bytes(state.digest(), "little") & mask
+                candidate = rows.get(row_id)
+                if candidate is None:
+                    candidate = rows[row_id] = RowState()
+                if row is None or candidate.total_pages < row.total_pages:
+                    row = candidate
+            buffer = row.buffer
+            if buffer and buffer[-1] == page_addr:
+                continue  # this page is already recorded for this row
+            buffer.append(page_addr)
+            row.total_pages += 1
+            if len(buffer) == buffer_addrs:
+                self._spill_buffer(row, store)
 
     def _spill_buffer(self, row: RowState, store: TreeListStore) -> None:
         # buffers larger than a leaf (naive-list ablation configs) chunk

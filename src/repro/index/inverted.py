@@ -104,8 +104,7 @@ class InvertedIndex:
             )
         self._data_pages.append(page_addr)
         self._m_pages_indexed.inc()
-        for token in sorted(set(tokens)):  # sorted: deterministic balancing
-            self.table.insert(token, page_addr, self.store)
+        self.table.insert_page(tokens, page_addr, self.store)
         if timestamp is not None and self.snapshots.should_flush(
             self.store.leaves.pages_spilled
         ):

@@ -23,6 +23,7 @@ from repro.compression.lzah import LZAHCompressor
 from repro.core.backend import resolve_kernel
 from repro.core.engine import TokenFilterEngine
 from repro.core.query import Query
+from repro.core.tokenizer import page_token_set
 from repro.errors import IngestError, QueryError
 from repro.exec.cache import DEFAULT_CACHE_PAGES, PageCache
 from repro.exec.executor import ScanExecutor, ScanProgramSpec
@@ -43,7 +44,6 @@ from repro.sim.clock import SimClock
 from repro.storage.device import DeviceReadResult, MithriLogDevice, ReadMode
 from repro.storage.page import Page
 from repro.stream.sampling import SampleEstimate, estimate_matches, sample_pages
-from repro.core.tokenizer import split_tokens
 
 #: Lines sampled for the ingest-time pipeline capability measurement.
 _PERF_SAMPLE_LINES = 2000
@@ -324,19 +324,22 @@ class MithriLogSystem:
         if timestamps is not None and len(timestamps) != len(lines):
             raise IngestError("timestamps must align one-to-one with lines")
         compressed_total = 0
+        original = 0
         pages = 0
         pos = 0
         postings = 0
-        for payload, chunk in self._pack_pages(lines):
+        for payload, text, count in self._pack_pages(lines):
             addr = self.device.append_pages([Page(payload)])[0]
-            tokens = {t for line in chunk for t in split_tokens(line)}
-            stamp = timestamps[pos + len(chunk) - 1] if timestamps else None
+            # the tokens of the text the page stores, so the index and
+            # the scan paths (which split that text) cannot disagree
+            tokens = page_token_set(text)
+            pos += count
+            stamp = timestamps[pos - 1] if timestamps is not None else None
             self.index.index_page(addr, tokens, timestamp=stamp)
             postings += len(tokens)
             compressed_total += len(payload)
+            original += len(text)
             pages += 1
-            pos += len(chunk)
-        original = sum(len(ln) + 1 for ln in lines)
         self.original_bytes += original
         self.total_lines += len(lines)
         self._measure_accelerator_rate(lines)
@@ -381,12 +384,14 @@ class MithriLogSystem:
 
     def _pack_pages(
         self, lines: Sequence[bytes]
-    ) -> Iterable[tuple[bytes, list[bytes]]]:
+    ) -> Iterable[tuple[bytes, bytes, int]]:
         """Pack lines so each chunk's *compressed* form fills one page.
 
         Greedy with feedback: aim for ``page_bytes x current-ratio`` of
         uncompressed text, compress, and split the chunk when it misses
-        high. Every yielded payload fits one flash page.
+        high. Yields ``(payload, text, line count)`` per page: ``text``
+        is the newline-terminated chunk, ``payload`` its compressed form,
+        and every payload fits one flash page.
         """
         page_bytes = self.params.storage.page_bytes
         ratio_estimate = 2.0
@@ -401,9 +406,8 @@ class MithriLogSystem:
                 chunk.append(lines[j])
                 used += len(lines[j]) + 1
                 j += 1
-            payload = self.codec.compress(
-                b"".join(ln + b"\n" for ln in chunk)
-            )
+            text = b"\n".join(chunk) + b"\n"
+            payload = self.codec.compress(text)
             while len(payload) > page_bytes:
                 if len(chunk) == 1:
                     raise IngestError(
@@ -411,10 +415,10 @@ class MithriLogSystem:
                         f"{page_bytes}-byte page even compressed"
                     )
                 chunk = chunk[: len(chunk) // 2]
-                payload = self.codec.compress(b"".join(ln + b"\n" for ln in chunk))
-            used = sum(len(ln) + 1 for ln in chunk)
-            ratio_estimate = 0.5 * ratio_estimate + 0.5 * (used / len(payload))
-            yield payload, chunk
+                text = b"\n".join(chunk) + b"\n"
+                payload = self.codec.compress(text)
+            ratio_estimate = 0.5 * ratio_estimate + 0.5 * (len(text) / len(payload))
+            yield payload, text, len(chunk)
             i += len(chunk)
 
     def _measure_accelerator_rate(self, lines: Sequence[bytes]) -> None:

@@ -58,6 +58,39 @@ class TestIngest:
         # four pipelines: between 1 and 12.8 GB/s of text consumption
         assert 1e9 < system.accelerator_rate <= 12.8e9
 
+    def test_numpy_timestamps_accepted(self):
+        np = pytest.importorskip("numpy")
+        report = MithriLogSystem().ingest([b"a", b"b"], timestamps=np.array([1.0, 2.0]))
+        assert report.lines == 2
+
+
+class TestLineTerminatorsInsideLines:
+    """A line carrying ``\\n`` or ``\\r`` is stored as the lines every scan
+    path splits it into, so that is what the index must know it by."""
+
+    @pytest.mark.parametrize(
+        "odd", [b"foo\nbar baz", b"foo\rbar baz", b"foo\r\nbar baz", b"bar baz\n"]
+    )
+    def test_every_route_agrees_with_the_oracle(self, odd):
+        lines = [b"alpha beta", odd]
+        stored = (b"\n".join(lines) + b"\n").splitlines()
+        bar, foo = parse_query("bar"), parse_query("foo")
+        expected = grep_lines(bar, stored)
+        assert expected == [b"bar baz"]
+        system = MithriLogSystem()
+        system.ingest(lines)
+        assert system.query(bar).matched_lines == expected
+        assert system.query(bar, use_index=False).matched_lines == expected
+        assert system.query(bar, limit=10).matched_lines == expected
+        assert (
+            system.query(bar, limit=10, newest_first=True).matched_lines == expected
+        )
+        batched = system.query(bar, foo)
+        assert batched.per_query_counts == [1, len(grep_lines(foo, stored))]
+        assert batched.per_query_counts == (
+            system.query(bar, foo, use_index=False).per_query_counts
+        )
+
 
 class TestQueryCorrectness:
     def test_indexed_query_matches_oracle(self, system, corpus):

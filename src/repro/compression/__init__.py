@@ -14,7 +14,6 @@ and :mod:`repro.compression.decoder_model`, the cycle model of the
 hardware decoder in Figure 10.
 """
 
-from repro.compression.arena import DecodeArena
 from repro.compression.base import Compressor, compression_ratio
 from repro.compression.gziplike import GzipCompressor
 from repro.compression.lz4like import LZ4LikeCompressor
@@ -24,7 +23,6 @@ from repro.compression.snappylike import SnappyLikeCompressor
 
 __all__ = [
     "Compressor",
-    "DecodeArena",
     "GzipCompressor",
     "LZ4LikeCompressor",
     "LZAHCompressor",

@@ -242,23 +242,20 @@ class LZAHCompressor(Compressor):
             )
         return decoded
 
-    def decompress_into(self, data: bytes, arena) -> memoryview:
-        """Decode one stream into a :class:`DecodeArena` view (bulk path).
+    def decompress_into(self, data: bytes) -> bytes:
+        """Decode one stream on the bulk (numpy) path.
 
         :meth:`_bulk_decode` rebuilds the page with array operations and
         returns it only after verifying its length and CRC; anything it
         cannot vouch for (truncated, out-of-range or corrupt stream, no
         numpy) goes to :meth:`decompress`, so output and every
         :class:`repro.errors.CompressedFormatError` case and message are
-        the per-word decoder's. The returned view is valid only until
-        the arena's next ``request``.
+        the per-word decoder's.
         """
         decoded = self._bulk_decode(data)
         if decoded is None:
-            decoded = self.decompress(data)
-        out = arena.request(len(decoded))
-        out[:] = decoded
-        return out
+            return self.decompress(data)
+        return decoded.tobytes()
 
     def _bulk_decode(self, data: bytes):
         """The decoded page as a ``uint8`` array, or ``None`` to defer.

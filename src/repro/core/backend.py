@@ -4,7 +4,7 @@ Each scan stage has exactly two implementations:
 
 - ``vectorized`` — the numpy kernel: bulk LZAH decode, boolean-mask
   tokenization and the fact-matrix filter over ``np.frombuffer`` views
-  of the decompressed arena (no per-token objects, ever),
+  of the decompressed page (no per-token objects, ever),
 - ``reference`` — the pure-Python per-line kernel, which doubles as the
   oracle the differential suite compares the numpy kernel against and
   as the only kernel on hosts without numpy.

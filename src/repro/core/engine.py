@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.hashfilter import CompiledQuery, compile_queries
+from repro.core.hashfilter import CompiledQuery, compiled_program
 from repro.core.pipeline import FilterPipeline
 from repro.core.query import Query
 from repro.core.tokenizer import split_tokens
@@ -88,8 +88,8 @@ class TokenFilterEngine:
             raise QueryError("compile needs at least one query")
         self._queries = tuple(queries)
         try:
-            self._program = compile_queries(
-                self._queries, params=self.cuckoo_params, seed=self.seed
+            self._program = compiled_program(
+                self._queries, self.cuckoo_params, self.seed
             )
         except (PlacementError, CapacityError):
             if not self.allow_software_fallback:

@@ -23,7 +23,7 @@ from repro.core.cuckoo import CuckooHashTable
 from repro.core.factmatrix import FactProgram
 from repro.core.query import Query
 from repro.core.tokenizer import TokenWord, reassemble_tokens
-from repro.errors import CapacityError
+from repro.errors import CapacityError, PlacementError
 from repro.params import CuckooParams
 
 #: Sentinel distinguishing "not yet cached" from a cached table miss
@@ -168,6 +168,66 @@ def compile_queries(
         iset_to_query=tuple(iset_to_query),
         num_queries=len(queries),
     )
+
+
+#: Entries a per-process memo may hold; the oldest is evicted. A compiled
+#: program carries a cuckoo table plus two token caches, and the service
+#: mints a new query tuple for every distinct pass, so an unbounded memo
+#: grows for as long as the process lives.
+MEMO_ENTRIES = 128
+
+#: Compiled programs by ``(queries, params, seed)``; successes only.
+_PROGRAM_MEMO: dict = {}
+
+
+def memoized(memo: dict, key, build):
+    """``memo[key]``, built on a miss; holds at most :data:`MEMO_ENTRIES`."""
+    value = memo.get(key)
+    if value is None:
+        value = build()
+        if len(memo) >= MEMO_ENTRIES:
+            del memo[next(iter(memo))]  # dicts iterate oldest-first
+        memo[key] = value
+    return value
+
+
+def compiled_program(
+    queries: Sequence[Query],
+    params: Optional[CuckooParams] = None,
+    seed: int = 0,
+) -> CompiledQuery:
+    """:func:`compile_queries`, once per process and key.
+
+    Query traffic is a few templates repeated, and one pass asks for its
+    program several times (the scheduler's probe, the engine, the scan
+    kernel): they all get the same :class:`CompiledQuery`, whose token
+    caches are pure memos of an immutable table. A program that does not
+    place is not remembered; it raises again on the next call.
+    """
+    params = params if params is not None else CuckooParams()
+    queries = tuple(queries)
+    return memoized(
+        _PROGRAM_MEMO,
+        (queries, params, seed),
+        lambda: compile_queries(queries, params=params, seed=seed),
+    )
+
+
+def fits(
+    queries: Sequence[Query],
+    params: Optional[CuckooParams] = None,
+    seed: int = 0,
+) -> bool:
+    """The compile probe: does the combined program still place?
+
+    Covers both the flag-pair budget and cuckoo placement limits; a
+    program that fits is the one the pass will run.
+    """
+    try:
+        compiled_program(queries, params, seed)
+    except (CapacityError, PlacementError):
+        return False
+    return True
 
 
 class LineEvaluator:

@@ -9,9 +9,9 @@ out of the buffer until a token is actually needed as ``bytes`` (a hash
 -filter candidate) or a line is actually kept.
 
 The arrays come from numpy: boolean delimiter masks over an
-``np.frombuffer`` view of the page (zero-copy even from a decode-arena
-``memoryview``), token boundaries from mask edges, line membership from
-a ``searchsorted`` against newline positions.
+``np.frombuffer`` view of the page (zero-copy), token boundaries from
+mask edges, line membership from a ``searchsorted`` against newline
+positions.
 
 Line semantics follow ``bytes.splitlines`` on ``\\n``-terminated text
 (what the ingest path stores). A page containing ``\\r`` needs the full
@@ -104,9 +104,8 @@ def tokenize_page_offsets(
 ) -> PageTokens:
     """Tokenize one decompressed page into offset arrays.
 
-    ``payload`` may be a ``memoryview`` into a reusable decode arena,
-    read zero-copy; the result must be fully consumed before the arena
-    is reused for the next page. Raises :class:`CarriageReturnPage` (a
+    ``payload`` is read zero-copy and the result holds a reference to
+    it, not a copy. Raises :class:`CarriageReturnPage` (a
     ``ValueError``) for a page containing ``\\r``.
     """
     np = numpy_or_none()

@@ -136,10 +136,9 @@ class PageCache:
         if self.max_pages <= 0:
             return
         if not isinstance(decoded, bytes):
-            # the zero-copy scan path decodes into a recycled arena; a
-            # memoryview/bytearray stored here would be silently rewritten
-            # by the *next* page's decode and serve stale bytes forever
-            # after — snapshot to immutable bytes at the cache boundary
+            # a memoryview/bytearray stored here could be rewritten by
+            # its owner and serve stale bytes forever after — snapshot to
+            # immutable bytes at the cache boundary
             decoded = bytes(decoded)
         entries = self._entries
         entries[(device_key, address)] = (

@@ -14,10 +14,10 @@ The partition kernel is one loop over per-page *stage callables*
 (decode, tokenize, evaluate, tally, line bytes), with two equivalence
 -tested stage sets, selected by :class:`ScanProgramSpec.kernel`:
 
-- ``vectorized`` — the numpy hot path: pages bulk-decode into a reusable
-  :class:`~repro.compression.arena.DecodeArena`, tokenization emits
-  offset arrays (``repro.core.vectokenizer``), and the filter is the
-  exact fact-matrix evaluator (``repro.core.factmatrix``), reached
+- ``vectorized`` — the numpy hot path: pages bulk-decode
+  (:meth:`~repro.compression.lzah.LZAHCompressor.decompress_into`),
+  tokenization emits offset arrays (``repro.core.vectokenizer``), and
+  the filter is the exact fact-matrix evaluator (``repro.core.factmatrix``), reached
   through :meth:`~repro.core.hashfilter.HashFilter
   .evaluate_token_arrays` for offloaded programs and
   :class:`~repro.core.softmatch.SoftwareBatchMatcher` for programs that
@@ -46,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.hashfilter import HashFilter, compile_queries
+from repro.core.hashfilter import HashFilter, compiled_program, memoized
 from repro.core.query import Query
 from repro.core.softmatch import SoftwareBatchMatcher
 from repro.core.tokenizer import tokenize_page
@@ -67,8 +67,8 @@ from repro.params import CuckooParams, LZAHParams
 class ScanProgramSpec:
     """Everything a worker needs to rebuild the scan program.
 
-    Workers recompile the query program from first principles
-    (:func:`repro.core.hashfilter.compile_queries` is deterministic in
+    Workers rebuild the query program from first principles
+    (:func:`repro.core.hashfilter.compiled_program` is deterministic in
     ``(queries, params, seed)``), so nothing stateful crosses the process
     boundary — only frozen parameter dataclasses, query algebra, and the
     resolved kernel name. The parent resolves ``kernel`` (environment,
@@ -127,52 +127,30 @@ class KernelResult:
     decoded: tuple = ()
 
 
-#: Entries each per-process memo below may hold; the oldest is evicted.
-#: A compiled program carries a cuckoo table plus two token caches, and
-#: the service mints a new query tuple for every distinct pass, so an
-#: unbounded memo grows for as long as the process lives.
-_MEMO_ENTRIES = 128
-
-#: Per-process memo of built filter programs by ``(queries,
-#: cuckoo_params, seed, offloaded)``: a ``CompiledQuery`` when offloaded
-#: (both kernels filter through it), else the numpy kernel's
-#: ``SoftwareBatchMatcher``. Each is built once per key.
-_PROGRAM_MEMO: dict = {}
+#: Per-process memo of the numpy kernel's ``SoftwareBatchMatcher``s by
+#: query tuple, for programs that exceeded hardware provisioning
+#: (offloaded programs come from ``hashfilter.compiled_program``).
+_MATCHER_MEMO: dict = {}
 
 #: Per-process memo of LZAH codecs by parameter bundle.
 _CODEC_MEMO: dict = {}
-
-#: Per-process decode arena, grown to the largest page seen and recycled
-#: across partitions and scans (the zero-copy path's whole point).
-_ARENA = None
-
-
-def _memoized(memo: dict, key, build):
-    value = memo.get(key)
-    if value is None:
-        value = build()
-        if len(memo) >= _MEMO_ENTRIES:
-            del memo[next(iter(memo))]  # dicts iterate oldest-first
-        memo[key] = value
-    return value
 
 
 def _codec(spec: ScanProgramSpec):
     from repro.compression.lzah import LZAHCompressor
 
-    return _memoized(
+    return memoized(
         _CODEC_MEMO, spec.lzah_params, lambda: LZAHCompressor(spec.lzah_params)
     )
 
 
 def _filter_program(spec: ScanProgramSpec):
-    def build():
-        if spec.offloaded:
-            return compile_queries(spec.queries, params=spec.cuckoo_params, seed=spec.seed)
-        return SoftwareBatchMatcher(spec.queries)
-
-    key = (spec.queries, spec.cuckoo_params, spec.seed, spec.offloaded)
-    return _memoized(_PROGRAM_MEMO, key, build)
+    """The pass's ``CompiledQuery`` (the engine's own), else its matcher."""
+    if spec.offloaded:
+        return compiled_program(spec.queries, spec.cuckoo_params, spec.seed)
+    return memoized(
+        _MATCHER_MEMO, spec.queries, lambda: SoftwareBatchMatcher(spec.queries)
+    )
 
 
 def _tally_tuples(verdicts, counts: list[int]) -> list[int]:
@@ -226,20 +204,13 @@ def _vectorized_stages(spec: ScanProgramSpec) -> tuple:
     """``(decode, tokenize, evaluate, tally, line_bytes)``, numpy kernel.
 
     A page is a :class:`~repro.core.vectokenizer.PageTokens` over the
-    decode arena: kept lines are copied out as immutable ``bytes``, so
-    recycling the arena for the next page cannot corrupt them.
+    decoded page's immutable ``bytes``.
     """
-    from repro.compression.arena import DecodeArena
     from repro.core.vectokenizer import PageTokens, tokenize_page_offsets
 
-    global _ARENA
-    if _ARENA is None:
-        _ARENA = DecodeArena()
-    arena = _ARENA
-    decompress_into = _codec(spec).decompress_into
     program = _filter_program(spec)
     return (
-        lambda payload: decompress_into(payload, arena),
+        _codec(spec).decompress_into,
         tokenize_page_offsets,
         HashFilter(program).evaluate_token_arrays
         if spec.offloaded
@@ -293,7 +264,7 @@ def _partition_kernel(
             text = decode(payload)
             profile.add("decompress", units=len(text), wall_s=clock() - t0)
             if want_decoded:
-                decoded_pages.append(bytes(text))
+                decoded_pages.append(text)
         bytes_decompressed += len(text)
         t0 = clock()
         tokenize, evaluate, tally, line_bytes = page_stages
@@ -303,7 +274,7 @@ def _partition_kernel(
             # the offset-array tokenizer splits on \n only; this page needs
             # the reference tokenizer's full \r/\n/\r\n terminator set
             tokenize, evaluate, tally, line_bytes = reference[1:]
-            page = tokenize(bytes(text))  # an arena view has no splitlines
+            page = tokenize(text)
         t1 = clock()
         verdicts = evaluate(page)
         kept = [line_bytes(page, i) for i in tally(verdicts, counts)]

@@ -23,11 +23,11 @@ routinely carries queries from several tenants at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.hashfilter import compile_queries
+from repro.core.hashfilter import fits
 from repro.core.query import Query
-from repro.errors import CapacityError, PlacementError, QueryError
+from repro.errors import QueryError
 from repro.service.admission import AdmissionController, QueuedRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,14 +86,6 @@ class QoSScheduler:
         #: virtual work per tenant; min-heap semantics via explicit argmin
         self.virtual_work: dict[str, float] = {}
 
-    def fits(self, queries: Sequence[Query]) -> bool:
-        """The compile probe: does the combined program still place?"""
-        try:
-            compile_queries(queries, params=self.cuckoo_params, seed=self.seed)
-        except (CapacityError, PlacementError):
-            return False
-        return True
-
     def _next_tenant(
         self, admission: AdmissionController, skip: set
     ) -> str | None:
@@ -143,7 +135,9 @@ class QoSScheduler:
                 skip.add(tenant)
                 continue
             candidate = batch.queries + [head.request.query]
-            if len(batch) > 0 and not self.fits(candidate):
+            if len(batch) > 0 and not fits(
+                candidate, self.cuckoo_params, self.seed
+            ):
                 skip.add(tenant)
                 continue
             admission.take(tenant)

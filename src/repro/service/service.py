@@ -344,8 +344,9 @@ class QueryService:
                     )
                     bottleneck = slowest.stats.bottleneck
                 self.clock.advance(elapsed)
-            elif batch.approx:
-                # a degraded batch: one sampled pass over a seeded
+            else:
+                # ``sample_fraction`` is None for an exact batch; a
+                # degraded batch is one sampled pass over a seeded
                 # fraction of the candidate pages, answers as estimates
                 result = self.backend.query(
                     *queries, use_index=self.use_index, workers=workers,
@@ -356,13 +357,6 @@ class QueryService:
                 elapsed = result.stats.elapsed_s  # clock already advanced
                 bottleneck = result.stats.bottleneck
                 estimates = result.estimates
-            else:
-                result = self.backend.query(
-                    *queries, use_index=self.use_index, workers=workers
-                )
-                counts = result.per_query_counts
-                elapsed = result.stats.elapsed_s  # clock already advanced
-                bottleneck = result.stats.bottleneck
         except StorageError as exc:
             # a single system has no healthy-shard fallback: the pass
             # failed outright — its riders are shed with the cause, the

@@ -217,6 +217,56 @@ class QueryOutcome:
         return original_bytes / self.stats.elapsed_s
 
 
+def _union(queries: Sequence[Query]) -> Query:
+    """The queries joined by union: what the index and the planner see."""
+    union = queries[0]
+    for extra in queries[1:]:
+        union = union | extra
+    return union
+
+
+@dataclass
+class _Pass:
+    """One query pass: what was asked, then what each stage decided.
+
+    ``query()`` builds one and hands it through begin → select pages →
+    scan → account → observe; each stage reads what the earlier ones
+    wrote and fills in its own fields.
+    """
+
+    queries: tuple[Query, ...]
+    use_index: bool = True
+    time_range: Optional[tuple[Optional[float], Optional[float]]] = None
+    limit: Optional[int] = None
+    newest_first: bool = False
+    workers: int = 1
+    analyze: bool = False
+    context: Optional[TraceContext] = None
+    within_pages: Optional[Sequence[int]] = None
+    sample_fraction: Optional[float] = None
+    sample_seed: int = 0
+    # begin
+    union: Optional[Query] = None
+    estimate: Optional[object] = None  #: the planner's QueryPlan (``analyze``)
+    stats: Optional[QueryStats] = None
+    # select pages
+    candidates: list[int] = field(default_factory=list)
+    sample_pool: int = 0  #: candidate pages before sampling
+    # scan
+    partitions: Sequence = ()  #: executor partition records (``workers > 1``)
+    matched: Optional[list[bytes]] = None
+    per_query: Optional[list[int]] = None
+
+    @property
+    def mode(self) -> str:
+        """How the journal files this pass."""
+        if self.sample_fraction is not None:
+            return "sampled"
+        if self.within_pages is not None:
+            return "standing"
+        return "exact"
+
+
 class MithriLogSystem:
     """Host software + near-storage accelerated device, end to end."""
 
@@ -506,77 +556,111 @@ class MithriLogSystem:
         query scaling the sampled count back to the full candidate set
         with a confidence interval.
         """
-        if not queries:
-            raise QueryError("query() needs at least one query")
-        if workers < 1:
-            raise QueryError("workers must be at least 1")
-        self._query_seq += 1
-        context = (
-            trace_context
-            if trace_context is not None
-            else TraceContext(trace_id=f"q{self._query_seq}")
+        run = _Pass(
+            queries, use_index=use_index, time_range=time_range, limit=limit,
+            newest_first=newest_first, workers=workers, analyze=analyze,
+            context=trace_context, within_pages=within_pages,
+            sample_fraction=sample_fraction, sample_seed=sample_seed,
         )
-        plan = None
-        if analyze:
-            plan = self._plan_for(queries)
-        offloaded = self.engine.compile(*queries)
-        stats = QueryStats(offloaded=offloaded, total_pages=self.index.total_data_pages)
+        self._begin(run)
+        self._select_pages(run)
+        self._scan(run)
+        self._account(run)
+        return self._observe(run)
 
-        if use_index:
-            lookup = self.index.candidate_pages(
-                self._union(queries), time_range=time_range
-            )
-            candidates = list(lookup.pages)
+    def _begin(self, run: _Pass) -> None:
+        """Stage 1: validate the options, mint the id, estimate, compile.
+
+        Option errors are :class:`QueryError`s raised here, before
+        anything is compiled or read. Writes ``union``, ``context``,
+        ``estimate`` (when ``analyze``) and ``stats``.
+        """
+        if not run.queries:
+            raise QueryError("a pass needs at least one query")
+        if run.workers < 1:
+            raise QueryError("workers must be at least 1")
+        if run.limit is not None and run.limit < 1:
+            raise QueryError("limit must be positive")
+        if run.limit is not None and run.sample_fraction is not None:
+            # an estimate scaled up from a count capped at the limit
+            # would carry a confidence interval that means nothing
+            raise QueryError("limit cannot be combined with sample_fraction")
+        self._query_seq += 1
+        if run.context is None:
+            run.context = TraceContext(trace_id=f"q{self._query_seq}")
+        run.union = _union(run.queries)
+        if run.analyze:
+            # imported lazily: the planner module imports this one
+            from repro.system.planner import QueryPlanner
+
+            run.estimate = QueryPlanner(self).plan(run.union)
+        offloaded = self.engine.compile(*run.queries)
+        run.stats = QueryStats(
+            offloaded=offloaded, total_pages=self.index.total_data_pages
+        )
+
+    def _select_pages(self, run: _Pass) -> None:
+        """Stage 2: the pages to read, in read order.
+
+        Index candidates (or every data page), then the time bound,
+        ``within_pages``, the sample draw and the direction — each applied
+        to whichever page list came first, so every route agrees. Writes
+        ``candidates``, ``sample_pool`` and the index fields of ``stats``.
+        """
+        stats = run.stats
+        if run.use_index:
+            lookup = self.index.candidate_pages(run.union)
+            pages = lookup.pages
             stats.index_root_visits = lookup.stats.root_visits
             stats.index_tokens_looked_up = lookup.stats.tokens_looked_up
             stats.index_full_scan = lookup.stats.full_scan
-            stats.index_time_s = self._index_time(lookup.stats)
+            # traversal cost is the index strategy's: storage hops for the
+            # in-storage inverted index, host bit-tests for blooms
+            stats.index_time_s = self.index.lookup_seconds(
+                lookup.stats, self.params.storage.latency_s
+            )
         else:
-            candidates = list(self.index.data_pages)
+            pages = self.index.data_pages
             stats.index_full_scan = True
-        if within_pages is not None:
-            wanted = set(within_pages)
-            candidates = [page for page in candidates if page in wanted]
+        if run.time_range is not None:
+            low, high = self.index.snapshots.page_range_for_time(*run.time_range)
+            pages = [p for p in pages if p >= low and (high is None or p < high)]
+        if run.within_pages is not None:
+            wanted = set(run.within_pages)
+            pages = [page for page in pages if page in wanted]
+        candidates = list(pages)
         stats.candidate_pages = len(candidates)
-        sample_pool = 0
-        if sample_fraction is not None:
+        if run.sample_fraction is not None:
             # deterministic subset, chosen in the parent before any
             # executor fan-out — see repro.stream.sampling
-            fingerprint = template_fingerprint(str(self._union(queries)))
-            sample_pool = len(candidates)
+            run.sample_pool = len(candidates)
             candidates = sample_pages(
-                candidates, sample_seed, fingerprint, sample_fraction
+                candidates, run.sample_seed,
+                template_fingerprint(str(run.union)), run.sample_fraction,
             )
-            stats.sample_fraction = sample_fraction
+            stats.sample_fraction = run.sample_fraction
             stats.pages_sampled = len(candidates)
             self._m_sampled_scans.inc()
-            self._m_sampled_pages_skipped.inc(
-                sample_pool - len(candidates)
-            )
-        if newest_first:
-            candidates = list(reversed(candidates))
+            self._m_sampled_pages_skipped.inc(run.sample_pool - len(candidates))
+        if run.newest_first:
+            candidates.reverse()
+        run.candidates = candidates
 
-        self._m_scan_workers.set(workers)
-        self._m_batch_queries.set(len(queries))
+    def _scan(self, run: _Pass) -> None:
+        """Stage 3: read and filter the selected pages.
 
+        All full scans — any worker count — run the partition kernel
+        through the executor; ``limit=`` is the cancellable device read.
+        Both leave the same seven counters on ``stats``. Writes
+        ``matched``, ``per_query``, ``partitions`` and the scan counters.
+        """
+        stats = run.stats
+        self._m_scan_workers.set(run.workers)
+        self._m_batch_queries.set(len(run.queries))
         hits_before = self.page_cache.hits
         misses_before = self.page_cache.misses
-        partitions = ()
-        per_query: Optional[list[int]] = None
-        if limit is None:
-            # all full scans — any worker count — run the partition
-            # kernel (vectorized by default when offloaded); workers=1
-            # executes it inline with no pool
-            read, aggregate = self._scan_with_executor(
-                candidates, queries, workers
-            )
-            if workers > 1:
-                # partition spans only describe actual fan-out; the
-                # inline path keeps the serial trace shape
-                partitions = aggregate.partitions
-            stats.partitions = max(1, len(aggregate.partitions))
-            stats.host_profile = profile_to_dict(aggregate.profile_dict())
-            per_query = list(aggregate.per_query_counts)
+        if run.limit is None:
+            read = self._scan_with_executor(run)
         else:
             host = ProfileBuilder()
             self.device.configure(
@@ -587,7 +671,7 @@ class MithriLogSystem:
                 line_filter=host.wrap("filter", self.engine.keep_line),
             )
             read = self.device.read(
-                candidates, mode=ReadMode.FILTER, stop_after_matches=limit
+                run.candidates, mode=ReadMode.FILTER, stop_after_matches=run.limit
             )
             serial_profile = host.build()
             merge_into_registry(serial_profile)
@@ -601,96 +685,91 @@ class MithriLogSystem:
         stats.lines_seen = read.lines_seen
         stats.lines_kept = read.lines_kept
         stats.read_retries = read.read_retries
-        self._fill_scan_times(stats, read)
-        self._fill_profile(stats)
-        self._publish_utilization(stats)
-
-        matched = read.data.splitlines()
-        if per_query is None:
-            per_query = self._per_query_counts(matched, len(queries))
-        elif matched:
+        run.matched = read.data.splitlines()
+        if run.per_query is None:
+            run.per_query = self._per_query_counts(run.matched, len(run.queries))
+        elif run.matched:
             # the kernel already produced per-query verdicts; account the
             # filter-engine metrics the recount used to bump
-            self.engine.account_filtered(len(matched))
+            self.engine.account_filtered(len(run.matched))
+
+    def _account(self, run: _Pass) -> None:
+        """Stage 4: simulated stage times, the deterministic profile and
+        the utilization gauges — all derived from ``stats``' counters."""
+        self._fill_scan_times(run.stats)
+        self._fill_profile(run.stats)
+        self._publish_utilization(run.stats)
+
+    def _observe(self, run: _Pass) -> QueryOutcome:
+        """Stage 5: tell everyone who listens, then build the outcome.
+
+        Metrics, spans, the simulated clock, sampled estimates, journal,
+        SLO monitor, EXPLAIN ANALYZE — none of them changes the answer.
+        """
+        stats = run.stats
         self._m_queries.inc(path="scan" if stats.index_full_scan else "index")
         self._m_query_seconds.observe(stats.elapsed_s)
         if self.tracer is not None:
-            self._trace_query(
-                stats, len(matched), per_query, context=context,
-                partitions=partitions,
-            )
+            self._trace_query(run)
         self.clock.advance(stats.elapsed_s)
-        if sample_fraction is not None:
-            mode = "sampled"
-        elif within_pages is not None:
-            mode = "standing"
-        else:
-            mode = "exact"
         estimates = None
-        if sample_fraction is not None:
+        if run.sample_fraction is not None:
             estimates = [
                 estimate_matches(
-                    per_query[i],
+                    count,
                     pages_scanned=stats.pages_sampled,
-                    pages_total=sample_pool,
-                    fraction=sample_fraction,
+                    pages_total=run.sample_pool,
+                    fraction=run.sample_fraction,
                 )
-                for i in range(len(queries))
+                for count in run.per_query
             ]
         if self.journal is not None:
-            for i, query_obj in enumerate(queries):
+            for query_obj, count in zip(run.queries, run.per_query):
                 self.journal.observe_direct(
                     str(query_obj),
                     latency_s=stats.elapsed_s,
-                    matches=per_query[i],
+                    matches=count,
                     stage=stats.bottleneck,
                     completed_at_s=self.clock.now,
-                    batch_size=len(queries),
-                    mode=mode,
-                    sample_fraction=sample_fraction,
+                    batch_size=len(run.queries),
+                    mode=run.mode,
+                    sample_fraction=run.sample_fraction,
                 )
         if self.monitor is not None:
-            for _ in queries:
+            for _ in run.queries:
                 self.monitor.observe(
                     tenant="_direct",
                     outcome="ok",
                     latency_s=stats.elapsed_s,
                     now_s=self.clock.now,
                 )
-        report = None
-        if analyze:
-            report = build_explain(
-                " OR ".join(str(q) for q in queries),
-                plan,
-                stats=stats,
-                matches=len(matched),
-                program=self.engine.program_summary(),
-                cache={
-                    "hits": stats.cache_hits, "misses": stats.cache_misses
-                },
-                host_profile=stats.host_profile,
-            )
-            self._m_explain.inc(mode="analyze")
         return QueryOutcome(
-            matched_lines=matched, per_query_counts=per_query, stats=stats,
-            explain=report, estimates=estimates,
+            matched_lines=run.matched,
+            per_query_counts=run.per_query,
+            stats=stats,
+            explain=self._explain_report(run) if run.analyze else None,
+            estimates=estimates,
         )
 
-    @staticmethod
-    def _union(queries: Sequence[Query]) -> Query:
-        union = queries[0]
-        for extra in queries[1:]:
-            union = union | extra
-        return union
-
-    def _plan_for(self, queries: Sequence[Query]):
-        """The cost-based plan over the union of a query batch.
-
-        Imported lazily: the planner module imports this one.
-        """
-        from repro.system.planner import QueryPlanner
-
-        return QueryPlanner(self).plan(self._union(queries))
+    def _explain_report(self, run: _Pass) -> ExplainReport:
+        """The one report builder: estimates always, actuals when the
+        pass was executed (``matched`` is set by the scan stage)."""
+        actuals = {}
+        if run.matched is not None:
+            stats = run.stats
+            actuals = {
+                "stats": stats,
+                "matches": len(run.matched),
+                "cache": {"hits": stats.cache_hits, "misses": stats.cache_misses},
+                "host_profile": stats.host_profile,
+            }
+        self._m_explain.inc(mode="analyze" if actuals else "estimate")
+        return build_explain(
+            " OR ".join(str(q) for q in run.queries),
+            run.estimate,
+            program=self.engine.program_summary(),
+            **actuals,
+        )
 
     def explain(
         self,
@@ -723,17 +802,9 @@ class MithriLogSystem:
                 workers=workers,
                 analyze=True,
             ).explain
-        if not queries:
-            raise QueryError("explain() needs at least one query")
-        plan = self._plan_for(queries)
-        self.engine.compile(*queries)
-        report = build_explain(
-            " OR ".join(str(q) for q in queries),
-            plan,
-            program=self.engine.program_summary(),
-        )
-        self._m_explain.inc(mode="estimate")
-        return report
+        run = _Pass(queries, analyze=True)
+        self._begin(run)
+        return self._explain_report(run)
 
     def _cached_decompress(self, address: int, payload: bytes) -> bytes:
         """Address-aware decompressor serving from the page cache."""
@@ -752,9 +823,7 @@ class MithriLogSystem:
             self._scan_executors[workers] = executor
         return executor
 
-    def _scan_with_executor(
-        self, candidates: list[int], queries: tuple[Query, ...], workers: int
-    ):
+    def _scan_with_executor(self, run: _Pass) -> DeviceReadResult:
         """The parallel scan: device-fetched pages, fanned-out filtering.
 
         Flash access (and with it fault injection, retries and read
@@ -763,11 +832,12 @@ class MithriLogSystem:
         cache skip the decode even in workers; the rest are decoded in
         the pool. The returned result carries the exact byte counts the
         serial path would, so :meth:`_fill_scan_times` produces the same
-        simulated stats at any worker count. Returns ``(read, aggregate)``
-        — the aggregate's per-partition profiles are the subprocess work
-        made visible to the parent (registry merge happens in the
-        executor; spans and ``host_profile`` happen here).
+        simulated stats at any worker count. The aggregate's per-partition
+        profiles are the subprocess work made visible to the parent
+        (registry merge happens in the executor; ``partitions``,
+        ``per_query`` and ``host_profile`` are written on the pass here).
         """
+        candidates, workers = run.candidates, run.workers
         pages, retries = self.device.fetch_pages(
             candidates, count_mode=ReadMode.FILTER
         )
@@ -785,7 +855,7 @@ class MithriLogSystem:
         # The kernel resolves here, in the parent, so every pool worker
         # runs the identical code path.
         spec = ScanProgramSpec(
-            queries=tuple(queries),
+            queries=run.queries,
             cuckoo_params=self.engine.cuckoo_params,
             seed=self.engine.seed,
             offloaded=self.engine.offloaded,
@@ -806,7 +876,14 @@ class MithriLogSystem:
                 if decoded is not None:
                     cache.put(device_key, address, codec_key, page.data, decoded)
         self.device.account_host_bytes(len(aggregate.data))
-        read = DeviceReadResult(
+        if workers > 1:
+            # partition spans only describe actual fan-out; the inline
+            # path keeps the serial trace shape
+            run.partitions = aggregate.partitions
+        run.stats.partitions = max(1, len(aggregate.partitions))
+        run.stats.host_profile = profile_to_dict(aggregate.profile_dict())
+        run.per_query = list(aggregate.per_query_counts)
+        return DeviceReadResult(
             data=aggregate.data,
             pages_read=len(pages),
             bytes_from_flash=sum(len(p) for p in pages),
@@ -816,22 +893,14 @@ class MithriLogSystem:
             lines_kept=aggregate.lines_kept,
             read_retries=retries,
         )
-        return read, aggregate
 
-    def _index_time(self, lookup_stats) -> float:
-        """Traversal cost, delegated to the index strategy: storage hops
-        for the in-storage inverted index, host bit-tests for blooms."""
-        return self.index.lookup_seconds(
-            lookup_stats, self.params.storage.latency_s
-        )
-
-    def _fill_scan_times(self, stats: QueryStats, read) -> None:
+    def _fill_scan_times(self, stats: QueryStats) -> None:
         """Streaming pipeline: bottleneck stage sets the pace (Figure 14).
 
         Candidate page reads are *independent*, so a flash array with
         queued requests streams them at full internal bandwidth after one
         pipeline-fill latency; only the index walk (pointer chasing) pays
-        latency per hop, and that is charged in :meth:`_index_time`.
+        latency per hop, and that is charged by the select stage.
 
         The accelerator time splits into decompressor and filter stages;
         since ``accelerator_rate == min(pipeline, decompressor)``, the
@@ -842,13 +911,13 @@ class MithriLogSystem:
         """
         storage = self.params.storage
         stats.flash_time_s = (
-            storage.latency_s + read.bytes_from_flash / storage.internal_bandwidth
+            storage.latency_s + stats.bytes_from_flash / storage.internal_bandwidth
         )
         decomp_rate = self._decompressor_rate or self.accelerator_rate
         filter_rate = self._pipeline_rate or self.accelerator_rate
-        stats.decompress_time_s = read.bytes_decompressed / decomp_rate
-        stats.filter_time_s = read.bytes_decompressed / filter_rate
-        stats.host_time_s = read.bytes_to_host / storage.external_bandwidth
+        stats.decompress_time_s = stats.bytes_decompressed / decomp_rate
+        stats.filter_time_s = stats.bytes_decompressed / filter_rate
+        stats.host_time_s = stats.bytes_to_host / storage.external_bandwidth
         stats.scan_time_s = max(
             stats.flash_time_s,
             stats.decompress_time_s,
@@ -891,14 +960,7 @@ class MithriLogSystem:
                 stage_time / stats.scan_time_s, resource=stage
             )
 
-    def _trace_query(
-        self,
-        stats: QueryStats,
-        matches: int,
-        per_query: Optional[list[int]] = None,
-        context: Optional[TraceContext] = None,
-        partitions: Sequence = (),
-    ) -> None:
+    def _trace_query(self, run: _Pass) -> None:
         """Record the query's phase spans on the simulated timeline.
 
         The index traversal is serial; the four scan stages stream
@@ -916,9 +978,10 @@ class MithriLogSystem:
         ``scan_partition[i]`` spans on a ``workers`` track, sized by each
         partition's share of the decompress work.
         """
-        tags = context.tags() if context is not None else {}
+        stats, per_query, context = run.stats, run.per_query, run.context
+        tags = context.tags()
         t0 = self.clock.now
-        if per_query is not None and len(per_query) > 1:
+        if len(per_query) > 1:
             for i, count in enumerate(per_query):
                 self.tracer.record(
                     f"query[{i}]", t0, stats.elapsed_s, category="query",
@@ -928,7 +991,7 @@ class MithriLogSystem:
         else:
             self.tracer.record(
                 "query", t0, stats.elapsed_s, category="query", track="query",
-                pages=stats.pages_read, matches=matches, **tags,
+                pages=stats.pages_read, matches=len(run.matched), **tags,
             )
         self.tracer.record(
             "index_lookup", t0, stats.index_time_s, category="query",
@@ -954,21 +1017,17 @@ class MithriLogSystem:
             "host_transfer", t1, stats.host_time_s, category="query",
             track="host", bytes=stats.bytes_to_host, **tags,
         )
-        if partitions:
+        if run.partitions:
             rate = self._decompressor_rate or self._accelerator_rate
-            for record in partitions:
-                child = (
-                    context.child(partition=record.index)
-                    if context is not None
-                    else None
-                )
+            for record in run.partitions:
+                child = context.child(partition=record.index)
                 self.tracer.record(
                     f"scan_partition[{record.index}]", t1,
                     record.bytes_decompressed / rate if rate else 0.0,
                     category="query", track="workers",
                     pages=record.pages, lines_seen=record.lines_seen,
                     lines_kept=record.lines_kept,
-                    **(child.tags() if child is not None else {}),
+                    **child.tags(),
                 )
 
     def _per_query_counts(

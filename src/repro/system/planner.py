@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.query import Query
-from repro.system.mithrilog import MithriLogSystem, QueryOutcome
+from repro.system.mithrilog import MithriLogSystem, QueryOutcome, _union
 
 
 @dataclass(frozen=True)
@@ -109,45 +109,34 @@ class QueryPlanner:
         index_s = self._index_seconds(query)
         index_path = index_s + self._scan_seconds(candidates)
         scan_path = self._scan_seconds(total)
+        use_index = False
         if candidates >= total:
-            return QueryPlan(
-                use_index=False,
-                estimated_candidate_pages=candidates,
-                total_pages=total,
-                estimated_index_s=index_s,
-                estimated_index_path_s=index_path,
-                estimated_scan_s=scan_path,
-                reason="index cannot narrow the query (negative-only or "
-                "universal tokens)",
+            reason = (
+                "index cannot narrow the query (negative-only or "
+                "universal tokens)"
             )
-        if index_path >= scan_path:
-            return QueryPlan(
-                use_index=False,
-                estimated_candidate_pages=candidates,
-                total_pages=total,
-                estimated_index_s=index_s,
-                estimated_index_path_s=index_path,
-                estimated_scan_s=scan_path,
-                reason="index traversal costs more than it saves at this "
-                "selectivity",
+        elif index_path >= scan_path:
+            reason = (
+                "index traversal costs more than it saves at this "
+                "selectivity"
             )
+        else:
+            use_index = True
+            reason = f"index narrows to ~{candidates}/{total} pages"
         return QueryPlan(
-            use_index=True,
+            use_index=use_index,
             estimated_candidate_pages=candidates,
             total_pages=total,
             estimated_index_s=index_s,
             estimated_index_path_s=index_path,
             estimated_scan_s=scan_path,
-            reason=f"index narrows to ~{candidates}/{total} pages",
+            reason=reason,
         )
 
     # -- execution ----------------------------------------------------------
 
     def execute(self, *queries: Query) -> tuple[QueryPlan, QueryOutcome]:
         """Plan over the union of queries, then run the chosen path."""
-        union = queries[0]
-        for query in queries[1:]:
-            union = union | query
-        plan = self.plan(union)
+        plan = self.plan(_union(queries))
         outcome = self.system.query(*queries, use_index=plan.use_index)
         return plan, outcome

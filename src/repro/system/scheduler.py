@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.hashfilter import compile_queries
+from repro.core.hashfilter import fits
 from repro.core.query import Query
-from repro.errors import CapacityError, PlacementError
 from repro.system.mithrilog import MithriLogSystem, QueryOutcome
 
 
@@ -61,25 +60,15 @@ class QueryScheduler:
     def __init__(self, system: MithriLogSystem) -> None:
         self.system = system
 
-    def _fits(self, queries: Sequence[Query]) -> bool:
-        try:
-            compile_queries(
-                queries,
-                params=self.system.params.cuckoo,
-                seed=self.system.engine.seed,
-            )
-        except (CapacityError, PlacementError):
-            return False
-        return True
-
     def pack(self, queries: Sequence[Query]) -> list[tuple[int, ...]]:
         """Greedy first-fit grouping under the compile probe."""
         groups: list[list[int]] = []
         members: list[list[Query]] = []
+        engine = self.system.engine
         for index, query in enumerate(queries):
             placed = False
             for group, qs in zip(groups, members):
-                if self._fits(qs + [query]):
+                if fits(qs + [query], engine.cuckoo_params, engine.seed):
                     group.append(index)
                     qs.append(query)
                     placed = True

@@ -1,7 +1,7 @@
 """Differential harness: vectorized scan path vs the reference kernels.
 
 The reference kernel is the oracle; the numpy path (offset-array
-tokenizer, bulk arena decoder, fact-matrix filter) must be
+tokenizer, bulk decoder, fact-matrix filter) must be
 byte-for-byte equivalent to it on *arbitrary* inputs. Three layers of
 evidence:
 
@@ -36,7 +36,6 @@ try:
 except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
-from repro.compression.arena import DecodeArena
 from repro.compression.lzah import LZAHCompressor
 from repro.core import backend as backend_mod
 from repro.core.backend import (
@@ -159,7 +158,7 @@ def _decoder_outcomes(codec: LZAHCompressor, blob: bytes) -> list:
     outcomes = []
     for decode in (
         codec.decompress,
-        lambda b: bytes(codec.decompress_into(b, DecodeArena())),
+        codec.decompress_into,
         lambda b: b"".join(c for c, _p in codec.decompress_words(b)),
     ):
         try:
@@ -232,8 +231,7 @@ class TestCorpusReplay:
     def test_decoder_matches_reference(self, payload):
         codec = LZAHCompressor()
         blob = codec.compress(payload)
-        arena = DecodeArena(initial_bytes=1)
-        assert bytes(codec.decompress_into(blob, arena)) == codec.decompress(blob)
+        assert codec.decompress_into(blob) == codec.decompress(blob)
         assert codec.decompress(blob) == payload
 
 
@@ -670,11 +668,10 @@ if HAVE_HYPOTHESIS:
                 LZAHParams(word_bytes=word_bytes, newline_realign=realign)
             )
             blob = codec.compress(payload)
-            arena = DecodeArena(initial_bytes=1)
-            via_arena = bytes(codec.decompress_into(blob, arena))
+            via_bulk = codec.decompress_into(blob)
             via_fast = codec.decompress(blob)
             via_words = b"".join(c for c, _p in codec.decompress_words(blob))
-            assert via_arena == via_fast == via_words == payload
+            assert via_bulk == via_fast == via_words == payload
 
         @settings(max_examples=60, deadline=None)
         @given(

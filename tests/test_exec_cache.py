@@ -8,8 +8,6 @@ and unbounded growth.
 
 import pytest
 
-from repro.compression.arena import DecodeArena
-from repro.compression.lzah import LZAHCompressor
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
 from repro.errors import ReadRetryExhaustedError
@@ -93,49 +91,33 @@ class TestPageCacheUnit:
 
 
 class TestArenaReuseGuard:
-    """A recycled decode-arena buffer must never leak into the cache.
+    """A buffer its owner can rewrite must never end up live in the cache.
 
-    The vectorized scan decodes every page into one reusable arena; if a
-    view of that buffer were stored in the cache, the *next* page's
-    decode would silently rewrite the cached entry in place — a stale
-    read that no fingerprint could catch, because the compressed payload
-    never changed. ``PageCache.put`` snapshots at the boundary.
+    If a view of a mutable buffer were stored, a later write to it would
+    silently change the cached entry in place — a stale read that no
+    fingerprint could catch, because the compressed payload never
+    changed. ``PageCache.put`` snapshots at the boundary. (The class and
+    test names date from the scan kernel's recycled decode arena.)
     """
 
     def test_put_snapshots_mutable_buffers(self):
         cache = PageCache(4)
         buffer = bytearray(b"decoded page one")
         cache.put(0, 1, "lzah", b"payload", memoryview(buffer))
-        buffer[:] = b"OVERWRITTEN....."  # the next page recycles the arena
+        buffer[:] = b"OVERWRITTEN....."  # the owner reuses its buffer
         got = cache.get(0, 1, "lzah", b"payload")
         assert got == b"decoded page one"
         assert isinstance(got, bytes)
 
-    def test_arena_recycling_cannot_corrupt_cached_pages(self):
-        codec = LZAHCompressor()
-        arena = DecodeArena(initial_bytes=1)
-        cache = PageCache(8)
-        page_one = b"first page lines here\n" * 40
-        page_two = b"second page, different text\n" * 50
-        blob_one = codec.compress(page_one)
-        blob_two = codec.compress(page_two)
-        decoded_one = codec.decompress_into(blob_one, arena)
-        cache.put(0, 1, "lzah", blob_one, decoded_one)
-        generation = arena.generation
-        # decoding the next page recycles (and rewrites) the arena buffer
-        codec.decompress_into(blob_two, arena)
-        assert arena.generation > generation
-        assert cache.get(0, 1, "lzah", blob_one) == page_one
-
     def test_recycled_arena_never_serves_stale_bytes_after_write(self, corpus):
-        """End to end: warm the cache through the vectorized arena path,
+        """End to end: warm the cache through the vectorized scan path,
         rewrite a flash page (the write listener invalidates), and check
         the next scan sees the new bytes — against a never-cached oracle.
         """
         pytest.importorskip("numpy")
         system = MithriLogSystem(seed=5, scan_kernel="vectorized")
         system.ingest(corpus)
-        first = system.scan_all(QUERY)  # cold: arena decodes fill the cache
+        first = system.scan_all(QUERY)  # cold: bulk decodes fill the cache
         assert len(system.page_cache) > 0
         assert system.scan_all(QUERY).matched_lines == first.matched_lines
         assert system.page_cache.hits > 0

@@ -9,6 +9,8 @@ seeded fault schedule at any worker count.
 
 import pytest
 
+from repro.core import hashfilter
+from repro.core.backend import resolve_kernel
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
 from repro.errors import QueryError
@@ -167,16 +169,18 @@ class TestExecutorUnit:
 
     def test_program_memos_are_bounded(self, corpus):
         """More distinct batches than the memo bound leave at most
-        ``_MEMO_ENTRIES`` built filter programs resident (the oldest is
-        evicted) and every batch still answers correctly — including the
-        ones scanned again after their eviction."""
-        bound = executor_module._MEMO_ENTRIES
+        ``MEMO_ENTRIES`` of each kind resident (the oldest is evicted) —
+        compiled programs in ``core/hashfilter``'s one memo, software
+        matchers in the executor's — and every batch still answers
+        correctly, including the ones scanned again after eviction."""
+        bound = hashfilter.MEMO_ENTRIES
         page = corpus[:200]
         system = build_system(page)
         tokens = sorted({t for line in page for t in line.split() if t.isalnum()})
         assert len(tokens) >= bound + 12
         singles = [parse_query(f'"{t.decode()}"') for t in tokens[: bound + 12]]
-        executor_module._PROGRAM_MEMO.clear()
+        hashfilter._PROGRAM_MEMO.clear()
+        executor_module._MATCHER_MEMO.clear()
         # offloaded: compiled programs
         batches = [(q,) for q in singles[: bound + 2]]
         batches += [  # 10 intersection sets exceed provisioning: matchers
@@ -188,9 +192,11 @@ class TestExecutorUnit:
                 len(grep_indices(q, page)) for q in batch
             ]
         system.close()
-        # one memo holds both kinds (the reference kernel builds no
-        # software matchers: it evaluates those through the query oracles)
-        assert len(executor_module._PROGRAM_MEMO) == bound
+        assert len(hashfilter._PROGRAM_MEMO) == bound
+        # the reference kernel builds no software matchers: it evaluates
+        # those batches through the query oracles
+        vectorized = resolve_kernel(None) == "vectorized"
+        assert len(executor_module._MATCHER_MEMO) == (bound if vectorized else 0)
 
 
 class TestObservability:

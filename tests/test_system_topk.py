@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.grep import grep_lines
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
-from repro.errors import StorageError
+from repro.errors import QueryError
 from repro.system.mithrilog import MithriLogSystem
 
 
@@ -45,8 +45,11 @@ class TestLimit:
         assert sorted(outcome.matched_lines) == sorted(expected)
 
     def test_invalid_limit(self, system):
-        with pytest.raises(StorageError):
-            system.query(parse_query("kernel:"), limit=0)
+        # an option error, not a failed storage pass (which is what a
+        # StorageError means to the service and the cluster)
+        for limit in (0, -1):
+            with pytest.raises(QueryError):
+                system.query(parse_query("kernel:"), limit=limit)
 
 
 class TestNewestFirst:

@@ -170,10 +170,10 @@ def compile_queries(
     )
 
 
-#: Entries a per-process memo may hold; the oldest is evicted. A compiled
-#: program carries a cuckoo table plus two token caches, and the service
-#: mints a new query tuple for every distinct pass, so an unbounded memo
-#: grows for as long as the process lives.
+#: Entries a per-process memo may hold; the least recently used is
+#: evicted. A compiled program carries a cuckoo table plus two token
+#: caches, and the service mints a new query tuple for every distinct
+#: pass, so an unbounded memo grows for as long as the process lives.
 MEMO_ENTRIES = 128
 
 #: Compiled programs by ``(queries, params, seed)``; successes only.
@@ -181,13 +181,17 @@ _PROGRAM_MEMO: dict = {}
 
 
 def memoized(memo: dict, key, build):
-    """``memo[key]``, built on a miss; holds at most :data:`MEMO_ENTRIES`."""
-    value = memo.get(key)
+    """``memo[key]``, built on a miss; holds at most :data:`MEMO_ENTRIES`.
+
+    A hit moves the entry to the young end, so the program asked for on
+    every flush outlives any number of one-off keys.
+    """
+    value = memo.pop(key, None)
     if value is None:
         value = build()
         if len(memo) >= MEMO_ENTRIES:
             del memo[next(iter(memo))]  # dicts iterate oldest-first
-        memo[key] = value
+    memo[key] = value
     return value
 
 
@@ -228,6 +232,29 @@ def fits(
     except (CapacityError, PlacementError):
         return False
     return True
+
+
+def pack(
+    queries: Sequence[Query],
+    params: Optional[CuckooParams] = None,
+    seed: int = 0,
+) -> list[tuple[int, ...]]:
+    """Greedy first-fit grouping under the :func:`fits` probe.
+
+    Each group (indices into ``queries``, ascending) is one accelerator
+    pass: a query joins the first group whose combined program still
+    places, else it opens a new one. A query that cannot compile even
+    alone stays a group of one, which the engine runs in software.
+    """
+    groups: list[list[int]] = []
+    for index, query in enumerate(queries):
+        for group in groups:
+            if fits([queries[i] for i in group] + [query], params, seed):
+                group.append(index)
+                break
+        else:
+            groups.append([index])
+    return [tuple(group) for group in groups]
 
 
 class LineEvaluator:

@@ -5,10 +5,11 @@ it happens". A :class:`StandingQuery` registers a continuous query
 (the same :class:`repro.core.query.Query` algebra batch scans use)
 with a :class:`StandingQueryRegistry` attached to a
 :class:`repro.system.streaming.StreamingIngestor`. Every time the
-ingestor seals pages, the registry evaluates each standing query over
-*only the newly sealed pages* (an incremental accelerator scan on the
-simulated clock — never a rescan of history) and folds the matches
-into that query's :class:`~repro.stream.windows.WindowAggregator`.
+ingestor seals pages, the registry evaluates its standing queries over
+*only the newly sealed pages* (one incremental accelerator pass per
+hardware-sized group of them, on the simulated clock — never a rescan
+of history) and folds each query's matches into its
+:class:`~repro.stream.windows.WindowAggregator`.
 
 Threshold alerting reuses the PR 9 burn-rate machinery instead of
 growing a parallel path: each evaluation classifies the live window
@@ -24,10 +25,12 @@ monitor snapshots an incident bundle at fire time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.analytics.workload import line_template_fingerprint
+from repro.core.hashfilter import pack
 from repro.core.query import Query, parse_query
+from repro.core.tokenizer import split_tokens
 from repro.errors import QueryError
 from repro.obs.metrics import handle
 from repro.obs.slo import SLO, AlertState, SLOMonitor
@@ -224,7 +227,10 @@ class StandingQueryRegistry:
             else SLOMonitor([], interval_s=interval_s)
         )
         self._states: dict[str, _StandingState] = {}
-        self._pages_seen = len(system.index.data_pages)
+        #: the registered queries packed into accelerator passes, in
+        #: registration order; recomputed by :meth:`register` only
+        self._groups: list[list[_StandingState]] = []
+        self._pages_seen = system.index.total_data_pages
         self.evaluations = 0
         self._m_evals = handle("mithrilog_stream_evaluations_total")
         self._m_matches = handle("mithrilog_stream_matches_total")
@@ -234,11 +240,16 @@ class StandingQueryRegistry:
     # -- registration ------------------------------------------------------
 
     def register(self, standing: StandingQuery) -> None:
-        """Add a standing query; its threshold SLO joins the monitor."""
+        """Add a standing query; its threshold SLO joins the monitor.
+
+        Pages sealed so far go to the queries registered before this one
+        and to nobody else: the newcomer watches from here on.
+        """
         if standing.name in self._states:
             raise QueryError(
                 f"standing query {standing.name!r} already registered"
             )
+        self.evaluate_new_pages()
         self._states[standing.name] = _StandingState(
             query=standing,
             aggregator=WindowAggregator(standing.name, standing.window),
@@ -246,6 +257,12 @@ class StandingQueryRegistry:
         if standing.threshold is not None:
             self.monitor.add_slo(standing.threshold.slo_for(standing.name))
         self._m_registered.set(len(self._states))
+        engine = self.system.engine
+        states = list(self._states.values())
+        groups = pack(
+            [state.query.query for state in states], engine.cuckoo_params, engine.seed
+        )
+        self._groups = [[states[i] for i in group] for group in groups]
 
     def attach(self, ingestor: "StreamingIngestor") -> None:
         """Evaluate after every flush of this ingestor."""
@@ -279,52 +296,67 @@ class StandingQueryRegistry:
     def evaluate_new_pages(self, workers: int = 1) -> int:
         """Scan pages sealed since the last call; returns how many.
 
-        Each registered query runs one incremental accelerator scan
-        restricted to the new pages (``within_pages``), so the cost of
-        continuous evaluation tracks the *ingest* rate, not the store
-        size. Window values, metrics, and the threshold monitor all
-        advance on the system's simulated clock.
+        Each packed group of registered queries runs as one incremental
+        accelerator pass restricted to the new pages (``within_pages``),
+        so the cost of continuous evaluation tracks the *ingest* rate,
+        not the store size or (up to the hardware's provisioning) the
+        number of standing queries. Window values, metrics, and the
+        threshold monitor advance on the system's simulated clock; the
+        queries of a group all observe at the instant their pass ends.
         """
-        pages = list(self.system.index.data_pages)
-        new_pages = pages[self._pages_seen:]
-        self._pages_seen = len(pages)
-        if not new_pages or not self._states:
-            return len(new_pages)
-        for state in self._states.values():
+        index = self.system.index
+        new_count = index.total_data_pages - self._pages_seen
+        self._pages_seen += new_count
+        if not new_count or not self._states:
+            return new_count
+        new_pages = index.data_pages[-new_count:]
+        for group in self._groups:
             outcome = self.system.query(
-                state.query.query,
+                *[state.query.query for state in group],
                 within_pages=new_pages,
                 workers=workers,
             )
-            matches = outcome.per_query_counts[0]
-            fingerprints = {
-                line_template_fingerprint(line)
+            # the pass returns its matched lines once; each goes back to
+            # the queries it satisfies (as many as the kernel counted)
+            matched = [
+                (split_tokens(line), line_template_fingerprint(line))
                 for line in outcome.matched_lines
-            }
+            ]
             now_s = self.system.clock.now
-            values = state.aggregator.observe(now_s, matches, fingerprints)
-            self.evaluations += 1
-            name = state.query.name
-            self._m_evals.inc(query=name)
-            if matches:
-                self._m_matches.inc(matches, query=name)
-            for aggregate, value in values.items():
-                self._m_window.set(
-                    value, query=name, aggregate=aggregate
-                )
-            threshold = state.query.threshold
-            if threshold is not None:
-                breached = threshold.breached(values[threshold.aggregate])
-                self.monitor.observe(
-                    tenant=f"{STREAM_TENANT_PREFIX}{name}",
-                    outcome="shed" if breached else "ok",
-                    latency_s=0.0,
-                    now_s=now_s,
-                )
+            for state, matches in zip(group, outcome.per_query_counts):
+                query = state.query.query
+                fingerprints = {
+                    fingerprint
+                    for tokens, fingerprint in matched
+                    if query.matches_tokens(tokens)
+                }
+                self._observe(state, now_s, matches, fingerprints)
         # force one evaluation per flush round so alert latency is
         # bounded by the flush cadence, not the monitor interval
         self.monitor.evaluate(self.system.clock.now)
-        return len(new_pages)
+        return new_count
+
+    def _observe(
+        self, state: _StandingState, now_s: float, matches: int, fingerprints
+    ) -> None:
+        """Fold one query's share of a pass into its window and alert."""
+        values = state.aggregator.observe(now_s, matches, fingerprints)
+        self.evaluations += 1
+        name = state.query.name
+        self._m_evals.inc(query=name)
+        if matches:
+            self._m_matches.inc(matches, query=name)
+        for aggregate, value in values.items():
+            self._m_window.set(value, query=name, aggregate=aggregate)
+        threshold = state.query.threshold
+        if threshold is not None:
+            breached = threshold.breached(values[threshold.aggregate])
+            self.monitor.observe(
+                tenant=f"{STREAM_TENANT_PREFIX}{name}",
+                outcome="shed" if breached else "ok",
+                latency_s=0.0,
+                now_s=now_s,
+            )
 
     # -- status ------------------------------------------------------------
 

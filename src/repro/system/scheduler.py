@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.hashfilter import fits
+from repro.core.hashfilter import pack
 from repro.core.query import Query
 from repro.system.mithrilog import MithriLogSystem, QueryOutcome
 
@@ -62,21 +62,8 @@ class QueryScheduler:
 
     def pack(self, queries: Sequence[Query]) -> list[tuple[int, ...]]:
         """Greedy first-fit grouping under the compile probe."""
-        groups: list[list[int]] = []
-        members: list[list[Query]] = []
         engine = self.system.engine
-        for index, query in enumerate(queries):
-            placed = False
-            for group, qs in zip(groups, members):
-                if fits(qs + [query], engine.cuckoo_params, engine.seed):
-                    group.append(index)
-                    qs.append(query)
-                    placed = True
-                    break
-            if not placed:
-                groups.append([index])
-                members.append([query])
-        return [tuple(g) for g in groups]
+        return pack(queries, engine.cuckoo_params, engine.seed)
 
     def run(self, queries: Sequence[Query], use_index: bool = True) -> ScheduledRun:
         """Execute the whole queue; makespan is the sum of pass times."""

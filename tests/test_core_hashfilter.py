@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import hashfilter
 from repro.core.hashfilter import HashFilter, compile_queries
 from repro.core.query import IntersectionSet, Query, Term, parse_query
 from repro.core.tokenizer import Tokenizer
@@ -54,6 +55,58 @@ class TestCompilation:
     def test_describe(self):
         program = compile_queries([Query.single("A")])
         assert "1 queries" in program.describe()
+
+
+class TestProgramMemo:
+    def test_a_hit_refreshes_recency(self):
+        """The key asked for between every other one outlives any number
+        of them; the bound holds and the untouched oldest is what goes."""
+        memo: dict = {}
+        built = []
+
+        def ask(key):
+            return hashfilter.memoized(
+                memo, key, lambda: built.append(key) or ("program", key)
+            )
+
+        hot = ask("hot")
+        ask("oldest")
+        for i in range(2 * hashfilter.MEMO_ENTRIES):
+            ask(i)
+            assert ask("hot") is hot
+        assert len(memo) == hashfilter.MEMO_ENTRIES
+        assert built.count("hot") == 1
+        assert "oldest" not in memo and 0 not in memo
+        assert 2 * hashfilter.MEMO_ENTRIES - 1 in memo
+
+    def test_a_failed_build_is_not_remembered(self):
+        memo: dict = {}
+        with pytest.raises(CapacityError):
+            hashfilter.memoized(memo, "k", lambda: compile_queries([]))
+        assert memo == {}
+
+
+class TestPack:
+    """What ``QueryScheduler.pack``'s tests do not reach through it."""
+
+    def test_first_fit_goes_back_to_an_earlier_group(self):
+        three = [
+            parse_query(f"({p}1 AND {p}2) OR ({p}3 AND {p}4) OR ({p}5 AND {p}6)")
+            for p in "abc"
+        ]
+        two = parse_query("(m AND n) OR (o AND p)")
+        # 3 + 3 sets; the third 3 opens a group; the 2 still fits the first
+        assert hashfilter.pack(three + [two]) == [(0, 1, 3), (2,)]
+
+    def test_a_query_that_cannot_compile_stays_alone(self):
+        big = Query(intersections=tuple(
+            IntersectionSet.of(f"x{i}") for i in range(9)
+        ))
+        assert not hashfilter.fits([big])
+        assert hashfilter.pack([Query.single("a"), big, Query.single("b")]) == [
+            (0, 2), (1,)
+        ]
+        assert hashfilter.pack([]) == []
 
 
 class TestFilterSemantics:

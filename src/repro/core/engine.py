@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from repro.core.hashfilter import CompiledQuery, compiled_program
 from repro.core.pipeline import FilterPipeline
 from repro.core.query import Query
-from repro.core.tokenizer import split_tokens
 from repro.errors import CapacityError, PlacementError, QueryError
 from repro.obs.metrics import handle
 from repro.params import CuckooParams, PipelineParams
@@ -176,34 +175,10 @@ class TokenFilterEngine:
                 self._m_lines_kept.inc(kept)
         return result
 
-    def account_filtered(self, lines: int, kept: Optional[int] = None) -> None:
-        """Bump the filtering metrics for lines evaluated elsewhere.
-
-        The scan kernels return per-query verdicts directly, so the
-        system no longer re-runs :meth:`filter_lines` over matched lines
-        just to count them — this keeps the
-        ``mithrilog_pipeline_lines_*`` metrics identical to what that
-        recount used to record (matched lines are by definition kept).
-        """
-        if kept is None:
-            kept = lines
-        if lines:
-            self._m_lines_filtered.inc(lines)
-            if kept:
-                self._m_lines_kept.inc(kept)
-
-    def keep_line(self, line: bytes) -> bool:
-        """Single-line predicate (any query keeps it).
-
-        This is the form the storage device's filter hookup consumes
-        (:meth:`repro.storage.device.MithriLogDevice.configure`). It
-        evaluates through the compiled hash-filter program directly —
-        the word-stream pipeline path is proven equivalent by the
-        oracle-equivalence tests, and this path avoids materialising
-        token words for every line.
-        """
-        self._require_compiled()
-        if self._program is None:
-            return any(q.matches_line(line) for q in self._queries)
-        hash_filter = self._pipelines[0].filters[0]
-        return any(hash_filter.evaluate_tokens(split_tokens(line)))
+    def account_filtered(self, kept: int) -> None:
+        """Record a pass's matched lines in ``mithrilog_pipeline_lines_*``:
+        the scan kernel evaluated them (a matched line is by definition
+        kept), so nothing re-runs :meth:`filter_lines` to count them."""
+        if kept:
+            self._m_lines_filtered.inc(kept)
+            self._m_lines_kept.inc(kept)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from typing import Callable, Hashable, Optional
+from typing import Hashable, Optional
 
 from repro.obs.metrics import handle
 
@@ -105,22 +105,6 @@ class PageCache:
         self.misses += 1
         self._m_misses.inc()
         return None
-
-    def get_or_decode(
-        self,
-        device_key: int,
-        address: int,
-        codec_key: Hashable,
-        payload: bytes,
-        decode: Callable[[bytes], bytes],
-    ) -> bytes:
-        """Return the decode of ``payload``, serving from cache when clean."""
-        cached = self.get(device_key, address, codec_key, payload)
-        if cached is not None:
-            return cached
-        decoded = decode(payload)
-        self.put(device_key, address, codec_key, payload, decoded)
-        return decoded
 
     # -- updates ---------------------------------------------------------
 

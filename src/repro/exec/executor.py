@@ -8,7 +8,7 @@ stream. This module is the host-simulation counterpart: a
 them, and fans the CPU-heavy work — LZAH decode, tokenization, filter
 evaluation for *all* queries at once — out over a process pool, while
 flash reads, fault injection, retry accounting and simulated timing stay
-in the calling process, in page order, exactly as the serial path does.
+in the calling process, in page order.
 
 The partition kernel is one loop over per-page *stage callables*
 (decode, tokenize, evaluate, tally, line bytes), with two equivalence
@@ -31,8 +31,9 @@ Determinism is by construction: ``workers=1`` runs the very same
 partition kernel inline (no pool, no processes), partitions are
 contiguous slices of the candidate list, and results are concatenated in
 partition order. A seeded fault schedule therefore sees the identical
-read sequence at any worker count, and the scan output is byte-identical
-to the serial device FILTER path (the equivalence suite pins this down).
+read sequence at any worker count. The device's cancellable FILTER read
+(``limit=``) is the same kernel fed page by page with ``stop_after`` set,
+so a full scan and a limit read agree byte for byte by construction.
 
 Only host wall-clock changes. Simulated stage times and ``hw/perf``
 cycle accounting are functions of byte counts that this module
@@ -44,7 +45,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.hashfilter import HashFilter, compiled_program, memoized
 from repro.core.query import Query
@@ -153,8 +154,9 @@ def _filter_program(spec: ScanProgramSpec):
     )
 
 
-def _tally_tuples(verdicts, counts: list[int]) -> list[int]:
-    """Kept line indices of one page's verdict tuples; bumps ``counts``."""
+def _tally_tuples(verdicts, counts: list[int], budget=None) -> list[int]:
+    """Kept line indices of one page's verdict tuples; bumps ``counts``.
+    Stops at the ``budget``-th kept line: later ones are not counted."""
     kept = []
     for i, verdict in enumerate(verdicts):
         if True in verdict:
@@ -162,14 +164,18 @@ def _tally_tuples(verdicts, counts: list[int]) -> list[int]:
             for q, hit in enumerate(verdict):
                 if hit:
                     counts[q] += 1
+            if len(kept) == budget:
+                break
     return kept
 
 
-def _tally_matrix(verdicts, counts: list[int]) -> list[int]:
+def _tally_matrix(verdicts, counts: list[int], budget=None) -> list[int]:
     """:func:`_tally_tuples` over a ``(lines × queries)`` boolean array."""
-    kept = verdicts.any(axis=1).nonzero()[0].tolist()
+    kept = verdicts.any(axis=1).nonzero()[0].tolist()[:budget]
     if kept:
-        for q, hits in enumerate(verdicts.sum(axis=0).tolist()):
+        # rows past the last kept one are all-False or past the budget
+        seen = verdicts[: kept[-1] + 1]
+        for q, hits in enumerate(seen.sum(axis=0).tolist()):
             counts[q] += hits
     return kept
 
@@ -222,23 +228,29 @@ def _vectorized_stages(spec: ScanProgramSpec) -> tuple:
 
 def _partition_kernel(
     spec: ScanProgramSpec,
-    items: Sequence[tuple[bool, bytes]],
+    items: Iterable[tuple[bool, bytes]],
     want_decoded: bool = False,
+    stop_after: Optional[int] = None,
 ) -> KernelResult:
     """Scan one contiguous partition of pages.
 
-    ``items`` holds ``(is_decoded, payload)`` pairs in page order: cache
+    ``items`` yields ``(is_decoded, payload)`` pairs in page order: cache
     hits arrive already decoded, misses arrive compressed and are decoded
     here (this is the work the fan-out parallelises). The returned
-    :class:`KernelResult` carries ``data`` byte-identical to the device
-    FILTER path's per-page output and per-stage host accounting — the
-    record that makes subprocess work visible to the parent's registry
-    and tracer (pool workers' own metrics die with the pool).
+    :class:`KernelResult` carries the per-page FILTER output and
+    per-stage host accounting — the record that makes subprocess work
+    visible to the parent's registry and tracer (pool workers' own
+    metrics die with the pool).
+
+    ``stop_after`` is the cancellable read (``limit=``): the page whose
+    kept lines reach it contributes only the lines up to that match —
+    kept, counted per query and *seen* — and no further item is pulled,
+    so a lazy ``items`` never fetches the pages behind it.
 
     Both kernels run this one loop, so output, counts and stage
     calls/units cannot depend on the kernel; only wall-clock does.
     Module-level and argument-picklable so it runs identically inline
-    (``workers=1``) and in a pool worker.
+    and in a pool worker.
     """
     reference = _reference_stages(spec)
     if spec.kernel == "vectorized":
@@ -277,13 +289,18 @@ def _partition_kernel(
             page = tokenize(text)
         t1 = clock()
         verdicts = evaluate(page)
-        kept = [line_bytes(page, i) for i in tally(verdicts, counts)]
+        budget = None if stop_after is None else stop_after - lines_kept
+        rows = tally(verdicts, counts, budget)
+        kept = [line_bytes(page, i) for i in rows]
         num_lines = len(verdicts)
         profile.add("tokenize", units=num_lines, wall_s=t1 - t0)
         profile.add("filter", units=num_lines, wall_s=clock() - t1)
-        lines_seen += num_lines
+        cancelled = len(rows) == budget
+        lines_seen += rows[-1] + 1 if cancelled else num_lines
         lines_kept += len(kept)
         out_chunks.append(b"\n".join(kept) + (b"\n" if kept else b""))
+        if cancelled:
+            break
     return KernelResult(
         data=b"".join(out_chunks),
         bytes_decompressed=bytes_decompressed,

@@ -30,9 +30,8 @@ Perfetto view of a sharded, parallel scan still groups by query.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional, TypeVar
+from typing import Iterable, Mapping, Optional
 
 from repro.obs.metrics import handle
 
@@ -50,8 +49,6 @@ __all__ = [
 
 #: The host-side scan stages the kernels account for, in pipeline order.
 SCAN_STAGES = ("decompress", "tokenize", "filter")
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -148,35 +145,6 @@ class ProfileBuilder:
             entry[0] += calls
             entry[1] += units
             entry[2] += wall_s
-
-    def wrap(
-        self,
-        stage: str,
-        fn: Callable[..., T],
-        units_of: Optional[Callable[[T], int]] = None,
-    ) -> Callable[..., T]:
-        """Instrument ``fn``: each call accounts one ``calls`` tick, its
-        wall time, and ``units_of(result)`` units when given.
-
-        Exceptions propagate untouched (fault-injection behaviour must
-        not change), and the failed call's wall time is still charged.
-        """
-
-        def instrumented(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                result = fn(*args, **kwargs)
-            except BaseException:
-                self.add(stage, wall_s=time.perf_counter() - start)
-                raise
-            self.add(
-                stage,
-                units=units_of(result) if units_of is not None else 0,
-                wall_s=time.perf_counter() - start,
-            )
-            return result
-
-        return instrumented
 
     def build(self) -> dict[str, StageProfile]:
         return {

@@ -6,13 +6,18 @@ then issues page reads which the device can serve in one of three modes:
 
 - ``RAW`` — forward stored pages untouched,
 - ``DECOMPRESS`` — run pages through the decompressor first,
-- ``FILTER`` — decompress and pass lines through the filtering engine,
-  forwarding only surviving lines.
+- ``FILTER`` — stream pages through the configured scan program
+  (decompressor → tokenizer → filter), forwarding only surviving lines;
+  the host may cancel the read once enough matches arrived.
 
 The device is *functional*: plug in a real page decompressor and a real
-line filter. Timing is layered on via an optional pipeline performance
-model (``repro.hw.perf``): a streaming pipeline's elapsed time is set by
-its bottleneck stage, which is exactly the arithmetic behind Figure 14.
+scan program. The device owns the flash side — which pages are pulled,
+in what order, under which faults and retries — and the program the page
+body; the system's program is the scan executor's partition kernel, so
+a cancellable read and a full scan share one datapath. Timing is layered
+on via an optional pipeline performance model (``repro.hw.perf``): a
+streaming pipeline's elapsed time is set by its bottleneck stage, which
+is exactly the arithmetic behind Figure 14.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import (
     RETRYABLE_STORAGE_ERRORS,
@@ -38,13 +43,13 @@ from repro.storage.page import Page
 #: Decompresses one stored page payload into text bytes.
 PageDecompressor = Callable[[bytes], bytes]
 
-#: Address-aware decompressor: ``(page address, payload) -> text``. The
-#: address lets the host wire a decompressed-page cache keyed by page;
-#: when configured it takes precedence over the plain decompressor.
-AddressedPageDecompressor = Callable[[int, bytes], bytes]
-
-#: Decides whether one log line (without trailing newline) survives.
-LineFilter = Callable[[bytes], bool]
+#: The FILTER program: ``(pages, stop_after) -> result``. ``pages`` is a
+#: lazy stream of ``(address, page)`` in request order — a page is read
+#: from flash when the program pulls it — and ``stop_after`` the match
+#: count at which the host cancels (``None``: never). The result carries
+#: ``data`` (the kept lines, newline-terminated), ``bytes_decompressed``,
+#: ``lines_seen`` and ``lines_kept``.
+PageScanner = Callable[[Iterator[tuple[int, Page]], Optional[int]], Any]
 
 #: Process-wide device key allocator (cache namespace per device).
 _DEVICE_KEYS = itertools.count()
@@ -84,11 +89,8 @@ class DeviceReadResult:
 class DeviceConfig:
     """Per-query accelerator configuration (Section 3's command phase)."""
 
-    decompress_page: Optional[PageDecompressor] = None
-    line_filter: Optional[LineFilter] = None
-    #: When set, used instead of ``decompress_page`` and handed the page
-    #: address too — the hook the host's decompressed-page cache uses.
-    decompress_page_at: Optional[AddressedPageDecompressor] = None
+    decompress_page: Optional[PageDecompressor] = None  #: DECOMPRESS reads
+    scan_pages: Optional[PageScanner] = None  #: FILTER reads
 
 
 class MithriLogDevice:
@@ -121,14 +123,11 @@ class MithriLogDevice:
     def configure(
         self,
         decompress_page: Optional[PageDecompressor] = None,
-        line_filter: Optional[LineFilter] = None,
-        decompress_page_at: Optional[AddressedPageDecompressor] = None,
+        scan_pages: Optional[PageScanner] = None,
     ) -> None:
         """Program the accelerator for the next query."""
         self.config = DeviceConfig(
-            decompress_page=decompress_page,
-            line_filter=line_filter,
-            decompress_page_at=decompress_page_at,
+            decompress_page=decompress_page, scan_pages=scan_pages
         )
 
     # -- writes ----------------------------------------------------------
@@ -242,77 +241,62 @@ class MithriLogDevice:
             raise StorageError("early stop only applies to FILTER reads")
         start = clock.now if clock is not None else 0.0
         wanted = list(addresses)
+        pulled: list[Page] = []
+        retries = 0
 
-        out_chunks: list[bytes] = []
-        bytes_from_flash = 0
-        bytes_decompressed = 0
-        lines_seen = 0
-        lines_kept = 0
-        pages_read = 0
-        read_retries = 0
-
-        if stop_after_matches is None:
-            # one batched request: sequential runs amortise access latency
-            pages, read_retries = self._read_batch_with_retry(wanted, clock)
-        else:
-            pages = None  # cancellable path fetches page by page below
-
-        for index, address in enumerate(wanted):
-            if pages is not None:
-                page = pages[index]
-            else:
-                page, extra = self._read_one_with_retry(address, clock)
-                read_retries += extra
-            pages_read += 1
-            bytes_from_flash += len(page)
-            payload = page.data
-            if mode in (ReadMode.DECOMPRESS, ReadMode.FILTER):
-                if self.config.decompress_page_at is not None:
-                    payload = self.config.decompress_page_at(address, payload)
-                elif self.config.decompress_page is not None:
-                    payload = self.config.decompress_page(payload)
+        def pull() -> Iterator[tuple[int, Page]]:
+            """Pages in request order, counted as the consumer takes them."""
+            nonlocal retries
+            batch = None
+            if stop_after_matches is None:
+                # one batched request: sequential runs amortise access latency
+                batch, retries = self._read_batch_with_retry(wanted, clock)
+            for index, address in enumerate(wanted):
+                if batch is not None:
+                    page = batch[index]
                 else:
-                    raise StorageError(
-                        f"{mode.value} read requested but no decompressor configured"
-                    )
-                bytes_decompressed += len(payload)
-            if mode is ReadMode.FILTER:
-                if self.config.line_filter is None:
-                    raise StorageError(
-                        "filter read requested but no line filter configured"
-                    )
-                kept: list[bytes] = []
-                for line in payload.splitlines():
-                    lines_seen += 1
-                    if self.config.line_filter(line):
-                        lines_kept += 1
-                        kept.append(line)
-                        if (
-                            stop_after_matches is not None
-                            and lines_kept >= stop_after_matches
-                        ):
-                            break
-                payload = b"\n".join(kept) + (b"\n" if kept else b"")
-            out_chunks.append(payload)
-            if stop_after_matches is not None and lines_kept >= stop_after_matches:
-                break
+                    # cancellable: a page is fetched only once it is wanted
+                    page, extra = self._read_one_with_retry(address, clock)
+                    retries += extra
+                pulled.append(page)
+                yield address, page
 
-        data = b"".join(out_chunks)
+        config = self.config
+        lines_seen = lines_kept = bytes_decompressed = 0
+        if mode is ReadMode.FILTER:
+            if config.scan_pages is None:
+                raise StorageError(
+                    "filter read requested but no scan program configured"
+                )
+            scanned = config.scan_pages(pull(), stop_after_matches)
+            data = scanned.data
+            bytes_decompressed = scanned.bytes_decompressed
+            lines_seen, lines_kept = scanned.lines_seen, scanned.lines_kept
+        elif mode is ReadMode.DECOMPRESS:
+            if config.decompress_page is None:
+                raise StorageError(
+                    "decompress read requested but no decompressor configured"
+                )
+            data = b"".join(config.decompress_page(p.data) for _, p in pull())
+            bytes_decompressed = len(data)
+        else:
+            data = b"".join(page.data for _, page in pull())
+
         if clock is not None:
             self.host_link.send_to_host(len(data), clock=clock)
         elapsed = (clock.now - start) if clock is not None else 0.0
         self._m_reads.inc(mode=mode.value)
         self._m_bytes_to_host.inc(len(data))
-        if read_retries:
-            self._m_retries.inc(read_retries)
+        if retries:
+            self._m_retries.inc(retries)
         return DeviceReadResult(
             data=data,
-            pages_read=pages_read,
-            bytes_from_flash=bytes_from_flash,
+            pages_read=len(pulled),
+            bytes_from_flash=sum(len(page) for page in pulled),
             bytes_decompressed=bytes_decompressed,
             bytes_to_host=len(data),
             lines_seen=lines_seen,
             lines_kept=lines_kept,
             elapsed_s=elapsed,
-            read_retries=read_retries,
+            read_retries=retries,
         )

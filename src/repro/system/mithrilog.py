@@ -6,18 +6,20 @@ compressed data and the effective read bandwidth is multiplied by the
 compression ratio — Section 5's whole purpose), appended to the device,
 and indexed page-by-page in the inverted index.
 
-Query path: the index proposes candidate pages (a superset); the device
-is configured with the decompressor and the compiled token filter; pages
-stream through the near-storage accelerator and only surviving lines
-cross PCIe. Timing is the paper's pipeline arithmetic: the elapsed scan
+Query path: the index proposes candidate pages (a superset); the pass's
+scan program (decompressor, tokenizer, compiled token filter) is built
+once; pages stream through it — all at once for a full scan, one at a
+time and cancellable under ``limit=`` — and only surviving lines cross
+PCIe. Timing is the paper's pipeline arithmetic: the elapsed scan
 time is set by the slowest of {flash supply, accelerator consumption,
 host link}, plus the latency-bound index traversal.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.compression.lzah import LZAHCompressor
 from repro.core.backend import resolve_kernel
@@ -26,18 +28,18 @@ from repro.core.query import Query
 from repro.core.tokenizer import page_token_set
 from repro.errors import IngestError, QueryError
 from repro.exec.cache import DEFAULT_CACHE_PAGES, PageCache
-from repro.exec.executor import ScanExecutor, ScanProgramSpec
+from repro.exec.executor import (
+    KernelResult,
+    ScanExecutor,
+    ScanProgramSpec,
+    _partition_kernel,
+)
 from repro.hw.perf import PipelineCycleModel, measure_tokenized_stats
 from repro.index.inverted import InvertedIndex
 from repro.obs.explain import ExplainReport, build_explain
 from repro.obs.journal import template_fingerprint
 from repro.obs.metrics import get_registry, handle
-from repro.obs.profile import (
-    ProfileBuilder,
-    TraceContext,
-    merge_into_registry,
-    profile_to_dict,
-)
+from repro.obs.profile import TraceContext, merge_into_registry, profile_to_dict
 from repro.obs.tracing import SpanTracer
 from repro.params import PROTOTYPE, SystemParams
 from repro.sim.clock import SimClock
@@ -524,16 +526,21 @@ class MithriLogSystem:
         queries); ``newest_first`` visits candidate pages in reverse
         chronological order — the natural direction for log exploration,
         and what Section 6.3's reverse-ordered index traversal hands the
-        host for free. With both set, the result is "the last ``limit``
-        matches", in storage order within the visited range.
+        host for free. With both set, pages are visited newest first but
+        each page is still filtered in storage order and the read is
+        cancelled at the ``limit``-th match, so the result is every
+        match of the newer visited pages plus the *earliest* matches of
+        the oldest visited one — ``limit`` matches from the newest pages
+        that hold that many, not "the last ``limit`` matches" of the log.
 
         ``workers`` parallelises the host-side scan work (decompress,
         tokenize, filter) over that many processes via the
         :class:`repro.exec.ScanExecutor`. Results, simulated stats and
         fault behaviour are identical at any worker count — only host
         wall-clock changes; ``workers=1`` (the default) runs fully
-        in-process. A ``limit`` forces the in-process path, because
-        early cancellation is inherently sequential.
+        in-process. A ``limit`` runs the same scan kernel in-process,
+        fed page by page, because early cancellation is inherently
+        sequential.
 
         ``analyze=True`` runs EXPLAIN ANALYZE alongside: the cost-based
         planner's estimates are captured before execution, and the
@@ -649,9 +656,11 @@ class MithriLogSystem:
     def _scan(self, run: _Pass) -> None:
         """Stage 3: read and filter the selected pages.
 
-        All full scans — any worker count — run the partition kernel
-        through the executor; ``limit=`` is the cancellable device read.
-        Both leave the same seven counters on ``stats``. Writes
+        One scan program either way — the partition kernel under this
+        pass's :class:`ScanProgramSpec`. A full scan fetches every page
+        and hands them to the executor (any worker count); ``limit=`` is
+        the device's cancellable FILTER read, which feeds the same kernel
+        page by page and stops pulling at the ``limit``-th match. Writes
         ``matched``, ``per_query``, ``partitions`` and the scan counters.
         """
         stats = run.stats
@@ -659,23 +668,25 @@ class MithriLogSystem:
         self._m_batch_queries.set(len(run.queries))
         hits_before = self.page_cache.hits
         misses_before = self.page_cache.misses
+        # The kernel resolves here, in the parent, so every pool worker
+        # runs the identical code path.
+        spec = ScanProgramSpec(
+            queries=run.queries,
+            cuckoo_params=self.engine.cuckoo_params,
+            seed=self.engine.seed,
+            offloaded=self.engine.offloaded,
+            lzah_params=self.params.lzah,
+            kernel=resolve_kernel(self.scan_kernel),
+        )
         if run.limit is None:
-            read = self._scan_with_executor(run)
+            read = self._scan_with_executor(run, spec)
         else:
-            host = ProfileBuilder()
             self.device.configure(
-                decompress_page=self.codec.decompress,
-                decompress_page_at=host.wrap(
-                    "decompress", self._cached_decompress, units_of=len
-                ),
-                line_filter=host.wrap("filter", self.engine.keep_line),
+                scan_pages=functools.partial(self._scan_pages, run, spec)
             )
             read = self.device.read(
                 run.candidates, mode=ReadMode.FILTER, stop_after_matches=run.limit
             )
-            serial_profile = host.build()
-            merge_into_registry(serial_profile)
-            stats.host_profile = profile_to_dict(serial_profile)
         stats.cache_hits = self.page_cache.hits - hits_before
         stats.cache_misses = self.page_cache.misses - misses_before
         stats.pages_read = read.pages_read
@@ -686,12 +697,7 @@ class MithriLogSystem:
         stats.lines_kept = read.lines_kept
         stats.read_retries = read.read_retries
         run.matched = read.data.splitlines()
-        if run.per_query is None:
-            run.per_query = self._per_query_counts(run.matched, len(run.queries))
-        elif run.matched:
-            # the kernel already produced per-query verdicts; account the
-            # filter-engine metrics the recount used to bump
-            self.engine.account_filtered(len(run.matched))
+        self.engine.account_filtered(len(run.matched))
 
     def _account(self, run: _Pass) -> None:
         """Stage 4: simulated stage times, the deterministic profile and
@@ -806,16 +812,6 @@ class MithriLogSystem:
         self._begin(run)
         return self._explain_report(run)
 
-    def _cached_decompress(self, address: int, payload: bytes) -> bytes:
-        """Address-aware decompressor serving from the page cache."""
-        return self.page_cache.get_or_decode(
-            self.device.device_key,
-            address,
-            self._codec_key,
-            payload,
-            self.codec.decompress,
-        )
-
     def _scan_executor_for(self, workers: int) -> ScanExecutor:
         executor = self._scan_executors.get(workers)
         if executor is None:
@@ -823,16 +819,56 @@ class MithriLogSystem:
             self._scan_executors[workers] = executor
         return executor
 
-    def _scan_with_executor(self, run: _Pass) -> DeviceReadResult:
-        """The parallel scan: device-fetched pages, fanned-out filtering.
+    def _kernel_items(
+        self, pages: Iterable[tuple[int, Page]], fetched: list
+    ) -> Iterator[tuple[bool, bytes]]:
+        """Fetched pages as kernel items (a cache hit arrives decoded);
+        notes each in ``fetched`` for :meth:`_cache_decoded`."""
+        device_key, codec_key = self.device.device_key, self._codec_key
+        for address, page in pages:
+            payload = page.data
+            fetched.append((address, payload))
+            cached = self.page_cache.get(device_key, address, codec_key, payload)
+            yield (False, payload) if cached is None else (True, cached)
+
+    def _cache_decoded(self, fetched: list, decoded: Sequence) -> None:
+        """Feed the kernel's decodes back, so a repeated scan hits."""
+        device_key, codec_key = self.device.device_key, self._codec_key
+        for (address, payload), text in zip(fetched, decoded):
+            if text is not None:
+                self.page_cache.put(device_key, address, codec_key, payload, text)
+
+    def _scan_pages(
+        self,
+        run: _Pass,
+        spec: ScanProgramSpec,
+        pages: Iterator[tuple[int, Page]],
+        stop_after: Optional[int],
+    ) -> KernelResult:
+        """The device's FILTER program: the partition kernel, fed lazily,
+        so a cancelled read never fetches (or faults on) a page behind
+        the last match."""
+        fetched: list = []
+        result = _partition_kernel(
+            spec, self._kernel_items(pages, fetched),
+            self.page_cache.max_pages > 0, stop_after,
+        )
+        self._cache_decoded(fetched, result.decoded)
+        profile = dict(result.stages)
+        merge_into_registry(profile)
+        run.stats.host_profile = profile_to_dict(profile)
+        run.per_query = list(result.per_query_counts)
+        return result
+
+    def _scan_with_executor(
+        self, run: _Pass, spec: ScanProgramSpec
+    ) -> DeviceReadResult:
+        """The full scan: device-fetched pages, fanned-out filtering.
 
         Flash access (and with it fault injection, retries and read
-        accounting) stays in the device, in candidate order — identical
-        to the serial FILTER read. Pages that hit the decompressed-page
-        cache skip the decode even in workers; the rest are decoded in
-        the pool. The returned result carries the exact byte counts the
-        serial path would, so :meth:`_fill_scan_times` produces the same
-        simulated stats at any worker count. The aggregate's per-partition
+        accounting) stays in the device, in candidate order. Pages that
+        hit the decompressed-page cache skip the decode even in workers;
+        the rest are decoded in the pool. The aggregate's per-partition
         profiles are the subprocess work made visible to the parent
         (registry merge happens in the executor; ``partitions``,
         ``per_query`` and ``host_profile`` are written on the pass here).
@@ -841,40 +877,14 @@ class MithriLogSystem:
         pages, retries = self.device.fetch_pages(
             candidates, count_mode=ReadMode.FILTER
         )
-        device_key = self.device.device_key
-        codec_key = self._codec_key
-        cache = self.page_cache
-        items: list[tuple[bool, bytes]] = []
-        for address, page in zip(candidates, pages):
-            payload = page.data
-            cached = cache.get(device_key, address, codec_key, payload)
-            if cached is not None:
-                items.append((True, cached))
-            else:
-                items.append((False, payload))
-        # The kernel resolves here, in the parent, so every pool worker
-        # runs the identical code path.
-        spec = ScanProgramSpec(
-            queries=run.queries,
-            cuckoo_params=self.engine.cuckoo_params,
-            seed=self.engine.seed,
-            offloaded=self.engine.offloaded,
-            lzah_params=self.params.lzah,
-            kernel=resolve_kernel(self.scan_kernel),
-        )
+        fetched: list = []
+        items = list(self._kernel_items(zip(candidates, pages), fetched))
         # the inline path hands decoded pages back so repeated scans hit
-        # the cache exactly as the old serial path did; pool workers keep
-        # their decodes local (shipping pages back would dwarf the scan)
-        want_decoded = workers == 1 and cache.max_pages > 0
-        aggregate = self._scan_executor_for(workers).scan(
-            spec, items, want_decoded=want_decoded
-        )
-        if want_decoded and aggregate.decoded:
-            for address, page, decoded in zip(
-                candidates, pages, aggregate.decoded
-            ):
-                if decoded is not None:
-                    cache.put(device_key, address, codec_key, page.data, decoded)
+        # the cache; pool workers keep their decodes local (shipping
+        # pages back would dwarf the scan)
+        want_decoded = workers == 1 and self.page_cache.max_pages > 0
+        aggregate = self._scan_executor_for(workers).scan(spec, items, want_decoded)
+        self._cache_decoded(fetched, aggregate.decoded)
         self.device.account_host_bytes(len(aggregate.data))
         if workers > 1:
             # partition spans only describe actual fan-out; the inline
@@ -1029,14 +1039,6 @@ class MithriLogSystem:
                     lines_kept=record.lines_kept,
                     **child.tags(),
                 )
-
-    def _per_query_counts(
-        self, matched: list[bytes], num_queries: int
-    ) -> list[int]:
-        if not matched:
-            return [0] * num_queries
-        verdicts = self.engine.filter_lines(matched).verdicts
-        return [sum(1 for v in verdicts if v[q]) for q in range(num_queries)]
 
     # -- convenience -----------------------------------------------------
 

@@ -6,8 +6,9 @@ it: every ingested batch is appended to a write-ahead log on disk before
 it is considered accepted; checkpoints persist the whole store
 (:mod:`repro.system.persistence`) and truncate the WAL; recovery loads
 the last checkpoint and replays the WAL's tail. Losing neither
-acknowledged lines nor index consistency across a crash is the property
-the tests drive.
+acknowledged lines nor index consistency across a crash, and applying
+no batch twice wherever in a checkpoint it fell, is the property the
+tests drive.
 
 WAL record format (binary, self-delimiting, one record per batch):
 
@@ -39,7 +40,12 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 from repro.errors import IngestError, TornRecordError, WalRecordError
 from repro.obs.metrics import handle
 from repro.system.mithrilog import IngestReport, MithriLogSystem
-from repro.system.persistence import load_store, save_store
+from repro.system.persistence import (
+    JOURNAL_NAME,
+    open_store,
+    save_metadata,
+    save_store,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injectors import WalFaultInjector
@@ -173,11 +179,12 @@ class WriteAheadLog:
         self._m_bytes.inc(len(record))
         self._m_fsyncs.inc()
 
-    def scan(self) -> WalScanReport:
-        """Walk the journal, collecting valid batches and tail diagnosis."""
+    def scan(self, start: int = 0) -> WalScanReport:
+        """Walk the journal from record boundary ``start``, collecting
+        valid batches and tail diagnosis."""
         blob = self.path.read_bytes()
-        report = WalScanReport(total_bytes=len(blob))
-        pos = 0
+        pos = min(start, len(blob))
+        report = WalScanReport(total_bytes=len(blob), valid_bytes=pos)
         while pos < len(blob):
             try:
                 lines, timestamps, pos = decode_record(blob, pos)
@@ -193,20 +200,13 @@ class WriteAheadLog:
             report.valid_bytes = pos
         return report
 
-    def replay(self) -> Iterator[Batch]:
+    def replay(self, start: int = 0) -> Iterator[Batch]:
         """Yield ``(lines, timestamps)`` batches in append order.
 
         A torn or corrupt final record (crash mid-append, tail bit rot)
         is tolerated and dropped — its batch was never acknowledged.
         """
-        blob = self.path.read_bytes()
-        pos = 0
-        while pos < len(blob):
-            try:
-                lines, timestamps, pos = decode_record(blob, pos)
-            except WalRecordError:
-                break  # torn or corrupt tail: truncate-and-continue
-            yield lines, timestamps
+        yield from self.scan(start).batches
 
     def repair(self) -> int:
         """Physically truncate the journal to its last valid record.
@@ -252,7 +252,7 @@ class JournaledMithriLog:
         self.store_dir = Path(store_dir)
         self.system = system if system is not None else MithriLogSystem(seed=seed)
         self.wal = WriteAheadLog(
-            self.store_dir / "wal.bin", fault_injector=wal_fault_injector
+            self.store_dir / JOURNAL_NAME, fault_injector=wal_fault_injector
         )
 
     def ingest(
@@ -269,25 +269,43 @@ class JournaledMithriLog:
         return self.system.query(*queries, **kwargs)
 
     def checkpoint(self) -> None:
-        """Persist the full store and truncate the journal."""
+        """Persist the full store and truncate the journal.
+
+        The saved store says it contains the journal as it stands, so a
+        crash before the truncation replays nothing twice; the store is
+        told of the truncation before the journal can grow past the mark.
+        """
         save_store(self.system, self.store_dir)
         self.wal.truncate()
+        save_metadata(self.system, self.store_dir)
 
     @classmethod
     def recover(cls, store_dir: Union[str, Path], seed: int = 0) -> "JournaledMithriLog":
         """Rebuild after a crash: last checkpoint + WAL tail replay.
 
-        The journal is repaired (torn/corrupt tail physically truncated)
-        before new writes are accepted, so post-recovery appends extend a
-        well-formed journal rather than hiding behind unreadable bytes.
+        Each acknowledged batch is applied exactly once: the journal
+        prefix the store says it contains is skipped, unless the journal
+        is shorter than that — then it was truncated after the save and
+        everything in it is new. The journal is repaired (torn/corrupt
+        tail physically truncated) before new writes are accepted, so
+        post-recovery appends extend a well-formed journal rather than
+        hiding behind unreadable bytes.
         """
         store_dir = Path(store_dir)
+        applied = 0
         if (store_dir / "store.json").exists():
-            system = load_store(store_dir, seed=seed)
+            system, applied = open_store(store_dir, seed=seed)
         else:
             system = MithriLogSystem(seed=seed)
         journaled = cls(store_dir, system=system, seed=seed)
+        truncated_since = journaled.wal.size_bytes < applied
         journaled.wal.repair()
-        for lines, timestamps in journaled.wal.replay():
+        for lines, timestamps in journaled.wal.replay(
+            0 if truncated_since else applied
+        ):
             system.ingest(lines, timestamps=timestamps)
+        if truncated_since:
+            # the crash fell between truncating and telling the store:
+            # finish that checkpoint before the journal outgrows the mark
+            journaled.checkpoint()
         return journaled

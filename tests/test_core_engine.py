@@ -53,11 +53,6 @@ class TestCompileAndFilter:
         result = engine.filter_lines(LINES)
         assert result.kept_indices() == [1, 4]
 
-    def test_keep_line_predicate(self, engine):
-        engine.compile(parse_query("failed"))
-        assert engine.keep_line(LINES[2])
-        assert not engine.keep_line(LINES[0])
-
     def test_empty_batch(self, engine):
         engine.compile(parse_query("failed"))
         result = engine.filter_lines([])

@@ -4,15 +4,21 @@ Drives N batches through the journaled system, then simulates a crash by
 cutting the journal at every record boundary plus several mid-record
 offsets. Recovery must (a) never raise, (b) retain every acknowledged
 batch wholly before the cut, and (c) never resurrect partial data from
-beyond it.
+beyond it. A second matrix kills the process inside ``checkpoint()``:
+after the store was saved, after the journal was truncated, and again
+after recovering and appending — every batch must come back once.
 """
 
+import json
 import random
 
 import pytest
 
+from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
-from repro.system.wal import JournaledMithriLog, decode_record
+from repro.system import wal as wal_module
+from repro.system.mithrilog import MithriLogSystem
+from repro.system.wal import JournaledMithriLog, decode_record, encode_record
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +103,103 @@ class TestCrashMatrix:
         journaled.wal.path.write_bytes(wal_blob[:-7])
         recovered = JournaledMithriLog.recover(store_dir)
         assert recovered.system.total_lines == len(batches[0]) + len(batches[1])
+
+
+class Died(Exception):
+    """Stands in for the process dying at a chosen point."""
+
+
+class TestCheckpointCrashWindow:
+    """``checkpoint()`` is save the store → truncate the journal → tell
+    the store. Wherever the process dies in it, recovery applies every
+    acknowledged batch exactly once."""
+
+    QUERY = parse_query("KERNEL AND NOT FATAL")
+
+    @pytest.fixture(scope="class")
+    def batches(self):
+        corpus = generator_for("BGL2", seed=3).generate(900)
+        return [corpus[i * 150 : (i + 1) * 150] for i in range(6)]
+
+    @staticmethod
+    def _crash_in_checkpoint(journaled, monkeypatch, dies_at):
+        """Run ``checkpoint()`` up to ``dies_at`` and lose the process."""
+        def die(*_args, **_kwargs):
+            raise Died(dies_at)
+
+        with monkeypatch.context() as patch:
+            if dies_at == "after save_store":
+                patch.setattr(journaled.wal, "truncate", die)
+            else:  # after truncate, before the store hears of it
+                patch.setattr(wal_module, "save_metadata", die)
+            with pytest.raises(Died):
+                journaled.checkpoint()
+
+    def _assert_like_uncrashed(self, recovered, lines):
+        twin = MithriLogSystem()
+        twin.ingest(lines)
+        assert recovered.system.total_lines == len(lines)
+        expected = twin.query(self.QUERY)
+        assert expected.matched_lines  # the query does select something
+        outcome = recovered.query(self.QUERY)
+        assert sorted(outcome.matched_lines) == sorted(expected.matched_lines)
+
+    @pytest.mark.parametrize("dies_at", ["after save_store", "after truncate"])
+    def test_dying_inside_a_checkpoint(self, batches, tmp_path, monkeypatch, dies_at):
+        journaled = JournaledMithriLog(tmp_path)
+        journaled.ingest(batches[0])
+        journaled.ingest(batches[1])
+        self._crash_in_checkpoint(journaled, monkeypatch, dies_at)
+        del journaled
+        recovered = JournaledMithriLog.recover(tmp_path)
+        self._assert_like_uncrashed(recovered, batches[0] + batches[1])
+
+    @pytest.mark.parametrize("dies_at", ["after save_store", "after truncate"])
+    def test_recover_append_and_die_again(
+        self, batches, tmp_path, monkeypatch, dies_at
+    ):
+        journaled = JournaledMithriLog(tmp_path)
+        journaled.ingest(batches[0])
+        mark = journaled.wal.size_bytes
+        self._crash_in_checkpoint(journaled, monkeypatch, dies_at)
+        del journaled
+        recovered = JournaledMithriLog.recover(tmp_path)
+        # enough new batches for a fresh journal to grow past the old mark
+        for batch in batches[1:4]:
+            recovered.ingest(batch)
+        assert recovered.wal.size_bytes > 2 * mark
+        del recovered
+        again = JournaledMithriLog.recover(tmp_path)
+        self._assert_like_uncrashed(again, sum(batches[:4], []))
+        # and a third life, through a checkpoint that does complete
+        again.checkpoint()
+        assert again.wal.size_bytes == 0
+        again.ingest(batches[4])
+        del again
+        final = JournaledMithriLog.recover(tmp_path)
+        self._assert_like_uncrashed(final, sum(batches[:5], []))
+
+    def test_the_journal_itself_is_unchanged(self, batches, tmp_path):
+        journaled = JournaledMithriLog(tmp_path)
+        for batch in batches[:3]:
+            journaled.ingest(batch)
+        records = b"".join(encode_record(batch) for batch in batches[:3])
+        assert journaled.wal.path.read_bytes() == records
+        journaled.checkpoint()
+        journaled.ingest(batches[3])
+        assert journaled.wal.path.read_bytes() == encode_record(batches[3])
+
+    def test_a_store_without_the_field_replays_its_whole_journal(
+        self, batches, tmp_path
+    ):
+        journaled = JournaledMithriLog(tmp_path)
+        journaled.ingest(batches[0])
+        journaled.checkpoint()
+        journaled.ingest(batches[1])
+        del journaled
+        store_json = tmp_path / "store.json"
+        metadata = json.loads(store_json.read_text())
+        assert metadata.pop("wal_bytes_applied") == 0
+        store_json.write_text(json.dumps(metadata))
+        recovered = JournaledMithriLog.recover(tmp_path)
+        self._assert_like_uncrashed(recovered, batches[0] + batches[1])

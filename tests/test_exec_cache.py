@@ -66,18 +66,6 @@ class TestPageCacheUnit:
         assert len(cache) == 0
         assert cache.get(0, 1, "c", b"p") is None
 
-    def test_get_or_decode_decodes_once(self):
-        cache = PageCache(4)
-        calls = []
-
-        def decode(payload):
-            calls.append(payload)
-            return payload.upper()
-
-        assert cache.get_or_decode(0, 1, "c", b"abc", decode) == b"ABC"
-        assert cache.get_or_decode(0, 1, "c", b"abc", decode) == b"ABC"
-        assert calls == [b"abc"]
-
     def test_clear(self):
         cache = PageCache(4)
         cache.put(0, 1, "c", b"p", b"d")

@@ -44,31 +44,6 @@ class TestProfileBuilder:
             calls=3, units=150, wall_s=0.75
         )
 
-    def test_wrap_counts_calls_and_units(self):
-        builder = ProfileBuilder()
-        double = builder.wrap("filter", lambda x: x * 2, units_of=len)
-        assert double("ab") == "abab"
-        assert double("c") == "cc"
-        profile = builder.build()
-        assert profile["filter"].calls == 2
-        assert profile["filter"].units == 6
-        assert profile["filter"].wall_s >= 0.0
-
-    def test_wrap_charges_wall_on_exception_and_propagates(self):
-        builder = ProfileBuilder()
-
-        def boom():
-            raise ValueError("kaput")
-
-        wrapped = builder.wrap("filter", boom)
-        with pytest.raises(ValueError, match="kaput"):
-            wrapped()
-        profile = builder.build()
-        # the attempted call and its wall time are charged; no units accrue
-        assert profile["filter"].calls == 1
-        assert profile["filter"].units == 0
-        assert profile["filter"].wall_s >= 0.0
-
     def test_merge_profiles_sums_stages(self):
         a = {"decompress": StageProfile(calls=1, units=10, wall_s=0.1)}
         b = {

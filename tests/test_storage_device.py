@@ -1,5 +1,7 @@
 """Unit tests for the accelerator-attached storage device."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import StorageError
@@ -48,23 +50,47 @@ class TestDecompressReads:
             device.read(addrs, mode=ReadMode.DECOMPRESS)
 
 
+def scanner(keep):
+    """A fake FILTER program: keeps the lines ``keep`` accepts, pulling
+    pages only until ``stop_after`` of them were kept."""
+
+    def scan_pages(pages, stop_after):
+        kept, seen, nbytes = [], 0, 0
+        for _, page in pages:
+            nbytes += len(page.data)
+            for line in page.data.splitlines():
+                seen += 1
+                if keep(line):
+                    kept.append(line)
+                    if len(kept) == stop_after:
+                        break
+            if len(kept) == stop_after:
+                break
+        return SimpleNamespace(
+            data=b"".join(line + b"\n" for line in kept),
+            bytes_decompressed=nbytes, lines_seen=seen, lines_kept=len(kept),
+        )
+
+    return scan_pages
+
+
 class TestFilterReads:
     def test_filter_keeps_matching_lines(self, device):
         text = b"keep me\ndrop me\nkeep too\n"
         addrs = device.append_pages([Page(text)])
-        device.configure(
-            decompress_page=lambda p: p,
-            line_filter=lambda line: line.startswith(b"keep"),
-        )
+        device.configure(scan_pages=scanner(lambda line: line.startswith(b"keep")))
         result = device.read(addrs, mode=ReadMode.FILTER)
         assert result.data == b"keep me\nkeep too\n"
+        assert result.pages_read == 1
+        assert result.bytes_from_flash == len(Page(text))
+        assert result.bytes_decompressed == len(text)
         assert result.lines_seen == 3
         assert result.lines_kept == 2
         assert result.selectivity == pytest.approx(2 / 3)
 
     def test_filter_dropping_everything_returns_empty(self, device):
         addrs = device.append_pages([Page(b"a\nb\n")])
-        device.configure(decompress_page=lambda p: p, line_filter=lambda _: False)
+        device.configure(scan_pages=scanner(lambda _: False))
         result = device.read(addrs, mode=ReadMode.FILTER)
         assert result.data == b""
         assert result.bytes_to_host == 0
@@ -77,10 +103,40 @@ class TestFilterReads:
 
     def test_reconfigure_replaces_previous_query(self, device):
         addrs = device.append_pages([Page(b"a\nb\n")])
-        device.configure(decompress_page=lambda p: p, line_filter=lambda ln: ln == b"a")
+        device.configure(scan_pages=scanner(lambda ln: ln == b"a"))
         assert device.read(addrs, mode=ReadMode.FILTER).data == b"a\n"
-        device.configure(decompress_page=lambda p: p, line_filter=lambda ln: ln == b"b")
+        device.configure(scan_pages=scanner(lambda ln: ln == b"b"))
         assert device.read(addrs, mode=ReadMode.FILTER).data == b"b\n"
+
+    def test_cancelled_read_pulls_no_page_past_the_last_match(
+        self, device, monkeypatch
+    ):
+        addrs = device.append_pages(
+            [Page(b"k\nd\n"), Page(b"d\nk\nk\n"), Page(b"k\n")]
+        )
+        device.configure(scan_pages=scanner(lambda ln: ln == b"k"))
+        flash_reads = []
+        read_page = device.flash.read_page
+        monkeypatch.setattr(
+            device.flash, "read_page",
+            lambda a, clock=None: flash_reads.append(a) or read_page(a, clock=clock),
+        )
+        result = device.read(addrs, mode=ReadMode.FILTER, stop_after_matches=2)
+        assert result.data == b"k\nk\n"
+        assert result.pages_read == 2
+        assert flash_reads == addrs[:2]
+        assert result.bytes_from_flash == len(b"k\nd\n") + len(b"d\nk\nk\n")
+        assert (result.lines_seen, result.lines_kept) == (4, 2)
+        # uncancelled, the one batched request reads everything
+        assert device.read(addrs, mode=ReadMode.FILTER).pages_read == 3
+
+    def test_early_stop_only_applies_to_filter_reads(self, device):
+        addrs = device.append_pages([Page(b"x\n")])
+        device.configure(scan_pages=scanner(lambda _: True))
+        with pytest.raises(StorageError):
+            device.read(addrs, mode=ReadMode.RAW, stop_after_matches=1)
+        with pytest.raises(StorageError):
+            device.read(addrs, mode=ReadMode.FILTER, stop_after_matches=0)
 
 
 class TestDeviceTiming:
@@ -94,7 +150,7 @@ class TestDeviceTiming:
         device = MithriLogDevice(params)
         text = b"k\n" + b"d\n" * 499  # 1000 bytes, only one line kept
         addrs = device.append_pages([Page(text)])
-        device.configure(decompress_page=lambda p: p, line_filter=lambda ln: ln == b"k")
+        device.configure(scan_pages=scanner(lambda ln: ln == b"k"))
 
         clock = SimClock()
         filtered = device.read(addrs, mode=ReadMode.FILTER, clock=clock)

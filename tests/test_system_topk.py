@@ -73,3 +73,18 @@ class TestNewestFirst:
         limited = system.query(query, newest_first=True, limit=1)
         # one match from the newest pages: barely any data touched
         assert limited.stats.pages_read <= 3
+
+    def test_limit_with_newest_first_is_not_the_last_matches(self):
+        """Pages are visited newest first, but each page is filtered in
+        storage order and cancelled at the k-th match: the oldest visited
+        page gives its *earliest* matches. (Returning the last ones would
+        move ``lines_seen``, and with it every simulated time.)"""
+        lines = [b"filler line %d" % i for i in range(50)]
+        lines[3] = b"needle early"
+        lines[30] = b"needle late"
+        system = MithriLogSystem()
+        system.ingest(lines)
+        assert system.index.total_data_pages == 1
+        outcome = system.query(parse_query("needle"), limit=1, newest_first=True)
+        assert outcome.matched_lines == [b"needle early"]
+        assert outcome.stats.lines_seen == 4

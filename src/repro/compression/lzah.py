@@ -35,13 +35,22 @@ stream that changes the decoded output is detected
 (:class:`repro.errors.CompressedFormatError`) instead of silently
 returning wrong log lines — the durability property the robustness
 suite's single-byte-corruption tests pin down.
+
+Three decoders read this format: :meth:`LZAHCompressor.decompress_words`
+(the word-by-word specification), :meth:`~LZAHCompressor.decompress`
+(its fast per-word form) and :meth:`~LZAHCompressor.decompress_into`,
+the scan kernel's bulk decoder, which rebuilds a *run* of streams with
+one set of numpy operations — literal slots from a CRC table
+(:func:`word_crc32`), matches resolved by a sort over ``(stream, slot,
+position)`` keys — and defers to ``decompress`` for any run it cannot
+verify.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.compression.base import Compressor
 from repro.core.backend import numpy_or_none
@@ -56,6 +65,36 @@ def _pad_to(buffer: bytearray, alignment: int) -> None:
     remainder = len(buffer) % alignment
     if remainder:
         buffer.extend(b"\0" * (alignment - remainder))
+
+
+#: ``word_bytes → (crc32 of the zero word, word_bytes × 256 table)``.
+_CRC_TABLES: dict = {}
+
+
+def word_crc32(np, words):
+    """``zlib.crc32`` of every row of a ``(n × word_bytes)`` ``uint8`` array.
+
+    CRC-32 is affine over inputs of one length, so a word's CRC is the
+    zero word's XOR one table entry per byte: ``crc(w) = crc(0…0) ⊕
+    XOR_i T[i, w[i]]`` with ``T[i, v] = crc(v at byte i) ⊕ crc(0…0)``.
+    ``T`` is built once per width from ``zlib.crc32`` itself, so the
+    result is bit-identical to calling it per word.
+    """
+    word_bytes = words.shape[1]
+    entry = _CRC_TABLES.get(word_bytes)
+    if entry is None:
+        zero = bytes(word_bytes)
+        base = zlib.crc32(zero)
+        table = np.array(
+            [
+                [zlib.crc32(zero[:i] + bytes((v,)) + zero[i + 1 :]) ^ base for v in range(256)]
+                for i in range(word_bytes)
+            ],
+            dtype=np.uint32,
+        )
+        entry = _CRC_TABLES[word_bytes] = (base, table)
+    base, table = entry
+    return np.bitwise_xor.reduce(table[np.arange(word_bytes), words], axis=1) ^ base
 
 
 @dataclass(frozen=True)
@@ -242,94 +281,115 @@ class LZAHCompressor(Compressor):
             )
         return decoded
 
-    def decompress_into(self, data: bytes) -> bytes:
-        """Decode one stream on the bulk (numpy) path.
+    @staticmethod
+    def declared_length(data: bytes) -> int:
+        """The text length a stream's header declares (every decoder
+        verifies it before returning)."""
+        return int.from_bytes(data[0:4], "little")
 
-        :meth:`_bulk_decode` rebuilds the page with array operations and
-        returns it only after verifying its length and CRC; anything it
-        cannot vouch for (truncated, out-of-range or corrupt stream, no
-        numpy) goes to :meth:`decompress`, so output and every
+    def decompress_into(self, data: bytes, *more: bytes) -> bytes:
+        """Decode a run of streams on the bulk (numpy) path: their texts,
+        concatenated in order.
+
+        :meth:`_bulk_decode` rebuilds every stream of the run with one set
+        of array operations and returns them only after verifying each
+        one's length and CRC. If it cannot vouch for any stream
+        (truncated, out-of-range or corrupt, no numpy), the run goes to
+        :meth:`decompress` stream by stream, so output and every
         :class:`repro.errors.CompressedFormatError` case and message are
-        the per-word decoder's.
+        the per-word decoder's — for a run, those of its first bad stream.
         """
-        decoded = self._bulk_decode(data)
+        streams = (data, *more)
+        decoded = self._bulk_decode(streams)
         if decoded is None:
-            return self.decompress(data)
+            return b"".join(map(self.decompress, streams))
         return decoded.tobytes()
 
-    def _bulk_decode(self, data: bytes):
-        """The decoded page as a ``uint8`` array, or ``None`` to defer.
+    def _bulk_decode(self, streams: Sequence[bytes]):
+        """The decoded streams, concatenated, as a ``uint8`` array, or
+        ``None`` to defer.
 
         Never raises on a malformed stream. The only Python-level loops
-        are over the page's chunks and over its literal words
-        (``zlib.crc32`` names each literal's table slot).
+        are over the run's chunks and over its streams (length and CRC).
         """
         np = numpy_or_none()
         p = self.params
         word_bytes = p.word_bytes
         pairs_per_chunk = p.pairs_per_chunk
-        if np is None or len(data) < _LEN_HEADER or pairs_per_chunk % 8:
+        slots = p.hash_table_slots
+        if np is None or pairs_per_chunk % 8:
             return None
-        total_len = int.from_bytes(data[0:4], "little")
-        num_pairs = int.from_bytes(data[4:8], "little")
         header_bytes = pairs_per_chunk // 8
 
-        # walk the chunks: a header's popcount gives its payload size, and
-        # so what to add to a pair's running payload offset in that chunk
-        headers, rebases = [], []
-        pos, payload = _LEN_HEADER, 0
-        for remaining in range(num_pairs, 0, -pairs_per_chunk):
-            header = data[pos : pos + header_bytes]
-            if len(header) < header_bytes:
+        # walk every stream's chunks: a header's popcount gives its payload
+        # size, and so what to add to a pair's running payload offset (over
+        # the whole run) to land in that chunk of the joined streams
+        headers, in_chunks, rebases, num_pairs = [], [], [], []
+        base = payload = 0
+        for data in streams:
+            if len(data) < _LEN_HEADER:
                 return None
-            in_chunk = min(remaining, pairs_per_chunk)
-            bits = int.from_bytes(header, "little") & ((1 << in_chunk) - 1)
-            size = in_chunk * word_bytes - bits.bit_count() * (word_bytes - _INDEX_BYTES)
-            headers.append(header)
-            rebases.append(pos + header_bytes - payload)
-            payload += size
-            pos += header_bytes + size
-            if pos > len(data):
-                return None
-            pos += -(pos - _LEN_HEADER) % word_bytes  # alignment padding
-        stream = np.frombuffer(data, dtype=np.uint8)
-        is_match = np.unpackbits(
+            pairs = int.from_bytes(data[4:8], "little")
+            pos = _LEN_HEADER
+            for remaining in range(pairs, 0, -pairs_per_chunk):
+                header = data[pos : pos + header_bytes]
+                if len(header) < header_bytes:
+                    return None
+                in_chunk = min(remaining, pairs_per_chunk)
+                bits = int.from_bytes(header, "little") & ((1 << in_chunk) - 1)
+                size = in_chunk * word_bytes - bits.bit_count() * (word_bytes - _INDEX_BYTES)
+                headers.append(header)
+                in_chunks.append(in_chunk)
+                rebases.append(base + pos + header_bytes - payload)
+                payload += size
+                pos += header_bytes + size
+                if pos > len(data):
+                    return None
+                pos += -(pos - _LEN_HEADER) % word_bytes  # alignment padding
+            base += len(data)
+            num_pairs.append(pairs)
+        blob = np.frombuffer(b"".join(streams), dtype=np.uint8)
+        total_pairs = sum(num_pairs)
+        in_chunks = np.array(in_chunks, dtype=np.int64)
+        # a stream's last chunk may be short: its unused header bits go
+        bits = np.unpackbits(
             np.frombuffer(b"".join(headers), dtype=np.uint8), bitorder="little"
-        )[:num_pairs].astype(bool)
+        ).reshape(-1, pairs_per_chunk)
+        is_match = bits[np.arange(pairs_per_chunk) < in_chunks[:, None]].astype(bool)
         sizes = np.where(is_match, _INDEX_BYTES, word_bytes)
         offsets = sizes.cumsum() - sizes
-        offsets += np.repeat(np.array(rebases, dtype=np.int64), pairs_per_chunk)[:num_pairs]
+        offsets += np.repeat(np.array(rebases, dtype=np.int64), in_chunks)
+        stream_of = np.repeat(np.arange(len(streams)), num_pairs)
 
-        # literals: gather every word, crc32 each for its table slot
+        # literals: gather every word; the CRC table names its slot
         literal_at = np.flatnonzero(~is_match)
-        literal_offsets = offsets[literal_at]
-        literals = stream[literal_offsets[:, None] + np.arange(word_bytes)]
-        crc32 = zlib.crc32
-        mask = p.hash_table_slots - 1
-        literal_slots = np.array(
-            [crc32(data[o : o + word_bytes]) & mask for o in literal_offsets.tolist()],
-            dtype=np.int64,
-        )
+        literals = blob[offsets[literal_at][:, None] + np.arange(word_bytes)]
+        literal_slots = word_crc32(np, literals).astype(np.int64) & (slots - 1)
 
         # the literal each pair decodes to: itself, or for a match the
-        # latest earlier literal in the same slot. Literals sorted by
-        # (slot, position) make that one searchsorted.
-        source = np.empty(num_pairs, dtype=np.int64)
+        # latest earlier literal of the same stream in the same slot.
+        # Literals sorted by (stream, slot, position) make that one
+        # searchsorted.
+        source = np.empty(total_pairs, dtype=np.int64)
         source[literal_at] = np.arange(literal_at.size)
         match_at = np.flatnonzero(is_match)
         if match_at.size:
             match_offsets = offsets[match_at]
-            match_slots = stream[match_offsets] | (
-                stream[match_offsets + 1].astype(np.int64) << 8
+            match_slots = blob[match_offsets] | (
+                blob[match_offsets + 1].astype(np.int64) << 8
             )
-            keys = literal_slots * num_pairs + literal_at
+            if match_slots.max() >= slots:
+                return None  # an index outside the table
+            literal_keys = stream_of[literal_at] * slots + literal_slots
+            match_keys = stream_of[match_at] * slots + match_slots
+            keys = literal_keys * total_pairs + literal_at
             order = np.argsort(keys)
-            found = keys[order].searchsorted(match_slots * num_pairs + match_at) - 1
+            found = keys[order].searchsorted(match_keys * total_pairs + match_at) - 1
             if found.min() < 0:
                 return None  # no literal at all below the match's key
             found = order[found]
-            if (literal_slots[found] != match_slots).any():
-                return None  # empty slot, or an index outside the table
+            if (literal_keys[found] != match_keys).any():
+                return None  # an empty slot
             source[match_at] = found
 
         # cut each literal window just after its newline, then flatten
@@ -341,14 +401,28 @@ class LZAHCompressor(Compressor):
             )
             kept = np.arange(word_bytes) < lengths[:, None]
             decoded = literals.take(source, axis=0)[kept.take(source, axis=0)]
+            produced = np.bincount(
+                stream_of, weights=lengths.take(source), minlength=len(streams)
+            ).astype(np.int64).tolist()
         else:
             decoded = literals.take(source, axis=0).ravel()
-        if decoded.size < total_len:
-            return None
-        decoded = decoded[:total_len]  # the final window may overrun
-        if zlib.crc32(decoded) != int.from_bytes(data[8:12], "little"):
-            return None
-        return decoded
+            produced = [pairs * word_bytes for pairs in num_pairs]
+
+        # each stream: its declared length (only its final window may
+        # overrun it), then its CRC
+        texts, at = [], 0
+        for data, size in zip(streams, produced):
+            total_len = self.declared_length(data)
+            if size < total_len:
+                return None
+            text = decoded[at : at + total_len]
+            if zlib.crc32(text) != int.from_bytes(data[8:12], "little"):
+                return None
+            texts.append(text)
+            at += size
+        if sum(map(len, texts)) == decoded.size:
+            return decoded
+        return np.concatenate(texts)
 
     def decompress_words(self, data: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Decode a stream word by word (reference decoder).

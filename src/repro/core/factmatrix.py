@@ -3,7 +3,8 @@
 The paper's token filter evaluates every registered query in the same
 pass, so its throughput is flat in query count (Figure 14, Table 6). A
 :class:`FactProgram` is the host counterpart: all queries of a pass, all
-lines of a page, one fixed sequence of array operations.
+lines of a page (or of the scan kernel's run of pages), one fixed
+sequence of array operations.
 
 A program is a table of distinct ``(token, column)`` **facts** ("the
 line contains ``token``", or "its token at position ``column`` is
@@ -16,12 +17,14 @@ software-fallback programs from the query algebra
 
 Per page: (1) a first-byte and a length look-up drop every token no
 term could equal, and a page with no survivor gets the default verdict
-row at once; (2) survivors are hashed over their bytes and
-``searchsorted`` into the sorted term hashes; (3) every routed ``(token,
-fact)`` pair is compared byte for byte and column for column; (4)
-verified pairs scatter into a ``(lines × facts)`` matrix ``F``, a set is
-satisfied where ``F @ signed`` equals its need, and a query keeps a line
-where it owns a satisfied set. **Hashing routes, bytes decide**: a
+row at once; (2) survivors are located (line, position in line:
+:meth:`~repro.core.vectokenizer.PageTokens.locate`), hashed over their
+bytes and ``searchsorted`` into the sorted term hashes; (3) every routed
+``(token, fact)`` pair is compared byte for byte and column for column;
+(4) verified pairs scatter into a ``(lines × facts)`` matrix ``F``, a
+set is satisfied where ``F @ signed`` equals its need, and a query
+keeps a line where it owns a satisfied set (both products in blocks of
+:data:`_BLOCK_ROWS` lines). **Hashing routes, bytes decide**: a
 collision costs one more comparison, never a verdict. Per-program state
 is O(term bytes × intersection sets) — the scan executor keeps up to 128
 programs alive. ``docs/PERFORMANCE.md`` has the measurements.
@@ -38,6 +41,12 @@ __all__ = ["FactProgram"]
 #: Odd, so its powers never collapse to zero modulo 2**64.
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 
+#: Lines per matrix product, so that a multi-page run's products stay as
+#: small as one page's: larger ones can be handed to OpenBLAS's thread
+#: pool, which on a 2-core host has made a 16-query pass cost more than
+#: twice a one-query pass (``docs/PERFORMANCE.md``, "Page runs").
+_BLOCK_ROWS = 128
+
 
 def _ragged(np, counts):
     """Layout of a ragged array holding ``counts[i]`` items in row ``i``.
@@ -47,12 +56,23 @@ def _ragged(np, counts):
     """
     ends = counts.cumsum()
     starts = ends - counts
-    return np.arange(ends[-1] if ends.size else 0) - starts.repeat(counts), starts
+    within = np.arange(ends[-1] if ends.size else 0)
+    within -= starts.repeat(counts)  # in place: these arrays are per byte
+    return within, starts
+
+
+def _gather(source, starts, lengths, within):
+    """The bytes of every ragged row: ``lengths[i]`` from ``starts[i]``."""
+    index = starts.repeat(lengths)
+    index += within
+    return source.take(index)
 
 
 def _route_hash(np, values, within, starts, powers):
     """Polynomial ``uint64`` hash of every (non-empty) ragged row: routes only."""
-    return np.add.reduceat(values * powers[within], starts)
+    terms = powers.take(within)
+    terms *= values
+    return np.add.reduceat(terms, starts)
 
 
 class FactProgram:
@@ -113,10 +133,11 @@ class FactProgram:
         self._length_ok[lengths] = True
 
     def evaluate(self, page):
-        """``(lines × queries)`` boolean verdicts of one page.
+        """``(lines × queries)`` boolean verdicts of one page or run.
 
         Row ``i`` is exactly ``tuple(q.matches_tokens(tokens_i) for q in
-        queries)``, for any bytes (pinned by the differential suite).
+        queries)``, for any bytes (pinned by the differential suite). The
+        products run in blocks of at most :data:`_BLOCK_ROWS` lines.
         """
         np = numpy_or_none()
         hits = self._hits(np, page)
@@ -124,8 +145,12 @@ class FactProgram:
             return self._default.repeat(page.num_lines, axis=0)
         truth = np.zeros((page.num_lines, self.num_facts), dtype=np.float32)
         truth[hits] = 1
-        satisfied = (truth @ self._signed) == self._need
-        return (satisfied.astype(np.float32) @ self._owners) > 0
+        verdicts = np.empty((page.num_lines, self.num_queries), dtype=bool)
+        for start in range(0, page.num_lines, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            satisfied = (truth[rows] @ self._signed) == self._need
+            np.greater(satisfied.astype(np.float32) @ self._owners, 0, out=verdicts[rows])
+        return verdicts
 
     def _hits(self, np, page):
         """``(line, fact)`` index arrays of every fact that holds, or ``None``."""
@@ -142,9 +167,10 @@ class FactProgram:
             return None
         starts = starts[survivors]
         lengths = lengths[survivors]
+        lines, positions = page.locate(survivors)
         within, offsets = _ragged(np, lengths)
         hashes = _route_hash(
-            np, buffer[starts.repeat(lengths) + within], within, offsets, self._powers
+            np, _gather(buffer, starts, lengths, within), within, offsets, self._powers
         )
         low = self._hashes.searchsorted(hashes, side="left")
         runs = self._hashes.searchsorted(hashes, side="right") - low
@@ -155,19 +181,18 @@ class FactProgram:
         fact = low.repeat(runs) + _ragged(np, runs)[0]
         column = self._columns[fact]
         keep = (lengths[token] == self._lengths[fact]) & (
-            (column < 0) | (column == page.token_positions[survivors[token]])
+            (column < 0) | (column == positions[token])
         )
         token, fact = token[keep], fact[keep]
         if token.size == 0:
             return None
         lengths = lengths[token]
         within, offsets = _ragged(np, lengths)
-        same = (
-            buffer[starts[token].repeat(lengths) + within]
-            == self._blob[self._starts[fact].repeat(lengths) + within]
+        same = _gather(buffer, starts[token], lengths, within) == _gather(
+            self._blob, self._starts[fact], lengths, within
         )
         exact = np.logical_and.reduceat(same, offsets)
         token, fact = token[exact], fact[exact]
         if token.size == 0:
             return None
-        return page.token_lines[survivors[token]], self._fact[fact]
+        return lines[token], self._fact[fact]

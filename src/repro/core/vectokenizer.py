@@ -2,24 +2,27 @@
 
 :func:`repro.core.tokenizer.tokenize_page` materialises one ``bytes``
 object per token — millions of small allocations per scan. This module
-produces the same information as flat **offset/length arrays** over the
-decompressed page buffer instead: line spans, token spans, the line each
-token belongs to, and its position within that line. Nothing is copied
-out of the buffer until a token is actually needed as ``bytes`` (a hash
--filter candidate) or a line is actually kept.
+produces the same information as flat **offset arrays** over the
+decompressed buffer instead: line spans and token spans. Nothing is
+copied out of the buffer until a token is actually needed as ``bytes``
+(a hash-filter candidate) or a line is actually kept, and a token's line
+and in-line position are computed only for the tokens that ask
+(:meth:`PageTokens.locate`: the filter's prefilter survivors).
 
-The arrays come from numpy: boolean delimiter masks over an
-``np.frombuffer`` view of the page (zero-copy), token boundaries from
-mask edges, line membership from a ``searchsorted`` against newline
-positions.
+The arrays come from numpy: a token-byte mask (one ``bytes.translate``),
+token boundaries from the edges of that mask, line spans from newline
+positions in an ``np.frombuffer`` view of the buffer. The buffer is
+one page or, in the scan kernel, a run of consecutive pages joined so
+that each page's lines follow the last one's.
 
 Line semantics follow ``bytes.splitlines`` on ``\\n``-terminated text
 (what the ingest path stores). A page containing ``\\r`` needs the full
 ``\\r``/``\\n``/``\\r\\n`` terminator set, which only the reference
-tokenizer implements: :func:`tokenize_page_offsets` probes every page
-once (:func:`has_carriage_return`) and refuses such a page with
-:class:`CarriageReturnPage` rather than mis-split it — the refusal the
-scan kernel routes the page to the reference stages by.
+tokenizer implements: :func:`tokenize_page_offsets` probes its buffer
+once (:func:`has_carriage_return`) and refuses one with ``\\r`` with
+:class:`CarriageReturnPage` rather than mis-split it. The scan kernel
+probes each page before joining a run and routes a ``\\r`` page to the
+reference stages.
 """
 
 from __future__ import annotations
@@ -32,20 +35,22 @@ from repro.core.backend import BackendUnavailableError, numpy_or_none
 __all__ = ["CarriageReturnPage", "PageTokens", "has_carriage_return", "tokenize_page_offsets"]
 
 _NL = 0x0A
-_SPACE = 0x20
-_TAB = 0x09
+
+#: ``bytes.translate`` table: 1 for a byte that belongs to a token, 0 for
+#: a delimiter (space, tab, newline).
+_TOKEN_BYTES = bytes(0 if byte in (0x20, 0x09, _NL) else 1 for byte in range(256))
 
 
 @dataclass
 class PageTokens:
-    """One page's lines and tokens as flat offset arrays.
+    """One buffer's lines and tokens as flat offset arrays.
 
     All offsets index ``buffer``. ``line_starts[i]:line_ends[i]`` is the
     *raw* line (tabs preserved, no terminator) — slicing it yields
     exactly ``buffer.splitlines()[i]``. ``token_starts[j]:token_ends[j]``
-    is one token; ``token_lines[j]`` is its line index and
-    ``token_positions[j]`` its position within that line (the value the
-    hash filter checks column constraints against).
+    is one token, in buffer order; :meth:`locate` gives a token's line
+    and its position within that line (the value the hash filter checks
+    column constraints against).
 
     Arrays are numpy ``int64``.
     """
@@ -55,8 +60,6 @@ class PageTokens:
     line_ends: Sequence[int]
     token_starts: Sequence[int]
     token_ends: Sequence[int]
-    token_lines: Sequence[int]
-    token_positions: Sequence[int]
 
     @property
     def num_lines(self) -> int:
@@ -65,6 +68,14 @@ class PageTokens:
     @property
     def num_tokens(self) -> int:
         return len(self.token_starts)
+
+    def locate(self, tokens):
+        """``(line index, position in line)`` arrays of the token indices
+        ``tokens``: one ``searchsorted`` against the line ends, one
+        against the lines' first tokens."""
+        lines = self.line_ends.searchsorted(self.token_starts[tokens])
+        first = self.token_starts.searchsorted(self.line_starts[lines])
+        return lines, tokens - first
 
     def line_bytes(self, i: int) -> bytes:
         """Raw bytes of line ``i`` (terminator stripped, tabs intact)."""
@@ -82,10 +93,12 @@ class PageTokens:
         returns — the bridge the differential suite equates the two
         representations over. Not a hot path.
         """
+        np = numpy_or_none()
         raw_lines = [self.line_bytes(i) for i in range(self.num_lines)]
         token_lists: List[List[bytes]] = [[] for _ in range(self.num_lines)]
-        for j in range(self.num_tokens):
-            token_lists[int(self.token_lines[j])].append(self.token_bytes(j))
+        lines, _positions = self.locate(np.arange(self.num_tokens))
+        for j, line in enumerate(lines.tolist()):
+            token_lists[line].append(self.token_bytes(j))
         return raw_lines, token_lists
 
 
@@ -102,11 +115,11 @@ def has_carriage_return(payload: "bytes | bytearray | memoryview") -> bool:
 def tokenize_page_offsets(
     payload: "bytes | bytearray | memoryview",
 ) -> PageTokens:
-    """Tokenize one decompressed page into offset arrays.
+    """Tokenize one decompressed page (or run of pages) into offset arrays.
 
     ``payload`` is read zero-copy and the result holds a reference to
     it, not a copy. Raises :class:`CarriageReturnPage` (a
-    ``ValueError``) for a page containing ``\\r``.
+    ``ValueError``) for a buffer containing ``\\r``.
     """
     np = numpy_or_none()
     if np is None:
@@ -121,52 +134,22 @@ def tokenize_page_offsets(
         )
     arr = np.frombuffer(payload, dtype=np.uint8)
     n = arr.size
-    empty = np.empty(0, dtype=np.int64)
-    if n == 0:
-        return PageTokens(
-            buffer=payload,
-            line_starts=empty, line_ends=empty,
-            token_starts=empty, token_ends=empty,
-            token_lines=empty, token_positions=empty,
-        )
-    is_nl = arr == _NL
-    nl_pos = np.flatnonzero(is_nl)
-    line_starts = np.concatenate((np.zeros(1, dtype=np.int64), nl_pos + 1))
-    line_ends = np.concatenate((nl_pos, np.array([n], dtype=np.int64)))
-    if line_starts[-1] == n:  # splitlines yields no trailing empty line
-        line_starts = line_starts[:-1]
-        line_ends = line_ends[:-1]
-
-    tok = ~(is_nl | (arr == _SPACE) | (arr == _TAB))
-    if not bool(tok.any()):
-        return PageTokens(
-            buffer=payload,
-            line_starts=line_starts, line_ends=line_ends,
-            token_starts=empty, token_ends=empty,
-            token_lines=empty, token_positions=empty,
-        )
-    prev = np.empty_like(tok)
-    prev[0] = False
-    prev[1:] = tok[:-1]
-    nxt = np.empty_like(tok)
-    nxt[-1] = False
-    nxt[:-1] = tok[1:]
-    token_starts = np.flatnonzero(tok & ~prev)
-    token_ends = np.flatnonzero(tok & ~nxt) + 1
-    # tokens contain no newline byte, so a token's line index is simply
-    # how many newlines precede it
-    token_lines = np.searchsorted(nl_pos, token_starts, side="left")
-    line_change = np.empty(token_lines.shape, dtype=bool)
-    line_change[0] = True
-    line_change[1:] = token_lines[1:] != token_lines[:-1]
-    first_of_line = np.flatnonzero(line_change)
-    group = np.cumsum(line_change) - 1
-    token_positions = np.arange(token_lines.size, dtype=np.int64) - first_of_line[group]
+    # one line per newline, plus an unterminated tail (splitlines yields
+    # no trailing empty line)
+    line_ends = np.flatnonzero(arr == _NL)
+    if n and payload[-1] != _NL:
+        line_ends = np.append(line_ends, n)
+    # a line starts after the previous line's end (no lines, no starts)
+    line_starts = np.concatenate(([0], line_ends[:-1] + 1))[: line_ends.size]
+    # token edges: where the token-byte mask, padded with a delimiter on
+    # either side, changes — starts and (exclusive) ends alternate. The
+    # mask is one C-level translate, a byte per byte.
+    padded = np.frombuffer((b" " + payload + b" ").translate(_TOKEN_BYTES), dtype=bool)
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
     return PageTokens(
         buffer=payload,
-        line_starts=line_starts, line_ends=line_ends,
-        token_starts=token_starts.astype(np.int64, copy=False),
-        token_ends=token_ends.astype(np.int64, copy=False),
-        token_lines=token_lines.astype(np.int64, copy=False),
-        token_positions=token_positions,
+        line_starts=line_starts,
+        line_ends=line_ends,
+        token_starts=edges[0::2],
+        token_ends=edges[1::2],
     )

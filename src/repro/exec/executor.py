@@ -10,29 +10,37 @@ evaluation for *all* queries at once — out over a process pool, while
 flash reads, fault injection, retry accounting and simulated timing stay
 in the calling process, in page order.
 
-The partition kernel is one loop over per-page *stage callables*
-(decode, tokenize, evaluate, tally, line bytes), with two equivalence
--tested stage sets, selected by :class:`ScanProgramSpec.kernel`:
+The partition kernel is one loop over *runs* of consecutive pages and
+five *stage callables* (decode, tokenize, evaluate, tally, line bytes),
+with two equivalence-tested stage sets, selected by
+:class:`ScanProgramSpec.kernel`:
 
-- ``vectorized`` — the numpy hot path: pages bulk-decode
-  (:meth:`~repro.compression.lzah.LZAHCompressor.decompress_into`),
-  tokenization emits offset arrays (``repro.core.vectokenizer``), and
-  the filter is the exact fact-matrix evaluator (``repro.core.factmatrix``), reached
+- ``vectorized`` — the numpy hot path. A run holds ~``_RUN_BYTES`` of
+  page text, so numpy's fixed per-call cost is paid once per run, not
+  once per page: the run's cache misses bulk-decode in one call
+  (:meth:`~repro.compression.lzah.LZAHCompressor.decompress_into`), its
+  pages' texts are joined and tokenized into one set of offset arrays
+  (``repro.core.vectokenizer``), and the filter is one call of the
+  exact fact-matrix evaluator (``repro.core.factmatrix``), reached
   through :meth:`~repro.core.hashfilter.HashFilter
   .evaluate_token_arrays` for offloaded programs and
   :class:`~repro.core.softmatch.SoftwareBatchMatcher` for programs that
   exceeded hardware provisioning and run in software. A page containing
   ``\\r`` takes the reference stages, for that page only.
-- ``reference`` — the per-page token-list path, retained as the oracle
-  the differential suite compares against and as the kernel of hosts
-  without numpy.
+- ``reference`` — the per-page token-list path (runs of one page),
+  retained as the oracle the differential suite compares against and as
+  the kernel of hosts without numpy.
+
+Stage ``calls`` count pages and ``units`` bytes or lines on both, so
+the host profile does not depend on the kernel or the run size.
 
 Determinism is by construction: ``workers=1`` runs the very same
 partition kernel inline (no pool, no processes), partitions are
 contiguous slices of the candidate list, and results are concatenated in
 partition order. A seeded fault schedule therefore sees the identical
 read sequence at any worker count. The device's cancellable FILTER read
-(``limit=``) is the same kernel fed page by page with ``stop_after`` set,
+(``limit=``) is the same kernel fed page by page with ``stop_after`` set
+(runs of one page, so it pulls no page behind the one that cancels it),
 so a full scan and a limit read agree byte for byte by construction.
 
 Only host wall-clock changes. Simulated stage times and ``hw/perf``
@@ -45,13 +53,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.core.hashfilter import HashFilter, compiled_program, memoized
 from repro.core.query import Query
 from repro.core.softmatch import SoftwareBatchMatcher
 from repro.core.tokenizer import tokenize_page
-from repro.core.vectokenizer import CarriageReturnPage
+from repro.core.vectokenizer import has_carriage_return
 from repro.errors import QueryError
 from repro.obs.metrics import handle
 from repro.obs.profile import (
@@ -136,6 +145,13 @@ _MATCHER_MEMO: dict = {}
 #: Per-process memo of LZAH codecs by parameter bundle.
 _CODEC_MEMO: dict = {}
 
+#: Page text per run of the numpy kernel (4–5 pages of 11 KB). Longer
+#: runs pay numpy's fixed per-call cost less often, but their transient
+#: arrays grow with them (~1 MB at this size for one template, ~7 MB for
+#: 35 pages) and with them the process's peak RSS; the sweep that chose
+#: it is in ``docs/PERFORMANCE.md``, "Page runs".
+_RUN_BYTES = 48 * 1024
+
 
 def _codec(spec: ScanProgramSpec):
     from repro.compression.lzah import LZAHCompressor
@@ -209,8 +225,8 @@ def _reference_stages(spec: ScanProgramSpec) -> tuple:
 def _vectorized_stages(spec: ScanProgramSpec) -> tuple:
     """``(decode, tokenize, evaluate, tally, line_bytes)``, numpy kernel.
 
-    A page is a :class:`~repro.core.vectokenizer.PageTokens` over the
-    decoded page's immutable ``bytes``.
+    ``decode`` takes a run's streams at once; a page is a
+    :class:`~repro.core.vectokenizer.PageTokens` over a run's text.
     """
     from repro.core.vectokenizer import PageTokens, tokenize_page_offsets
 
@@ -223,6 +239,46 @@ def _vectorized_stages(spec: ScanProgramSpec) -> tuple:
         else program.evaluate,
         _tally_matrix,
         PageTokens.line_bytes,
+    )
+
+
+def _runs(items, run_bytes: int, declared_length) -> Iterator[list]:
+    """``items`` in runs of consecutive pages: a run closes once its text
+    reaches ``run_bytes`` (a miss counts the length its stream declares).
+    ``run_bytes=0`` gives runs of one page, and pulls no item ahead of
+    the one being scanned."""
+    run, size = [], 0
+    for item in items:
+        run.append(item)
+        is_decoded, payload = item
+        size += len(payload) if is_decoded else declared_length(payload)
+        if size >= run_bytes:
+            yield run
+            run, size = [], 0
+    if run:
+        yield run
+
+
+def _split(text: bytes, streams: list, declared_length) -> list[bytes]:
+    """One run decode's output back into its pages' texts (each stream's
+    length was verified against its declaration)."""
+    if len(streams) == 1:
+        return [text]
+    pages, at = [], 0
+    for stream in streams:
+        end = at + declared_length(stream)
+        pages.append(text[at:end])
+        at = end
+    return pages
+
+
+def _run_text(pages: list[bytes]) -> bytes:
+    """The pages' texts joined so that ``splitlines`` yields each page's
+    lines in turn: a non-empty page lacking a trailing ``\\n`` gets one."""
+    if len(pages) == 1:
+        return pages[0]
+    return b"".join(
+        page if not page or page.endswith(b"\n") else page + b"\n" for page in pages
     )
 
 
@@ -242,10 +298,18 @@ def _partition_kernel(
     visible to the parent's registry and tracer (pool workers' own
     metrics die with the pool).
 
+    The numpy kernel works on **runs** of consecutive pages, about
+    :data:`_RUN_BYTES` of text each: one decode call for the run's
+    cache misses, one ``\\r`` probe per page, then one tokenize, one
+    filter and one tally over the run's text (:func:`_run_text`). A page
+    carrying ``\\r`` takes the reference stages, and so splits its run.
+    Stage ``calls`` still count pages.
+
     ``stop_after`` is the cancellable read (``limit=``): the page whose
     kept lines reach it contributes only the lines up to that match —
     kept, counted per query and *seen* — and no further item is pulled,
-    so a lazy ``items`` never fetches the pages behind it.
+    so a lazy ``items`` never fetches the pages behind it. Such a read,
+    like the reference kernel, takes runs of one page.
 
     Both kernels run this one loop, so output, counts and stage
     calls/units cannot depend on the kernel; only wall-clock does.
@@ -257,6 +321,10 @@ def _partition_kernel(
         decode, *page_stages = _vectorized_stages(spec)
     else:
         decode, *page_stages = reference
+    # the reference kernel is the per-page oracle, and a cancellable read
+    # pulls, faults and stops page by page: both take runs of one page
+    run_bytes = _RUN_BYTES if spec.kernel == "vectorized" and stop_after is None else 0
+    declared_length = _codec(spec).declared_length
 
     profile = ProfileBuilder()
     clock = time.perf_counter
@@ -266,39 +334,47 @@ def _partition_kernel(
     bytes_decompressed = 0
     lines_seen = 0
     lines_kept = 0
-    for is_decoded, payload in items:
-        if is_decoded:
-            text = payload  # cache hit: the decode was skipped upstream
-            if want_decoded:
-                decoded_pages.append(None)
-        else:
+    cancelled = False
+    for run in _runs(items, run_bytes, declared_length):
+        misses = [payload for is_decoded, payload in run if not is_decoded]
+        if misses:
             t0 = clock()
-            text = decode(payload)
-            profile.add("decompress", units=len(text), wall_s=clock() - t0)
-            if want_decoded:
-                decoded_pages.append(text)
-        bytes_decompressed += len(text)
-        t0 = clock()
-        tokenize, evaluate, tally, line_bytes = page_stages
-        try:
-            page = tokenize(text)
-        except CarriageReturnPage:
-            # the offset-array tokenizer splits on \n only; this page needs
-            # the reference tokenizer's full \r/\n/\r\n terminator set
-            tokenize, evaluate, tally, line_bytes = reference[1:]
-            page = tokenize(text)
-        t1 = clock()
-        verdicts = evaluate(page)
-        budget = None if stop_after is None else stop_after - lines_kept
-        rows = tally(verdicts, counts, budget)
-        kept = [line_bytes(page, i) for i in rows]
-        num_lines = len(verdicts)
-        profile.add("tokenize", units=num_lines, wall_s=t1 - t0)
-        profile.add("filter", units=num_lines, wall_s=clock() - t1)
-        cancelled = len(rows) == budget
-        lines_seen += rows[-1] + 1 if cancelled else num_lines
-        lines_kept += len(kept)
-        out_chunks.append(b"\n".join(kept) + (b"\n" if kept else b""))
+            text = decode(*misses)
+            profile.add(
+                "decompress", calls=len(misses), units=len(text), wall_s=clock() - t0
+            )
+            fresh = iter(_split(text, misses, declared_length))
+        # cache hits arrive decoded: their decode was skipped upstream
+        texts = [payload if is_decoded else next(fresh) for is_decoded, payload in run]
+        if want_decoded:
+            decoded_pages.extend(
+                None if is_decoded else page_text
+                for (is_decoded, _), page_text in zip(run, texts)
+            )
+        bytes_decompressed += sum(map(len, texts))
+        # the offset-array tokenizer splits on \n only; a page with \r
+        # needs the reference tokenizer's full \r/\n/\r\n terminator set
+        for carriage_return, pages in groupby(texts, has_carriage_return):
+            pages = list(pages)
+            tokenize, evaluate, tally, line_bytes = (
+                reference[1:] if carriage_return else page_stages
+            )
+            t0 = clock()
+            page = tokenize(_run_text(pages))
+            t1 = clock()
+            verdicts = evaluate(page)
+            budget = None if stop_after is None else stop_after - lines_kept
+            rows = tally(verdicts, counts, budget)
+            kept = [line_bytes(page, i) for i in rows]
+            num_lines = len(verdicts)
+            profile.add("tokenize", calls=len(pages), units=num_lines, wall_s=t1 - t0)
+            profile.add("filter", calls=len(pages), units=num_lines, wall_s=clock() - t1)
+            cancelled = len(rows) == budget
+            lines_seen += rows[-1] + 1 if cancelled else num_lines
+            lines_kept += len(kept)
+            out_chunks.append(b"\n".join(kept) + (b"\n" if kept else b""))
+            if cancelled:
+                break
         if cancelled:
             break
     return KernelResult(

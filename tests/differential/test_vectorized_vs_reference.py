@@ -131,9 +131,10 @@ def _assert_tokenization_matches(payload: bytes) -> None:
     # the offsets themselves must be consistent, not just the bytes
     assert page.num_lines == len(want_lines)
     assert page.num_tokens == sum(len(t) for t in want_tokens)
-    for j in range(page.num_tokens):
+    lines, positions = page.locate(numpy_or_none().arange(page.num_tokens))
+    assert positions.tolist() == [j for tokens in want_tokens for j in range(len(tokens))]
+    for j, line in enumerate(lines.tolist()):
         start, end = int(page.token_starts[j]), int(page.token_ends[j])
-        line = int(page.token_lines[j])
         assert int(page.line_starts[line]) <= start < end <= int(page.line_ends[line])
 
 
@@ -166,6 +167,14 @@ def _decoder_outcomes(codec: LZAHCompressor, blob: bytes) -> list:
         except CompressedFormatError:
             outcomes.append(("error", None))
     return outcomes
+
+
+def _raised_or_returned(decode, streams) -> tuple:
+    """``("ok", bytes)`` or ``("error", message)`` of ``decode(*streams)``."""
+    try:
+        return "ok", decode(*streams)
+    except CompressedFormatError as exc:
+        return "error", str(exc)
 
 
 def _assert_kernels_agree(queries, offloaded: bool, pages) -> None:
@@ -499,19 +508,52 @@ class TestBulkDecoderFuzz:
         )
 
     def _agree(self, codec, blob: bytes, want=None) -> None:
+        """The three decoders agree on ``blob``; and with ``blob`` first,
+        middle and last in a 3-stream run, the run decoder returns the
+        per-stream texts joined or raises exactly ``decompress``'s error."""
         outcomes = _decoder_outcomes(codec, blob)
         assert outcomes[0] == outcomes[1] == outcomes[2]
         if want is not None:
             assert outcomes[0] == want
-        if numpy_or_none() is not None:
-            codec._bulk_decode(blob)  # defers (None) or decodes; never raises
+        neighbours = [
+            codec.compress(self.PAYLOAD[:700]),  # no trailing newline
+            codec.compress(b"svc up ERR\n" * 40),
+        ]
+        for at in range(3):
+            run = neighbours[:at] + [blob] + neighbours[at:]
+            expected = _raised_or_returned(
+                lambda *streams: b"".join(map(codec.decompress, streams)), run
+            )
+            assert _raised_or_returned(codec.decompress_into, run) == expected
+            if numpy_or_none() is not None:
+                codec._bulk_decode(run)  # defers (None) or decodes; never raises
 
     def test_clean_stream_takes_the_bulk_path(self, codec):
         blob = codec.compress(self.PAYLOAD)
         assert len(_chunk_boundaries(codec, blob)) >= 9  # three chunks or more
         self._agree(codec, blob, want=("ok", self.PAYLOAD))
         if numpy_or_none() is not None:
-            assert bytes(codec._bulk_decode(blob)) == self.PAYLOAD
+            assert bytes(codec._bulk_decode([blob])) == self.PAYLOAD
+            empty, short = codec.compress(b""), codec.compress(b"x" * 5)
+            run = [blob, empty, short, blob]
+            assert bytes(codec._bulk_decode(run)) == self.PAYLOAD + b"x" * 5 + self.PAYLOAD
+            assert bytes(codec._bulk_decode([empty])) == b""
+
+    @needs_numpy
+    def test_crc_table_equals_zlib(self, codec):
+        """The literal-slot table is ``zlib.crc32``, bit for bit."""
+        import zlib
+
+        from repro.compression.lzah import word_crc32
+
+        np = numpy_or_none()
+        width = codec.params.word_bytes
+        words = np.random.default_rng(width).integers(0, 256, (200, width), dtype=np.uint8)
+        words = np.vstack(
+            [words, np.zeros((1, width), np.uint8), np.full((1, width), 0xFF, np.uint8)]
+        )
+        want = [zlib.crc32(word.tobytes()) for word in words]
+        assert word_crc32(np, words).tolist() == want
 
     def test_truncation_at_every_chunk_boundary(self, codec):
         blob = codec.compress(self.PAYLOAD)

@@ -15,19 +15,21 @@ table (:meth:`repro.core.hashfilter.CompiledQuery.fact_program`),
 software-fallback programs from the query algebra
 (:class:`repro.core.softmatch.SoftwareBatchMatcher`).
 
-Per page: (1) a first-byte and a length look-up drop every token no
-term could equal, and a page with no survivor gets the default verdict
-row at once; (2) survivors are located (line, position in line:
-:meth:`~repro.core.vectokenizer.PageTokens.locate`), hashed over their
-bytes and ``searchsorted`` into the sorted term hashes; (3) every routed
-``(token, fact)`` pair is compared byte for byte and column for column;
-(4) verified pairs scatter into a ``(lines × facts)`` matrix ``F``, a
-set is satisfied where ``F @ signed`` equals its need, and a query
-keeps a line where it owns a satisfied set (both products in blocks of
-:data:`_BLOCK_ROWS` lines). **Hashing routes, bytes decide**: a
-collision costs one more comparison, never a verdict. Per-program state
-is O(term bytes × intersection sets) — the scan executor keeps up to 128
-programs alive. ``docs/PERFORMANCE.md`` has the measurements.
+Per page: (1) a length look-up drops every token no fact could equal;
+(2) each survivor's **word key**, its first 8 bytes as one little-endian
+``uint64`` zeroed past its length (one gather per token, as the paper's
+datapath takes fixed-width words), is ``searchsorted`` into the facts'
+sorted keys, and a page with no key hit gets the default verdict row at
+once; (3) every routed ``(token, fact)`` pair is located
+(:meth:`~repro.core.vectokenizer.PageTokens.locate`) and checked for
+length, column and the bytes past its key; (4) verified pairs scatter
+into a ``(lines × facts)`` matrix ``F``, a set is satisfied where ``F @
+signed`` equals its need, and a query keeps a line where it owns a
+satisfied set (both products in blocks of :data:`_BLOCK_ROWS` lines).
+**Keys of up to 8 bytes decide, longer facts are decided by their tail
+bytes.** Per-program state is O(term bytes × intersection sets) — the
+scan executor keeps up to 128 programs alive. ``docs/PERFORMANCE.md``
+has the measurements.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from repro.core.backend import BackendUnavailableError, numpy_or_none
 
 __all__ = ["FactProgram"]
 
-#: Odd, so its powers never collapse to zero modulo 2**64.
-_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+#: Bytes of a word key; a key read at a text's last byte needs 7 more.
+_WORD = 8
+_PAD = bytes(_WORD - 1)
 
 #: Lines per matrix product, so that a multi-page run's products stay as
 #: small as one page's: larger ones can be handed to OpenBLAS's thread
@@ -49,16 +52,13 @@ _BLOCK_ROWS = 128
 
 
 def _ragged(np, counts):
-    """Layout of a ragged array holding ``counts[i]`` items in row ``i``.
-
-    Returns ``(position of each item within its row, first item of each
-    row)``; ``x.repeat(counts)`` spreads a per-row value over the items.
-    """
+    """Position of each item within its row, for a ragged array holding
+    ``counts[i]`` items in row ``i``; ``x.repeat(counts)`` spreads a
+    per-row value over the items."""
     ends = counts.cumsum()
-    starts = ends - counts
     within = np.arange(ends[-1] if ends.size else 0)
-    within -= starts.repeat(counts)  # in place: these arrays are per byte
-    return within, starts
+    within -= (ends - counts).repeat(counts)  # in place: these arrays are per byte
+    return within
 
 
 def _gather(source, starts, lengths, within):
@@ -68,11 +68,14 @@ def _gather(source, starts, lengths, within):
     return source.take(index)
 
 
-def _route_hash(np, values, within, starts, powers):
-    """Polynomial ``uint64`` hash of every (non-empty) ragged row: routes only."""
-    terms = powers.take(within)
-    terms *= values
-    return np.add.reduceat(terms, starts)
+def _word_keys(np, text, starts, lengths, masks):
+    """Word key of every token ``text[starts[i]:][:lengths[i]]``: its first
+    8 bytes as one little-endian ``uint64``, zero past its length.
+
+    ``text`` ends in :data:`_PAD`; one unaligned view reads every key.
+    """
+    words = np.ndarray((len(text) - len(_PAD),), "<u8", buffer=text, strides=(1,))
+    return words[starts] & masks.take(lengths, mode="clip")
 
 
 class FactProgram:
@@ -112,24 +115,25 @@ class FactProgram:
         self._default = ((self._need == 0).astype(np.float32)[None, :] @ owners) > 0
 
         lengths = np.array([len(token) for token, _ in facts], dtype=np.int64)
-        blob = np.frombuffer(b"".join(token for token, _ in facts), dtype=np.uint8)
-        within, starts = _ragged(np, lengths)
-        longest = int(lengths.max(initial=0))
-        self._powers = np.cumprod(np.full(longest, _HASH_MULTIPLIER, dtype=np.uint64))
-        hashes = _route_hash(np, blob, within, starts, self._powers)
-        order = np.argsort(hashes, kind="stable")
-        self._hashes = hashes[order]
-        # the routing table: one row per fact, sorted by hash
+        text = b"".join(token for token, _ in facts) + _PAD
+        starts = lengths.cumsum() - lengths
+        #: a key's byte mask, indexed by length and clipped to all 8 bytes
+        self._masks = np.array([(1 << 8 * k) - 1 for k in range(_WORD + 1)], dtype=np.uint64)
+        keys = _word_keys(np, text, starts, lengths, self._masks)
+        order = np.argsort(keys, kind="stable")
+        # the routing table: one row per fact, sorted by key, and each
+        # distinct key's first row and number of rows
+        self._keys, self._first, self._count = np.unique(
+            keys[order], return_index=True, return_counts=True
+        )
         self._fact = order
         self._starts = starts[order]
         self._lengths = lengths[order]
         columns = [-1 if column is None else column for _, column in facts]
         self._columns = np.array(columns, dtype=np.int64)[order]
-        self._blob = blob
-        self._first_ok = np.zeros(256, dtype=bool)
-        self._first_ok[blob[starts]] = True
+        self._blob = np.frombuffer(text, dtype=np.uint8)
         #: indexed by length, clipped to the last entry, which stays False
-        self._length_ok = np.zeros(longest + 2, dtype=bool)
+        self._length_ok = np.zeros(int(lengths.max(initial=0)) + 2, dtype=bool)
         self._length_ok[lengths] = True
 
     def evaluate(self, page):
@@ -156,43 +160,35 @@ class FactProgram:
         """``(line, fact)`` index arrays of every fact that holds, or ``None``."""
         if page.num_tokens == 0:
             return None
-        buffer = np.frombuffer(page.buffer, dtype=np.uint8)
+        text = bytes(page.buffer) + _PAD
         starts = page.token_starts
         lengths = page.token_ends - starts
-        survivors = (  # ``take`` beats indexing here: uint8 indices, and it clips
-            self._first_ok.take(buffer.take(starts))
-            & self._length_ok.take(lengths, mode="clip")
-        ).nonzero()[0]
-        if survivors.size == 0:
+        survivors = self._length_ok.take(lengths, mode="clip").nonzero()[0]
+        starts, lengths = starts[survivors], lengths[survivors]
+        keys = _word_keys(np, text, starts, lengths, self._masks)
+        at = self._keys.searchsorted(keys)
+        hit = (self._keys.take(at, mode="clip") == keys).nonzero()[0]
+        if hit.size == 0:
             return None
-        starts = starts[survivors]
-        lengths = lengths[survivors]
-        lines, positions = page.locate(survivors)
-        within, offsets = _ragged(np, lengths)
-        hashes = _route_hash(
-            np, _gather(buffer, starts, lengths, within), within, offsets, self._powers
+        # every (survivor, equal-key fact) pair: facts sharing a key (one
+        # token under two columns, or tokens alike in their first 8
+        # bytes) share a run of rows
+        at = at[hit]
+        runs = self._count[at]
+        token = hit.repeat(runs)
+        fact = self._first[at].repeat(runs) + _ragged(np, runs)
+        lines, positions = page.locate(survivors[token])
+        starts, lengths = starts[token], lengths[token]
+        fact_lengths, column = self._lengths[fact], self._columns[fact]
+        # bytes past the key, bounded by the shorter of the two so that
+        # neither side reads past its token
+        tail = np.minimum(lengths, fact_lengths) - _WORD
+        np.maximum(tail, 0, out=tail)
+        within = _ragged(np, tail)
+        source = np.frombuffer(text, dtype=np.uint8)
+        differ = _gather(source, starts + _WORD, tail, within) != _gather(
+            self._blob, self._starts[fact] + _WORD, tail, within
         )
-        low = self._hashes.searchsorted(hashes, side="left")
-        runs = self._hashes.searchsorted(hashes, side="right") - low
-        # every (survivor, equal-hash fact) pair — facts sharing a token
-        # (two columns) share a hash; length and column are compared
-        # here, the bytes below
-        token = np.arange(runs.size).repeat(runs)
-        fact = low.repeat(runs) + _ragged(np, runs)[0]
-        column = self._columns[fact]
-        keep = (lengths[token] == self._lengths[fact]) & (
-            (column < 0) | (column == positions[token])
-        )
-        token, fact = token[keep], fact[keep]
-        if token.size == 0:
-            return None
-        lengths = lengths[token]
-        within, offsets = _ragged(np, lengths)
-        same = _gather(buffer, starts[token], lengths, within) == _gather(
-            self._blob, self._starts[fact], lengths, within
-        )
-        exact = np.logical_and.reduceat(same, offsets)
-        token, fact = token[exact], fact[exact]
-        if token.size == 0:
-            return None
-        return lines[token], self._fact[fact]
+        keep = (lengths == fact_lengths) & ((column < 0) | (column == positions))
+        keep[np.arange(token.size).repeat(tail)[differ]] = False
+        return lines[keep], self._fact[fact[keep]]

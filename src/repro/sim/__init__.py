@@ -1,16 +1,14 @@
-"""Discrete-event simulation substrate.
+"""Simulation substrate.
 
 Provides the cycle/time accounting used by the storage and accelerator
 performance models:
 
 - :class:`repro.sim.clock.SimClock` — monotonic simulated time.
-- :class:`repro.sim.events.EventQueue` — ordered event dispatch.
 - :class:`repro.sim.bandwidth.BandwidthMeter` — throughput accounting.
 - :class:`repro.sim.bandwidth.LinkModel` — shared-link transfer-time model.
 """
 
 from repro.sim.bandwidth import BandwidthMeter, LinkModel
 from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventQueue
 
-__all__ = ["BandwidthMeter", "Event", "EventQueue", "LinkModel", "SimClock"]
+__all__ = ["BandwidthMeter", "LinkModel", "SimClock"]

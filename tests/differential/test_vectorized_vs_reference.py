@@ -6,8 +6,9 @@ byte-for-byte equivalent to it on *arbitrary* inputs. Three layers of
 evidence:
 
 1. **Hypothesis** — randomized pages (structured log lines, multibyte
-   UTF-8, raw binary including ``\\r``/NUL/empty-token shapes), codecs
-   with randomized parameters, and randomized query programs.
+   UTF-8, raw binary including ``\\r``/NUL/empty-token shapes, tokens
+   near the filter's 8-byte word key), codecs with randomized
+   parameters, and randomized query programs.
 2. **Replayable corpus** — ``corpus_cases.json`` pins every edge case
    worth keeping forever; new divergences found by randomization get
    appended there so they replay on every run without hypothesis.
@@ -342,27 +343,79 @@ class TestFactMatrixFilter:
         )
     )
 
-    def test_forced_hash_collision_still_exact(self, monkeypatch):
-        """Hashing only routes: with the routing hash forced to one
-        constant every page token is compared with every term, and the
-        verdicts must not move."""
-        from repro.core import factmatrix
+    #: Tokens at the word-key boundary: shared 8-byte prefixes, tokens
+    #: equal to a fact only after zero padding, lengths 7/8/9/16/17 with
+    #: their near misses, 302-byte tokens beside 9-byte facts, anagrams.
+    WORD_PAGE = b"".join(
+        line + b"\n"
+        for line in (
+            b"abcdefghX abcdefghY abcdefgh",
+            b"abcdefgh abcdefghXY abcdefghX abcdefghZZZZZZZZZ",
+            b"a a\x00 ab\x00\x00 ab \x00 \x00\x00",
+            b"a\x00 ab\x00 ab\x00\x00\x00 \x00a",
+            b"1234567 12345678 123456789 1234567890123456 12345678901234567",
+            b"1234568 12345679 123456780 1234567890123457 12345678901234568",
+            b"123456 1234567X 12345678X 123456789X 12345678901234567X",
+            b"L" * 302 + b" LLLLLLLLL LLLLLLLLM " + b"L" * 301 + b"M",
+            b"LLLLLLLLL " + b"L" * 302,
+            b"cab abc bca",
+        )
+    )
 
-        monkeypatch.setattr(
-            factmatrix,
-            "_route_hash",
-            lambda np, values, within, starts, powers: np.zeros(
-                starts.size, dtype=np.uint64
-            ),
-        )
-        for queries in (FILTER_QUERIES, SOFT_QUERIES):
-            for payload in CORPUS_PAGES + [self.PAGE]:
-                if b"\r" not in payload:
-                    _assert_filter_exact(queries, payload)
-        _assert_filter_exact(
+    @pytest.mark.parametrize(
+        "queries",
+        [
+            # three tokens sharing one 8-byte prefix, a column on the short one
+            [_query([(b"abcdefghX", False, None)]), _query([(b"abcdefgh", False, 2)]),
+             _query([(b"abcdefghX", False, None), (b"abcdefghY", True, None)])],
+            # equal keys, unequal lengths: only zero padding tells them apart
+            [_query([(b"a", False, None)]), _query([(b"a\x00", False, None)]),
+             _query([(b"ab\x00\x00", False, None), (b"ab", True, None)]),
+             _query([(b"\x00", False, 4)], [(b"\x00a", False, None)])],
+            # lengths 7, 8, 9, 16 and 17 around the key's width
+            [_query([(b"1234567", False, None)]), _query([(b"12345678", False, 1)]),
+             _query([(b"123456789", False, None)]), _query([(b"1234567890123456", False, None)]),
+             _query([(b"12345678901234567", False, None), (b"123456780", True, None)])],
+            # the maximal collision: every fact has the key "abcdefgh"
+            [_query([(b"abcdefgh", False, None)]), _query([(b"abcdefghX", False, 0)]),
+             _query([(b"abcdefghY", False, None), (b"abcdefghXY", True, None)]),
+             _query([(b"abcdefgh" + b"Z" * 9, False, None)])],
+            # 302-byte tokens routed to 9-byte facts' key: the tail is
+            # bounded by the fact, whichever fact the blob ends with
+            [_query([(b"L" * 301 + b"M", False, None)]),
+             _query([(b"LLLLLLLLL", False, None), (b"LLLLLLLLM", True, None)])],
+            [_query([(b"LLLLLLLLM", False, None)], [(b"L" * 9, False, 0)]),
+             _query([(b"L" * 301 + b"M", False, None)])],
+            # anagrams: same bytes, other order
             [_query([(b"abc", False, None)], [(b"cab", False, 0), (b"bca", True, None)])],
-            self.PAGE,
-        )
+        ],
+        ids=["shared-prefix", "zero-padding", "lengths-7-to-17", "one-key",
+             "long-token-short-fact-last", "long-token-long-fact-last", "anagrams"],
+    )
+    def test_word_keys_are_exact(self, queries):
+        """Both routes, on tokens built to collide in or straddle the
+        8-byte key; each program fits the hardware, so the offloaded
+        route runs too."""
+        compile_queries(tuple(queries), seed=0)
+        _assert_filter_exact(queries, self.WORD_PAGE)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"a", b"x abc", b"12345678", b"svc\nx 123456789", b"q\n12345678901234567",
+         b"L" * 301 + b"M"],
+    )
+    def test_a_key_read_at_the_end_of_the_buffer(self, payload):
+        """The last token of a buffer with no trailing newline: its key
+        reads past the text into the padding."""
+        queries = [
+            _query([(token, False, None)])
+            for token in (b"a", b"abc", b"12345678", b"123456789", b"12345678901234567",
+                          b"L" * 301 + b"M")
+        ]
+        compile_queries(tuple(queries), seed=0)
+        _assert_filter_exact(queries, payload)
+        page = tokenize_page_offsets(payload)
+        assert True in _rows(SoftwareBatchMatcher(tuple(queries)).evaluate(page))[-1]
 
     @pytest.mark.parametrize(
         "queries",
@@ -616,27 +669,42 @@ if HAVE_HYPOTHESIS:
 
     any_page = st.one_of(structured_page, binary_page)
 
-    query_strategy = st.lists(
-        st.lists(
-            st.tuples(
-                st.sampled_from(VOCAB),
-                st.booleans(),  # negative
-                st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    def queries_over(tokens):
+        """Random queries whose terms draw their tokens from ``tokens``."""
+        return st.lists(
+            st.lists(
+                st.tuples(
+                    tokens,
+                    st.booleans(),  # negative
+                    st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+                ),
+                min_size=1,
+                max_size=3,
+                unique_by=lambda t: t[0],
+            ).map(
+                lambda terms: IntersectionSet(
+                    terms=tuple(
+                        Term(token=token, negative=neg, column=col)
+                        for token, neg, col in terms
+                    )
+                )
             ),
             min_size=1,
-            max_size=3,
-            unique_by=lambda t: t[0],
-        ).map(
-            lambda terms: IntersectionSet(
-                terms=tuple(
-                    Term(token=token, negative=neg, column=col)
-                    for token, neg, col in terms
-                )
-            )
-        ),
-        min_size=1,
-        max_size=2,
-    ).map(lambda isets: Query(intersections=tuple(isets)))
+            max_size=2,
+        ).map(lambda isets: Query(intersections=tuple(isets)))
+
+    query_strategy = queries_over(st.sampled_from(VOCAB))
+
+    # tokens near the 8-byte word key: lengths 1-17 over a small alphabet
+    # with NUL and high bytes, many behind a shared 8-byte prefix, so page
+    # and query tokens collide in their key, their length, or both
+    word_token = st.builds(
+        lambda prefix, rest: (prefix + rest)[:17],
+        st.sampled_from([b"", b"", b"abcdefgh", b"\x00" * 8, b"\xff\x80\x00abcde"]),
+        st.lists(
+            st.sampled_from([b"a", b"b", b"\x00", b"\x80", b"\xff"]), min_size=0, max_size=17
+        ).map(b"".join),
+    ).filter(bool)
 
     @needs_numpy
     class TestHypothesisDifferential:
@@ -676,6 +744,41 @@ if HAVE_HYPOTHESIS:
             # and both agree with the per-line query oracles
             for tokens, verdict in zip(token_lists, slow):
                 assert verdict == tuple(q.matches_tokens(tokens) for q in queries)
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            data=st.data(),
+            vocab=st.lists(word_token, min_size=1, max_size=24, unique=True),
+            num_queries=st.sampled_from([1, 16]),
+            terminated=st.booleans(),
+        )
+        def test_word_key_differential(self, data, vocab, num_queries, terminated):
+            """1- and 16-query programs over word-boundary tokens, both
+            routes through the whole partition kernel, against the
+            reference kernel. Pages mix the programs' tokens with fresh
+            ones and may end without a newline."""
+            from repro.errors import CapacityError, PlacementError
+
+            line = st.lists(st.one_of(st.sampled_from(vocab), word_token), max_size=8)
+            page = st.lists(line.map(b" ".join), min_size=1, max_size=12).map(
+                lambda lines: b"\n".join(lines) + (b"\n" if terminated else b"")
+            )
+            pages = data.draw(st.lists(page, min_size=1, max_size=3))
+            queries = tuple(
+                data.draw(
+                    st.lists(
+                        queries_over(st.sampled_from(vocab)),
+                        min_size=num_queries,
+                        max_size=num_queries,
+                    )
+                )
+            )
+            _assert_kernels_agree(queries, False, pages)
+            try:
+                compile_queries(queries, seed=0)
+            except (PlacementError, CapacityError):
+                return  # the system runs such a program in software: done above
+            _assert_kernels_agree(queries, True, pages)
 
         @settings(max_examples=100, deadline=None)
         @given(

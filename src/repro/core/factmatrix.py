@@ -19,17 +19,23 @@ Per page: (1) a length look-up drops every token no fact could equal;
 (2) each survivor's **word key**, its first 8 bytes as one little-endian
 ``uint64`` zeroed past its length (one gather per token, as the paper's
 datapath takes fixed-width words), is ``searchsorted`` into the facts'
-sorted keys, and a page with no key hit gets the default verdict row at
-once; (3) every routed ``(token, fact)`` pair is located
-(:meth:`~repro.core.vectokenizer.PageTokens.locate`) and checked for
-length, column and the bytes past its key; (4) verified pairs scatter
-into a ``(lines × facts)`` matrix ``F``, a set is satisfied where ``F @
-signed`` equals its need, and a query keeps a line where it owns a
-satisfied set (both products in blocks of :data:`_BLOCK_ROWS` lines).
-**Keys of up to 8 bytes decide, longer facts are decided by their tail
-bytes.** Per-program state is O(term bytes × intersection sets) — the
-scan executor keeps up to 128 programs alive. ``docs/PERFORMANCE.md``
-has the measurements.
+sorted keys; (3) a set is **reachable** when every one of its positive
+facts' keys was routed (two ``(keys × sets)`` products), only tokens
+whose key takes part in a reachable set go on, and a page with none
+left gets the default verdict row at once; (4) every remaining ``(token,
+fact)`` pair is placed on its line
+(:meth:`~repro.core.vectokenizer.PageTokens.lines_of`; its position,
+:meth:`~repro.core.vectokenizer.PageTokens.positions`, only where the
+fact names a column) and checked for length, column and the bytes past
+its key; (5) verified pairs scatter into a ``(lines × facts)`` matrix
+``F``, a set is satisfied where ``F @ signed`` equals its need, and a
+query keeps a line where it owns a satisfied set (both products in
+blocks of :data:`_BLOCK_ROWS` lines). **Keys of up to 8 bytes decide,
+longer facts are decided by their tail bytes**, and a set that is not
+reachable cannot be satisfied on any line, so dropping the facts only
+such sets use changes no verdict. Per-program state is O(term bytes ×
+intersection sets) — the scan executor keeps up to 128 programs alive.
+``docs/PERFORMANCE.md`` has the measurements.
 """
 
 from __future__ import annotations
@@ -127,6 +133,12 @@ class FactProgram:
             keys[order], return_index=True, return_counts=True
         )
         self._fact = order
+        #: ``(distinct keys × sets)``, summed over each key's rows: the
+        #: positive facts a key carries into each set, and whether any fact
+        #: of the set (either polarity) has the key
+        positive, negative = positive[order], negative[order]
+        self._key_positive = np.add.reduceat(positive, self._first, axis=0, dtype=np.float32)
+        self._key_member = np.logical_or.reduceat(positive | negative, self._first, axis=0)
         self._starts = starts[order]
         self._lengths = lengths[order]
         columns = [-1 if column is None else column for _, column in facts]
@@ -157,9 +169,8 @@ class FactProgram:
         return verdicts
 
     def _hits(self, np, page):
-        """``(line, fact)`` index arrays of every fact that holds, or ``None``."""
-        if page.num_tokens == 0:
-            return None
+        """``(line, fact)`` index arrays of every fact that can decide a
+        verdict and holds, or ``None`` when no such fact was routed."""
         text = bytes(page.buffer) + _PAD
         starts = page.token_starts
         lengths = page.token_ends - starts
@@ -168,17 +179,26 @@ class FactProgram:
         keys = _word_keys(np, text, starts, lengths, self._masks)
         at = self._keys.searchsorted(keys)
         hit = (self._keys.take(at, mode="clip") == keys).nonzero()[0]
-        if hit.size == 0:
-            return None
-        # every (survivor, equal-key fact) pair: facts sharing a key (one
-        # token under two columns, or tokens alike in their first 8
-        # bytes) share a run of rows
         at = at[hit]
+        # a set is reachable when every one of its positive facts' keys was
+        # routed (a need-0 set always is); a set that is not cannot be
+        # satisfied on any line, so the tokens whose key takes part in no
+        # reachable set decide nothing
+        seen = np.zeros(self._keys.size, dtype=np.float32)
+        seen[at] = 1
+        reachable = seen @ self._key_positive >= self._need
+        useful = (self._key_member @ reachable).take(at).nonzero()[0]
+        if useful.size == 0:
+            return None
+        # every (useful token, equal-key fact) pair: facts sharing a key
+        # (one token under two columns, or tokens alike in their first 8
+        # bytes) share a run of rows
+        hit, at = hit[useful], at[useful]
         runs = self._count[at]
         token = hit.repeat(runs)
         fact = self._first[at].repeat(runs) + _ragged(np, runs)
-        lines, positions = page.locate(survivors[token])
-        starts, lengths = starts[token], lengths[token]
+        starts, lengths, token = starts[token], lengths[token], survivors[token]
+        lines = page.lines_of(token)
         fact_lengths, column = self._lengths[fact], self._columns[fact]
         # bytes past the key, bounded by the shorter of the two so that
         # neither side reads past its token
@@ -189,6 +209,9 @@ class FactProgram:
         differ = _gather(source, starts + _WORD, tail, within) != _gather(
             self._blob, self._starts[fact] + _WORD, tail, within
         )
-        keep = (lengths == fact_lengths) & ((column < 0) | (column == positions))
+        keep = lengths == fact_lengths
         keep[np.arange(token.size).repeat(tail)[differ]] = False
+        # in-line positions only for the pairs whose fact names a column
+        asks = (column >= 0).nonzero()[0]
+        keep[asks] &= page.positions(token[asks], lines[asks]) == column[asks]
         return lines[keep], self._fact[fact[keep]]

@@ -7,7 +7,8 @@ decompressed buffer instead: line spans and token spans. Nothing is
 copied out of the buffer until a token is actually needed as ``bytes``
 (a hash-filter candidate) or a line is actually kept, and a token's line
 and in-line position are computed only for the tokens that ask
-(:meth:`PageTokens.locate`: the filter's prefilter survivors).
+(:meth:`PageTokens.lines_of`: the filter's routed tokens;
+:meth:`PageTokens.positions`: those routed to a fact with a column).
 
 The arrays come from numpy: a token-byte mask (one ``bytes.translate``),
 token boundaries from the edges of that mask, line spans from newline
@@ -48,9 +49,9 @@ class PageTokens:
     All offsets index ``buffer``. ``line_starts[i]:line_ends[i]`` is the
     *raw* line (tabs preserved, no terminator) — slicing it yields
     exactly ``buffer.splitlines()[i]``. ``token_starts[j]:token_ends[j]``
-    is one token, in buffer order; :meth:`locate` gives a token's line
-    and its position within that line (the value the hash filter checks
-    column constraints against).
+    is one token, in buffer order; :meth:`lines_of` gives a token's line
+    and :meth:`positions` its position within that line (the value the
+    hash filter checks column constraints against).
 
     Arrays are numpy ``int64``.
     """
@@ -69,13 +70,16 @@ class PageTokens:
     def num_tokens(self) -> int:
         return len(self.token_starts)
 
-    def locate(self, tokens):
-        """``(line index, position in line)`` arrays of the token indices
-        ``tokens``: one ``searchsorted`` against the line ends, one
-        against the lines' first tokens."""
-        lines = self.line_ends.searchsorted(self.token_starts[tokens])
-        first = self.token_starts.searchsorted(self.line_starts[lines])
-        return lines, tokens - first
+    def lines_of(self, tokens):
+        """Line index of each of the token indices ``tokens``: one
+        ``searchsorted`` against the line ends."""
+        return self.line_ends.searchsorted(self.token_starts[tokens])
+
+    def positions(self, tokens, lines):
+        """Position in its line of each token ``tokens[i]``, given its line
+        ``lines[i]`` (:meth:`lines_of`): one ``searchsorted`` against the
+        lines' first tokens."""
+        return tokens - self.token_starts.searchsorted(self.line_starts[lines])
 
     def line_bytes(self, i: int) -> bytes:
         """Raw bytes of line ``i`` (terminator stripped, tabs intact)."""
@@ -96,8 +100,7 @@ class PageTokens:
         np = numpy_or_none()
         raw_lines = [self.line_bytes(i) for i in range(self.num_lines)]
         token_lists: List[List[bytes]] = [[] for _ in range(self.num_lines)]
-        lines, _positions = self.locate(np.arange(self.num_tokens))
-        for j, line in enumerate(lines.tolist()):
+        for j, line in enumerate(self.lines_of(np.arange(self.num_tokens)).tolist()):
             token_lists[line].append(self.token_bytes(j))
         return raw_lines, token_lists
 

@@ -132,7 +132,9 @@ def _assert_tokenization_matches(payload: bytes) -> None:
     # the offsets themselves must be consistent, not just the bytes
     assert page.num_lines == len(want_lines)
     assert page.num_tokens == sum(len(t) for t in want_tokens)
-    lines, positions = page.locate(numpy_or_none().arange(page.num_tokens))
+    every = numpy_or_none().arange(page.num_tokens)
+    lines = page.lines_of(every)
+    positions = page.positions(every, lines)
     assert positions.tolist() == [j for tokens in want_tokens for j in range(len(tokens))]
     for j, line in enumerate(lines.tolist()):
         start, end = int(page.token_starts[j]), int(page.token_ends[j])
@@ -312,6 +314,19 @@ def _assert_filter_exact(queries, payload: bytes) -> None:
     assert HashFilter(program).evaluate_token_lists(token_lists) == want
 
 
+def _fact_programs(queries) -> list:
+    """The ``FactProgram`` of each route: software, and offloaded when
+    the program compiles."""
+    from repro.errors import CapacityError, PlacementError
+
+    programs = [SoftwareBatchMatcher(tuple(queries)).program]
+    try:
+        programs.append(compile_queries(tuple(queries), seed=0).fact_program())
+    except (PlacementError, CapacityError):
+        pass
+    return programs
+
+
 def _query(*isets) -> Query:
     """``_query([(token, negative, column), ...], ...)``."""
     return Query(
@@ -455,12 +470,105 @@ class TestFactMatrixFilter:
         for queries in (FILTER_QUERIES, SOFT_QUERIES):
             _assert_filter_exact(queries, payload)
 
+    #: ``alpha`` and ``delta`` both occur but never on one line; ``omega``
+    #: and ``abcdefghYZ`` never occur, ``abcdefghY`` shares their key's
+    #: first 8 bytes; ``svc`` sits at positions 0 and 1 only.
+    REACH_PAGE = b"".join(
+        line + b"\n"
+        for line in (
+            b"alpha beta",
+            b"gamma delta",
+            b"alpha gamma",
+            b"beta delta noise",
+            b"abcdefghY svc",
+            b"svc x y z",
+        )
+    )
+
+    def _early_out(self, queries) -> bool:
+        """Both routes equal the oracles on :attr:`REACH_PAGE`, and agree
+        on whether it takes the early-out (the default rows)."""
+        _assert_filter_exact(queries, self.REACH_PAGE)
+        page = tokenize_page_offsets(self.REACH_PAGE)
+        outs = set()
+        for program in _fact_programs(queries):
+            hits = program._hits(numpy_or_none(), page)
+            if hits is None:
+                assert (program.evaluate(page) == program._default).all()
+            outs.add(hits is None)
+        assert len(outs) == 1
+        return outs.pop()
+
+    def test_keys_all_routed_but_never_on_one_line(self):
+        """The set is reachable, so the full path runs, and decides
+        nothing on any line."""
+        queries = [_query([(b"alpha", False, None), (b"delta", False, None)])]
+        assert not self._early_out(queries)
+        page = tokenize_page_offsets(self.REACH_PAGE)
+        assert not SoftwareBatchMatcher(tuple(queries)).evaluate(page).any()
+
+    def test_a_positive_key_absent_takes_the_default_rows(self):
+        assert self._early_out([_query([(b"alpha", False, None), (b"omega", False, None)])])
+        # the default row holds True where a need-0 set has no routed token
+        assert self._early_out(
+            [_query([(b"alpha", False, None), (b"omega", False, None)]),
+             _query([(b"omega", True, None)])]
+        )
+
+    def test_a_negative_only_set_beside_an_unreachable_set(self):
+        """The negative-only set needs nothing, so it is reachable and its
+        veto on ``beta``'s lines survives."""
+        queries = [_query([(b"alpha", False, None), (b"omega", False, None)],
+                          [(b"beta", True, None)])]
+        assert not self._early_out(queries)
+        page = tokenize_page_offsets(self.REACH_PAGE)
+        verdicts = SoftwareBatchMatcher(tuple(queries)).evaluate(page)[:, 0].tolist()
+        assert verdicts == [False, True, True, False, True, True]
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[(b"alpha", False, None), (b"alpha", True, None)],
+         [(b"alpha", False, None), (b"beta", False, None), (b"beta", True, None)]],
+        ids=["one-token", "beside-another"],
+    )
+    def test_a_contradictory_set(self, terms):
+        """Reachable whenever its keys are routed, and matching nothing."""
+        assert not self._early_out([_query(terms)])
+
+    @pytest.mark.parametrize(
+        "fact",
+        [(b"abcdefghX", None), (b"abcdefghYZ", None), (b"abcdefgh", None), (b"svc", 3)],
+        ids=["other-tail", "longer", "shorter", "other-column"],
+    )
+    def test_a_key_routed_by_a_token_that_is_not_the_fact(self, fact):
+        """Routing is a superset of fact hits: the set looks reachable, the
+        full path runs, and verification says no. (The second query's
+        9-byte fact lets ``abcdefghY`` past the length prefilter.)"""
+        token, column = fact
+        queries = [_query([(token, False, column)]), _query([(b"x" * 9, False, None)])]
+        assert not self._early_out(queries)
+        page = tokenize_page_offsets(self.REACH_PAGE)
+        assert not SoftwareBatchMatcher(tuple(queries)).evaluate(page).any()
+
+    def test_only_one_query_of_two_is_reachable(self):
+        """The reachable query is decided as before; the facts only the
+        unreachable one uses (``gamma``) are dropped, not verified."""
+        queries = [_query([(b"alpha", False, None), (b"beta", False, None)]),
+                   _query([(b"gamma", False, None), (b"omega", False, None)])]
+        assert not self._early_out(queries)
+        page = tokenize_page_offsets(self.REACH_PAGE)
+        program = SoftwareBatchMatcher(tuple(queries)).program  # facts in term order
+        lines, facts = program._hits(numpy_or_none(), page)
+        assert sorted(zip(lines.tolist(), facts.tolist())) == [(0, 0), (0, 1), (2, 0), (3, 1)]
+
     def test_filter_cost_is_flat_in_query_count(self):
         """Structural flatness (the paper's Figure 14 / Table 6 property
-        on the host clock): on a fixed 35-page corpus the evaluator
-        executes the same number of Python lines per page whether 1 or
-        16 pool queries are registered — no loop's trip count grows with
-        queries, terms or candidate tokens."""
+        on the host clock): on a fixed 35-page corpus plus one page that
+        routes keys but completes no set, the evaluator executes one of
+        two numbers of Python lines per page (the early-out or the full
+        path), the same two whether 1 or 16 pool queries are registered
+        — no loop's trip count grows with queries, terms or candidate
+        tokens."""
         import sys
 
         from repro.core import factmatrix
@@ -477,6 +585,10 @@ class TestFactMatrixFilter:
         one = compile_queries(pool[:1], seed=0).fact_program()
         sixteen = SoftwareBatchMatcher(tuple(pool[:16])).program
         assert sixteen.num_facts > 4 * one.num_facts
+        # a line holding every positive token of the first template but
+        # one: it routes keys of both programs and completes no set
+        positives = [t.token for t in pool[0].intersections[0].terms if not t.negative]
+        pages.append(tokenize_page_offsets(b" ".join(positives[:-1]) + b"\n"))
         code_file = factmatrix.__file__
 
         def lines_executed(program, page) -> int:
@@ -490,8 +602,6 @@ class TestFactMatrixFilter:
                     executed += 1
                 return tracer
 
-            # template tokens are frequent: no page takes the early-out
-            assert program._hits(numpy_or_none(), page) is not None
             sys.settrace(tracer)
             try:
                 program.evaluate(page)
@@ -499,10 +609,22 @@ class TestFactMatrixFilter:
                 sys.settrace(None)
             return executed
 
-        per_page_one = {lines_executed(one, page) for page in pages}
-        per_page_sixteen = {lines_executed(sixteen, page) for page in pages}
-        assert len(per_page_one) == 1
-        assert per_page_one == per_page_sixteen
+        def per_path(program) -> dict:
+            """``{takes the early-out: {line counts of its pages}}``."""
+            counts: dict = {True: set(), False: set()}
+            for page in pages:
+                early_out = program._hits(numpy_or_none(), page) is None
+                counts[early_out].add(lines_executed(program, page))
+            return counts
+
+        assert one._hits(numpy_or_none(), pages[-1]) is None
+        assert sixteen._hits(numpy_or_none(), pages[-1]) is None
+        per_page_one, per_page_sixteen = per_path(one), per_path(sixteen)
+        # each path occurs, and runs one line count whatever the page and
+        # whether 1 or 16 queries are registered
+        for path in (True, False):
+            assert len(per_page_one[path]) == 1
+            assert per_page_one[path] == per_page_sixteen[path]
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +900,56 @@ if HAVE_HYPOTHESIS:
                 compile_queries(queries, seed=0)
             except (PlacementError, CapacityError):
                 return  # the system runs such a program in software: done above
+            _assert_kernels_agree(queries, True, pages)
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            data=st.data(),
+            present=st.lists(word_token, min_size=1, max_size=8, unique=True),
+            absent=st.lists(word_token, min_size=1, max_size=8, unique=True),
+            num_queries=st.sampled_from([1, 4, 16]),
+        )
+        def test_unreachable_sets_differential(self, data, present, absent, num_queries):
+            """Programs drawn so most sets are unreachable: pages hold only
+            ``present`` tokens, and most sets also need one ``absent`` token
+            (which may share a present token's key). Negative-only and
+            contradictory sets, columns and need-0 vetoes all occur. Both
+            routes through the whole partition kernel, against the
+            reference kernel."""
+            from repro.errors import CapacityError, PlacementError
+
+            absent = [token for token in absent if token not in present]
+            assume(absent)
+            line = st.lists(st.sampled_from(present), max_size=6).map(b" ".join)
+            page = st.lists(line, min_size=1, max_size=10).map(
+                lambda lines: b"\n".join(lines) + b"\n"
+            )
+            pages = data.draw(st.lists(page, min_size=1, max_size=3))
+            term = st.tuples(
+                st.sampled_from(present),
+                st.booleans(),  # negative
+                st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+            )
+            needs_absent = st.sampled_from(absent).map(lambda token: [(token, False, None)])
+            missing = st.one_of(needs_absent, needs_absent, needs_absent, st.just([]))
+            iset = st.builds(
+                lambda terms, more: terms + more, st.lists(term, max_size=3), missing
+            ).filter(bool).map(
+                lambda terms: IntersectionSet(
+                    terms=tuple(Term(token=t, negative=n, column=c) for t, n, c in terms)
+                )
+            )
+            query = st.lists(iset, min_size=1, max_size=2).map(
+                lambda isets: Query(intersections=tuple(isets))
+            )
+            queries = tuple(
+                data.draw(st.lists(query, min_size=num_queries, max_size=num_queries))
+            )
+            _assert_kernels_agree(queries, False, pages)
+            try:
+                compile_queries(queries, seed=0)
+            except (PlacementError, CapacityError):
+                return
             _assert_kernels_agree(queries, True, pages)
 
         @settings(max_examples=100, deadline=None)

@@ -61,12 +61,6 @@ _LEN_HEADER = 12  # u32 uncompressed_len + u32 num_pairs + u32 crc32
 _INDEX_BYTES = 2
 
 
-def _pad_to(buffer: bytearray, alignment: int) -> None:
-    remainder = len(buffer) % alignment
-    if remainder:
-        buffer.extend(b"\0" * (alignment - remainder))
-
-
 #: ``word_bytes → (crc32 of the zero word, word_bytes × 256 table)``.
 _CRC_TABLES: dict = {}
 
@@ -120,6 +114,14 @@ class LZAHCompressor(Compressor):
         if self.params.hash_table_slots > 1 << (8 * _INDEX_BYTES):
             raise ValueError("hash table too large for u16 match indices")
         self.last_stats: Optional[LZAHStats] = None
+        # encoder tables: _line_ends[r] is "\n" plus the zeros that pad a
+        # line of r mod word_bytes bytes to whole words, _slot_codes[s]
+        # the u16 payload of a match to slot s
+        w = self.params.word_bytes
+        self._line_ends = [b"\n" + bytes(w - 1 - r) for r in range(w)]
+        self._slot_codes = [
+            s.to_bytes(_INDEX_BYTES, "little") for s in range(self.params.hash_table_slots)
+        ]
 
     # -- encoding ----------------------------------------------------------
 
@@ -127,65 +129,52 @@ class LZAHCompressor(Compressor):
         return zlib.crc32(word) & (self.params.hash_table_slots - 1)
 
     def compress(self, data: bytes) -> bytes:
+        """Encode one page a line at a time: each line, its ``\\n``
+        included, is zero-padded to whole words (without newline
+        realignment the text is one line), and each word is one table step
+        that records a match flag and a payload. A chunk's flags become its
+        header in one conversion, its payloads its body in one join. The
+        per-window loop this replaced is the oracle in
+        ``tests/test_compression_lzah.py``.
+        """
         p = self.params
-        table: list[Optional[bytes]] = [None] * p.hash_table_slots
-        pairs: list[tuple[bool, bytes]] = []
-        append_pair = pairs.append
-        matches = 0
-        # windows are cut in this loop, invariants bound to locals:
-        # compress dominates ingest host time (page packing re-compresses
-        # chunks), so the per-word cost matters
-        w = p.word_bytes
-        realign = p.newline_realign
-        mask = p.hash_table_slots - 1
+        w, per_chunk, slots = p.word_bytes, p.pairs_per_chunk, p.hash_table_slots
+        line_ends, slot_codes = self._line_ends, self._slot_codes
+        lines = data.split(b"\n") if p.newline_realign else [data]
+        last = lines.pop()  # the text after the last "\n"
+        text = b"".join([line + line_ends[len(line) % w] for line in lines])
+        text += last + bytes(-len(last) % w)
+
+        table: list[Optional[bytes]] = [None] * slots
+        mask = slots - 1
         crc32 = zlib.crc32
-        find_nl = data.find
-        n = len(data)
-        zero_pad = b"\0" * w
-        pos = 0
-        while pos < n:
-            limit = pos + w
-            if limit > n:
-                limit = n
-            end = limit
-            if realign:
-                nl = find_nl(b"\n", pos, limit)
-                if nl != -1:
-                    end = nl + 1
-            word = data[pos:end]
-            pos = end
-            if len(word) != w:
-                word = word + zero_pad[len(word) :]
+        flags = bytearray()  # b"1" per match, b"0" per literal
+        flag = flags.append
+        payloads: list[bytes] = []
+        payload = payloads.append
+        for at in range(0, len(text), w):
+            word = text[at : at + w]
             slot = crc32(word) & mask
             if table[slot] == word:
-                matches += 1
-                append_pair((True, slot.to_bytes(_INDEX_BYTES, "little")))
+                flag(49)
+                payload(slot_codes[slot])
             else:
                 table[slot] = word
-                append_pair((False, word))
-        self.last_stats = LZAHStats(
-            words=len(pairs), matches=matches, literals=len(pairs) - matches
-        )
+                flag(48)
+                payload(word)
+        matches = flags.count(49)
+        self.last_stats = LZAHStats(len(flags), matches, len(flags) - matches)
 
-        # chunks are word-aligned within the body; the 8-byte length header
-        # is prepended afterwards so it does not disturb that alignment
-        body = bytearray()
-        for base in range(0, len(pairs), p.pairs_per_chunk):
-            chunk = pairs[base : base + p.pairs_per_chunk]
-            header = 0
-            for i, (is_match, _) in enumerate(chunk):
-                if is_match:
-                    header |= 1 << i
-            body.extend(header.to_bytes(p.pairs_per_chunk // 8, "little"))
-            for _, payload in chunk:
-                body.extend(payload)
-            _pad_to(body, p.word_bytes)
-        return (
-            len(data).to_bytes(4, "little")
-            + len(pairs).to_bytes(4, "little")
-            + zlib.crc32(data).to_bytes(4, "little")
-            + bytes(body)
-        )
+        # header bit i is pair i, so a chunk's flags reversed are its header
+        # in binary. Chunks are padded to word alignment within the body
+        # (the 12-byte stream header does not count)
+        out = [n.to_bytes(4, "little") for n in (len(data), len(flags), crc32(data))]
+        header_bytes = per_chunk // 8
+        for base in range(0, len(flags), per_chunk):
+            header = int(flags[base : base + per_chunk][::-1], 2).to_bytes(header_bytes, "little")
+            body = b"".join(payloads[base : base + per_chunk])
+            out += (header, body, bytes(-(header_bytes + len(body)) % w))
+        return b"".join(out)
 
     # -- decoding ----------------------------------------------------------
 
@@ -317,7 +306,7 @@ class LZAHCompressor(Compressor):
         word_bytes = p.word_bytes
         pairs_per_chunk = p.pairs_per_chunk
         slots = p.hash_table_slots
-        if np is None or pairs_per_chunk % 8:
+        if np is None:
             return None
         header_bytes = pairs_per_chunk // 8
 

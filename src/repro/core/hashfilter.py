@@ -324,26 +324,19 @@ class HashFilter:
         self.lines_processed += 1
         return evaluator.query_verdicts()
 
-    def evaluate_tokens(self, tokens: Sequence[bytes]) -> tuple[bool, ...]:
-        """Evaluate a pre-split token list (software-path convenience)."""
-        evaluator = LineEvaluator(self.program)
-        for position, token in enumerate(tokens):
-            evaluator.feed(token, position)
-        self.lines_processed += 1
-        self.tokens_processed += len(tokens)
-        return evaluator.query_verdicts()
-
     def evaluate_token_lists(
         self, token_lists: Sequence[Sequence[bytes]]
     ) -> list[tuple[bool, ...]]:
         """Batch kernel: one verdict tuple per pre-split line.
 
-        Semantically identical to calling :meth:`evaluate_tokens` per
-        line (the equivalence suite pins this down), but without per-line
-        evaluator objects or per-token method dispatch: filter state is
-        two integers-and-a-list per line, token effects come precomputed
-        from :meth:`CompiledQuery.token_effect`, and all loop-invariant
-        lookups are bound to locals once per batch.
+        Semantically identical to feeding each line's tokens through a
+        :class:`LineEvaluator` (the equivalence suite pins this down), but
+        without per-line evaluator objects or per-token method dispatch:
+        filter state is two integers-and-a-list per line, token effects
+        come precomputed from :meth:`CompiledQuery.token_effect`, and all
+        loop-invariant lookups are bound to locals once per batch. A
+        one-line batch is the software path's per-line form
+        (``core/tagger.py``).
         """
         program = self.program
         effect_cache = program._effect_cache

@@ -138,7 +138,7 @@ class TemplateTagger:
         tokens = split_tokens(line)
         best: Optional[tuple[int, int]] = None  # (-specificity, template_id)
         for p in self._passes:
-            verdicts = p.filter.evaluate_tokens(tokens)
+            (verdicts,) = p.filter.evaluate_token_lists([tokens])
             for hit, tid, spec in zip(verdicts, p.template_ids, p.specificity):
                 if hit:
                     key = (-spec, tid)

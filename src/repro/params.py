@@ -189,8 +189,9 @@ class LZAHParams:
     def __post_init__(self) -> None:
         if self.word_bytes <= 0:
             raise ValueError("word_bytes must be positive")
-        if self.pairs_per_chunk <= 0:
-            raise ValueError("pairs_per_chunk must be positive")
+        if self.pairs_per_chunk <= 0 or self.pairs_per_chunk % 8:
+            # a chunk's header is pairs_per_chunk // 8 bytes, one bit a pair
+            raise ValueError("pairs_per_chunk must be a positive multiple of 8")
         if self.hash_table_bytes % self.word_bytes:
             raise ValueError("hash table must hold an integral number of words")
 

@@ -1,9 +1,19 @@
-"""Unit and property tests for LZAH (Section 5)."""
+"""Unit and property tests for LZAH (Section 5).
+
+``LZAHCompressor.compress`` pads each line to whole words and steps the
+padded text. The encoder it replaced — one window a step, cut just after
+a newline and zero-padded when short, then a per-pair loop setting header
+bits — lives on here as the oracle, :func:`per_window_compress`: stream
+and ``last_stats`` must equal it byte for byte.
+"""
+
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.lzah import LZAHCompressor
+from repro.compression.lzah import LZAHCompressor, LZAHStats
+from repro.core.backend import numpy_or_none
 from repro.errors import CompressedFormatError
 from repro.params import LZAHParams
 
@@ -14,6 +24,221 @@ def codec():
 
 
 LINE = b"Jul  5 12:00:01 sn352 kernel: RAS KERNEL INFO generating core.2275\n"
+
+
+def per_window_compress(params: LZAHParams, data: bytes):
+    """The deleted per-window encoder: ``(stream, LZAHStats)``."""
+    p = params
+    table = [None] * p.hash_table_slots
+    pairs = []
+    matches = 0
+    w = p.word_bytes
+    n = len(data)
+    pos = 0
+    while pos < n:
+        end = min(pos + w, n)
+        if p.newline_realign:
+            nl = data.find(b"\n", pos, end)
+            if nl != -1:
+                end = nl + 1
+        word = data[pos:end]
+        pos = end
+        word += b"\0" * (w - len(word))
+        slot = zlib.crc32(word) & (p.hash_table_slots - 1)
+        if table[slot] == word:
+            matches += 1
+            pairs.append((True, slot.to_bytes(2, "little")))
+        else:
+            table[slot] = word
+            pairs.append((False, word))
+    body = bytearray()
+    for base in range(0, len(pairs), p.pairs_per_chunk):
+        chunk = pairs[base : base + p.pairs_per_chunk]
+        header = 0
+        for i, (is_match, _) in enumerate(chunk):
+            if is_match:
+                header |= 1 << i
+        body.extend(header.to_bytes(p.pairs_per_chunk // 8, "little"))
+        for _, payload in chunk:
+            body.extend(payload)
+        body.extend(b"\0" * (-len(body) % w))
+    stream = (
+        len(data).to_bytes(4, "little")
+        + len(pairs).to_bytes(4, "little")
+        + zlib.crc32(data).to_bytes(4, "little")
+        + bytes(body)
+    )
+    return stream, LZAHStats(len(pairs), matches, len(pairs) - matches)
+
+
+#: word sizes × realignment × chunk sizes, each on a 4-slot table so that
+#: words overwrite each other's slots all the time
+ORACLE_PARAMS = [
+    LZAHParams(
+        word_bytes=w, newline_realign=realign, pairs_per_chunk=chunk, hash_table_bytes=4 * w
+    )
+    for w in (8, 16, 32)
+    for realign in (True, False)
+    for chunk in (8, 128)
+]
+PARAM_IDS = [
+    f"w{p.word_bytes}-{'realign' if p.newline_realign else 'fixed'}-c{p.pairs_per_chunk}"
+    for p in ORACLE_PARAMS
+]
+
+
+@st.composite
+def page_texts(draw, word_bytes: int) -> bytes:
+    """Arbitrary bytes, or lines drawn (with repeats) from a few of length
+    0 (runs of ``\\n``), 1, w−1, w, w+1, 2w or any up to 3w, over an
+    alphabet holding NUL, ``\\r`` and tab, with or without a trailing
+    ``\\n``."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=400))
+    w = word_bytes
+    length = st.sampled_from([0, 1, w - 1, w, w + 1, 2 * w]) | st.integers(0, 3 * w)
+    line = length.flatmap(
+        lambda n: st.lists(st.sampled_from(b"ab \0\r\t\xff"), min_size=n, max_size=n).map(bytes)
+    )
+    pool = draw(st.lists(line, min_size=1, max_size=4))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=30))
+    return b"\n".join(lines) + (b"\n" if draw(st.booleans()) else b"")
+
+
+class TestEncoderOracle:
+    """``compress`` against :func:`per_window_compress`."""
+
+    @staticmethod
+    def _assert_equal(params: LZAHParams, data: bytes) -> None:
+        codec = LZAHCompressor(params)
+        stream, stats = per_window_compress(params, data)
+        assert codec.compress(data) == stream
+        assert codec.last_stats == stats
+        assert codec.decompress(stream) == data
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=PARAM_IDS)
+    def test_edge_cases(self, params):
+        w = params.word_bytes
+        cases = [
+            b"",
+            b"\n",
+            b"\n\n\n\n",
+            b"no trailing newline",
+            b"a" * (w - 1) + b"\n",
+            b"a" * w + b"\n",
+            b"a" * (w + 1) + b"\n",
+            b"a" * (2 * w) + b"\n",
+            b"b" * (w - 1),
+            b"b" * w,
+            b"b" * (w + 1),
+            b"nul\0\0\0\nend\r\n\r\r\n" * 3,
+            b"\0" * (3 * w),
+            # 3 chunks at 8 pairs a chunk, the last one short
+            b"".join(b"%d\n" % (i % 5) for i in range(21)),
+        ]
+        for data in cases:
+            self._assert_equal(params, data)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_oracle_on_arbitrary_text(self, data):
+        params = data.draw(st.sampled_from(ORACLE_PARAMS))
+        self._assert_equal(params, data.draw(page_texts(params.word_bytes)))
+
+    def test_default_params_on_log_lines(self):
+        self._assert_equal(LZAHParams(), LINE * 300 + b"tail without newline")
+
+
+class TestParams:
+    @pytest.mark.parametrize("pairs", [0, -8, 4, 12, 127])
+    def test_pairs_per_chunk_must_be_a_positive_multiple_of_8(self, pairs):
+        with pytest.raises(ValueError, match="multiple of 8"):
+            LZAHParams(pairs_per_chunk=pairs)
+
+    @pytest.mark.skipif(numpy_or_none() is None, reason="the bulk decoder needs numpy")
+    @pytest.mark.parametrize("pairs", [8, 16, 136])
+    def test_bulk_decoder_takes_every_valid_chunk_size(self, pairs):
+        codec = LZAHCompressor(LZAHParams(pairs_per_chunk=pairs))
+        data = LINE * 40 + b"short"
+        decoded = codec._bulk_decode([codec.compress(data), codec.compress(LINE)])
+        assert decoded is not None and bytes(decoded) == data + LINE
+
+
+#: 8-byte words on a 4-slot table: every 7-byte line plus its ``\n`` is one
+#: window, and a slot is two bits of the window's CRC
+TINY = LZAHParams(word_bytes=8, hash_table_bytes=4 * 8, pairs_per_chunk=8)
+
+
+def _tiny_slot(word: bytes) -> int:
+    return zlib.crc32(word) & (TINY.hash_table_slots - 1)
+
+
+def _two_words_one_slot() -> tuple:
+    """Two different one-window lines whose words share a slot."""
+    words = [b"line%03d\n" % i for i in range(32)]
+    first = words[0]
+    second = next(w for w in words[1:] if _tiny_slot(w) == _tiny_slot(first))
+    return first, second
+
+
+def _hand_stream(pairs, declared: bytes) -> bytes:
+    """A one-chunk TINY stream: ``pairs`` are ``("match", slot)`` or
+    ``("literal", word)``; ``declared`` sets the length and CRC fields."""
+    header = sum(1 << i for i, (kind, _) in enumerate(pairs) if kind == "match")
+    body = header.to_bytes(1, "little") + b"".join(
+        value.to_bytes(2, "little") if kind == "match" else value for kind, value in pairs
+    )
+    return (
+        len(declared).to_bytes(4, "little")
+        + len(pairs).to_bytes(4, "little")
+        + zlib.crc32(declared).to_bytes(4, "little")
+        + body
+    )
+
+
+def _error(decode, *streams) -> str:
+    with pytest.raises(CompressedFormatError) as info:
+        decode(*streams)
+    return str(info.value)
+
+
+class TestSlotOverwrites:
+    """What a match means when its slot has held more than one word."""
+
+    def test_overwritten_slot_decodes_alike_on_all_three_decoders(self):
+        a, b = _two_words_one_slot()
+        data = a + a + b + b + a + a  # each word matched before and after it is replaced
+        codec = LZAHCompressor(TINY)
+        stream = codec.compress(data)
+        assert codec.last_stats == LZAHStats(words=6, matches=3, literals=3)
+        assert stream == per_window_compress(TINY, data)[0]
+        assert codec.decompress(stream) == data
+        assert codec.decompress_into(stream) == data
+        assert b"".join(c for c, _p in codec.decompress_words(stream)) == data
+        if numpy_or_none() is not None:
+            assert bytes(codec._bulk_decode([stream])) == data
+
+    def test_a_match_to_a_slot_written_only_later_is_refused(self):
+        a, _b = _two_words_one_slot()
+        stream = _hand_stream([("match", _tiny_slot(a)), ("literal", a)], a + a)
+        codec = LZAHCompressor(TINY)
+        message = _error(codec.decompress, stream)
+        assert "empty slot" in message
+        assert _error(codec.decompress_into, stream) == message
+        if numpy_or_none() is not None:
+            assert codec._bulk_decode([stream]) is None
+
+    @pytest.mark.parametrize("match_first", [False, True], ids=["after", "before"])
+    def test_a_match_to_a_slot_written_only_by_a_neighbour_is_refused(self, match_first):
+        a, _b = _two_words_one_slot()
+        codec = LZAHCompressor(TINY)
+        neighbour = codec.compress(a)  # writes a's slot in its own stream only
+        stream = _hand_stream([("match", _tiny_slot(a))], a)
+        message = _error(codec.decompress, stream)
+        run = (stream, neighbour) if match_first else (neighbour, stream)
+        assert _error(codec.decompress_into, *run) == message
+        if numpy_or_none() is not None:
+            assert codec._bulk_decode(run) is None
 
 
 class TestRoundTrip:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import hashfilter
-from repro.core.hashfilter import HashFilter, compile_queries
+from repro.core.hashfilter import HashFilter, LineEvaluator, compile_queries
 from repro.core.query import IntersectionSet, Query, Term, parse_query
 from repro.core.tokenizer import Tokenizer
 from repro.errors import CapacityError
@@ -171,21 +171,33 @@ class TestFilterSemantics:
         assert evaluate(program, b"KERNEL FATAL") == (False,)
 
 
+def per_token_verdicts(program, tokens):
+    """The reference for a pre-split line: its tokens fed one at a time
+    through a :class:`LineEvaluator`."""
+    evaluator = LineEvaluator(program)
+    for position, token in enumerate(tokens):
+        evaluator.feed(token, position)
+    return evaluator.query_verdicts()
+
+
 class TestEvaluateTokens:
+    """Pre-split lines: ``evaluate_token_lists``, one line or many."""
+
     def test_token_path_equals_word_path(self):
         query = parse_query("RAS AND NOT FATAL")
         program = compile_queries([query])
         filt = HashFilter(program)
         line = b"R00 RAS KERNEL INFO"
+        tokens = [b"R00", b"RAS", b"KERNEL", b"INFO"]
         by_words = filt.evaluate_words(Tokenizer().tokenize_line(line))
-        by_tokens = filt.evaluate_tokens([b"R00", b"RAS", b"KERNEL", b"INFO"])
-        assert by_words == by_tokens
+        assert filt.evaluate_token_lists([tokens]) == [by_words]
+        assert per_token_verdicts(program, tokens) == by_words
 
     def test_counters(self):
         program = compile_queries([Query.single("A")])
         filt = HashFilter(program)
-        filt.evaluate_tokens([b"A", b"B"])
-        filt.evaluate_tokens([b"C"])
+        filt.evaluate_token_lists([[b"A", b"B"]])
+        filt.evaluate_token_lists([[b"C"]])
         assert filt.lines_processed == 2
         assert filt.tokens_processed == 3
 
@@ -229,10 +241,9 @@ class TestOracleEquivalence:
     @settings(max_examples=300)
     def test_filter_equals_oracle(self, queries, line_tokens):
         program = compile_queries(queries)
-        filt = HashFilter(program)
-        got = filt.evaluate_tokens(line_tokens)
         expected = tuple(q.matches_tokens(line_tokens) for q in queries)
-        assert got == expected
+        assert per_token_verdicts(program, line_tokens) == expected
+        assert HashFilter(program).evaluate_token_lists([line_tokens]) == [expected]
 
     @given(
         st.lists(

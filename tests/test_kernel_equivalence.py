@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.compression.lzah import LZAHCompressor
-from repro.core.hashfilter import HashFilter, compile_queries
+from repro.core.hashfilter import HashFilter, LineEvaluator, compile_queries
 from repro.core.query import IntersectionSet, Query, Term, parse_query
 from repro.core.tokenizer import (
     split_tokens,
@@ -91,6 +91,15 @@ def _random_token_lists(rng, vocabulary, lines):
     ]
 
 
+def per_token_verdicts(program, tokens):
+    """The batch kernel's reference: one line's tokens fed one at a time
+    through a :class:`LineEvaluator`."""
+    evaluator = LineEvaluator(program)
+    for position, token in enumerate(tokens):
+        evaluator.feed(token, position)
+    return evaluator.query_verdicts()
+
+
 class TestHashFilterBatchKernel:
     QUERIES = [
         parse_query('"alpha"'),
@@ -109,10 +118,9 @@ class TestHashFilterBatchKernel:
             b"zeta", b"noise", b"x" * 300,
         ]
         token_lists = _random_token_lists(rng, vocabulary, 2000)
-        fast = HashFilter(self._program()).evaluate_token_lists(token_lists)
-        slow_filter = HashFilter(self._program())
-        slow = [slow_filter.evaluate_tokens(tokens) for tokens in token_lists]
-        assert fast == slow
+        program = self._program()
+        fast = HashFilter(program).evaluate_token_lists(token_lists)
+        assert fast == [per_token_verdicts(program, tokens) for tokens in token_lists]
 
     def test_batch_verdicts_match_query_oracles(self):
         rng = random.Random(22)
@@ -125,13 +133,13 @@ class TestHashFilterBatchKernel:
 
     def test_batch_counters_match_serial(self):
         token_lists = [[b"alpha"], [], [b"beta", b"gamma"]]
-        fast = HashFilter(self._program())
-        fast.evaluate_token_lists(token_lists)
-        slow = HashFilter(self._program())
+        batched = HashFilter(self._program())
+        batched.evaluate_token_lists(token_lists)
+        per_line = HashFilter(self._program())
         for tokens in token_lists:
-            slow.evaluate_tokens(tokens)
-        assert fast.lines_processed == slow.lines_processed
-        assert fast.tokens_processed == slow.tokens_processed
+            per_line.evaluate_token_lists([tokens])
+        assert batched.lines_processed == per_line.lines_processed == 3
+        assert batched.tokens_processed == per_line.tokens_processed == 3
 
     def test_empty_batch(self):
         assert HashFilter(self._program()).evaluate_token_lists([]) == []
@@ -157,8 +165,7 @@ class TestHashFilterBatchKernel:
             [],
         ]
         verdicts = fast.evaluate_token_lists(cases)
-        slow = HashFilter(program)
-        assert verdicts == [slow.evaluate_tokens(tokens) for tokens in cases]
+        assert verdicts == [per_token_verdicts(program, tokens) for tokens in cases]
 
 
 class TestLZAHDecoder:

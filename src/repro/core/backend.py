@@ -9,6 +9,8 @@ Each scan stage has exactly two implementations:
   oracle the differential suite compares the numpy kernel against and
   as the only kernel on hosts without numpy.
 
+A kernel runs its own stages alone, on any page (``\\r`` lines included).
+
 :func:`resolve_kernel` is the single switch: ``auto`` (the default, also
 via the ``REPRO_SCAN_KERNEL`` environment variable) means ``vectorized``
 iff numpy imports, else ``reference``; an explicit ``vectorized`` without

@@ -11,19 +11,15 @@ and in-line position are computed only for the tokens that ask
 :meth:`PageTokens.positions`: those routed to a fact with a column).
 
 The arrays come from numpy: a token-byte mask (one ``bytes.translate``),
-token boundaries from the edges of that mask, line spans from newline
+token boundaries from the edges of that mask, line spans from terminator
 positions in an ``np.frombuffer`` view of the buffer. The buffer is
 one page or, in the scan kernel, a run of consecutive pages joined so
 that each page's lines follow the last one's.
 
-Line semantics follow ``bytes.splitlines`` on ``\\n``-terminated text
-(what the ingest path stores). A page containing ``\\r`` needs the full
-``\\r``/``\\n``/``\\r\\n`` terminator set, which only the reference
-tokenizer implements: :func:`tokenize_page_offsets` probes its buffer
-once (:func:`has_carriage_return`) and refuses one with ``\\r`` with
-:class:`CarriageReturnPage` rather than mis-split it. The scan kernel
-probes each page before joining a run and routes a ``\\r`` page to the
-reference stages.
+Line semantics are ``bytes.splitlines``: ``\\n``, ``\\r`` and ``\\r\\n``
+each end a line. Stored text is ``\\n``-terminated, so the ``\\r`` ends
+and the ``\\r\\n`` merge are folded in only for a buffer that carries
+``\\r`` at all.
 """
 
 from __future__ import annotations
@@ -33,13 +29,13 @@ from typing import List, Sequence
 
 from repro.core.backend import BackendUnavailableError, numpy_or_none
 
-__all__ = ["CarriageReturnPage", "PageTokens", "has_carriage_return", "tokenize_page_offsets"]
+__all__ = ["PageTokens", "tokenize_page_offsets"]
 
-_NL = 0x0A
+_NL, _CR = 0x0A, 0x0D
 
 #: ``bytes.translate`` table: 1 for a byte that belongs to a token, 0 for
-#: a delimiter (space, tab, newline).
-_TOKEN_BYTES = bytes(0 if byte in (0x20, 0x09, _NL) else 1 for byte in range(256))
+#: a delimiter (space, tab) or a line terminator (``\\n``, ``\\r``).
+_TOKEN_BYTES = bytes(0 if byte in (0x20, 0x09, _NL, _CR) else 1 for byte in range(256))
 
 
 @dataclass
@@ -105,24 +101,13 @@ class PageTokens:
         return raw_lines, token_lists
 
 
-class CarriageReturnPage(ValueError):
-    """The page carries ``\\r``: only the reference tokenizer splits it."""
-
-
-def has_carriage_return(payload: "bytes | bytearray | memoryview") -> bool:
-    """Whether the page carries ``\\r`` and so needs the reference tokenizer."""
-    # one memcpy plus a C-level search: ~20x cheaper than a numpy compare
-    return b"\r" in bytes(payload)
-
-
 def tokenize_page_offsets(
     payload: "bytes | bytearray | memoryview",
 ) -> PageTokens:
     """Tokenize one decompressed page (or run of pages) into offset arrays.
 
     ``payload`` is read zero-copy and the result holds a reference to
-    it, not a copy. Raises :class:`CarriageReturnPage` (a
-    ``ValueError``) for a buffer containing ``\\r``.
+    it, not a copy.
     """
     np = numpy_or_none()
     if np is None:
@@ -130,20 +115,26 @@ def tokenize_page_offsets(
             "the offset-array tokenizer needs numpy; use "
             "repro.core.tokenizer.tokenize_page"
         )
-    if has_carriage_return(payload):
-        raise CarriageReturnPage(
-            "page contains \\r; the offset-array tokenizer splits lines on "
-            "\\n only — use repro.core.tokenizer.tokenize_page"
-        )
     arr = np.frombuffer(payload, dtype=np.uint8)
     n = arr.size
-    # one line per newline, plus an unterminated tail (splitlines yields
-    # no trailing empty line)
-    line_ends = np.flatnonzero(arr == _NL)
-    if n and payload[-1] != _NL:
+    # stored text has no \r: one C-level search (bytes() copies only a
+    # memoryview) keeps the \r ends and the \r\n merge off its path
+    if b"\r" in bytes(payload):
+        ends = np.flatnonzero((arr == _NL) | (arr == _CR))
+        # a \n right after a \r is the tail of one \r\n terminator: it
+        # ends no line, and the line after it starts past it
+        tail = (arr[ends[1:]] == _NL) & (arr[ends[1:] - 1] == _CR)
+        line_ends = ends[np.append(True, ~tail)]
+        next_starts = ends[np.append(~tail, True)] + 1
+    else:
+        line_ends = np.flatnonzero(arr == _NL)
+        next_starts = line_ends + 1
+    # an unterminated tail is one more line (splitlines yields no
+    # trailing empty line)
+    if n and payload[-1] not in (_NL, _CR):
         line_ends = np.append(line_ends, n)
-    # a line starts after the previous line's end (no lines, no starts)
-    line_starts = np.concatenate(([0], line_ends[:-1] + 1))[: line_ends.size]
+    # a line starts after the previous line's terminator (no lines, no starts)
+    line_starts = np.concatenate(([0], next_starts))[: line_ends.size]
     # token edges: where the token-byte mask, padded with a delimiter on
     # either side, changes — starts and (exclusive) ends alternate. The
     # mask is one C-level translate, a byte per byte.

@@ -13,7 +13,7 @@ in the calling process, in page order.
 The partition kernel is one loop over *runs* of consecutive pages and
 five *stage callables* (decode, tokenize, evaluate, tally, line bytes),
 with two equivalence-tested stage sets, selected by
-:class:`ScanProgramSpec.kernel`:
+:class:`ScanProgramSpec.kernel`; a kernel runs its own set alone:
 
 - ``vectorized`` — the numpy hot path. A run holds ~``_RUN_BYTES`` of
   page text, so numpy's fixed per-call cost is paid once per run, not
@@ -25,8 +25,7 @@ with two equivalence-tested stage sets, selected by
   through :meth:`~repro.core.hashfilter.HashFilter
   .evaluate_token_arrays` for offloaded programs and
   :class:`~repro.core.softmatch.SoftwareBatchMatcher` for programs that
-  exceeded hardware provisioning and run in software. A page containing
-  ``\\r`` takes the reference stages, for that page only.
+  exceeded hardware provisioning and run in software.
 - ``reference`` — the per-page token-list path (runs of one page),
   retained as the oracle the differential suite compares against and as
   the kernel of hosts without numpy.
@@ -53,14 +52,12 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.core.hashfilter import HashFilter, compiled_program, memoized
 from repro.core.query import Query
 from repro.core.softmatch import SoftwareBatchMatcher
 from repro.core.tokenizer import tokenize_page
-from repro.core.vectokenizer import has_carriage_return
 from repro.errors import QueryError
 from repro.obs.metrics import handle
 from repro.obs.profile import (
@@ -274,7 +271,8 @@ def _split(text: bytes, streams: list, declared_length) -> list[bytes]:
 
 def _run_text(pages: list[bytes]) -> bytes:
     """The pages' texts joined so that ``splitlines`` yields each page's
-    lines in turn: a non-empty page lacking a trailing ``\\n`` gets one."""
+    lines in turn: a non-empty page lacking a trailing ``\\n`` gets one
+    (after a trailing ``\\r``, the two are one ``\\r\\n`` terminator)."""
     if len(pages) == 1:
         return pages[0]
     return b"".join(
@@ -300,10 +298,8 @@ def _partition_kernel(
 
     The numpy kernel works on **runs** of consecutive pages, about
     :data:`_RUN_BYTES` of text each: one decode call for the run's
-    cache misses, one ``\\r`` probe per page, then one tokenize, one
-    filter and one tally over the run's text (:func:`_run_text`). A page
-    carrying ``\\r`` takes the reference stages, and so splits its run.
-    Stage ``calls`` still count pages.
+    cache misses, then one tokenize, one filter and one tally over the
+    run's text (:func:`_run_text`). Stage ``calls`` still count pages.
 
     ``stop_after`` is the cancellable read (``limit=``): the page whose
     kept lines reach it contributes only the lines up to that match —
@@ -316,11 +312,8 @@ def _partition_kernel(
     Module-level and argument-picklable so it runs identically inline
     and in a pool worker.
     """
-    reference = _reference_stages(spec)
-    if spec.kernel == "vectorized":
-        decode, *page_stages = _vectorized_stages(spec)
-    else:
-        decode, *page_stages = reference
+    stages = _vectorized_stages if spec.kernel == "vectorized" else _reference_stages
+    decode, tokenize, evaluate, tally, line_bytes = stages(spec)
     # the reference kernel is the per-page oracle, and a cancellable read
     # pulls, faults and stops page by page: both take runs of one page
     run_bytes = _RUN_BYTES if spec.kernel == "vectorized" and stop_after is None else 0
@@ -334,7 +327,6 @@ def _partition_kernel(
     bytes_decompressed = 0
     lines_seen = 0
     lines_kept = 0
-    cancelled = False
     for run in _runs(items, run_bytes, declared_length):
         misses = [payload for is_decoded, payload in run if not is_decoded]
         if misses:
@@ -352,31 +344,22 @@ def _partition_kernel(
                 for (is_decoded, _), page_text in zip(run, texts)
             )
         bytes_decompressed += sum(map(len, texts))
-        # the offset-array tokenizer splits on \n only; a page with \r
-        # needs the reference tokenizer's full \r/\n/\r\n terminator set
-        for carriage_return, pages in groupby(texts, has_carriage_return):
-            pages = list(pages)
-            tokenize, evaluate, tally, line_bytes = (
-                reference[1:] if carriage_return else page_stages
-            )
-            t0 = clock()
-            page = tokenize(_run_text(pages))
-            t1 = clock()
-            verdicts = evaluate(page)
-            budget = None if stop_after is None else stop_after - lines_kept
-            rows = tally(verdicts, counts, budget)
-            kept = [line_bytes(page, i) for i in rows]
-            num_lines = len(verdicts)
-            profile.add("tokenize", calls=len(pages), units=num_lines, wall_s=t1 - t0)
-            profile.add("filter", calls=len(pages), units=num_lines, wall_s=clock() - t1)
-            cancelled = len(rows) == budget
-            lines_seen += rows[-1] + 1 if cancelled else num_lines
-            lines_kept += len(kept)
-            out_chunks.append(b"\n".join(kept) + (b"\n" if kept else b""))
-            if cancelled:
-                break
-        if cancelled:
+        t0 = clock()
+        page = tokenize(_run_text(texts))
+        t1 = clock()
+        verdicts = evaluate(page)
+        budget = None if stop_after is None else stop_after - lines_kept
+        rows = tally(verdicts, counts, budget)
+        kept = [line_bytes(page, i) for i in rows]
+        num_lines = len(verdicts)
+        profile.add("tokenize", calls=len(texts), units=num_lines, wall_s=t1 - t0)
+        profile.add("filter", calls=len(texts), units=num_lines, wall_s=clock() - t1)
+        lines_kept += len(kept)
+        out_chunks.append(b"\n".join(kept) + (b"\n" if kept else b""))
+        if len(rows) == budget:  # cancelled
+            lines_seen += rows[-1] + 1
             break
+        lines_seen += num_lines
     return KernelResult(
         data=b"".join(out_chunks),
         bytes_decompressed=bytes_decompressed,

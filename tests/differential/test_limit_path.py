@@ -27,8 +27,8 @@ from repro.system.mithrilog import MithriLogSystem
 
 LINES = generator_for("Liberty2", seed=11).generate(2500)
 #: the same corpus with carriage returns inside some lines: the stored
-#: page text then splits into more lines than were ingested, and the
-#: numpy kernel hands those pages to the reference stages
+#: page text then splits into more lines than were ingested, on either
+#: kernel
 CR_LINES = [
     line.replace(b" ", b"\r", 1) if i % 97 == 5 else line
     for i, line in enumerate(LINES)

@@ -8,7 +8,9 @@ pages with or without a trailing newline, empty pages, a ``\\r`` page
 anywhere in it, cache hits between misses, a last page past the cap —
 the kept lines, the per-query counts, the scan counters and the stage
 ``calls``/``units`` must be the per-page kernel's, at any worker count,
-on either route, for one query or sixteen. So must a failure: a corrupt
+on either route, for one query or sixteen. A run is one tokenize, one
+filter and one tally on the numpy stages whatever its pages carry: the
+numpy kernel never calls a reference stage. So must a failure: a corrupt
 page inside a run raises the per-page error and files nothing, and a
 cancelled read pulls no page behind the one that cancelled it.
 """
@@ -19,6 +21,7 @@ import pytest
 
 from repro.compression.lzah import LZAHCompressor
 from repro.core.backend import numpy_or_none
+from repro.core.hashfilter import HashFilter
 from repro.datasets.synthetic import generator_for
 from repro.errors import CompressedFormatError
 from repro.exec import executor
@@ -53,6 +56,13 @@ SHAPES = {
     "cr-middle": PAGES[:2] + [CR_PAGE, b"\rlone\r"] + PAGES[2:5],
     "cr-last": PAGES[:4] + [CR_PAGE.rstrip(b"\n")],
     "all-cr": [CR_PAGE, b"x\r", b"\ny session\r"],
+    # \r pages between \n-only ones, one of them ending in a lone \r
+    "cr-mixed": [
+        b"session opened for root\nsvc up ERR\nnoise line\n" * 20,
+        CR_PAGE,
+        b"svc a ERR b\nopened by admin\nsession session\n" * 20,
+        b"lone\rcarriage\rreturns session\r",
+    ],
     "many-runs": PAGES,
 }
 
@@ -122,6 +132,34 @@ def test_runs_equal_the_per_page_kernel(shape, queries, offloaded, hits, decode_
     assert sum(decode_calls) == misses
     if shape == "many-runs" and not hits:
         assert 1 < len(decode_calls) < misses  # runs, and more than one
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+@pytest.mark.parametrize("offloaded", [True, False], ids=["offloaded", "software"])
+def test_the_numpy_kernel_calls_no_reference_stage(monkeypatch, shape, offloaded):
+    """Every shape, ``\\r`` pages included, on the numpy stages alone: the
+    reference tokenizer, the token-list filter and the tuple tally raise
+    if called, and the result is still the reference kernel's."""
+    queries = ONE if offloaded else SIXTEEN
+    items = _items(SHAPES[shape])
+    reference = _partition_kernel(_spec(queries, offloaded, "reference"), items, True)
+
+    def detour(*_args, **_kwargs):
+        raise AssertionError("the numpy kernel called a reference stage")
+
+    monkeypatch.setattr(executor, "tokenize_page", detour)
+    monkeypatch.setattr(HashFilter, "evaluate_token_lists", detour)
+    monkeypatch.setattr(executor, "_tally_tuples", detour)
+    with ScanExecutor(1) as scans:
+        scanned = scans.scan(_spec(queries, offloaded, "vectorized"), items, True)
+    assert scanned.data == reference.data
+    assert scanned.per_query_counts == reference.per_query_counts
+    assert (scanned.lines_seen, scanned.lines_kept, scanned.bytes_decompressed) == (
+        reference.lines_seen, reference.lines_kept, reference.bytes_decompressed
+    )
+    assert scanned.lines_seen == sum(len(page.splitlines()) for page in SHAPES[shape])
+    assert scanned.decoded == reference.decoded
+    assert _counts(scanned.profile) == _counts(reference.stages)
 
 
 @pytest.mark.parametrize(

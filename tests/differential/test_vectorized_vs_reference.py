@@ -16,10 +16,10 @@ evidence:
    matches, per-query counts, and *simulated* stats (breakdown,
    bottleneck, profile) across kernel × workers.
 
-The numpy tokenizer splits lines on ``\\n`` only, so the partition kernel
-routes a page containing ``\\r`` to the reference stages; the stage-level
-checks below follow the same rule and the whole-kernel checks prove the
-routing itself. Kernel selection lives here too: the suite proves that
+Both tokenizers split lines as ``bytes.splitlines`` does (``\\n``,
+``\\r`` and ``\\r\\n``), so every page, ``\\r`` or not, goes through the
+same stages on each kernel; the stage-level checks below feed every page
+to both filters. Kernel selection lives here too: the suite proves that
 hosts without numpy land on the reference kernel and that an explicit
 ``vectorized`` fails loudly there.
 """
@@ -49,9 +49,9 @@ from repro.core.hashfilter import HashFilter, compile_queries
 from repro.core.query import IntersectionSet, Query, Term
 from repro.core.softmatch import SoftwareBatchMatcher
 from repro.core.tokenizer import tokenize_page
-from repro.core.vectokenizer import has_carriage_return, tokenize_page_offsets
+from repro.core.vectokenizer import tokenize_page_offsets
 from repro.errors import CompressedFormatError
-from repro.exec.executor import ScanExecutor, ScanProgramSpec, _partition_kernel
+from repro.exec.executor import ScanProgramSpec, _partition_kernel, _run_text
 from repro.params import CuckooParams, LZAHParams
 
 #: Everything that drives the numpy kernel; the no-numpy CI leg skips it.
@@ -99,21 +99,6 @@ SOFT_QUERIES = FILTER_QUERIES[:2] + (
 )
 
 
-def _offsets_or_refusal(payload: bytes):
-    """Offset arrays of a page the numpy tokenizer accepts, else ``None``.
-
-    A page containing ``\\r`` must be flagged by the probe the kernel
-    routes by and refused by the tokenizer (never mis-split).
-    """
-    if b"\r" in payload:
-        assert has_carriage_return(payload)
-        with pytest.raises(ValueError):
-            tokenize_page_offsets(payload)
-        return None
-    assert not has_carriage_return(payload)
-    return tokenize_page_offsets(payload)
-
-
 def _rows(verdicts) -> list:
     """The numpy kernel's ``(lines × queries)`` verdict array as the
     reference kernel's list of per-line tuples."""
@@ -122,9 +107,7 @@ def _rows(verdicts) -> list:
 
 def _assert_tokenization_matches(payload: bytes) -> None:
     """One page: offset arrays must re-materialise the reference output."""
-    page = _offsets_or_refusal(payload)
-    if page is None:
-        return
+    page = tokenize_page_offsets(payload)
     raw_lines, token_lists = page.to_token_lists()
     want_lines, want_tokens = tokenize_page(payload)
     assert raw_lines == want_lines
@@ -213,9 +196,7 @@ class TestCorpusReplay:
     @pytest.mark.parametrize("payload", CORPUS_PAGES, ids=CORPUS_IDS)
     def test_filter_matches_reference(self, payload):
         _assert_kernels_agree(FILTER_QUERIES, True, [payload])
-        page = _offsets_or_refusal(payload)
-        if page is None:
-            return
+        page = tokenize_page_offsets(payload)
         program = compile_queries(FILTER_QUERIES, seed=0)
         fast = _rows(HashFilter(program).evaluate_token_arrays(page))
         _, token_lists = tokenize_page(payload)
@@ -228,9 +209,7 @@ class TestCorpusReplay:
         """The software-fallback batch matcher (no compiled table) agrees
         with per-line ``Query.matches_tokens`` on every pinned page."""
         _assert_kernels_agree(SOFT_QUERIES, False, [payload])
-        page = _offsets_or_refusal(payload)
-        if page is None:
-            return
+        page = tokenize_page_offsets(payload)
         fast = _rows(SoftwareBatchMatcher(SOFT_QUERIES).evaluate(page))
         _, token_lists = tokenize_page(payload)
         slow = [
@@ -245,49 +224,6 @@ class TestCorpusReplay:
         blob = codec.compress(payload)
         assert codec.decompress_into(blob) == codec.decompress(blob)
         assert codec.decompress(blob) == payload
-
-
-# ---------------------------------------------------------------------------
-# \r routing: mixed partitions through the executor
-# ---------------------------------------------------------------------------
-
-
-@needs_numpy
-class TestCarriageReturnRouting:
-    """A page with ``\\r`` takes the reference stages for that page only;
-    its ``\\n``-only neighbours stay on the numpy stages, and nothing
-    observable depends on the kernel or the worker count."""
-
-    PAGES = [
-        b"session opened for root\nsvc up ERR\nnoise line\n" * 20,
-        b"session opened\r\nadmin opened\rsvc x ERR\r\n\rsession closed\n" * 15,
-        b"svc a ERR b\nopened by admin\nsession session\n" * 20,
-        b"lone\rcarriage\rreturns session\r",
-    ]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(
-        "queries, offloaded",
-        [(FILTER_QUERIES, True), (SOFT_QUERIES, False)],
-        ids=["offloaded", "software"],
-    )
-    def test_mixed_partition_matches_reference(self, queries, offloaded, workers):
-        codec = LZAHCompressor()
-        items = [(False, codec.compress(page)) for page in self.PAGES]
-        with ScanExecutor(workers) as executor:
-            ref, vec = (
-                executor.scan(_spec(queries, offloaded, kernel), items)
-                for kernel in ("reference", "vectorized")
-            )
-        assert ref.lines_kept > 0
-        assert ref.lines_seen == sum(len(p.splitlines()) for p in self.PAGES)
-        assert vec.data == ref.data
-        assert vec.per_query_counts == ref.per_query_counts
-        assert vec.lines_seen == ref.lines_seen
-        assert [_stage_counts(p.stages) for p in vec.partitions] == [
-            _stage_counts(p.stages) for p in ref.partitions
-        ]
-        assert _stage_counts(vec.profile) == _stage_counts(ref.profile)
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +727,17 @@ if HAVE_HYPOTHESIS:
 
     any_page = st.one_of(structured_page, binary_page)
 
+    #: every line terminator of ``bytes.splitlines`` and the pairs that
+    #: straddle them, beside bytes it does *not* split on (VT, FF, FS,
+    #: 0x85) and token bytes
+    TERMINATOR_PIECES = [
+        b"a", b"bc", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\n\r", b"\r\r\n",
+        b"\x00", b"\xff", b"\x0b", b"\x0c", b"\x1c", b"\x85",
+    ]
+    terminator_text = st.lists(st.sampled_from(TERMINATOR_PIECES), max_size=24).map(
+        b"".join
+    )
+
     def queries_over(tokens):
         """Random queries whose terms draw their tokens from ``tokens``."""
         return st.lists(
@@ -835,6 +782,25 @@ if HAVE_HYPOTHESIS:
         def test_tokenizer_differential(self, payload):
             _assert_tokenization_matches(payload)
 
+        @settings(max_examples=300, deadline=None)
+        @given(
+            text=terminator_text,
+            cr_at=st.sampled_from(["none", "first", "last"]),
+            pages=st.lists(terminator_text.map(lambda page: page + b"\r"), max_size=4),
+        )
+        def test_tokenizer_splits_every_terminator(self, text, cr_at, pages):
+            """``\\r``, ``\\n`` and ``\\r\\n`` lines, a ``\\r`` first or last
+            in the buffer, and runs of pages that end in ``\\r``: the offset
+            arrays are the reference tokenizer's. In a run, the ``\\n``
+            :func:`_run_text` appends after a page's ``\\r`` ends no line of
+            its own, so the run's lines are its pages' lines in turn."""
+            payload = {"none": text, "first": b"\r" + text, "last": text + b"\r"}[cr_at]
+            _assert_tokenization_matches(payload)
+            run = _run_text([payload] + pages)
+            _assert_tokenization_matches(run)
+            want = [line for page in [payload] + pages for line in page.splitlines()]
+            assert tokenize_page_offsets(run).to_token_lists()[0] == want
+
         @settings(max_examples=100, deadline=None)
         @given(
             payload=any_page,
@@ -851,10 +817,7 @@ if HAVE_HYPOTHESIS:
                 # provisioning; the system runs those in software, where
                 # test_softmatch_differential covers the vectorized path
                 assume(False)
-            page = _offsets_or_refusal(payload)
-            # a \r page never reaches the array kernel: the partition
-            # -kernel differentials below cover its routing
-            assume(page is not None)
+            page = tokenize_page_offsets(payload)
             fast_filter = HashFilter(program)
             fast = _rows(fast_filter.evaluate_token_arrays(page))
             raw_lines, token_lists = tokenize_page(payload)
@@ -964,8 +927,7 @@ if HAVE_HYPOTHESIS:
             scope — including ones that exceed hardware provisioning,
             which is precisely when the system routes through softmatch.
             """
-            page = _offsets_or_refusal(payload)
-            assume(page is not None)
+            page = tokenize_page_offsets(payload)
             fast = _rows(SoftwareBatchMatcher(tuple(queries)).evaluate(page))
             _, token_lists = tokenize_page(payload)
             slow = [
@@ -1011,8 +973,7 @@ if HAVE_HYPOTHESIS:
         def test_partition_kernel_software_differential(self, pages):
             """Whole-partition equivalence for a *software-fallback*
             program (``offloaded=False``): the vectorized kernel routes
-            through SoftwareBatchMatcher instead of the cuckoo table, and
-            pages carrying ``\\r`` through the reference stages."""
+            through SoftwareBatchMatcher instead of the cuckoo table."""
             queries = (
                 Query(
                     intersections=(
@@ -1040,7 +1001,7 @@ if HAVE_HYPOTHESIS:
         def test_partition_kernel_differential(self, pages):
             """Whole-partition equivalence on arbitrary bytes: output,
             per-query counts, and deterministic stage units match across
-            kernels, whichever pages take the ``\\r`` route."""
+            kernels, ``\\r`` pages included."""
             _assert_kernels_agree(FILTER_QUERIES[::2], True, pages)
 
 

@@ -1,7 +1,10 @@
 """Tests for the higher-order analytics layer."""
 
-import numpy as np
 import pytest
+
+pytest.importorskip("numpy")  # repro.analytics is numpy's
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analytics.anomaly import PCAAnomalyDetector

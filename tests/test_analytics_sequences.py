@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+pytest.importorskip("numpy")  # repro.analytics is numpy's
+
 from repro.analytics.sequences import TransitionModel
 
 

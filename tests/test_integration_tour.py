@@ -15,8 +15,11 @@ the pre-stage answers, so any cross-feature interaction bug surfaces
 here even if each feature's own tests pass.
 """
 
-import numpy as np
 import pytest
+
+pytest.importorskip("numpy")  # the tour ends in repro.analytics
+
+import numpy as np
 
 from repro.analytics import PCAAnomalyDetector, TransitionModel, count_windows
 from repro.baselines.grep import grep_lines

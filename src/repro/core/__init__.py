@@ -11,10 +11,11 @@ Public surface:
   (Equation 1) with a boolean-expression parser and DNF conversion.
 - :mod:`repro.core.tokenizer` — the hardware tokenizer model (Figure 4).
 - :mod:`repro.core.cuckoo` — the query-encoding cuckoo hash (Figure 5).
-- :mod:`repro.core.hashfilter` — bitmap-based evaluation (Figure 6).
-- :mod:`repro.core.pipeline` — one filter pipeline (Figure 3).
-- :mod:`repro.core.engine` — the multi-pipeline engine with query
-  compilation, concurrent-query support and software fallback.
+- :mod:`repro.core.hashfilter` — bitmap-based evaluation (Figure 6);
+  ``Tokenizer.tokenize_line`` → ``HashFilter.evaluate_words`` is the
+  bit-faithful word model of one line through a pipeline.
+- :mod:`repro.core.engine` — query compilation for the pipelines, with
+  concurrent-query support and software fallback.
 - :mod:`repro.core.backend` — scan kernel selection (the numpy
   ``vectorized`` kernel vs the pure-Python ``reference`` kernel).
 - :mod:`repro.core.vectokenizer` — the offset-array tokenizer feeding
@@ -25,14 +26,13 @@ from repro.core.backend import (
     BackendUnavailableError,
     resolve_kernel,
 )
-from repro.core.engine import EngineResult, TokenFilterEngine
+from repro.core.engine import TokenFilterEngine
 from repro.core.query import IntersectionSet, Query, Term, parse_query
 from repro.core.tokenizer import Tokenizer, TokenWord, split_tokens
 from repro.core.vectokenizer import PageTokens, tokenize_page_offsets
 
 __all__ = [
     "BackendUnavailableError",
-    "EngineResult",
     "IntersectionSet",
     "PageTokens",
     "Query",

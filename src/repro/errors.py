@@ -32,13 +32,17 @@ class PlacementError(QueryError):
 
     The paper's remedy is falling back to software evaluation
     (Section 4.2.1); :class:`repro.core.engine.TokenFilterEngine` does this
-    automatically unless configured otherwise.
+    automatically.
     """
 
 
 class CapacityError(QueryError):
     """The query exceeds fixed hardware provisioning (e.g. more than
-    ``FLAG_PAIRS`` intersection sets, or overflow table exhaustion)."""
+    ``FLAG_PAIRS`` intersection sets, or overflow table exhaustion).
+
+    In a query pass, :meth:`repro.core.engine.TokenFilterEngine.compile`
+    catches it, like a :class:`PlacementError`, and the scan kernel then
+    evaluates the queries in software."""
 
 
 class StorageError(MithriLogError):

@@ -322,7 +322,6 @@ class MithriLogSystem:
         self.engine = TokenFilterEngine(
             num_pipelines=self.params.num_pipelines,
             cuckoo_params=self.params.cuckoo,
-            pipeline_params=self.params.pipeline,
             seed=seed,
         )
         self.original_bytes = 0
@@ -668,16 +667,7 @@ class MithriLogSystem:
         self._m_batch_queries.set(len(run.queries))
         hits_before = self.page_cache.hits
         misses_before = self.page_cache.misses
-        # The kernel resolves here, in the parent, so every pool worker
-        # runs the identical code path.
-        spec = ScanProgramSpec(
-            queries=run.queries,
-            cuckoo_params=self.engine.cuckoo_params,
-            seed=self.engine.seed,
-            offloaded=self.engine.offloaded,
-            lzah_params=self.params.lzah,
-            kernel=resolve_kernel(self.scan_kernel),
-        )
+        spec = self.scan_spec()
         if run.limit is None:
             read = self._scan_with_executor(run, spec)
         else:
@@ -697,7 +687,22 @@ class MithriLogSystem:
         stats.lines_kept = read.lines_kept
         stats.read_retries = read.read_retries
         run.matched = read.data.splitlines()
-        self.engine.account_filtered(len(run.matched))
+        self.engine.account_filtered(stats.lines_seen, stats.lines_kept)
+
+    def scan_spec(self) -> ScanProgramSpec:
+        """The scan program of the engine's compiled queries: what a pass
+        and the streaming tail (:meth:`StreamingIngestor.query
+        <repro.system.streaming.StreamingIngestor.query>`) hand the
+        partition kernel. The kernel resolves here, in the parent, so
+        every pool worker runs the identical code path."""
+        return ScanProgramSpec(
+            queries=self.engine.queries,
+            cuckoo_params=self.engine.cuckoo_params,
+            seed=self.engine.seed,
+            offloaded=self.engine.offloaded,
+            lzah_params=self.params.lzah,
+            kernel=resolve_kernel(self.scan_kernel),
+        )
 
     def _account(self, run: _Pass) -> None:
         """Stage 4: simulated stage times, the deterministic profile and

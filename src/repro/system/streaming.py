@@ -6,8 +6,8 @@ so the store must accept lines as they arrive, not only in batches.
 :class:`StreamingIngestor` wraps a :class:`repro.system.MithriLogSystem`
 with an arrival buffer: lines accumulate until a batch is worth
 compressing into pages, snapshots fire on a time cadence, and queries can
-optionally cover the not-yet-persisted tail so results are always
-complete.
+optionally cover the not-yet-persisted tail — through the same scan
+kernel as the stored pages — so results are always complete.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.query import Query
 from repro.errors import IngestError
+from repro.exec.executor import _partition_kernel
 from repro.obs.metrics import handle
 from repro.system.mithrilog import MithriLogSystem, QueryOutcome
 
@@ -144,26 +145,26 @@ class StreamingIngestor:
     def query(self, *queries: Query, include_pending: bool = True) -> QueryOutcome:
         """Query the store; optionally cover the un-persisted tail too.
 
-        Pending lines are filtered through the same engine (they are in
-        host memory, so no storage accounting applies to them) and
-        appended to the persisted results, keeping answers complete at
-        any instant of the stream.
+        Pending lines run through the scan kernel under the program the
+        persisted pass compiled, as the one decoded text a flush would
+        store, so they split into lines and tokens as stored text does
+        and the answer equals the one the same call gives after
+        :meth:`flush`. They are in host memory, so no storage accounting
+        applies to them; their matches, counts and lines are added to the
+        persisted pass's. Like :meth:`MithriLogSystem.query
+        <repro.system.mithrilog.MithriLogSystem.query>`, a query before
+        anything is persisted raises :class:`~repro.errors.QueryError`.
         """
         outcome = self.system.query(*queries)
         if include_pending and self._pending:
-            result = self.system.engine.filter_lines(self._pending)
-            extra = [
-                line
-                for line, verdict in zip(self._pending, result.verdicts)
-                if any(verdict)
-            ]
-            outcome.matched_lines.extend(extra)
-            for q in range(len(queries)):
-                outcome.per_query_counts[q] += sum(
-                    1 for verdict in result.verdicts if verdict[q]
-                )
-            outcome.stats.lines_seen += len(self._pending)
-            outcome.stats.lines_kept += len(extra)
+            text = b"\n".join(self._pending) + b"\n"
+            result = _partition_kernel(self.system.scan_spec(), [(True, text)])
+            outcome.matched_lines.extend(result.data.splitlines())
+            for q, count in enumerate(result.per_query_counts):
+                outcome.per_query_counts[q] += count
+            outcome.stats.lines_seen += result.lines_seen
+            outcome.stats.lines_kept += result.lines_kept
+            self.system.engine.account_filtered(result.lines_seen, result.lines_kept)
         return outcome
 
     # -- context manager ----------------------------------------------------

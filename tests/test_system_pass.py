@@ -13,11 +13,10 @@ import pytest
 
 from repro.baselines.grep import grep_lines
 from repro.core import hashfilter
-from repro.core.backend import resolve_kernel
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
 from repro.errors import QueryError
-from repro.exec.executor import ScanProgramSpec, _filter_program
+from repro.exec.executor import _filter_program
 from repro.obs.journal import QueryJournal
 from repro.service import QueryService, make_tenants
 from repro.service.request import Request
@@ -72,16 +71,9 @@ class TestCompileOnce:
 
     def test_engine_and_kernel_share_one_program(self, system, compiles):
         system.query(KERNEL, FATAL)
-        engine = system.engine
-        spec = ScanProgramSpec(
-            queries=engine.queries,
-            cuckoo_params=engine.cuckoo_params,
-            seed=engine.seed,
-            offloaded=True,
-            lzah_params=system.params.lzah,
-            kernel=resolve_kernel(None),
-        )
-        assert _filter_program(spec) is engine.program
+        spec = system.scan_spec()
+        assert spec.queries == (KERNEL, FATAL) and spec.offloaded
+        assert _filter_program(spec) is system.engine.program
         assert compiles == [(KERNEL, FATAL)]
 
     def test_service_run_compiles_each_tuple_once(self, system, compiles):

@@ -188,6 +188,28 @@ class TestBackpressureMetrics:
             counter = registry.get("mithrilog_ingest_overflow_shed_total")
             assert counter.value() == 0.0
 
+    def test_filter_counters_count_what_the_kernel_saw(self, corpus):
+        """``lines_filtered`` is every line the kernel evaluated and
+        ``lines_kept`` every line it kept — on a full scan, a ``limit=``
+        read and the pending tail alike."""
+        registry = MetricsRegistry()
+        query = parse_query("session AND opened")
+        with use_registry(registry):
+            system = MithriLogSystem()
+            ingestor = StreamingIngestor(system, batch_lines=128)
+            ingestor.extend(corpus[:500])
+            assert ingestor.pending_lines > 0
+            outcomes = [
+                system.scan_all(query),
+                system.query(query, limit=3),
+                ingestor.query(query),
+            ]
+        filtered = registry.get("mithrilog_pipeline_lines_filtered_total").value()
+        kept = registry.get("mithrilog_pipeline_lines_kept_total").value()
+        assert filtered == sum(o.stats.lines_seen for o in outcomes)
+        assert kept == sum(o.stats.lines_kept for o in outcomes)
+        assert filtered > kept > 0
+
     def test_disabled_registry_keeps_ingest_working(self, corpus):
         with use_registry(None):
             ingestor = StreamingIngestor(MithriLogSystem(), batch_lines=100)

@@ -11,10 +11,11 @@ Each scan stage has exactly two implementations:
 
 A kernel runs its own stages alone, on any page (``\\r`` lines included).
 
-:func:`resolve_kernel` is the single switch: ``auto`` (the default, also
-via the ``REPRO_SCAN_KERNEL`` environment variable) means ``vectorized``
-iff numpy imports, else ``reference``; an explicit ``vectorized`` without
-numpy raises :class:`BackendUnavailableError`.
+:func:`resolve_kernel` is the single switch, fed by
+``MithriLogSystem(scan_kernel=...)``: ``auto`` (the default, also what
+``None`` means) picks ``vectorized`` iff numpy imports, else
+``reference``; an explicit ``vectorized`` without numpy raises
+:class:`BackendUnavailableError`.
 
 Nothing here imports numpy at module load; the probe is lazy and cached
 so a missing numpy costs one failed import per process, ever.
@@ -22,19 +23,14 @@ so a missing numpy costs one failed import per process, ever.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 __all__ = [
-    "KERNEL_ENV",
     "BackendUnavailableError",
     "numpy_or_none",
     "resolve_backend",
     "resolve_kernel",
 ]
-
-#: Environment variable forcing a scan kernel (auto/vectorized/reference).
-KERNEL_ENV = "REPRO_SCAN_KERNEL"
 
 #: Scan kernels, in auto-selection preference order.
 KERNELS = ("vectorized", "reference")
@@ -61,7 +57,7 @@ def numpy_or_none():
 
 
 def resolve_kernel(name: Optional[str] = None) -> str:
-    """Resolve a scan-kernel name (or the environment) to a kernel.
+    """Resolve a scan-kernel name to a kernel.
 
     ``None``/``"auto"`` prefers the numpy kernel and silently routes
     hosts without numpy to the reference kernel; ``"reference"`` pins
@@ -69,9 +65,7 @@ def resolve_kernel(name: Optional[str] = None) -> str:
     an explicit ``"vectorized"`` raises :class:`BackendUnavailableError`
     when numpy is missing.
     """
-    if name is None:
-        name = os.environ.get(KERNEL_ENV, "auto")
-    name = name.strip().lower() or "auto"
+    name = (name or "").strip().lower() or "auto"
     if name == "auto":
         return "vectorized" if numpy_or_none() is not None else "reference"
     if name not in KERNELS:

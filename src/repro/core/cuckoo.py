@@ -81,9 +81,6 @@ class CuckooHashTable:
     def overflow_used(self) -> int:
         return self._overflow_used
 
-    def entry_at(self, row: int) -> Optional[CuckooEntry]:
-        return self._rows[row]
-
     def entries(self) -> list[tuple[int, CuckooEntry]]:
         return [(i, e) for i, e in enumerate(self._rows) if e is not None]
 

@@ -5,16 +5,16 @@ batched-query workload re-reads whole segments per batch), and LZAH
 decode is the most expensive host-side step of the functional
 simulation. The :class:`PageCache` lets repeated scans skip it entirely:
 entries are keyed by ``(device, page address, codec)`` and guarded by a
-fingerprint of the *compressed* payload, so a page that was rewritten,
-compacted, or handed back corrupted by a fault injector never serves a
+fingerprint of the *compressed* payload, so a page that was rewritten
+or handed back corrupted by a fault injector never serves a
 stale or wrongly-clean decode — a corrupted payload misses the cache and
 flows through the real decoder, raising exactly the error the uncached
 path would.
 
 Invalidation is event-driven: the owning system registers a write
 listener on its flash array (:attr:`repro.storage.flash.FlashArray
-.write_listeners`), so every page write — ingest appends, FTL moves,
-index compaction — drops the stale entry immediately, in O(1).
+.write_listeners`), so every page write — data and index-node appends,
+explicit rewrites — drops the stale entry immediately, in O(1).
 
 The cache only ever changes host wall-clock time. Simulated timing and
 ``hw/perf`` cycle accounting are computed from byte counts that are
@@ -141,8 +141,8 @@ class PageCache:
         """Drop the entry for one page of one device (O(1)).
 
         Called from the flash write listener on every page write —
-        ingest appends, explicit writes, FTL garbage-collection moves and
-        index compaction all funnel through the same two write methods.
+        data and index-node appends and explicit writes (a store reload)
+        all funnel through the same two write methods.
         """
         if self._entries.pop((device_key, address), None) is not None:
             self._m_pages.set(len(self._entries))

@@ -66,10 +66,6 @@ class PageFaultInjector:
         self.log = log if log is not None else FaultLog()
         self.reads = 0
 
-    def mark_bad(self, address: int) -> None:
-        """Permanently fail every future read of ``address``."""
-        self.bad_addresses.add(address)
-
     def on_read(self, address: int, page: "Page") -> "Page":
         """Called by the flash array with the stored page; may raise or
         return a corrupted copy (the stored page itself is untouched, so

@@ -9,18 +9,17 @@ list hop yields up to 256 data-page addresses).
 - :mod:`repro.index.storetree` — node pools and the list-of-trees layout,
 - :mod:`repro.index.hashindex` — the two-hash-function in-memory table,
 - :mod:`repro.index.snapshots` — coarse time-based snapshot indexing,
-- :mod:`repro.index.inverted` — the :class:`InvertedIndex` facade.
+- :mod:`repro.index.inverted` — the :class:`InvertedIndex` facade,
+- :mod:`repro.index.bloom` — per-page Bloom filters, the alternative
+  strategy the indexing ablation bench measures against it.
 """
 
-from repro.index.bloom import BloomSystemIndex, PageBloomIndex
-from repro.index.compaction import compact_index
+from repro.index.bloom import PageBloomIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.snapshots import SnapshotIndex
 
 __all__ = [
-    "BloomSystemIndex",
     "InvertedIndex",
     "PageBloomIndex",
     "SnapshotIndex",
-    "compact_index",
 ]

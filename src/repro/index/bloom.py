@@ -7,8 +7,10 @@ inverted index for that job is a per-page Bloom filter (the design zone
 maps / SuRF-style systems occupy): one small bit array per data page,
 queried by testing each positive term against every page's filter.
 
-Trade-offs this module lets the benches quantify against
-:class:`repro.index.inverted.InvertedIndex`:
+The system always runs on :class:`repro.index.inverted.InvertedIndex`;
+this module serves the indexing-strategy ablation
+(``benchmarks/bench_ablate_index_strategy.py``), which quantifies the
+trade-offs against it:
 
 - memory is strictly proportional to data volume (bits per page), with
   no per-token state and no balancing concerns;
@@ -140,81 +142,3 @@ class PageBloomIndex:
         ]
         return sum(rates) / len(rates)
 
-
-class BloomSystemIndex:
-    """Drop-in system index backed by per-page Bloom filters.
-
-    Implements the same surface :class:`repro.system.MithriLogSystem`
-    drives on :class:`repro.index.inverted.InvertedIndex` — ingest,
-    candidate lookup with time bounds, snapshots, memory accounting — so
-    a system can be constructed with either strategy and the whole
-    evaluation reruns unchanged. Bloom lookups are pure host-memory
-    bit-tests, so the traversal statistics report zero storage hops.
-    """
-
-    def __init__(
-        self,
-        flash=None,  # accepted for interface parity; blooms live in memory
-        params: Optional[BloomParams] = None,
-        page_bytes: int = 4096,
-        seed: int = 0,
-        snapshot_leaf_threshold: int = 1024,
-    ) -> None:
-        from repro.index.snapshots import SnapshotIndex
-
-        self._index = PageBloomIndex(params, seed=seed)
-        self.snapshots = SnapshotIndex(snapshot_leaf_threshold)
-
-    @property
-    def data_pages(self) -> tuple[int, ...]:
-        return tuple(self._index._order)
-
-    @property
-    def total_data_pages(self) -> int:
-        return self._index.total_data_pages
-
-    def index_page(
-        self,
-        page_addr: int,
-        tokens: Iterable[bytes],
-        timestamp: Optional[float] = None,
-    ) -> None:
-        self._index.index_page(page_addr, tokens)
-
-    def flush(self, timestamp: float = 0.0) -> None:
-        """Record a snapshot (there is no buffered state to spill)."""
-        watermark = (self._index._order[-1] + 1) if self._index._order else 0
-        self.snapshots.record_flush(
-            timestamp=timestamp,
-            data_page_watermark=watermark,
-            leaf_pages_created=self._index.total_data_pages,
-        )
-
-    def memory_footprint_bytes(self) -> int:
-        return self._index.memory_footprint_bytes()
-
-    #: Host-memory bit-test cost per page filter probed.
-    PROBE_SECONDS = 25e-9
-
-    def lookup_seconds(self, stats, latency_s: float) -> float:
-        """Bloom lookups never touch storage: cost is one bit-test per
-        page per positive term, on the host."""
-        return stats.tokens_looked_up * self.total_data_pages * self.PROBE_SECONDS
-
-    def candidate_pages(self, query: Query, clock=None, time_range=None):
-        from repro.index.inverted import IndexLookupResult, IndexLookupStats
-
-        stats = IndexLookupStats()
-        low, high = 0, None
-        if time_range is not None:
-            low, high = self.snapshots.page_range_for_time(*time_range)
-        pages = self._index.candidate_pages(query)
-        stats.tokens_looked_up = sum(
-            len(iset.positives) for iset in query.intersections
-        )
-        stats.full_scan = any(
-            not iset.positives for iset in query.intersections
-        )
-        bounded = [p for p in pages if p >= low and (high is None or p < high)]
-        stats.candidate_pages = len(bounded)
-        return IndexLookupResult(pages=tuple(bounded), stats=stats)

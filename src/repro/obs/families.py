@@ -26,9 +26,6 @@ class Family(NamedTuple):
 
 
 FAMILIES: dict[str, Family] = {
-    "mithrilog_storage_bad_block_retirements_total": Family(
-        "counter", "Erase blocks permanently retired by the FTL"
-    ),
     "mithrilog_storage_bytes_read_total": Family("counter", "Bytes read from flash"),
     "mithrilog_storage_bytes_to_host_total": Family(
         "counter", "Bytes DMAed across the host link"
@@ -38,15 +35,6 @@ FAMILIES: dict[str, Family] = {
     ),
     "mithrilog_storage_device_reads_total": Family(
         "counter", "Device read requests by mode", ("mode",)
-    ),
-    "mithrilog_storage_gc_erases_total": Family(
-        "counter", "Erase operations performed"
-    ),
-    "mithrilog_storage_gc_relocations_total": Family(
-        "counter", "Live pages relocated by GC or block retirement"
-    ),
-    "mithrilog_storage_pages_lost_total": Family(
-        "counter", "Logical pages lost with unreadable bad blocks"
     ),
     "mithrilog_storage_pages_read_total": Family("counter", "Flash pages read"),
     "mithrilog_storage_pages_written_total": Family("counter", "Flash pages written"),

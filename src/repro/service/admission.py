@@ -159,9 +159,6 @@ class AdmissionController:
     def total_backlog(self) -> int:
         return sum(t.backlog for t in self.tenants.values())
 
-    def backlog_of(self, tenant: str) -> int:
-        return self.tenants[tenant].backlog
-
     def pending(self) -> list[QueuedRequest]:
         """Every queued request, in admission order."""
         items = [q for t in self.tenants.values() for q in t.queue]

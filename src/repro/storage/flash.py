@@ -44,11 +44,10 @@ class FlashArray:
         self._pages: dict[int, Page] = {}
         self._next_free = 0
         self.fault_injector = fault_injector
-        #: Called with the page address after every write (explicit writes,
-        #: appends — and therefore FTL moves and index compaction, which
-        #: funnel through them). The decompressed-page cache registers its
-        #: invalidation here; the write path pays one truthiness test when
-        #: nobody is listening.
+        #: Called with the page address after every write (appends of data
+        #: pages and index nodes, explicit writes such as a store reload). The
+        #: decompressed-page cache registers its invalidation here; the
+        #: write path pays one truthiness test when nobody is listening.
         self.write_listeners: list[Callable[[int], None]] = []
         self.internal_link = LinkModel(
             bandwidth=self.params.internal_bandwidth,

@@ -11,9 +11,14 @@ MithriLog's workload is nearly ideal for an FTL — bulk appends, no
 overwrite of log data — but its *index* pages are rewritten (snapshot
 flushes), which is exactly what produces invalid pages and GC traffic.
 :class:`FTLFlashArray` wraps the FTL behind the FlashArray interface so
-the whole system can run on flash-realistic plumbing, and its statistics
+a system can run on flash-realistic plumbing, and its statistics
 (write amplification, erase counts, wear spread) quantify the paper's
 implicit claim that log workloads are flash-friendly.
+
+This is a bench and test model, on no default system path:
+``benchmarks/bench_ftl.py`` drives it, and
+:meth:`FlashTranslationLayer.retire_block` is the bad-block fault model.
+It publishes no metric families; :class:`FTLStats` carries every count.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import BadBlockError, PageBoundsError, StorageError
-from repro.obs.metrics import handle
 from repro.params import StorageParams
 from repro.storage.flash import FlashArray
 from repro.storage.page import Page
@@ -99,10 +103,6 @@ class FlashTranslationLayer:
         self.gc_relocations = 0
         self.bad_blocks: set[int] = set()
         self._lost: set[int] = set()  # logical pages destroyed with a bad block
-        self._m_retirements = handle("mithrilog_storage_bad_block_retirements_total")
-        self._m_erases = handle("mithrilog_storage_gc_erases_total")
-        self._m_relocations = handle("mithrilog_storage_gc_relocations_total")
-        self._m_lost_pages = handle("mithrilog_storage_pages_lost_total")
 
     # -- capacity -----------------------------------------------------------
 
@@ -231,9 +231,6 @@ class FlashTranslationLayer:
         victim.erase_count += 1
         self.erases += 1
         self._free.append(victim.index)
-        self._m_erases.inc()
-        if live:
-            self._m_relocations.inc(len(live))
 
     # -- bad-block management --------------------------------------------------
 
@@ -263,7 +260,6 @@ class FlashTranslationLayer:
             for slot in range(base, base + self.pages_per_block)
             if slot in self._p2l
         ]
-        relocated = 0
         for slot, (logical, page) in live:
             self._p2l.pop(slot)
             self._l2p.pop(logical)
@@ -271,14 +267,8 @@ class FlashTranslationLayer:
             if relocate:
                 self._program(logical, page)
                 self.gc_relocations += 1
-                relocated += 1
             else:
                 self._lost.add(logical)
-        self._m_retirements.inc()
-        if relocated:
-            self._m_relocations.inc(relocated)
-        if len(live) - relocated:
-            self._m_lost_pages.inc(len(live) - relocated)
         if self.free_blocks <= self.gc_threshold:
             self._collect_garbage()
         return len(live)

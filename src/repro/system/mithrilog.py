@@ -277,7 +277,6 @@ class MithriLogSystem:
         params: Optional[SystemParams] = None,
         seed: int = 0,
         device: Optional[MithriLogDevice] = None,
-        index=None,
         tracer: Optional[SpanTracer] = None,
         cache_pages: int = DEFAULT_CACHE_PAGES,
         scan_kernel: Optional[str] = None,
@@ -285,8 +284,8 @@ class MithriLogSystem:
         monitor=None,
     ) -> None:
         self.params = params if params is not None else PROTOTYPE
-        #: Scan kernel override (None defers to the REPRO_SCAN_KERNEL
-        #: environment variable, then auto-selection). Resolved per scan,
+        #: Scan kernel (``None`` means ``auto``, see
+        #: :func:`repro.core.backend.resolve_kernel`). Resolved per scan,
         #: in this process, so pool workers inherit the parent's choice
         #: via the program spec.
         self.scan_kernel = scan_kernel
@@ -295,8 +294,8 @@ class MithriLogSystem:
         )
         self.codec = LZAHCompressor(self.params.lzah)
         #: Decompressed-page LRU (``cache_pages <= 0`` disables it). Keyed
-        #: by (device, page, codec); every flash write — ingest appends,
-        #: FTL moves, index compaction — invalidates through the listener.
+        #: by (device, page, codec); every flash write — data and index-node
+        #: appends, explicit rewrites — invalidates through the listener.
         self.page_cache = PageCache(cache_pages)
         self._codec_key = (self.codec.name, self.params.lzah)
         self.device.flash.write_listeners.append(
@@ -307,17 +306,11 @@ class MithriLogSystem:
         #: Scan executors by worker count, created lazily and reused so a
         #: worker pool survives across queries.
         self._scan_executors: dict[int, ScanExecutor] = {}
-        # any index strategy with the InvertedIndex surface works
-        # (Section 6: "can be coupled with any indexing strategy")
-        self.index = (
-            index
-            if index is not None
-            else InvertedIndex(
-                self.device.flash,
-                self.params.index,
-                self.params.storage.page_bytes,
-                seed=seed,
-            )
+        self.index = InvertedIndex(
+            self.device.flash,
+            self.params.index,
+            self.params.storage.page_bytes,
+            seed=seed,
         )
         self.engine = TokenFilterEngine(
             num_pipelines=self.params.num_pipelines,
@@ -620,8 +613,7 @@ class MithriLogSystem:
             stats.index_root_visits = lookup.stats.root_visits
             stats.index_tokens_looked_up = lookup.stats.tokens_looked_up
             stats.index_full_scan = lookup.stats.full_scan
-            # traversal cost is the index strategy's: storage hops for the
-            # in-storage inverted index, host bit-tests for blooms
+            # traversal cost: latency-bound hops through in-storage nodes
             stats.index_time_s = self.index.lookup_seconds(
                 lookup.stats, self.params.storage.latency_s
             )

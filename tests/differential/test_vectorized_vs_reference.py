@@ -1032,14 +1032,11 @@ class TestBackendSelection:
         with pytest.raises(BackendUnavailableError):
             tokenize_page_offsets(b"one line\n")
 
-    def test_env_var_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.KERNEL_ENV, "reference")
-        assert resolve_kernel(None) == "reference"
-        monkeypatch.setenv(backend_mod.KERNEL_ENV, "auto")
-        assert resolve_kernel(None) == resolve_kernel("auto")
-        monkeypatch.setenv(backend_mod.KERNEL_ENV, "bogus")
+    def test_kernel_names_are_checked(self):
+        assert resolve_kernel(" Reference ") == "reference"
+        assert resolve_kernel("") == resolve_kernel(None) == resolve_kernel("auto")
         with pytest.raises(ValueError):
-            resolve_kernel(None)
+            resolve_kernel("bogus")
 
     @pytest.mark.parametrize(
         "kernel", [None, pytest.param("vectorized", marks=needs_numpy)]

@@ -2,7 +2,7 @@
 
 The cache may only ever change host wall-clock time. These tests pin the
 ways it could silently change *results* instead: stale entries after a
-page rewrite or compaction, wrongly-clean decodes of corrupted payloads,
+page rewrite, wrongly-clean decodes of corrupted payloads,
 and unbounded growth.
 """
 
@@ -112,8 +112,8 @@ class TestArenaReuseGuard:
         # every cached value must be an immutable snapshot, not a view
         for entry in system.page_cache._entries.values():
             assert isinstance(entry[2], bytes)
-        # rewrite one hot page with another page's contents (a compaction
-        # -style move); the write listener must invalidate the stale decode
+        # rewrite one hot page with another page's contents; the write
+        # listener must invalidate the stale decode
         victim = system.index.data_pages[0]
         donor = system.index.data_pages[1]
         donor_page = system.device.flash.read_page(donor)
@@ -172,7 +172,7 @@ class TestCacheInSystem:
         system.scan_all(QUERY)  # warm the cache
         victim = system.index.data_pages[0]
         assert (system.device.device_key, victim) in system.page_cache._entries
-        # rewrite the page in place (what an FTL move / compaction does)
+        # rewrite the page in place (an explicit device write)
         page = system.device.flash.read_page(victim)
         system.device.flash.write_page(victim, page)
         assert (

@@ -4,7 +4,6 @@ Simulates a deployment's lifecycle on one store:
 
   stream-ingest with WAL durability and snapshot cadence
   -> crash + recovery
-  -> compaction
   -> checkpoint, save, reload
   -> planner-driven queries (indexed, scanned, time-bounded)
   -> scheduler-batched template workload
@@ -27,7 +26,6 @@ from repro.core.query import parse_query
 from repro.core.tagger import TemplateTagger
 from repro.datasets.synthetic import generator_for
 from repro.datasets.timestamps import extract_epochs
-from repro.index.compaction import compact_index
 from repro.system.planner import QueryPlanner
 from repro.system.scheduler import QueryScheduler
 from repro.system.streaming import StreamingIngestor
@@ -50,7 +48,7 @@ def epochs(corpus):
 
 @pytest.fixture(scope="module")
 def deployment(tmp_path_factory, corpus, epochs):
-    """The full lifecycle up to the recovered, compacted, reloaded store."""
+    """The full lifecycle up to the recovered, reloaded store."""
     store_dir = tmp_path_factory.mktemp("tour-store")
 
     # 1. durable streaming ingest with snapshots
@@ -71,8 +69,7 @@ def deployment(tmp_path_factory, corpus, epochs):
     recovered = JournaledMithriLog.recover(store_dir)
     assert recovered.system.total_lines == len(corpus)
 
-    # 3. compact the fragmented index, checkpoint, reload
-    compact_index(recovered.system.index)
+    # 3. checkpoint, reload
     recovered.checkpoint()
     reloaded = JournaledMithriLog.recover(store_dir)
     return reloaded.system

@@ -311,9 +311,14 @@ class TestScanInvariance:
         for key, variant in variants.items():
             assert variant == base, f"variant {key} diverged from (1, reference)"
 
-    def test_kernel_env_var_is_honoured(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_KERNEL", "reference")
-        via_env = self.run_variant(corpus, workers=1, kernel=None)
-        monkeypatch.delenv("REPRO_SCAN_KERNEL")
-        explicit = self.run_variant(corpus, workers=1, kernel="vectorized")
-        assert via_env == explicit
+    def test_scan_kernel_argument_is_honoured(self, corpus):
+        # the constructor argument is the one switch; None means auto
+        for kernel, resolved in (
+            (None, "vectorized"),
+            ("auto", "vectorized"),
+            ("reference", "reference"),
+        ):
+            system = MithriLogSystem(scan_kernel=kernel)
+            assert system.scan_spec().kernel == resolved
+        pinned = self.run_variant(corpus, workers=1, kernel="reference")
+        assert pinned == self.run_variant(corpus, workers=1, kernel=None)

@@ -8,31 +8,63 @@ whichever of its two rows has accumulated fewer pages so far (each row
 keeps a counter); during query both rows are read and unioned.
 
 Each row holds the paper's small ingest state: a 16-address buffer, the
-partially-built root node, the list head, and the counter.
+partially-built root node, the list head, and the counter. On the host a
+row is a slotted record whose partial root is the shared empty tuple
+until its first leaf spills, and a checkpoint writes the table as packed
+u32 columns.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Optional, Union
 
+from repro.errors import LogIndexError
 from repro.index.storetree import NIL, NODE_FANOUT, TreeListStore
 from repro.params import IndexParams
 
+#: The ``array`` type code of a u32 (``"I"`` on every common platform).
+_U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
-@dataclass
+
+@dataclass(slots=True)
 class RowState:
-    """Mutable per-row ingest state (a few dozen bytes each)."""
+    """Mutable per-row ingest state: the model counts it in u32 words.
+
+    ``partial_root`` is the shared ``()`` while the row has no pending
+    leaf; the first spilled leaf makes it a list, and writing the root
+    makes it ``()`` again.
+    """
 
     buffer: list[int] = field(default_factory=list)  # pending data-page addrs
-    partial_root: list[int] = field(default_factory=list)  # pending leaf ids
+    partial_root: Union[list[int], tuple[()]] = ()  # pending leaf ids
     head_root: int = NIL  # newest persisted root node id
     total_pages: int = 0  # counter used for two-choice balancing
 
     def memory_footprint_bytes(self) -> int:
         # buffer + partial root entries (u32 each) + head + counter
         return 4 * (len(self.buffer) + len(self.partial_root) + 2)
+
+
+def _pack(values: Iterable[int]) -> str:
+    """Hex of ``values`` as little-endian u32s (how ``NodePool`` keeps
+    its tail)."""
+    column = array(_U32, values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tobytes().hex()
+
+
+def _unpack(text: str) -> list[int]:
+    column = array(_U32)
+    column.frombytes(bytes.fromhex(text))
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tolist()
 
 
 class HashIndexTable:
@@ -123,12 +155,15 @@ class HashIndexTable:
         # into several leaves; the prototype's 16-entry buffer fills one
         for base in range(0, len(row.buffer), NODE_FANOUT):
             leaf_id = store.write_leaf(row.buffer[base : base + NODE_FANOUT])
-            row.partial_root.append(leaf_id)
+            if row.partial_root:
+                row.partial_root.append(leaf_id)
+            else:
+                row.partial_root = [leaf_id]
             if len(row.partial_root) == NODE_FANOUT:
                 row.head_root = store.write_root(
                     row.partial_root, next_root=row.head_root
                 )
-                row.partial_root = []
+                row.partial_root = ()
         row.buffer = []
 
     def flush_all(self, store: TreeListStore) -> None:
@@ -140,36 +175,63 @@ class HashIndexTable:
                 row.head_root = store.write_root(
                     row.partial_root, next_root=row.head_root
                 )
-                row.partial_root = []
+                row.partial_root = ()
         store.flush()
 
     def to_state(self) -> dict:
-        """JSON-serialisable snapshot of every row's ingest state."""
+        """JSON-serialisable image of every row's ingest state.
+
+        Packed columns, hex-encoded little-endian u32s, rows in table
+        order (which is flush order): row ids, heads, totals, buffer and
+        partial-root lengths, then every buffer and every partial root
+        end to end.
+        """
+        rows = self._rows.values()
         return {
-            str(row_id): {
-                "buffer": row.buffer,
-                "partial_root": row.partial_root,
-                "head_root": row.head_root,
-                "total_pages": row.total_pages,
-            }
-            for row_id, row in self._rows.items()
+            "row_ids": _pack(self._rows),
+            "heads": _pack([row.head_root for row in rows]),
+            "totals": _pack([row.total_pages for row in rows]),
+            "buffer_lengths": _pack([len(row.buffer) for row in rows]),
+            "root_lengths": _pack([len(row.partial_root) for row in rows]),
+            "buffers": _pack(chain.from_iterable(row.buffer for row in rows)),
+            "partial_roots": _pack(
+                chain.from_iterable(row.partial_root for row in rows)
+            ),
         }
 
     def restore_state(self, state: dict) -> None:
-        self._rows = {
-            int(row_id): RowState(
-                buffer=[int(a) for a in row["buffer"]],
-                partial_root=[int(n) for n in row["partial_root"]],
-                head_root=int(row["head_root"]),
-                total_pages=int(row["total_pages"]),
+        """Rebuild the rows from :meth:`to_state` output."""
+        row_ids = _unpack(state["row_ids"])
+        columns = [
+            _unpack(state[name])
+            for name in ("heads", "totals", "buffer_lengths", "root_lengths")
+        ]
+        buffers = _unpack(state["buffers"])
+        roots = _unpack(state["partial_roots"])
+        if any(len(column) != len(row_ids) for column in columns) or (
+            sum(columns[2]), sum(columns[3])
+        ) != (len(buffers), len(roots)):
+            raise LogIndexError("hash table image columns disagree in length")
+        rows: dict[int, RowState] = {}
+        at_buffer = at_root = 0
+        for row_id, head, total, buffer_length, root_length in zip(
+            row_ids, *columns
+        ):
+            rows[row_id] = RowState(
+                buffers[at_buffer : at_buffer + buffer_length],
+                roots[at_root : at_root + root_length] if root_length else (),
+                head,
+                total,
             )
-            for row_id, row in state.items()
-        }
+            at_buffer += buffer_length
+            at_root += root_length
+        self._rows = rows
 
     @property
     def rows_in_use(self) -> int:
         return len(self._rows)
 
     def memory_footprint_bytes(self) -> int:
-        """Total in-memory state — the paper's ~small-footprint claim."""
+        """The modelled table, in bytes of u32 words: per row its buffer
+        and partial-root entries, head and counter (not host bytes)."""
         return sum(r.memory_footprint_bytes() for r in self._rows.values())

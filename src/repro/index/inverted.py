@@ -23,7 +23,7 @@ from repro.errors import LogIndexError
 from repro.obs.metrics import NULL, handle
 from repro.index.hashindex import HashIndexTable
 from repro.index.snapshots import SnapshotIndex
-from repro.index.storetree import NIL, TreeListStore
+from repro.index.storetree import NIL, LeafNode, TreeListStore
 from repro.params import PAGE_BYTES, IndexParams
 from repro.sim.clock import SimClock
 from repro.storage.flash import FlashArray
@@ -121,7 +121,9 @@ class InvertedIndex:
         )
 
     def memory_footprint_bytes(self) -> int:
-        """In-memory ingest state, the paper's small-footprint claim."""
+        """In-memory ingest state, the paper's small-footprint claim, as
+        the model counts it: the table's u32 words, the pools' tail
+        pages and page maps, and a u32 per data page (not host bytes)."""
         return (
             self.table.memory_footprint_bytes()
             + self.store.memory_footprint_bytes
@@ -156,8 +158,6 @@ class InvertedIndex:
             pages.update(row.buffer)
             if row.partial_root:
                 blobs = self.store.leaves.read_many(list(row.partial_root), clock=clock)
-                from repro.index.storetree import LeafNode
-
                 for blob in blobs:
                     pages.update(LeafNode.unpack(blob).addresses)
             if row.head_root != NIL:

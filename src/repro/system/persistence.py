@@ -5,8 +5,9 @@ A store directory contains:
 - ``pages.bin`` — every flash page: ``u32 addr | u32 len | u32 checksum |
   payload`` records (both data pages and spilled index/leaf pages),
 - ``store.json`` — system metadata, the inverted index's in-memory state
-  (row buffers, pool tails, snapshots) and the key parameters needed to
-  reconstruct a compatible system,
+  (the hash table as a packed image of u32 columns, pool tails,
+  snapshots) and the key parameters needed to reconstruct a compatible
+  system,
 - ``wal.bin`` — when the store is journaled (:mod:`repro.system.wal`),
   the batches ingested since the last checkpoint; ``store.json`` says
   how much of it the store already contains (``wal_bytes_applied``).
@@ -36,7 +37,8 @@ from repro.storage.page import Page
 from repro.system.mithrilog import MithriLogSystem
 
 _PAGE_HEADER = struct.Struct("<III")
-_FORMAT_VERSION = 1
+#: 2: the hash table is a packed column image (1 held a dict per row).
+_FORMAT_VERSION = 2
 #: The write-ahead journal of a journaled store, next to ``store.json``.
 JOURNAL_NAME = "wal.bin"
 
@@ -125,7 +127,8 @@ def open_store(
         raise StorageError(f"{path} is not a MithriLog store: {exc}") from exc
     if metadata.get("version") != _FORMAT_VERSION:
         raise StorageError(
-            f"store format version {metadata.get('version')} not supported"
+            f"store format version {metadata.get('version')} not supported "
+            f"(this build reads version {_FORMAT_VERSION})"
         )
 
     system = MithriLogSystem(_params_from_dict(metadata["params"]), seed=seed)
@@ -154,11 +157,7 @@ def open_store(
 
     system.original_bytes = int(metadata["original_bytes"])
     system.total_lines = int(metadata["total_lines"])
-    rate = metadata["accelerator_rate"]
-    system._accelerator_rate = None if rate is None else float(rate)
-    # per-stage rates were added after version 1 stores shipped; older
-    # stores fall back to the combined accelerator rate at query time
-    for attr in ("pipeline_rate", "decompressor_rate"):
-        value = metadata.get(attr)
+    for attr in ("accelerator_rate", "pipeline_rate", "decompressor_rate"):
+        value = metadata[attr]
         setattr(system, f"_{attr}", None if value is None else float(value))
     return system, int(metadata.get("wal_bytes_applied", 0))

@@ -132,10 +132,19 @@ def _table_and_store(params, seed):
     return HashIndexTable(params, seed=seed), TreeListStore(flash, PAGE_BYTES), flash
 
 
+def _rows(table):
+    """Every row, in table order (which is flush order), as plain values
+    so that a mismatch prints rows rather than hex."""
+    return [
+        (row_id, row.buffer, list(row.partial_root), row.head_root, row.total_pages)
+        for row_id, row in table._rows.items()
+    ]
+
+
 def _everything(table, store, flash):
     """All an insert can change; row order matters (it is flush order)."""
     return (
-        list(table.to_state().items()),
+        _rows(table),
         table.rows_in_use,
         table.memory_footprint_bytes(),
         store.leaves.to_state(),
@@ -341,7 +350,7 @@ def _ingest_everything(batches):
             reports,
             rates,
             [(addr, flash.read_page(addr).data) for addr in range(flash.pages_written)],
-            list(system.index.table.to_state().items()),
+            _rows(system.index.table),
             system.index.store.leaves.to_state(),
             system.index.store.roots.to_state(),
             system.index.data_pages,

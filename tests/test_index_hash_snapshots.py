@@ -1,8 +1,13 @@
 """Tests for the two-hash in-memory table and snapshot index."""
 
-import pytest
+import json
+import tracemalloc
 
-from repro.index.hashindex import HashIndexTable
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import LogIndexError
+from repro.index.hashindex import HashIndexTable, RowState
 from repro.index.snapshots import SnapshotIndex
 from repro.index.storetree import NIL, TreeListStore
 from repro.params import PAGE_BYTES, IndexParams, StorageParams
@@ -98,11 +103,107 @@ class TestHashIndexTable:
             b"x"
         )
 
+    def test_host_bytes_per_row(self, store):
+        # a fixed stream: 1000 pages of 40 tokens from 20k -> ~12k rows
+        # holding ~3 buffered addresses each. Slotted rows whose partial
+        # root is the shared () take ~234 host bytes a row here (the dict
+        # slot, the row id, the record, its buffer list); a row with an
+        # instance dict and an empty partial-root list took ~330
+        vocab = [b"t%d" % i for i in range(20_000)]
+        pages = [
+            [vocab[(page * 7919 + k * 104_729) % len(vocab)] for k in range(40)]
+            for page in range(1000)
+        ]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = HashIndexTable()
+            for addr, tokens in enumerate(pages):
+                table.insert_page(tokens, addr, store)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert table.rows_in_use > 11_000
+        assert used / table.rows_in_use < 270
+
+    def test_partial_root_is_shared_until_a_leaf_spills(self, store):
+        table = HashIndexTable(IndexParams(num_hash_functions=1))
+        row = table.row(table.candidate_rows(b"tok")[0])
+        assert row.partial_root == () and not hasattr(row, "__dict__")
+        for page in range(16):
+            table.insert(b"tok", page, store)
+        assert row.partial_root == [0]  # a list from the first leaf on
+        for page in range(16, 256):
+            table.insert(b"tok", page, store)
+        assert row.partial_root == () and row.head_root != NIL
+
     def test_seed_changes_rows(self):
         tokens = [f"t{i}".encode() for i in range(20)]
         a = [HashIndexTable(seed=1).candidate_rows(t) for t in tokens]
         b = [HashIndexTable(seed=2).candidate_rows(t) for t in tokens]
         assert a != b
+
+
+# one row of a table image: its buffer is empty, partial or full (16,
+# the size that spills), 0-15 partial-root leaves, a NIL or set head
+_ROW = st.tuples(
+    st.lists(st.integers(0, 2**32 - 1), max_size=16),
+    st.lists(st.integers(0, 2**32 - 1), max_size=15),
+    st.one_of(st.just(NIL), st.integers(0, 2**32 - 2)),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _table_with(rows):
+    table = HashIndexTable()
+    table._rows = {
+        row_id: RowState(list(buffer), list(partial_root) or (), head, total)
+        for row_id, (buffer, partial_root, head, total) in rows
+    }
+    return table
+
+
+def _flushed_pages(table):
+    flash = FlashArray(StorageParams(capacity_pages=8192))
+    table.flush_all(TreeListStore(flash, PAGE_BYTES))
+    return [flash.read_page(addr).data for addr in range(flash.pages_written)]
+
+
+class TestTableImage:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, (1 << 16) - 1), _ROW),
+            max_size=40,
+            unique_by=lambda row: row[0],
+        )
+    )
+    def test_round_trip_through_json(self, rows):
+        table = _table_with(rows)
+        image = json.loads(json.dumps(table.to_state()))
+        assert all(isinstance(column, str) for column in image.values())
+        restored = HashIndexTable()
+        restored.restore_state(image)
+        # rows and their order (flush order) come back as they were
+        assert list(restored._rows.items()) == list(table._rows.items())
+        assert restored.memory_footprint_bytes() == table.memory_footprint_bytes()
+        assert _flushed_pages(restored) == _flushed_pages(table)
+
+    def test_round_trip_of_an_ingested_table(self, store):
+        table = HashIndexTable(IndexParams(hash_rows=64))
+        for page in range(3000):
+            table.insert_page([b"t%d" % (page % 97), b"t%d" % (page % 13)], page, store)
+        assert any(row.partial_root for row in table._rows.values())
+        assert any(row.head_root != NIL for row in table._rows.values())
+        restored = HashIndexTable(IndexParams(hash_rows=64))
+        restored.restore_state(json.loads(json.dumps(table.to_state())))
+        assert list(restored._rows.items()) == list(table._rows.items())
+
+    def test_columns_that_disagree_are_refused(self):
+        image = _table_with([(3, ([1, 2], [7], NIL, 2))]).to_state()
+        image["buffers"] = image["buffers"][:8]  # one address of two
+        with pytest.raises(LogIndexError, match="disagree"):
+            HashIndexTable().restore_state(image)
 
 
 class TestSnapshotIndex:

@@ -87,6 +87,20 @@ class TestErrorHandling:
         with pytest.raises(StorageError):
             load_store(path)
 
+    def test_version_1_table_rejected(self, saved):
+        import json
+
+        _original, path = saved
+        meta = json.loads((path / "store.json").read_text())
+        meta["version"] = 1  # a dict per row, before the packed image
+        meta["index"]["table"] = {
+            "17": {"buffer": [3], "partial_root": [], "head_root": 0xFFFFFFFF,
+                   "total_pages": 1},
+        }
+        (path / "store.json").write_text(json.dumps(meta))
+        with pytest.raises(StorageError, match="version 1 not supported"):
+            load_store(path)
+
     def test_truncated_pages_rejected(self, saved):
         _original, path = saved
         blob = (path / "pages.bin").read_bytes()

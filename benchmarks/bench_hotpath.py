@@ -247,8 +247,8 @@ def main(argv=None) -> int:
         help="fail when the vectorized kernel is not this much faster "
         "than the reference kernel on the batched pass, measured in the "
         "same run (0 disables the gate; the default leaves headroom for "
-        "host noise — typical wins are 2.4-2.9x on this workload, and CI "
-        "gates at 1.8)",
+        "host noise — typical wins are 6.0-7.1x at CI's --lines 8000, "
+        "and CI gates at 4.5)",
     )
     parser.add_argument(
         "--explain-out",

@@ -12,8 +12,8 @@ Layout:
   schedule-based decisions, all seeded);
 - :mod:`repro.faults.injectors` — what the fault does at each hook point
   (flash page reads, WAL appends, cluster shards, FTL blocks);
-- :mod:`repro.faults.policies` — how the stack responds (bounded
-  retry-with-backoff);
+- :mod:`repro.faults.policies` — how the stack responds (a bounded
+  read-retry budget; retries are counted, not timed);
 - :mod:`repro.faults.reporting` — what happened (fault log, per-kind
   counters, recovery statistics).
 

@@ -1,10 +1,10 @@
-"""How the stack responds to transient faults: bounded retry-with-backoff.
+"""How the stack responds to transient faults: a bounded read-retry budget.
 
 Real storage stacks re-issue failed page reads a small, bounded number of
-times with growing spacing (the controller's read-retry tables do exactly
-this on raw-bit-error spikes). :class:`RetryPolicy` models that budget;
-the device charges each backoff to the simulation clock when one is
-attached, so fault-heavy runs correctly show degraded latency.
+times (the controller's read-retry tables do exactly this on
+raw-bit-error spikes). :class:`RetryPolicy` models that budget. The
+device counts the retries it absorbed (``QueryStats.read_retries``); the
+wait between them is not modelled on the simulated clock.
 """
 
 from __future__ import annotations
@@ -16,28 +16,17 @@ from repro.errors import StorageError
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry-with-exponential-backoff for transient read faults.
+    """Bounded retry budget for transient read faults.
 
     ``max_attempts`` counts the initial try plus retries (so 4 means up
-    to 3 re-reads). Backoff for retry *k* (1-based) is
-    ``backoff_s * multiplier**(k-1)``.
+    to 3 re-reads).
     """
 
     max_attempts: int = 4
-    backoff_s: float = 100e-6  # first re-read after 100 µs
-    multiplier: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise StorageError("retry policy needs at least one attempt")
-        if self.backoff_s < 0 or self.multiplier < 1.0:
-            raise StorageError("backoff must be >= 0 and multiplier >= 1")
-
-    def backoff(self, retry_index: int) -> float:
-        """Seconds to wait before 1-based retry ``retry_index``."""
-        if retry_index < 1:
-            raise StorageError("retry_index is 1-based")
-        return self.backoff_s * self.multiplier ** (retry_index - 1)
 
     @property
     def max_retries(self) -> int:
@@ -45,5 +34,5 @@ class RetryPolicy:
         return self.max_attempts - 1
 
 
-#: The device default: one initial read plus three spaced re-reads.
+#: The device default: one initial read plus three re-reads.
 DEFAULT_RETRY_POLICY = RetryPolicy()

@@ -25,7 +25,6 @@ from repro.index.hashindex import HashIndexTable
 from repro.index.snapshots import SnapshotIndex
 from repro.index.storetree import NIL, LeafNode, TreeListStore
 from repro.params import PAGE_BYTES, IndexParams
-from repro.sim.clock import SimClock
 from repro.storage.flash import FlashArray
 
 
@@ -139,9 +138,7 @@ class InvertedIndex:
 
     # -- query ---------------------------------------------------------
 
-    def lookup_token(
-        self, token: bytes, clock: Optional[SimClock] = None
-    ) -> tuple[list[int], int]:
+    def lookup_token(self, token: bytes) -> tuple[list[int], int]:
         """Candidate pages for one token: union of its (two) rows.
 
         Returns ``(sorted pages, root visits)``. Traversal yields pages
@@ -157,33 +154,25 @@ class InvertedIndex:
                 continue
             pages.update(row.buffer)
             if row.partial_root:
-                blobs = self.store.leaves.read_many(list(row.partial_root), clock=clock)
+                blobs = self.store.leaves.read_many(list(row.partial_root))
                 for blob in blobs:
                     pages.update(LeafNode.unpack(blob).addresses)
             if row.head_root != NIL:
-                walk = self.store.walk(row.head_root, clock=clock)
+                walk = self.store.walk(row.head_root)
                 pages.update(walk.addresses)
                 visits += walk.root_visits
         return sorted(pages), visits
 
-    def candidate_pages(
-        self,
-        query: Query,
-        clock: Optional[SimClock] = None,
-        time_range: Optional[tuple[Optional[float], Optional[float]]] = None,
-    ) -> IndexLookupResult:
+    def candidate_pages(self, query: Query) -> IndexLookupResult:
         """Candidate data pages for a full query.
 
         Positive terms intersect within an intersection set; sets union.
         A set with no positive terms (only negations) cannot be narrowed
-        by the index and forces a scan of the whole (time-bounded) range
-        — exactly the behaviour Section 7.5 observes on negative-heavy
-        queries.
+        by the index and forces a scan of every data page — exactly the
+        behaviour Section 7.5 observes on negative-heavy queries. A time
+        bound is the caller's to apply (``SnapshotIndex.page_range_for_time``).
         """
         stats = IndexLookupStats()
-        low, high = 0, None
-        if time_range is not None:
-            low, high = self.snapshots.page_range_for_time(*time_range)
 
         candidates: set[int] = set()
         for iset in query.intersections:
@@ -194,7 +183,7 @@ class InvertedIndex:
                 continue
             set_pages: Optional[set[int]] = None
             for term in positives:
-                pages, visits = self.lookup_token(term.token, clock=clock)
+                pages, visits = self.lookup_token(term.token)
                 stats.tokens_looked_up += 1
                 stats.root_visits += visits
                 set_pages = (
@@ -204,10 +193,8 @@ class InvertedIndex:
                     break
             candidates.update(set_pages or ())
 
-        bounded = [
-            p for p in sorted(candidates) if p >= low and (high is None or p < high)
-        ]
-        stats.candidate_pages = len(bounded)
+        pages = tuple(sorted(candidates))
+        stats.candidate_pages = len(pages)
         if stats.tokens_looked_up:
             self._m_lookups.inc(stats.tokens_looked_up)
         if stats.root_visits:
@@ -216,4 +203,4 @@ class InvertedIndex:
             self._m_full_scans.inc()
         if self._m_memory is not NULL:  # the footprint walks every hash row
             self._m_memory.set(self.memory_footprint_bytes())
-        return IndexLookupResult(pages=tuple(bounded), stats=stats)
+        return IndexLookupResult(pages=pages, stats=stats)

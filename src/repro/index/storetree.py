@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import LogIndexError
 from repro.obs.metrics import handle
-from repro.sim.clock import SimClock
 from repro.storage.flash import FlashArray
 from repro.storage.page import Page
 
@@ -94,13 +92,14 @@ class NodePool:
             # account for the padded slots so ids keep mapping correctly
             self._next_node_id = self.pages_spilled * self.slots_per_page
 
-    def read(self, node_id: int, clock: Optional[SimClock] = None) -> bytes:
-        """Fetch one node; charges a flash page access when persisted."""
+    def read(self, node_id: int) -> bytes:
+        """Fetch one node: a flash page read once persisted, the buffered
+        tail page otherwise."""
         if not 0 <= node_id < self._next_node_id:
             raise LogIndexError(f"node id {node_id} was never written")
         seq, slot = divmod(node_id, self.slots_per_page)
         if seq < len(self._page_addrs):
-            page = self.flash.read_page(self._page_addrs[seq], clock=clock)
+            page = self.flash.read_page(self._page_addrs[seq])
             data = page.data
         else:
             data = bytes(self._tail)  # still buffered in memory: free access
@@ -130,25 +129,14 @@ class NodePool:
         self._next_node_id = int(state["next_node_id"])
         self.nodes_written = int(state["nodes_written"])
 
-    def read_many(
-        self, node_ids: list[int], clock: Optional[SimClock] = None
-    ) -> list[bytes]:
-        """Fetch several nodes, charging each distinct flash page once.
+    def read_many(self, node_ids: list[int]) -> list[bytes]:
+        """Fetch several nodes, in order.
 
         This is the "many parallel leaf node accesses" behaviour the tree
         design exists for: a root's 16 leaves usually live on one or two
         sequential leaf pages.
         """
-        needed_pages: list[int] = []
-        for node_id in node_ids:
-            seq = node_id // self.slots_per_page
-            if seq < len(self._page_addrs):
-                addr = self._page_addrs[seq]
-                if addr not in needed_pages:
-                    needed_pages.append(addr)
-        if clock is not None and needed_pages:
-            self.flash.read_pages(sorted(needed_pages), clock=clock)
-        return [self.read(node_id, clock=None) for node_id in node_ids]
+        return [self.read(node_id) for node_id in node_ids]
 
 
 @dataclass(frozen=True)
@@ -227,13 +215,14 @@ class TreeListStore:
     def memory_footprint_bytes(self) -> int:
         return self.leaves.memory_footprint_bytes + self.roots.memory_footprint_bytes
 
-    def walk(self, head_root: int, clock: Optional[SimClock] = None) -> "WalkResult":
+    def walk(self, head_root: int) -> "WalkResult":
         """Collect all data-page addresses reachable from a list head.
 
         Returns them in traversal order: newest root first, a root's
         leaves in insertion order (i.e. reverse-chronological by root, as
         Section 6.3 describes). Each root visit is one latency-bound
-        access; its leaves are fetched as one batched read.
+        access (``InvertedIndex.lookup_seconds`` prices them); its
+        leaves are fetched together.
         """
         addresses: list[int] = []
         root_id = head_root
@@ -243,8 +232,8 @@ class TreeListStore:
             hops += 1
             if hops > self.roots.nodes_written + 1:
                 raise LogIndexError("root linked list contains a cycle")
-            root = RootNode.unpack(self.roots.read(root_id, clock=clock))
-            leaf_blobs = self.leaves.read_many(list(root.leaf_ids), clock=clock)
+            root = RootNode.unpack(self.roots.read(root_id))
+            leaf_blobs = self.leaves.read_many(list(root.leaf_ids))
             leaves_visited += len(leaf_blobs)
             for blob in leaf_blobs:
                 addresses.extend(LeafNode.unpack(blob).addresses)

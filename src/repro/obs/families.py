@@ -34,7 +34,7 @@ FAMILIES: dict[str, Family] = {
         "counter", "Bytes written to flash"
     ),
     "mithrilog_storage_device_reads_total": Family(
-        "counter", "Device read requests by mode", ("mode",)
+        "counter", "Device read requests"
     ),
     "mithrilog_storage_pages_read_total": Family("counter", "Flash pages read"),
     "mithrilog_storage_pages_written_total": Family("counter", "Flash pages written"),

@@ -217,6 +217,13 @@ class StorageParams:
         if self.capacity_pages <= 0:
             raise ValueError("capacity_pages must be positive")
 
+    def flash_seconds(self, nbytes: float) -> float:
+        """Streaming ``nbytes`` off flash: one access latency, then the
+        internal bandwidth. Independent page reads queue behind one
+        pipeline fill, so this is the flash stage of every ingest, scan
+        and plan estimate."""
+        return self.latency_s + nbytes / self.internal_bandwidth
+
 
 @dataclass(frozen=True)
 class IndexParams:

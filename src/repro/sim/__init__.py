@@ -1,14 +1,10 @@
 """Simulation substrate.
 
-Provides the cycle/time accounting used by the storage and accelerator
-performance models:
-
-- :class:`repro.sim.clock.SimClock` — monotonic simulated time.
-- :class:`repro.sim.bandwidth.BandwidthMeter` — throughput accounting.
-- :class:`repro.sim.bandwidth.LinkModel` — shared-link transfer-time model.
+:class:`repro.sim.clock.SimClock` is the monotonic simulated time every
+system, service and stream advances by the seconds the performance
+models compute.
 """
 
-from repro.sim.bandwidth import BandwidthMeter, LinkModel
 from repro.sim.clock import SimClock
 
-__all__ = ["BandwidthMeter", "LinkModel", "SimClock"]
+__all__ = ["SimClock"]

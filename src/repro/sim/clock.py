@@ -43,11 +43,5 @@ class SimClock:
             self._now = timestamp
         return self._now
 
-    def cycles_to_seconds(self, cycles: int, clock_hz: int) -> float:
-        """Convert a cycle count at ``clock_hz`` into seconds."""
-        if clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
-        return cycles / clock_hz
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.9f})"

@@ -1,23 +1,20 @@
 """Simulated NAND-flash storage substrate.
 
 MithriLog's prototype is four BlueDBM flash cards behind two FPGAs; here the
-equivalent is a page-addressed :class:`repro.storage.flash.FlashArray` with
-the paper's bandwidth/latency parameters, wrapped by
-:class:`repro.storage.device.MithriLogDevice`, which exposes both the raw
-PCIe path and the near-storage (internal-bandwidth) path the accelerator
-uses.
+equivalent is a page-addressed :class:`repro.storage.flash.FlashArray`
+carrying the paper's bandwidth/latency parameters, wrapped by
+:class:`repro.storage.device.MithriLogDevice`, which serves FILTER reads
+through a scan program and raw page fetches for the host-side scan
+executor.
 """
 
-from repro.storage.device import MithriLogDevice, ReadMode
+from repro.storage.device import MithriLogDevice
 from repro.storage.flash import FlashArray
-from repro.storage.host_link import HostLink
 from repro.storage.page import PAGE_BYTES, Page
 
 __all__ = [
     "FlashArray",
-    "HostLink",
     "MithriLogDevice",
     "PAGE_BYTES",
     "Page",
-    "ReadMode",
 ]

@@ -1,12 +1,11 @@
 """Simulated flash array.
 
-Functionally a page-addressed store; behaviourally a device whose reads pay
-``latency_s`` per access and stream at ``internal_bandwidth`` across all
-channels (BlueDBM: four cards x 1.2 GB/s = 4.8 GB/s aggregate).
-
-Timing is optional: callers that only need functional behaviour pass no
-clock and pay nothing; the performance benches drive reads against a
-:class:`repro.sim.clock.SimClock` to obtain paper-style elapsed times.
+A page-addressed store that verifies every page it reads and counts the
+pages and bytes moved. It keeps no time: the storage parameters it
+carries (``latency_s`` per access, ``internal_bandwidth`` across all
+channels — BlueDBM: four cards x 1.2 GB/s = 4.8 GB/s aggregate) price a
+read in :meth:`repro.params.StorageParams.flash_seconds`, which the
+system applies to the bytes a query or an ingest moved.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 from repro.errors import PageBoundsError, StorageError, UnwrittenPageError
 from repro.obs.metrics import handle
 from repro.params import StorageParams
-from repro.sim.bandwidth import LinkModel
-from repro.sim.clock import SimClock
 from repro.storage.page import Page
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class FlashArray:
-    """A fixed-capacity array of flash pages with an internal-bandwidth model.
+    """A fixed-capacity array of flash pages.
 
     An optional :class:`repro.faults.PageFaultInjector` can be attached
     (``fault_injector``); it is consulted on every page read and may raise
@@ -49,10 +46,6 @@ class FlashArray:
         #: decompressed-page cache registers its invalidation here; the
         #: write path pays one truthiness test when nobody is listening.
         self.write_listeners: list[Callable[[int], None]] = []
-        self.internal_link = LinkModel(
-            bandwidth=self.params.internal_bandwidth,
-            latency_s=self.params.latency_s,
-        )
         self._m_pages_read = handle("mithrilog_storage_pages_read_total")
         self._m_bytes_read = handle("mithrilog_storage_bytes_read_total")
         self._m_pages_written = handle("mithrilog_storage_pages_written_total")
@@ -106,8 +99,8 @@ class FlashArray:
                 listener(address)
         return address
 
-    def read_page(self, address: int, clock: Optional[SimClock] = None) -> Page:
-        """Read and verify one page; advances ``clock`` by the access time."""
+    def read_page(self, address: int) -> Page:
+        """Read and verify one page."""
         self._check_address(address)
         try:
             page = self._pages[address]
@@ -117,29 +110,15 @@ class FlashArray:
             ) from None
         if self.fault_injector is not None:
             page = self.fault_injector.on_read(address, page)
-        if clock is not None:
-            self.internal_link.transfer_on(clock, len(page))
         page.verify()
         self._m_pages_read.inc()
         self._m_bytes_read.inc(len(page))
         return page
 
-    def read_pages(
-        self, addresses: Iterable[int], clock: Optional[SimClock] = None
-    ) -> list[Page]:
-        """Read many pages; sequential runs share one latency charge.
-
-        Flash (and NVMe queue depth) amortises latency over large sequential
-        or batched reads, which is exactly the property Section 6.1's index
-        design exploits. Consecutive addresses in the request stream are
-        modelled as one burst: one ``latency_s`` plus streaming time for the
-        whole run.
-        """
-        addrs = list(addresses)
+    def read_pages(self, addresses: Iterable[int]) -> list[Page]:
+        """Read and verify many pages, in request order."""
         pages = []
-        run_bytes = 0
-        prev = None
-        for addr in addrs:
+        for addr in addresses:
             self._check_address(addr)
             if addr not in self._pages:
                 raise UnwrittenPageError(f"page {addr} has never been written")
@@ -148,14 +127,6 @@ class FlashArray:
                 page = self.fault_injector.on_read(addr, page)
             page.verify()
             pages.append(page)
-            if clock is not None:
-                if prev is not None and addr != prev + 1:
-                    self.internal_link.transfer_on(clock, run_bytes)
-                    run_bytes = 0
-                run_bytes += len(page)
-                prev = addr
-        if clock is not None and run_bytes:
-            self.internal_link.transfer_on(clock, run_bytes)
         if pages:
             self._m_pages_read.inc(len(pages))
             self._m_bytes_read.inc(sum(len(p) for p in pages))

@@ -279,9 +279,9 @@ class FTLFlashArray(FlashArray):
 
     Drop-in for :class:`repro.storage.flash.FlashArray`: the device,
     index and system layers run unchanged on flash-realistic plumbing.
-    Timing still uses the internal-bandwidth link model; the FTL adds the
-    *write-side* realism (overwrites, GC, wear) that the plain array
-    idealises away.
+    Read time is still ``StorageParams.flash_seconds`` of the bytes
+    moved; the FTL adds the *write-side* realism (overwrites, GC, wear)
+    that the plain array idealises away.
     """
 
     def __init__(

@@ -43,7 +43,7 @@ from repro.obs.profile import TraceContext, merge_into_registry, profile_to_dict
 from repro.obs.tracing import SpanTracer
 from repro.params import PROTOTYPE, SystemParams
 from repro.sim.clock import SimClock
-from repro.storage.device import DeviceReadResult, MithriLogDevice, ReadMode
+from repro.storage.device import DeviceReadResult, MithriLogDevice
 from repro.storage.page import Page
 from repro.stream.sampling import SampleEstimate, estimate_matches, sample_pages
 
@@ -387,7 +387,6 @@ class MithriLogSystem:
         self.original_bytes += original
         self.total_lines += len(lines)
         self._measure_accelerator_rate(lines)
-        storage = self.params.storage
         cost = IngestCostModel()
         report = IngestReport(
             lines=len(lines),
@@ -396,8 +395,7 @@ class MithriLogSystem:
             pages_written=pages,
             index_memory_bytes=self.index.memory_footprint_bytes(),
             postings_inserted=postings,
-            storage_time_s=storage.latency_s
-            + compressed_total / storage.internal_bandwidth,
+            storage_time_s=self.params.storage.flash_seconds(compressed_total),
             compress_time_s=original
             / (self.params.num_pipelines * self.params.pipeline.wire_speed_bytes_per_sec),
             host_time_s=cost.host_seconds(len(lines), postings),
@@ -663,11 +661,10 @@ class MithriLogSystem:
         if run.limit is None:
             read = self._scan_with_executor(run, spec)
         else:
-            self.device.configure(
-                scan_pages=functools.partial(self._scan_pages, run, spec)
-            )
             read = self.device.read(
-                run.candidates, mode=ReadMode.FILTER, stop_after_matches=run.limit
+                run.candidates,
+                functools.partial(self._scan_pages, run, spec),
+                stop_after_matches=run.limit,
             )
         stats.cache_hits = self.page_cache.hits - hits_before
         stats.cache_misses = self.page_cache.misses - misses_before
@@ -871,9 +868,7 @@ class MithriLogSystem:
         ``per_query`` and ``host_profile`` are written on the pass here).
         """
         candidates, workers = run.candidates, run.workers
-        pages, retries = self.device.fetch_pages(
-            candidates, count_mode=ReadMode.FILTER
-        )
+        pages, retries = self.device.fetch_pages(candidates)
         fetched: list = []
         items = list(self._kernel_items(zip(candidates, pages), fetched))
         # the inline path hands decoded pages back so repeated scans hit
@@ -917,9 +912,7 @@ class MithriLogSystem:
         it, which again leaves the max unchanged.
         """
         storage = self.params.storage
-        stats.flash_time_s = (
-            storage.latency_s + stats.bytes_from_flash / storage.internal_bandwidth
-        )
+        stats.flash_time_s = storage.flash_seconds(stats.bytes_from_flash)
         decomp_rate = self._decompressor_rate or self.accelerator_rate
         filter_rate = self._pipeline_rate or self.accelerator_rate
         stats.decompress_time_s = stats.bytes_decompressed / decomp_rate

@@ -87,7 +87,7 @@ class QueryPlanner:
         )
         decompressed = compressed * ratio
         return max(
-            storage.latency_s + compressed / storage.internal_bandwidth,
+            storage.flash_seconds(compressed),
             decompressed / self.system.accelerator_rate,
         )
 

@@ -241,7 +241,7 @@ def test_seeded_read_errors(kernel):
     for limit, newest_first in ((1, False), (25, True), (120, False), (10_000, True)):
         expected = per_line_read(
             twin, THREE, limit, newest_first=newest_first, use_index=False,
-            read_page=lambda address: twin.device._read_one_with_retry(address, None),
+            read_page=twin.device._read_one_with_retry,
         )
         assert_matches_oracle(
             system, THREE, limit, expected=expected,

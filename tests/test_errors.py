@@ -37,7 +37,7 @@ from repro.errors import (
 from repro.faults import AlwaysSchedule, PageFaultInjector, ShardFaultInjector
 from repro.index.storetree import NodePool
 from repro.params import PAGE_BYTES, StorageParams
-from repro.storage.device import MithriLogDevice, ReadMode
+from repro.storage.device import MithriLogDevice
 from repro.storage.flash import FlashArray
 from repro.storage.page import Page
 from repro.system.mithrilog import MithriLogSystem
@@ -82,7 +82,7 @@ def _retry_exhaustion():
     device = MithriLogDevice(StorageParams(capacity_pages=8))
     (address,) = device.append_pages([Page(b"doomed")])
     device.flash.corrupt_page(address)  # persistent: every re-read fails
-    device.read([address], mode=ReadMode.RAW)
+    device.fetch_pages([address])
 
 
 def _corrupt_wal_record():
@@ -196,4 +196,4 @@ class TestUnwrittenPageRegression:
         device = MithriLogDevice(StorageParams(capacity_pages=8))
         device.append_pages([Page(b"written")])
         with pytest.raises(UnwrittenPageError):
-            device.read([0, 5], mode=ReadMode.RAW)
+            device.fetch_pages([0, 5])

@@ -2,7 +2,7 @@
 
 Covers the schedules (determinism, composition), the three injectors
 (page reads, WAL appends, cluster shards), FTL bad-block retirement, the
-device's bounded retry-with-backoff, and the fault log accounting.
+device's bounded read retries, and the fault log accounting.
 """
 
 import pytest
@@ -30,12 +30,12 @@ from repro.faults import (
     inject_page_faults,
 )
 from repro.params import StorageParams
-from repro.sim.clock import SimClock
-from repro.storage.device import MithriLogDevice, ReadMode
+from repro.storage.device import MithriLogDevice
 from repro.storage.flash import FlashArray
 from repro.storage.ftl import FTLFlashArray, FlashTranslationLayer
 from repro.storage.page import Page
 from repro.system.wal import WriteAheadLog
+from tests.test_storage_device import scanner
 
 
 class TestSchedules:
@@ -89,20 +89,10 @@ class TestSchedules:
 
 
 class TestRetryPolicy:
-    def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(max_attempts=4, backoff_s=1e-3, multiplier=2.0)
-        assert policy.backoff(1) == pytest.approx(1e-3)
-        assert policy.backoff(2) == pytest.approx(2e-3)
-        assert policy.backoff(3) == pytest.approx(4e-3)
-        assert policy.max_retries == 3
-
     def test_invalid_policies_rejected(self):
         with pytest.raises(StorageError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(StorageError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(StorageError):
-            RetryPolicy(max_attempts=2).backoff(0)
+        assert RetryPolicy(max_attempts=4).max_retries == 3
 
 
 @pytest.fixture
@@ -157,45 +147,42 @@ class TestDeviceRetry:
         device.flash.fault_injector = PageFaultInjector(
             read_errors=EveryNthSchedule(3)  # ops 0, 3, 6, ...
         )
-        result = device.read(list(range(6)), mode=ReadMode.RAW)
-        assert result.data == b"".join(f"line-{i}\n".encode() for i in range(6))
-        assert result.read_retries > 0
+        pages, retries = device.fetch_pages(list(range(6)))
+        assert [page.data for page in pages] == [
+            f"line-{i}\n".encode() for i in range(6)
+        ]
+        assert retries > 0
 
     def test_persistent_corruption_exhausts_retries(self):
         device = self._device(retry_policy=RetryPolicy(max_attempts=3))
         device.flash.corrupt_page(2)  # stored bits flipped: every read fails
         with pytest.raises(ReadRetryExhaustedError):
-            device.read(list(range(6)), mode=ReadMode.RAW)
+            device.fetch_pages(list(range(6)))
 
     def test_bad_block_fails_fast_without_retries(self):
         device = self._device()
         injector = PageFaultInjector(bad_addresses={1})
         device.flash.fault_injector = injector
         with pytest.raises(BadBlockError):
-            device.read([0, 1], mode=ReadMode.RAW)
+            device.fetch_pages([0, 1])
         # one batch probe + one per-page probe, never the full retry budget
         assert injector.log.count("bad_block") <= 2
-
-    def test_backoff_charged_to_clock(self):
-        device = self._device(
-            retry_policy=RetryPolicy(max_attempts=3, backoff_s=1.0, multiplier=2.0)
-        )
-        device.flash.fault_injector = PageFaultInjector(
-            read_errors=AtOperationsSchedule({0, 1})  # batch probe + 1st re-read
-        )
-        clock = SimClock()
-        result = device.read([0], mode=ReadMode.RAW, clock=clock)
-        assert result.data == b"line-0\n"
-        assert clock.now >= 1.0  # the first backoff was paid in sim time
-        assert result.read_retries >= 2
 
     def test_retry_count_surfaces_in_result(self):
         device = self._device()
         device.flash.fault_injector = PageFaultInjector(
             read_errors=AtOperationsSchedule({0})
         )
-        result = device.read(list(range(6)), mode=ReadMode.RAW)
+        result = device.read(list(range(6)), scanner(lambda _: True))
+        assert result.data == b"".join(f"line-{i}\n".encode() for i in range(6))
         assert result.read_retries == 1
+        # a torn batch probe plus a failed re-read: two retries, one page
+        device.flash.fault_injector = PageFaultInjector(
+            read_errors=AtOperationsSchedule({0, 1})
+        )
+        pages, retries = device.fetch_pages([0])
+        assert [page.data for page in pages] == [b"line-0\n"]
+        assert retries == 2
 
 
 class TestFTLBadBlocks:

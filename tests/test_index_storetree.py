@@ -11,7 +11,6 @@ from repro.index.storetree import (
     TreeListStore,
 )
 from repro.params import PAGE_BYTES, StorageParams
-from repro.sim import SimClock
 from repro.storage.flash import FlashArray
 
 
@@ -95,20 +94,11 @@ class TestNodePool:
         with pytest.raises(LogIndexError):
             NodePool(flash, node_bytes=72, page_bytes=PAGE_BYTES)
 
-    def test_read_many_charges_each_page_once(self):
-        def elapsed(read_batch: bool) -> float:
-            flash = FlashArray(StorageParams(capacity_pages=4096))
-            pool = NodePool(flash, node_bytes=64, page_bytes=PAGE_BYTES)
-            ids = [pool.append(bytes([i]) * 64) for i in range(64)]
-            clock = SimClock()
-            if read_batch:
-                pool.read_many(ids[:16], clock=clock)  # all on one page
-            else:
-                pool.read(ids[0], clock=clock)
-            return clock.now
-
-        # 16 nodes on one spilled page cost the same as a single node read
-        assert elapsed(read_batch=True) == pytest.approx(elapsed(read_batch=False))
+    def test_read_many_matches_single_reads(self, flash):
+        pool = NodePool(flash, node_bytes=64, page_bytes=PAGE_BYTES)
+        ids = [pool.append(bytes([i]) * 64) for i in range(80)]  # spills once
+        wanted = [ids[70], ids[3], ids[64], ids[3]]  # tail, spilled, repeat
+        assert pool.read_many(wanted) == [pool.read(i) for i in wanted]
 
     def test_memory_footprint_small(self, flash):
         pool = NodePool(flash, node_bytes=64, page_bytes=PAGE_BYTES)
@@ -152,16 +142,6 @@ class TestTreeListWalk:
         head, _ = self._build_list(store, n_roots=2)
         walk = store.walk(head)
         assert len(walk.addresses) == 2 * 256
-
-    def test_walk_timing_amortises_leaves(self, store):
-        # a full root's 16 leaves occupy 16*64=1KB: they share pages, so a
-        # hop costs far less than 17 random accesses
-        head, _ = self._build_list(store, n_roots=4)
-        store.flush()
-        clock = SimClock()
-        store.walk(head, clock=clock)
-        latency = store.leaves.flash.params.latency_s
-        assert clock.now < 4 * 3 * latency + 0.01
 
     def test_cycle_detection(self, store):
         # hand-craft a self-referencing root

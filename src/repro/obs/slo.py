@@ -16,11 +16,13 @@ in flight. This module is that detector, in the SRE-workbook shape:
 - :class:`AlertState` machine — ``ok → pending → firing → resolved``,
   advanced only by simulated time, so two runs with the same seed
   produce identical alert timelines (pinned by hypothesis tests);
-- :class:`SLOMonitor` — the live evaluator: feed it every settled
-  response (``observe_response``) or journal record (``replay_journal``)
-  and it maintains event windows, error budgets, ``mithrilog_slo_*``
-  metrics, and fires listener callbacks (the flight recorder's hook)
-  on state transitions.
+- :class:`SLOMonitor` — the evaluator: every settled request reaches
+  it as one :class:`~repro.obs.journal.JournalRecord`
+  (:meth:`SLOMonitor.observe_record`) — live from the service's settle
+  step, or offline through :func:`replay_journal`, which is the same
+  call — and it maintains event windows, error budgets,
+  ``mithrilog_slo_*`` metrics, and fires listener callbacks (the flight
+  recorder's hook) on state transitions.
 
 Config files are JSON (``kind: mithrilog_slo_config``); see
 :func:`load_slo_config` and :func:`default_slos`.
@@ -37,9 +39,7 @@ from repro.obs.artifacts import NamedEntriesConfig
 from repro.obs.metrics import handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.journal import QueryJournal
-    from repro.obs.series import MetricSampler
-    from repro.service.request import Response
+    from repro.obs.journal import JournalRecord, QueryJournal
 
 __all__ = [
     "SLO_CONFIG_KIND",
@@ -225,22 +225,16 @@ class _SLORuntime:
 class SLOMonitor:
     """Evaluates SLOs live over settled events on the simulated clock.
 
-    Feed it every settled request (:meth:`observe` /
-    :meth:`observe_response`); it maintains per-SLO sliding windows and,
-    at ``interval_s`` cadence (plus one forced evaluation per explicit
-    :meth:`evaluate` call), advances each alert state machine. State
-    transitions are appended to :meth:`timeline` and fanned out to
-    ``on_transition`` listeners — the flight recorder registers itself
-    there. An optional :class:`~repro.obs.series.MetricSampler` is
-    ticked on the same cadence so series stay aligned with evaluations.
+    Feed it every settled request's journal record
+    (:meth:`observe_record`), or raw events (:meth:`observe`); it
+    maintains per-SLO sliding windows and, at ``interval_s`` cadence
+    (plus one forced evaluation per explicit :meth:`evaluate` call),
+    advances each alert state machine. State transitions are appended
+    to :meth:`timeline` and fanned out to ``on_transition`` listeners —
+    the flight recorder registers itself there.
     """
 
-    def __init__(
-        self,
-        slos: Sequence[SLO],
-        interval_s: float = 0.005,
-        sampler: Optional["MetricSampler"] = None,
-    ) -> None:
+    def __init__(self, slos: Sequence[SLO], interval_s: float = 0.005) -> None:
         if interval_s <= 0:
             raise SLOError("monitor interval must be positive")
         names = [s.name for s in slos]
@@ -248,7 +242,6 @@ class SLOMonitor:
             raise SLOError("duplicate SLO names in one monitor")
         self.slos = list(slos)
         self.interval_s = float(interval_s)
-        self.sampler = sampler
         self.alerts: list[Alert] = []  #: every alert ever raised, in order
         self.on_transition: list[
             Callable[[SLO, Alert, AlertState, float], None]
@@ -292,14 +285,14 @@ class SLOMonitor:
                 runtime.observe(now_s, good)
         self.maybe_evaluate(now_s)
 
-    def observe_response(self, response: "Response", now_s: float) -> None:
-        """Record one settled :class:`~repro.service.request.Response`."""
+    def observe_record(self, record: "JournalRecord") -> None:
+        """Record one settled request at its journalled completion time."""
         self.observe(
-            tenant=response.request.tenant,
-            outcome=response.outcome.value,
-            latency_s=response.latency_s,
-            now_s=now_s,
-            degraded=response.degraded,
+            tenant=record.tenant,
+            outcome=record.outcome,
+            latency_s=record.latency_s,
+            now_s=record.completed_at_s,
+            degraded=record.degraded,
         )
 
     # -- evaluation --------------------------------------------------------
@@ -319,8 +312,6 @@ class SLOMonitor:
         self._last_eval_s = now_s
         self.evaluations += 1
         self._m_evals.inc()
-        if self.sampler is not None:
-            self.sampler.maybe_sample(now_s)
         for runtime in self._runtimes:
             self._evaluate_one(runtime, now_s)
         self._m_firing.set(
@@ -513,20 +504,14 @@ def replay_journal(
 ) -> SLOMonitor:
     """Drive a monitor from a recorded journal, in completion order.
 
-    Offline twin of the live wiring: each record becomes one
-    ``observe`` at its recorded completion time, so the alert timeline
-    a replay produces matches what the live run would have shown.
-    Returns the monitor for chaining.
+    Each record goes through :meth:`SLOMonitor.observe_record`, the call
+    the live service makes at settle time, so the alert timeline a
+    replay produces is the one the live run showed. Returns the monitor
+    for chaining.
     """
     records = sorted(journal.records, key=lambda r: (r.completed_at_s, r.seq))
     for record in records:
-        monitor.observe(
-            tenant=record.tenant,
-            outcome=record.outcome,
-            latency_s=record.latency_s,
-            now_s=record.completed_at_s,
-            degraded=record.degraded,
-        )
+        monitor.observe_record(record)
     if records:
         monitor.evaluate(records[-1].completed_at_s)
     return monitor

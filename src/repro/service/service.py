@@ -173,9 +173,10 @@ class QueryService:
         #: append-only query journal; every settled response lands here
         self.journal = journal
         self.hints = hints
-        #: live SLO monitor; every settled response is observed at its
-        #: simulated completion time (burn-rate alerting, flight recorder)
+        #: live SLO monitor; it observes the journal record of every
+        #: settled response (burn-rate alerting, flight recorder)
         self.monitor = monitor
+        self._check_monitor_journal()
         self.passes = 0
         self._m_requests = handle("mithrilog_service_requests_total")
         self._m_queue_depth = handle("mithrilog_service_queue_depth")
@@ -206,6 +207,7 @@ class QueryService:
         """
         if workers < 1:
             raise QueryError("workers must be at least 1")
+        self._check_monitor_journal()
         t0 = self.clock.now
         stats: dict[str, TenantStats] = {
             name: TenantStats() for name in self.admission.tenants
@@ -226,9 +228,9 @@ class QueryService:
             if tenant in stats:
                 stats[tenant].record(response)
             if self.journal is not None:
-                self.journal.observe(response)
-            if self.monitor is not None:
-                self.monitor.observe_response(response, self.clock.now)
+                record = self.journal.observe(response)
+                if self.monitor is not None:
+                    self.monitor.observe_record(record)
             self._m_requests.inc(
                 tenant=tenant, outcome=response.outcome.value
             )
@@ -289,6 +291,14 @@ class QueryService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _check_monitor_journal(self) -> None:
+        """The monitor reads journal records, so it needs a journal."""
+        if self.monitor is not None and self.journal is None:
+            raise QueryError(
+                "monitor= needs journal=: the SLO monitor observes the "
+                "journal record of each settled request"
+            )
 
     def _validated(self, request: Request) -> Request:
         """Front-door validation: compile the query form once, here."""

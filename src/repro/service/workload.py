@@ -331,8 +331,9 @@ def run_sweep(
     capture every request across the sweep; each load level opens its
     own journal window (``load-x<multiple>``) so the levels can be
     mined and diffed independently afterwards. Pass an
-    :class:`repro.obs.slo.SLOMonitor` as ``monitor`` to evaluate SLO
-    burn rates live across every level of the sweep.
+    :class:`repro.obs.slo.SLOMonitor` as ``monitor`` (with a
+    ``journal``, whose records it reads) to evaluate SLO burn rates live
+    across every level of the sweep.
 
     ``sample_fraction`` opts the generated traffic into the approximate
     admission class (see :func:`open_loop_requests`); past saturation

@@ -213,19 +213,10 @@ class StandingQueryRegistry:
     watches the future, not the past.
     """
 
-    def __init__(
-        self,
-        system,
-        interval_s: float = 0.005,
-        monitor: Optional[SLOMonitor] = None,
-        max_points: int = 512,
-    ) -> None:
+    def __init__(self, system, interval_s: float = 0.005) -> None:
         self.system = system
-        self.monitor = (
-            monitor
-            if monitor is not None
-            else SLOMonitor([], interval_s=interval_s)
-        )
+        #: threshold alerts; each registered threshold adds one SLO
+        self.monitor = SLOMonitor([], interval_s=interval_s)
         self._states: dict[str, _StandingState] = {}
         #: the registered queries packed into accelerator passes, in
         #: registration order; recomputed by :meth:`register` only

@@ -10,9 +10,9 @@ evaluated purely on the simulated clock:
   evaluation);
 - :class:`WindowAggregator` — absorbs one observation per incremental
   evaluation (match count + matched-line template fingerprints) and
-  answers the three supported aggregates; backed by
-  :class:`repro.obs.series.RingSeries` rings so the per-evaluation
-  window values export straight into status artifacts and metrics.
+  answers the three supported aggregates; it keeps the last
+  :data:`SERIES_POINTS` per-evaluation window values in a ring, so they
+  export straight into status artifacts and metrics.
 
 Window membership rules (the hypothesis incremental-vs-recompute suite
 pins these exactly):
@@ -36,10 +36,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.errors import QueryError
-from repro.obs.series import RingSeries
 
 #: the aggregates a standing query may maintain
 WINDOW_AGGREGATES = ("count", "rate", "distinct_templates")
+
+#: per-evaluation window values an aggregator keeps; the oldest goes first
+SERIES_POINTS = 512
 
 WINDOW_KINDS = ("tumbling", "sliding")
 
@@ -94,11 +96,14 @@ class WindowAggregator:
     on demand, so an aggregate read at any ``now`` equals the batch
     recompute over the same events — the property the hypothesis suite
     checks.
+
+    The values each evaluation returns also go into a per-aggregate
+    ring of ``(t_s, value)`` points for export: time never goes
+    backwards, a second evaluation at the same instant overwrites the
+    first, and past :data:`SERIES_POINTS` the oldest point is evicted.
     """
 
-    def __init__(
-        self, name: str, spec: WindowSpec, max_points: int = 512
-    ) -> None:
+    def __init__(self, name: str, spec: WindowSpec) -> None:
         self.name = name
         self.spec = spec
         #: trailing observations; pruned once two widths stale
@@ -106,14 +111,8 @@ class WindowAggregator:
         self.matches_total = 0
         self.evaluations = 0
         #: per-aggregate window-value rings (status/metrics export)
-        self.series: dict[str, RingSeries] = {
-            agg: RingSeries(
-                f"stream_window_{agg}",
-                labels={"query": name},
-                kind="gauge",
-                max_points=max_points,
-            )
-            for agg in WINDOW_AGGREGATES
+        self._series: dict[str, deque[tuple[float, float]]] = {
+            agg: deque(maxlen=SERIES_POINTS) for agg in WINDOW_AGGREGATES
         }
 
     def observe(
@@ -137,7 +136,10 @@ class WindowAggregator:
         self._prune(now_s)
         values = self.values(now_s)
         for agg, value in values.items():
-            self.series[agg].append(now_s, value)
+            ring = self._series[agg]
+            if ring and ring[-1][0] == now_s:
+                ring.pop()
+            ring.append((now_s, value))
         return values
 
     def _prune(self, now_s: float) -> None:
@@ -178,8 +180,8 @@ class WindowAggregator:
 
     def latest(self, aggregate: str) -> Optional[float]:
         """The last exported value of an aggregate, if any."""
-        point = self.series[aggregate].latest()
-        return point.value if point is not None else None
+        ring = self._series[aggregate]
+        return ring[-1][1] if ring else None
 
     def to_dict(self) -> dict:
         """JSON-ready window state (feeds the stream status artifact)."""
@@ -188,6 +190,12 @@ class WindowAggregator:
             "evaluations": self.evaluations,
             "matches_total": self.matches_total,
             "series": {
-                agg: series.to_dict() for agg, series in self.series.items()
+                agg: {
+                    "name": f"stream_window_{agg}",
+                    "labels": {"query": self.name},
+                    "kind": "gauge",
+                    "points": [list(point) for point in ring],
+                }
+                for agg, ring in self._series.items()
             },
         }

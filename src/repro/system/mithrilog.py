@@ -281,7 +281,6 @@ class MithriLogSystem:
         cache_pages: int = DEFAULT_CACHE_PAGES,
         scan_kernel: Optional[str] = None,
         journal=None,
-        monitor=None,
     ) -> None:
         self.params = params if params is not None else PROTOTYPE
         #: Scan kernel (``None`` means ``auto``, see
@@ -332,11 +331,6 @@ class MithriLogSystem:
         #: (tenant ``_direct`` — service-layer traffic is journalled by
         #: the service itself, which owns admission context).
         self.journal = journal
-        #: Optional :class:`repro.obs.slo.SLOMonitor`; when set, every
-        #: direct ``query()`` call is observed as a settled ``_direct``
-        #: event at its simulated completion time, so SLOs cover traffic
-        #: that bypasses the service layer too.
-        self.monitor = monitor
         #: Monotonic query counter, minting trace ids (``q1``, ``q2``, ...).
         self._query_seq = 0
         self._m_queries = handle("mithrilog_query_total")
@@ -704,7 +698,7 @@ class MithriLogSystem:
         """Stage 5: tell everyone who listens, then build the outcome.
 
         Metrics, spans, the simulated clock, sampled estimates, journal,
-        SLO monitor, EXPLAIN ANALYZE — none of them changes the answer.
+        EXPLAIN ANALYZE — none of them changes the answer.
         """
         stats = run.stats
         self._m_queries.inc(path="scan" if stats.index_full_scan else "index")
@@ -734,14 +728,6 @@ class MithriLogSystem:
                     batch_size=len(run.queries),
                     mode=run.mode,
                     sample_fraction=run.sample_fraction,
-                )
-        if self.monitor is not None:
-            for _ in run.queries:
-                self.monitor.observe(
-                    tenant="_direct",
-                    outcome="ok",
-                    latency_s=stats.elapsed_s,
-                    now_s=self.clock.now,
                 )
         return QueryOutcome(
             matched_lines=run.matched,

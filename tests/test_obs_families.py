@@ -21,6 +21,7 @@ from repro.datasets.synthetic import generator_for
 from repro.exec.cache import PageCache
 from repro.obs.expose import bootstrap_families, render_prometheus, snapshot
 from repro.obs.families import FAMILIES
+from repro.obs.journal import QueryJournal
 from repro.obs.metrics import (
     NULL,
     MetricError,
@@ -174,7 +175,9 @@ def _session(store_dir):
 
     monitor = SLOMonitor(default_slos())
     tenants = make_tenants(2)
-    report = QueryService(system, tenants, monitor=monitor).run(
+    report = QueryService(
+        system, tenants, journal=QueryJournal(), monitor=monitor
+    ).run(
         open_loop_requests([fatal, kernel], tenants, offered_qps=2000,
                            duration_s=0.02, seed=1)
     )

@@ -9,15 +9,14 @@ from repro.datasets.synthetic import generator_for
 from repro.faults.injectors import ServiceFaultInjector
 from repro.faults.schedules import AtOperationsSchedule
 from repro.obs.journal import QueryJournal
-from repro.obs.check import identify
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.check import check_file, identify, main
+from repro.obs.metrics import MetricsRegistry, handle, use_registry
 from repro.obs.recorder import (
     FlightRecorder,
     render_markdown,
     validate_incident_bundle,
     write_bundle,
 )
-from repro.obs.series import MetricSampler
 from repro.obs.slo import SLO, SLOMonitor
 from repro.service import (
     QueryService,
@@ -42,12 +41,10 @@ def twitchy_slo(**overrides):
     return SLO(**fields)
 
 
-def synthetic_incident(journal=None, sampler=None, **recorder_kwargs):
+def synthetic_incident(journal=None, **recorder_kwargs):
     """Drive a monitor through an incident and return its recorder."""
-    monitor = SLOMonitor([twitchy_slo()], interval_s=0.005, sampler=sampler)
-    recorder = FlightRecorder(
-        monitor, sampler=sampler, journal=journal, **recorder_kwargs
-    )
+    monitor = SLOMonitor([twitchy_slo()], interval_s=0.005)
+    recorder = FlightRecorder(monitor, journal=journal, **recorder_kwargs)
     t = 0.0
     for _ in range(10):
         monitor.observe("t0", "ok", 0.001, now_s=t)
@@ -81,22 +78,41 @@ class TestCapture:
             assert counter.value() == 1
 
     def test_sampler_series_windowed_into_bundle(self):
+        # the bundle's metric series are sampled at the window's end:
+        # what the registry gains after the alert fires stays out
         registry = MetricsRegistry()
         with use_registry(registry):
-            registry.counter("mithrilog_demo_total").inc()
-            sampler = MetricSampler(registry, interval_s=0.005)
-            recorder = synthetic_incident(sampler=sampler)
+            counter = registry.counter("mithrilog_demo_total")
+            counter.inc()
+            recorder = synthetic_incident()
+            counter.inc(5)
         bundle = recorder.bundles[0]
-        assert "series" in bundle
-        window = bundle["window"]
-        for series in bundle["series"]["series"]:
-            for t_s, _ in series["points"]:
-                assert window["start_s"] <= t_s <= window["end_s"]
+        assert bundle["window"]["end_s"] == bundle["alert"]["fired_at_s"]
+        samples = bundle["metrics"]["metrics"]["mithrilog_demo_total"]
+        assert samples["samples"] == [{"labels": {}, "value": 1.0}]
+
+    def test_metrics_snapshot_reads_the_bound_registry(self):
+        # built under use_registry, fired after the block exits: the
+        # snapshot still reads the registry active at construction
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            handle("mithrilog_util_busy_fraction").set(0.5, resource="flash")
+            monitor = SLOMonitor([twitchy_slo()], interval_s=0.005)
+            recorder = FlightRecorder(monitor)
+        for i in range(50):
+            outcome = "ok" if i < 10 else "shed"
+            monitor.observe("t0", outcome, 0.001, now_s=i * 0.005)
+        bundle = recorder.bundles[0]
+        metrics = bundle["metrics"]["metrics"]
+        assert metrics["mithrilog_slo_transitions_total"]["samples"]
+        assert bundle["utilization"] == [
+            {"labels": {"resource": "flash"}, "value": 0.5}
+        ]
+        assert "## Utilization (at fire time)" in render_markdown(bundle)
 
     def test_journal_tail_restricted_to_window(self):
         journal = QueryJournal()
         for i in range(60):
-            journal.note_submitted("t0")
             journal.observe_direct(
                 "q",
                 latency_s=0.001,
@@ -116,7 +132,6 @@ class TestCapture:
         # the bundle must say what `workload mine` says of the same journal
         journal = QueryJournal()
         for i in range(100):
-            journal.note_submitted("t0")
             journal.observe_direct(
                 "q",
                 latency_s=(i + 1) * 1e-3,
@@ -195,13 +210,38 @@ class TestValidator:
             "window" in p for p in validate_incident_bundle(bundle)
         )
 
+    @pytest.mark.parametrize(
+        "metrics",
+        [
+            None,  # a version-2 bundle must carry its snapshot
+            {"metrics": []},
+            {"metrics": {"mithrilog_slo_alerts_firing": {"type": "counter",
+                                                         "samples": []}}},
+            {"metrics": {"mithrilog_slo_alerts_firing": {"type": "gauge"}}},
+        ],
+    )
+    def test_rejects_malformed_metrics(self, metrics):
+        bundle = self.make_bundle()
+        bundle["metrics"] = metrics
+        problems = validate_incident_bundle(bundle)
+        assert problems and all(p.startswith("metrics: ") for p in problems)
+
+    def test_check_refuses_a_version_1_bundle(self, tmp_path):
+        bundle = self.make_bundle()
+        bundle["version"] = 1
+        path = write_bundle(bundle, tmp_path)[0]
+        assert main([str(path)]) == 1
+        assert "unsupported mithrilog_incident_bundle version 1" in check_file(path)
+
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
     def corpus(self):
         return generator_for("Liberty2").generate(1500)
 
-    def test_faulted_service_run_produces_valid_bundle(self, corpus, tmp_path):
+    def faulted_run(self, corpus, out_dir):
+        """Build a monitored stack under its own registry, then serve a
+        faulted workload outside that block (as bench_slo_detection does)."""
         registry = MetricsRegistry()
         with use_registry(registry):
             from repro.obs.expose import bootstrap_families
@@ -216,17 +256,13 @@ class TestEndToEnd:
                 slow_passes=AtOperationsSchedule(range(5, 40)),
                 slowdown=8.0,
             )
-            sampler = MetricSampler(registry, interval_s=0.005)
-            monitor = SLOMonitor(
-                [twitchy_slo()], interval_s=0.005, sampler=sampler
-            )
+            monitor = SLOMonitor([twitchy_slo()], interval_s=0.005)
             recorder = FlightRecorder(
                 monitor,
-                sampler=sampler,
                 journal=journal,
                 fault_logs=[injector.log],
                 system=system,
-                out_dir=tmp_path,
+                out_dir=out_dir,
             )
             service = QueryService(
                 system,
@@ -236,20 +272,27 @@ class TestEndToEnd:
                 monitor=monitor,
                 fault_injector=injector,
             )
-            requests = open_loop_requests(
-                pool,
-                tenants,
-                offered_qps=700,
-                duration_s=0.4,
-                seed=0,
-                deadline_s=0.05,
-            )
-            service.run(requests)
+        requests = open_loop_requests(
+            pool,
+            tenants,
+            offered_qps=700,
+            duration_s=0.4,
+            seed=0,
+            deadline_s=0.05,
+        )
+        service.run(requests)
+        return monitor, journal, recorder
+
+    def test_faulted_service_run_produces_valid_bundle(self, corpus, tmp_path):
+        monitor, journal, recorder = self.faulted_run(corpus, tmp_path)
         fired = [a for a in monitor.alerts if a.fired_at_s is not None]
         assert fired, "fault injection should have tripped the SLO"
         assert recorder.bundles
         for bundle in recorder.bundles:
             assert validate_incident_bundle(bundle) == []
+            # the bound registry saw the run's per-resource utilization
+            resources = {s["labels"]["resource"] for s in bundle["utilization"]}
+            assert {"flash", "filter"} <= resources
         # the slow template section names a real journal template
         bundle = recorder.bundles[0]
         slow = bundle.get("slow_template")
@@ -258,3 +301,10 @@ class TestEndToEnd:
             if "explain" in slow:
                 assert identify(slow["explain"]).name == "explain report"
         assert recorder.written  # artifacts were written at fire time
+
+    def test_same_seed_runs_write_identical_bundles(self, corpus, tmp_path):
+        first = self.faulted_run(corpus, tmp_path / "a")[2].written
+        second = self.faulted_run(corpus, tmp_path / "b")[2].written
+        assert first and [p.name for p in first] == [p.name for p in second]
+        for a, b in zip(first, second):
+            assert a.read_bytes() == b.read_bytes()

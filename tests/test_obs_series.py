@@ -1,164 +1,84 @@
-"""Metric time-series: ring buffers, windowed rates, percentile snapshots."""
+"""Exported metric series: the ring of per-evaluation window values a
+:class:`~repro.stream.windows.WindowAggregator` exports, and the metrics
+registry a :class:`~repro.obs.recorder.FlightRecorder` samples when an
+alert fires.
+"""
 
 import pytest
 
+from repro.errors import QueryError
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.series import (
-    HistogramSnapshotSeries,
-    MetricSampler,
-    RingSeries,
-    SeriesError,
+from repro.obs.recorder import FlightRecorder
+from repro.obs.slo import SLO, SLOMonitor
+from repro.stream.windows import (
+    SERIES_POINTS,
+    WINDOW_AGGREGATES,
+    WindowAggregator,
+    WindowSpec,
 )
 
 
-class TestRingSeries:
-    def test_append_and_window(self):
-        s = RingSeries("x")
-        for i in range(5):
-            s.append(i * 0.1, float(i))
-        assert s.latest().value == 4.0
-        window = s.window(0.15, 0.35)
-        assert [p.value for p in window] == [2.0, 3.0]
+def points(agg, aggregate="count"):
+    return agg.to_dict()["series"][aggregate]["points"]
 
+
+class TestRingSeries:
     def test_time_must_not_go_backwards(self):
-        s = RingSeries("x")
-        s.append(1.0, 1.0)
-        with pytest.raises(SeriesError):
-            s.append(0.5, 2.0)
+        agg = WindowAggregator("x", WindowSpec(kind="sliding", width_s=1.0))
+        agg.observe(1.0, 1)
+        with pytest.raises(QueryError):
+            agg.observe(0.5, 2)
+        for aggregate in WINDOW_AGGREGATES:
+            assert [t for t, _ in points(agg, aggregate)] == [1.0]
 
     def test_same_instant_overwrites(self):
-        s = RingSeries("x")
-        s.append(1.0, 1.0)
-        s.append(1.0, 9.0)
-        assert len(s.points()) == 1
-        assert s.latest().value == 9.0
+        agg = WindowAggregator("x", WindowSpec(kind="sliding", width_s=1.0))
+        agg.observe(1.0, 1)
+        agg.observe(1.0, 8)
+        assert points(agg) == [[1.0, 9.0]]
+        assert agg.latest("count") == 9.0
 
     def test_ring_evicts_oldest(self):
-        s = RingSeries("x", max_points=3)
-        for i in range(10):
-            s.append(float(i), float(i))
-        assert [p.t_s for p in s.points()] == [7.0, 8.0, 9.0]
-
-    def test_value_at_steps(self):
-        s = RingSeries("x")
-        s.append(1.0, 10.0)
-        s.append(2.0, 20.0)
-        assert s.value_at(0.5) == 0.0  # before first sample
-        assert s.value_at(1.5) == 10.0
-        assert s.value_at(5.0) == 20.0
-
-    def test_counter_rate(self):
-        s = RingSeries("c_total", kind="counter")
-        s.append(0.0, 0.0)
-        s.append(1.0, 10.0)
-        s.append(2.0, 30.0)
-        assert s.delta(1.0, now_s=2.0) == pytest.approx(20.0)
-        assert s.rate(2.0, now_s=2.0) == pytest.approx(15.0)
+        agg = WindowAggregator("x", WindowSpec(kind="sliding", width_s=1.0))
+        for i in range(SERIES_POINTS + 3):
+            agg.observe(float(i), i)
+        times = [t for t, _ in points(agg)]
+        assert len(times) == SERIES_POINTS
+        assert times[:2] == [3.0, 4.0]
+        assert times[-1] == float(SERIES_POINTS + 2)
 
     def test_to_dict_windowed(self):
-        s = RingSeries("x", labels={"tenant": "t0"})
-        s.append(0.0, 1.0)
-        s.append(1.0, 2.0)
-        d = s.to_dict(start_s=0.5, end_s=2.0)
-        assert d["name"] == "x"
-        assert d["labels"] == {"tenant": "t0"}
-        assert d["points"] == [[1.0, 2.0]]
-
-
-class TestHistogramSnapshotSeries:
-    def make(self):
-        h = HistogramSnapshotSeries("lat", edges=(0.01, 0.1, float("inf")))
-        # cumulative bucket counts: 3 fast, 1 mid, 0 overflow
-        h.append(0.0, (0, 0, 0), 0.0, 0)
-        h.append(1.0, (3, 4, 4), 0.08, 4)
-        h.append(2.0, (3, 9, 10), 0.9, 10)
-        return h
-
-    def test_windowed_counts_are_deltas(self):
-        h = self.make()
-        buckets, sum_, count = h.windowed_counts(1.0, now_s=2.0)
-        assert buckets == [0, 5, 6]
-        assert sum_ == pytest.approx(0.82)
-        assert count == 6
-
-    def test_percentile_interpolates(self):
-        h = self.make()
-        # over the full run: 3 below 10 ms, 9 below 100 ms, 10 total
-        p50 = h.windowed_percentile(0.5, window_s=10.0, now_s=2.0)
-        assert 0.01 <= p50 <= 0.1
-        assert h.windowed_percentile(0.99, window_s=10.0, now_s=2.0) > p50
-
-    def test_percentile_empty_window_is_none(self):
-        h = self.make()
-        assert h.windowed_percentile(0.5, window_s=0.1, now_s=10.0) is None
-
-    def test_percentile_bounds_checked(self):
-        h = self.make()
-        with pytest.raises(SeriesError):
-            h.windowed_percentile(1.5, window_s=1.0, now_s=2.0)
-
-    def test_to_dict_encodes_inf_edge(self):
-        d = self.make().to_dict()
-        assert d["edges"][-1] == "inf"
+        # each exported point is the window value at its instant, so
+        # matches that leave the sliding window leave the series too
+        agg = WindowAggregator("q", WindowSpec(kind="sliding", width_s=0.1))
+        agg.observe(0.0, 5)
+        agg.observe(0.05, 2)
+        agg.observe(0.1, 0)
+        series = agg.to_dict()["series"]["count"]
+        assert series["name"] == "stream_window_count"
+        assert series["labels"] == {"query": "q"}
+        assert series["points"] == [[0.0, 5.0], [0.05, 7.0], [0.1, 2.0]]
 
 
 class TestMetricSampler:
-    def test_samples_counters_and_gauges(self):
-        registry = MetricsRegistry()
-        c = registry.counter("req_total", labelnames=("tenant",))
-        g = registry.gauge("depth")
-        sampler = MetricSampler(registry, interval_s=0.01)
-        c.inc(3, tenant="t0")
-        g.set(7.0)
-        sampler.sample(0.0)
-        c.inc(5, tenant="t0")
-        sampler.sample(0.02)
-        assert sampler.rate("req_total", window_s=0.02, now_s=0.02,
-                            labels={"tenant": "t0"}) == pytest.approx(250.0)
-        series = sampler.series("depth")
-        assert series.latest().value == 7.0
-
-    def test_maybe_sample_respects_cadence(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total").inc()
-        sampler = MetricSampler(registry, interval_s=0.01)
-        assert sampler.maybe_sample(0.0)
-        assert not sampler.maybe_sample(0.005)
-        assert sampler.maybe_sample(0.011)
-        assert sampler.samples_taken == 2
-
-    def test_histogram_percentile_from_snapshots(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("lat_seconds", buckets=(0.01, 0.1))
-        sampler = MetricSampler(registry, interval_s=0.01)
-        sampler.sample(0.0)
-        for _ in range(9):
-            h.observe(0.005)
-        h.observe(0.05)
-        sampler.sample(0.02)
-        p50 = sampler.percentile("lat_seconds", 0.5, window_s=0.1, now_s=0.02)
-        assert p50 is not None and p50 <= 0.01
-        p99 = sampler.percentile("lat_seconds", 0.99, window_s=0.1, now_s=0.02)
-        assert p99 > p50
-
     def test_uses_active_registry_by_default(self):
         registry = MetricsRegistry()
         with use_registry(registry):
             registry.counter("c_total").inc()
-            sampler = MetricSampler(interval_s=0.01)
-            sampler.sample(0.0)
-        assert sampler.series("c_total") is not None
-
-    def test_to_dict_round_trips_json(self):
-        import json
-
-        registry = MetricsRegistry()
-        registry.counter("c_total").inc()
-        registry.histogram("h_seconds", buckets=(1.0,)).observe(0.5)
-        sampler = MetricSampler(registry, interval_s=0.01)
-        sampler.sample(0.0)
-        payload = sampler.to_dict()
-        json.dumps(payload)
-        assert payload["samples_taken"] == 1
-        assert any(s["name"] == "c_total" for s in payload["series"])
-        assert any(h["name"] == "h_seconds" for h in payload["histograms"])
+            slo = SLO(
+                name="avail",
+                objective="availability",
+                target=0.9,
+                fast_window_s=0.05,
+                slow_window_s=0.25,
+                burn_threshold=2.0,
+                resolve_after_s=0.1,
+            )
+            monitor = SLOMonitor([slo], interval_s=0.005)
+            recorder = FlightRecorder(monitor)
+        assert recorder.registry is registry
+        for i in range(50):
+            outcome = "ok" if i < 10 else "shed"
+            monitor.observe("t0", outcome, 0.001, now_s=i * 0.005)
+        metrics = recorder.bundles[0]["metrics"]["metrics"]
+        assert metrics["c_total"]["samples"] == [{"labels": {}, "value": 1.0}]

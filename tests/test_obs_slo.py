@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import QueryError
 from repro.obs.check import identify
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.slo import (
@@ -231,7 +232,6 @@ class TestReplay:
         journal = QueryJournal()
         t = 0.0
         for i in range(30):
-            journal.note_submitted("t0")
             journal.observe_direct(
                 "q",
                 latency_s=0.001,
@@ -241,7 +241,55 @@ class TestReplay:
                 tenant="t0",
             )
             t += 0.005
+        assert journal.conserved()
         monitor = SLOMonitor([availability_slo()], interval_s=0.005)
         replay_journal(monitor, journal)
         assert monitor.state_of("avail") is AlertState.OK
         assert monitor.evaluations > 0
+
+
+class TestIntake:
+    """Every settled request reaches the monitor as its journal record."""
+
+    def test_monitor_without_journal_is_refused(self):
+        from repro.core.query import parse_query
+        from repro.service import QueryService, make_tenants, run_sweep
+        from repro.system.mithrilog import MithriLogSystem
+
+        system = MithriLogSystem()
+        system.ingest([b"a b c"])
+        tenants = make_tenants(1)
+        monitor = SLOMonitor([availability_slo()])
+        with pytest.raises(QueryError, match="monitor=.*journal="):
+            QueryService(system, tenants, monitor=monitor)
+        service = QueryService(system, tenants)
+        service.monitor = monitor  # assigned after construction
+        with pytest.raises(QueryError, match="monitor=.*journal="):
+            service.run()
+        with pytest.raises(QueryError, match="monitor=.*journal="):
+            run_sweep(
+                lambda: QueryService(system, tenants),
+                [parse_query("a")],
+                tenants,
+                capacity_qps=100.0,
+                load_multiples=(1.0,),
+                monitor=monitor,
+            )
+
+    def test_observe_record_reads_the_record(self):
+        from repro.obs.journal import QueryJournal
+
+        journal = QueryJournal()
+        record = journal.observe_direct(
+            "q", latency_s=0.2, matches=1, stage="flash",
+            completed_at_s=0.5, tenant="t0",
+        )
+        monitor = SLOMonitor(
+            [availability_slo(), availability_slo(
+                name="lat", objective="latency", latency_threshold_s=0.1
+            )]
+        )
+        monitor.observe_record(record)
+        assert monitor.budget("avail")["bad_events"] == 0
+        assert monitor.budget("lat")["bad_events"] == 1
+        assert monitor.evaluations == 1

@@ -1,13 +1,15 @@
 """Property tests for the live SLO engine.
 
-Two load-bearing invariants, pinned with hypothesis over randomized
+Three load-bearing invariants, pinned with hypothesis over randomized
 service workloads (with and without injected faults):
 
 1. **determinism** — identical seeds and traffic produce identical
    alert timelines, transition for transition;
 2. **budget reconciliation** — the monitor's error-budget arithmetic
    agrees with the query journal's intake tallies: every in-scope
-   settled event the journal counted is an event the monitor counted.
+   settled event the journal counted is an event the monitor counted;
+3. **live equals replay** — replaying the run's journal into a fresh
+   monitor reproduces the live alert timeline and alerts.
 """
 
 import pytest
@@ -17,7 +19,7 @@ from repro.datasets.synthetic import generator_for
 from repro.faults.injectors import ServiceFaultInjector
 from repro.faults.schedules import AtOperationsSchedule
 from repro.obs.journal import QueryJournal
-from repro.obs.slo import SLO, SLOMonitor
+from repro.obs.slo import SLO, SLOMonitor, replay_journal
 from repro.service import (
     QueryService,
     make_tenants,
@@ -168,3 +170,30 @@ class TestBudgetReconciliation:
             slo_budget = monitor.budget(alert.slo)
             assert alert.budget_total_events <= slo_budget["total_events"]
             assert alert.budget_bad_events <= slo_budget["bad_events"]
+
+
+class TestLiveEqualsReplay:
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(spec=workload)
+    def test_replayed_timeline_equals_live(self, corpus, tenants, pool, spec):
+        seed, qps, fault_window = spec
+        requests = open_loop_requests(
+            pool,
+            tenants,
+            offered_qps=qps,
+            duration_s=0.1,
+            seed=seed,
+            deadline_s=0.04,
+        )
+        live, journal, _ = run_once(corpus, tenants, requests, fault_window)
+        replayed = replay_journal(
+            SLOMonitor(make_slos(), interval_s=live.interval_s), journal
+        )
+        assert replayed.timeline() == live.timeline()
+        assert [a.to_dict() for a in replayed.alerts] == [
+            a.to_dict() for a in live.alerts
+        ]

@@ -4,13 +4,12 @@ batch recompute over the full event history, for any append schedule and
 both window kinds.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import QueryError
 from repro.stream.windows import (
+    SERIES_POINTS,
     WINDOW_AGGREGATES,
     WindowAggregator,
     WindowSpec,
@@ -96,6 +95,8 @@ class TestWindowAggregator:
         agg.observe(1.0, 0)
         with pytest.raises(QueryError):
             agg.observe(0.5, 0)
+        # the refused observation left no point in the export ring
+        assert agg.to_dict()["series"]["count"]["points"] == [[1.0, 0.0]]
 
     def test_negative_matches_rejected(self):
         with pytest.raises(QueryError):
@@ -110,16 +111,26 @@ class TestWindowAggregator:
         assert agg.latest("count") is None
         agg.observe(0.1, 4)
         assert agg.latest("count") == 4.0
+        # a second evaluation at the same instant overwrites the point
+        agg.observe(0.1, 5)
+        assert agg.latest("count") == 9.0
+        assert agg.to_dict()["series"]["count"]["points"] == [[0.1, 9.0]]
 
     def test_pruning_never_touches_the_live_window(self):
         agg = self.agg(width_s=0.01)
-        for i in range(200):
+        n = SERIES_POINTS + 88
+        for i in range(n):
             agg.observe(i * 0.005, 1)
         # far more observations than the ring retains, yet the live
         # window (trailing 10 ms = the last two observations) is exact
-        assert agg.value("count", 199 * 0.005) == 2.0
-        assert agg.matches_total == 200
-        assert agg.evaluations == 200
+        assert agg.value("count", (n - 1) * 0.005) == 2.0
+        assert agg.matches_total == n
+        assert agg.evaluations == n
+        # the export ring evicted the oldest points, keeping the newest
+        points = agg.to_dict()["series"]["count"]["points"]
+        assert len(points) == SERIES_POINTS
+        assert points[0][0] == (n - SERIES_POINTS) * 0.005
+        assert points[-1][0] == (n - 1) * 0.005
 
     def test_to_dict_shape(self):
         agg = self.agg()
@@ -128,6 +139,12 @@ class TestWindowAggregator:
         assert payload["evaluations"] == 1
         assert payload["matches_total"] == 2
         assert set(payload["series"]) == set(WINDOW_AGGREGATES)
+        assert payload["series"]["rate"] == {
+            "name": "stream_window_rate",
+            "labels": {"query": "q"},
+            "kind": "gauge",
+            "points": [[0.1, 2.0]],
+        }
 
 
 def batch_recompute(spec, events, aggregate, now_s):

@@ -176,6 +176,45 @@ class LZAHCompressor(Compressor):
             out += (header, body, bytes(-(header_bytes + len(body)) % w))
         return b"".join(out)
 
+    def cut(self, stream: bytes, prefix: bytes) -> bytes:
+        """``compress(prefix)``, cut from ``stream``, the encode of a text
+        that begins with ``prefix``, without encoding again.
+
+        With newline realignment every line pads to whole words and the
+        table evolves word by word from the start, so a prefix that ends
+        just after a ``\\n`` encodes to the first pairs of the whole
+        text's encode. Its whole chunks are the stream's own; the last
+        chunk keeps its header's low bits and their payloads, and the
+        declared length, pair count and CRC are the prefix's.
+        """
+        p = self.params
+        if not p.newline_realign or prefix[-1:] not in (b"", b"\n"):
+            raise ValueError("only a line-aligned prefix of a realigned text cuts")
+        w, per_chunk = p.word_bytes, p.pairs_per_chunk
+        header_bytes = per_chunk // 8
+        lines = prefix.split(b"\n")
+        lines.pop()  # the empty text after the last "\n"
+        pairs = sum([len(line) // w for line in lines]) + len(lines)
+        out = [n.to_bytes(4, "little") for n in (len(prefix), pairs, zlib.crc32(prefix))]
+        pos = _LEN_HEADER
+        for _ in range(pairs // per_chunk):  # whole chunks stay as they are
+            matches = int.from_bytes(stream[pos : pos + header_bytes], "little").bit_count()
+            size = header_bytes + matches * _INDEX_BYTES + (per_chunk - matches) * w
+            pos += size + -size % w
+        out.append(stream[_LEN_HEADER:pos])
+        left = pairs % per_chunk
+        if left:
+            flags = int.from_bytes(stream[pos : pos + header_bytes], "little") & ((1 << left) - 1)
+            matches = flags.bit_count()
+            body = matches * _INDEX_BYTES + (left - matches) * w
+            pos += header_bytes
+            out += (
+                flags.to_bytes(header_bytes, "little"),
+                stream[pos : pos + body],
+                bytes(-(header_bytes + body) % w),
+            )
+        return b"".join(out)
+
     # -- decoding ----------------------------------------------------------
 
     def decompress(self, data: bytes) -> bytes:

@@ -11,7 +11,9 @@ Each row holds the paper's small ingest state: a 16-address buffer, the
 partially-built root node, the list head, and the counter. On the host a
 row is a slotted record whose partial root is the shared empty tuple
 until its first leaf spills, and a checkpoint writes the table as packed
-u32 columns.
+u32 columns. The table keeps a running count of the u32 words its rows
+model, updated where rows, buffers and partial roots change, so reading
+the footprint costs nothing per row.
 """
 
 from __future__ import annotations
@@ -74,6 +76,10 @@ class HashIndexTable:
         self.params = params if params is not None else IndexParams()
         self.seed = seed
         self._rows: dict[int, RowState] = {}
+        #: The modelled table's u32 words, kept as rows change:
+        #: ``4 * words == memory_footprint_bytes()`` (the walk it is
+        #: tested against).
+        self.words = 0
         # the keyed, salted hash states, set up once: hashing a token is
         # a copy + update, bit-identical to building the state per call
         self._hashers = tuple(
@@ -95,20 +101,8 @@ class HashIndexTable:
             rows.append(int.from_bytes(state.digest(), "little") & mask)
         return tuple(rows)
 
-    def row(self, row_id: int) -> RowState:
-        state = self._rows.get(row_id)
-        if state is None:
-            state = RowState()
-            self._rows[row_id] = state
-        return state
-
     def peek_row(self, row_id: int) -> Optional[RowState]:
         return self._rows.get(row_id)
-
-    def choose_insert_row(self, token: bytes) -> int:
-        """Two-choice balancing: insert into the lighter row (Section 6.2)."""
-        candidates = self.candidate_rows(token)
-        return min(candidates, key=lambda r: self.row(r).total_pages)
 
     def insert(self, token: bytes, page_addr: int, store: TreeListStore) -> None:
         """Record that ``token`` occurs in data page ``page_addr``."""
@@ -140,12 +134,14 @@ class HashIndexTable:
                 candidate = rows.get(row_id)
                 if candidate is None:
                     candidate = rows[row_id] = RowState()
+                    self.words += 2  # its head and counter
                 if row is None or candidate.total_pages < row.total_pages:
                     row = candidate
             buffer = row.buffer
             if buffer and buffer[-1] == page_addr:
                 continue  # this page is already recorded for this row
             buffer.append(page_addr)
+            self.words += 1
             row.total_pages += 1
             if len(buffer) == buffer_addrs:
                 self._spill_buffer(row, store)
@@ -153,6 +149,7 @@ class HashIndexTable:
     def _spill_buffer(self, row: RowState, store: TreeListStore) -> None:
         # buffers larger than a leaf (naive-list ablation configs) chunk
         # into several leaves; the prototype's 16-entry buffer fills one
+        held = len(row.buffer) + len(row.partial_root)
         for base in range(0, len(row.buffer), NODE_FANOUT):
             leaf_id = store.write_leaf(row.buffer[base : base + NODE_FANOUT])
             if row.partial_root:
@@ -165,6 +162,7 @@ class HashIndexTable:
                 )
                 row.partial_root = ()
         row.buffer = []
+        self.words += len(row.partial_root) - held
 
     def flush_all(self, store: TreeListStore) -> None:
         """Persist every partial buffer/root (snapshot or shutdown path)."""
@@ -175,6 +173,7 @@ class HashIndexTable:
                 row.head_root = store.write_root(
                     row.partial_root, next_root=row.head_root
                 )
+                self.words -= len(row.partial_root)
                 row.partial_root = ()
         store.flush()
 
@@ -226,6 +225,7 @@ class HashIndexTable:
             at_buffer += buffer_length
             at_root += root_length
         self._rows = rows
+        self.words = 2 * len(rows) + len(buffers) + len(roots)
 
     @property
     def rows_in_use(self) -> int:
@@ -233,5 +233,8 @@ class HashIndexTable:
 
     def memory_footprint_bytes(self) -> int:
         """The modelled table, in bytes of u32 words: per row its buffer
-        and partial-root entries, head and counter (not host bytes)."""
+        and partial-root entries, head and counter (not host bytes).
+
+        A walk over every row: the reference :attr:`words` is tested
+        against, and what the probe's gauge reads."""
         return sum(r.memory_footprint_bytes() for r in self._rows.values())

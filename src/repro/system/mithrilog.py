@@ -387,7 +387,7 @@ class MithriLogSystem:
             original_bytes=original,
             compressed_bytes=compressed_total,
             pages_written=pages,
-            index_memory_bytes=self.index.memory_footprint_bytes(),
+            index_memory_bytes=self.index.counted_footprint_bytes(),
             postings_inserted=postings,
             storage_time_s=self.params.storage.flash_seconds(compressed_total),
             compress_time_s=original
@@ -424,12 +424,18 @@ class MithriLogSystem:
         """Pack lines so each chunk's *compressed* form fills one page.
 
         Greedy with feedback: aim for ``page_bytes x current-ratio`` of
-        uncompressed text, compress, and split the chunk when it misses
-        high. Yields ``(payload, text, line count)`` per page: ``text``
-        is the newline-terminated chunk, ``payload`` its compressed form,
-        and every payload fits one flash page.
+        uncompressed text, compress, and halve the chunk while it misses
+        high. A half is a line-aligned prefix, so with newline
+        realignment its payload is cut from the encode just done
+        (:meth:`LZAHCompressor.cut`) and each page costs one
+        ``compress``; without it the half is encoded again. Yields
+        ``(payload, text, line count)`` per page: ``text`` is the
+        newline-terminated chunk, ``payload`` its compressed form, and
+        every payload fits one flash page.
         """
         page_bytes = self.params.storage.page_bytes
+        codec = self.codec
+        realign = codec.params.newline_realign
         ratio_estimate = 2.0
         i = 0
         n = len(lines)
@@ -443,7 +449,7 @@ class MithriLogSystem:
                 used += len(lines[j]) + 1
                 j += 1
             text = b"\n".join(chunk) + b"\n"
-            payload = self.codec.compress(text)
+            payload = codec.compress(text)
             while len(payload) > page_bytes:
                 if len(chunk) == 1:
                     raise IngestError(
@@ -452,7 +458,9 @@ class MithriLogSystem:
                     )
                 chunk = chunk[: len(chunk) // 2]
                 text = b"\n".join(chunk) + b"\n"
-                payload = self.codec.compress(text)
+                payload = (
+                    codec.cut(payload, text) if realign else codec.compress(text)
+                )
             ratio_estimate = 0.5 * ratio_estimate + 0.5 * (len(text) / len(payload))
             yield payload, text, len(chunk)
             i += len(chunk)

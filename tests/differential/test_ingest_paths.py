@@ -10,16 +10,29 @@ counterpart, and these tests hold them to it exactly:
 - :meth:`HashIndexTable.insert_page` against the per-token insert it
   replaced (kept here verbatim), down to row creation order and the
   bytes of the leaf/root pools;
+- the table's running word count against the walk over every row;
 - the array-form cycle model against the scalar loops, which are also
   what runs when numpy is missing;
-- one whole ingest with numpy and with numpy masked.
+- one whole ingest with numpy and with numpy masked;
+- every ``IngestReport``'s index footprint against the walk, on every
+  route into ``MithriLogSystem.ingest``;
+- a re-split page cut from the encode already done against encoding the
+  half again (:meth:`LZAHCompressor.cut`, and ``_pack_pages`` against
+  the re-encoding loop it replaced, kept here verbatim).
 
-Nothing here needs numpy to *run*: without it both sides of the last two
-groups take the scalar path and the comparisons hold trivially, so the
-no-numpy CI leg still exercises the page-token and insert differentials.
+A last test guards the cost without a clock: no ingest walks the table,
+and each page written costs one ``compress``.
+
+Nothing here needs numpy to *run*: without it both sides of the cycle
+model and whole-ingest groups take the scalar path and the comparisons
+hold trivially, so the no-numpy CI leg still exercises the rest.
 """
 
+import collections
+import functools
 import hashlib
+import itertools
+import json
 import random
 import tracemalloc
 
@@ -32,18 +45,29 @@ try:
 except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
+from repro.compression.lzah import LZAHCompressor
 from repro.core import backend as backend_mod
 from repro.core.backend import numpy_or_none
 from repro.core.tokenizer import page_token_set, tokenize_page
 from repro.datasets.synthetic import generator_for
 from repro.hw import perf as perf_mod
 from repro.hw.perf import PipelineCycleModel, measure_tokenized_stats
-from repro.index.hashindex import HashIndexTable
+from repro.index.hashindex import HashIndexTable, RowState
 from repro.index.storetree import TreeListStore
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.params import PAGE_BYTES, IndexParams, PipelineParams, StorageParams
+from repro.params import (
+    PAGE_BYTES,
+    IndexParams,
+    LZAHParams,
+    PipelineParams,
+    StorageParams,
+    SystemParams,
+)
 from repro.storage.flash import FlashArray
 from repro.system.mithrilog import MithriLogSystem
+from repro.system.persistence import load_store, save_store
+from repro.system.streaming import StreamingIngestor
+from repro.system.wal import JournaledMithriLog
 
 needs_numpy = pytest.mark.skipif(
     numpy_or_none() is None, reason="the array form needs numpy"
@@ -117,8 +141,11 @@ def _insert_per_token(table, token, page_addr, store):
         ).digest()
         return int.from_bytes(digest, "little") & (table.params.hash_rows - 1)
 
+    def row_of(row_id):  # ``HashIndexTable.row`` as it was: creates on read
+        return table._rows.setdefault(row_id, RowState())
+
     candidates = tuple(hashed(w) for w in range(table.params.num_hash_functions))
-    row = table.row(min(candidates, key=lambda r: table.row(r).total_pages))
+    row = row_of(min(candidates, key=lambda r: row_of(r).total_pages))
     if row.buffer and row.buffer[-1] == page_addr:
         return
     row.buffer.append(page_addr)
@@ -198,7 +225,87 @@ class TestInsertPage:
         rows = table.candidate_rows(b"kernel")
         assert len(rows) == 2
         assert [r for r in rows if table.peek_row(r).buffer == [5]] == [rows[0]]
-        assert table.choose_insert_row(b"kernel") == rows[1]  # now the lighter
+        table.insert_page([b"kernel"], 6, store)  # the second is now lighter
+        assert [table.peek_row(r).buffer for r in rows] == [[5], [6]]
+
+
+# ---------------------------------------------------------------------------
+# running word count
+# ---------------------------------------------------------------------------
+
+#: few tokens over a tiny table, so tokens share rows and rows fill
+_COUNT_VOCAB = [b"t%d" % i for i in range(12)]
+_COUNT_PARAMS = [
+    IndexParams(hash_rows=8, num_hash_functions=hashes, memory_buffer_addrs=addrs)
+    for hashes in (1, 2)
+    for addrs in (4, 16, 40)
+]
+
+
+def _step(table, store, kind, tokens, addr):
+    """Apply one step; a restore hands back the rebuilt table, which the
+    steps after it continue on."""
+    if kind == "page":
+        table.insert_page(tokens, addr, store)
+    elif kind == "insert":
+        for token in tokens:
+            table.insert(token, addr, store)
+    elif kind == "flush":
+        table.flush_all(store)
+    else:
+        table, image = HashIndexTable(table.params, table.seed), table.to_state()
+        table.restore_state(json.loads(json.dumps(image)))
+    return table
+
+
+def _assert_count_is_the_walk(params, ops):
+    """After every step, the running count is the walk, in u32 words.
+    ``ops`` are ``(kind, tokens, same page)``: an insert on the same page
+    as the one before repeats that page. Returns how many roots inserts
+    filled (as opposed to flushes writing partial ones)."""
+    table, store, _flash = _table_and_store(params, seed=3)
+    addr = filled_roots = 0
+    for kind, tokens, same_page in ops:
+        addr += not same_page
+        roots = store.roots.nodes_written
+        table = _step(table, store, kind, tokens, addr)
+        assert 4 * table.words == table.memory_footprint_bytes(), kind
+        if kind != "flush":
+            filled_roots += store.roots.nodes_written - roots
+    return filled_roots
+
+
+class TestRunningWordCount:
+    @pytest.mark.parametrize(
+        "params", _COUNT_PARAMS,
+        ids=lambda p: f"h{p.num_hash_functions}-b{p.memory_buffer_addrs}",
+    )
+    def test_equals_the_walk_through_spills_roots_and_restores(self, params):
+        rng = random.Random(params.memory_buffer_addrs * 10 + params.num_hash_functions)
+        kinds = ["page"] * 400 + ["insert"] * 20 + ["flush", "restore", "restore"]
+        ops = [
+            (rng.choice(kinds), rng.sample(_COUNT_VOCAB, rng.randrange(13)),
+             rng.random() < 0.2)
+            for _ in range(3000)
+        ]
+        assert _assert_count_is_the_walk(params, ops) > 0  # rows filled roots
+
+    if HAVE_HYPOTHESIS:
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            params=st.sampled_from(_COUNT_PARAMS),
+            ops=st.lists(
+                st.tuples(
+                    st.sampled_from(["page"] * 3 + ["insert", "flush", "restore"]),
+                    st.lists(st.sampled_from(_COUNT_VOCAB), max_size=12),
+                    st.booleans(),
+                ),
+                max_size=80,
+            ),
+        )
+        def test_equals_the_walk_after_any_steps(self, params, ops):
+            _assert_count_is_the_walk(params, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +481,281 @@ def test_whole_ingest_is_the_same_with_numpy_masked(monkeypatch):
     monkeypatch.setattr(backend_mod, "_NUMPY", False)
     without = _ingest_everything(batches)
     assert with_numpy == without
+
+
+# ---------------------------------------------------------------------------
+# ingest reports
+# ---------------------------------------------------------------------------
+
+#: small tables with small buffers, so a few thousand lines spill leaves,
+#: fill leaf pages and take snapshot flushes
+_ROUTE_PARAMS = SystemParams(
+    index=IndexParams(hash_rows=64, memory_buffer_addrs=4, snapshot_leaf_threshold=1)
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus(dataset):
+    return tuple(generator_for(dataset, seed=5).generate(1500))
+
+
+def _record_ingests(monkeypatch, walk):
+    """Wrap ``MithriLogSystem.ingest``: every report it returns, beside
+    the table walk taken right after it when ``walk``."""
+    seen = []
+    ingest = MithriLogSystem.ingest
+
+    def recorded(self, *args, **kwargs):
+        report = ingest(self, *args, **kwargs)
+        seen.append((report, self.index.memory_footprint_bytes() if walk else None))
+        return report
+
+    monkeypatch.setattr(MithriLogSystem, "ingest", recorded)
+    return seen
+
+
+def _drive_every_ingest_route(store_dir, batches, params, snapshot_every_s):
+    """Send ``batches`` down each route to ``MithriLogSystem.ingest``:
+    timestamped ingests (snapshot flushes inside the index), a journaled
+    system across ``checkpoint`` and ``recover`` (whose replay ingests),
+    an ingest after ``load_store``, and ``StreamingIngestor`` flushes with
+    snapshots between them. Returns the last system."""
+    clock = itertools.count()
+
+    def stamps(batch):
+        return [float(next(clock)) for _ in batch]
+
+    half = len(batches) // 2
+    journaled = JournaledMithriLog(store_dir / "journal", MithriLogSystem(params, seed=5))
+    for batch in batches[:half]:
+        journaled.ingest(batch, stamps(batch))
+    journaled.checkpoint()
+    for batch in batches[half:]:
+        journaled.ingest(batch, stamps(batch))
+    recovered = JournaledMithriLog.recover(store_dir / "journal", seed=5).system
+    recovered.ingest(batches[0], stamps(batches[0]))
+    save_store(recovered, store_dir / "saved")
+    loaded = load_store(store_dir / "saved", seed=5)
+    loaded.ingest(batches[-1])
+    stream = StreamingIngestor(loaded, batch_lines=700, snapshot_every_s=snapshot_every_s)
+    for batch in batches:
+        stream.extend(batch, stamps(batch))
+        stream.flush()
+    return loaded
+
+
+_MIXED_BATCHES = [
+    _corpus("BGL2" if i % 2 else "Liberty2")[i // 2 * 500 : (i // 2 + 1) * 500]
+    for i in range(6)
+]
+
+
+class TestIngestReportFootprint:
+    def test_every_route_reports_the_walk(self, tmp_path, monkeypatch):
+        seen = _record_ingests(monkeypatch, walk=True)
+        system = _drive_every_ingest_route(tmp_path, _MIXED_BATCHES, _ROUTE_PARAMS, 300)
+        # 6 journaled, 3 replayed, 1 after recovery, 1 after loading and
+        # the stream's flushes, many of those past a snapshot flush
+        assert len(seen) > 11 and system.index.snapshots.snapshots
+        assert [report.index_memory_bytes for report, _ in seen] == [
+            walk for _, walk in seen
+        ]
+
+    if HAVE_HYPOTHESIS:
+
+        @settings(max_examples=8, deadline=None)
+        @given(
+            batches=st.lists(
+                st.tuples(
+                    st.sampled_from(["Liberty2", "BGL2"]),
+                    st.integers(0, 1000),
+                    st.integers(1, 500),
+                ).map(lambda b: _corpus(b[0])[b[1] : b[1] + b[2]]),
+                min_size=1,
+                max_size=5,
+            ),
+            buffer_addrs=st.sampled_from([4, 16]),
+            snapshot_every_s=st.sampled_from([50, 2000]),
+        )
+        def test_every_route_reports_the_walk_on_any_batches(
+            self, tmp_path_factory, batches, buffer_addrs, snapshot_every_s
+        ):
+            params = SystemParams(
+                index=IndexParams(
+                    hash_rows=64,
+                    memory_buffer_addrs=buffer_addrs,
+                    snapshot_leaf_threshold=1,
+                )
+            )
+            with pytest.MonkeyPatch.context() as patch:
+                seen = _record_ingests(patch, walk=True)
+                _drive_every_ingest_route(
+                    tmp_path_factory.mktemp("routes"), batches, params, snapshot_every_s
+                )
+            assert [report.index_memory_bytes for report, _ in seen] == [
+                walk for _, walk in seen
+            ]
+
+
+# ---------------------------------------------------------------------------
+# re-split pages
+# ---------------------------------------------------------------------------
+
+
+def _pack_pages_reencoding(system, lines):
+    """``MithriLogSystem._pack_pages`` as it was, encoding every half
+    again: the page-boundary oracle."""
+    page_bytes = system.params.storage.page_bytes
+    ratio_estimate = 2.0
+    i = 0
+    n = len(lines)
+    while i < n:
+        target = max(1, int(page_bytes * ratio_estimate * 0.9))
+        chunk = []
+        used = 0
+        j = i
+        while j < n and (used + len(lines[j]) + 1 <= target or not chunk):
+            chunk.append(lines[j])
+            used += len(lines[j]) + 1
+            j += 1
+        text = b"\n".join(chunk) + b"\n"
+        payload = system.codec.compress(text)
+        while len(payload) > page_bytes:
+            chunk = chunk[: len(chunk) // 2]
+            text = b"\n".join(chunk) + b"\n"
+            payload = system.codec.compress(text)
+        ratio_estimate = 0.5 * ratio_estimate + 0.5 * (len(text) / len(payload))
+        yield payload, text, len(chunk)
+        i += len(chunk)
+
+
+_CUT_PARAMS = [
+    LZAHParams(word_bytes=w, pairs_per_chunk=chunk, hash_table_bytes=slots * w)
+    for w in (8, 16)
+    for chunk in (8, 128)
+    for slots in (4, 4096)
+]
+
+
+def _assert_every_prefix_cuts(params, lines):
+    codec = LZAHCompressor(params)
+    stream = codec.compress(b"".join(line + b"\n" for line in lines))
+    for k in range(len(lines) + 1):
+        prefix = b"".join(line + b"\n" for line in lines[:k])
+        assert codec.cut(stream, prefix) == codec.compress(prefix), k
+
+
+def _small_page_system(realign):
+    """256-byte pages, so short lines overflow a page and re-split."""
+    return MithriLogSystem(
+        SystemParams(
+            lzah=LZAHParams(newline_realign=realign),
+            storage=StorageParams(page_bytes=256),
+        )
+    )
+
+
+class TestResplitPages:
+    @pytest.mark.parametrize(
+        "params", _CUT_PARAMS,
+        ids=lambda p: f"w{p.word_bytes}-c{p.pairs_per_chunk}-s{p.hash_table_slots}",
+    )
+    def test_cut_is_the_encode_of_the_prefix(self, params):
+        w = params.word_bytes
+        # 1-pair lines: prefixes end on every chunk boundary
+        lines = [b"", b"a" * (w - 1), b"b" * w, b"c" * (w + 1), b"d" * 3 * w]
+        lines += [b"x%d" % (i % 5) for i in range(2 * 128 + 3)]
+        _assert_every_prefix_cuts(params, lines)
+
+    def test_only_a_line_aligned_prefix_of_a_realigned_text_cuts(self):
+        text = b"alpha\nbeta\n"
+        codec = LZAHCompressor()
+        with pytest.raises(ValueError):
+            codec.cut(codec.compress(text), b"alpha")
+        fixed = LZAHCompressor(LZAHParams(newline_realign=False))
+        with pytest.raises(ValueError):
+            fixed.cut(fixed.compress(text), b"alpha\n")
+
+    @pytest.mark.parametrize("realign", [True, False])
+    def test_pages_are_the_reencoding_loops(self, realign, monkeypatch):
+        system = _small_page_system(realign)
+        lines = [line[:120] for line in _corpus("Liberty2")[:300] + _corpus("BGL2")[:300]]
+        calls = collections.Counter()
+        for name in ("compress", "cut"):
+            method = getattr(system.codec, name)
+            monkeypatch.setattr(
+                system.codec, name,
+                lambda *args, _m=method, _n=name: calls.update([_n]) or _m(*args),
+            )
+        pages = list(system._pack_pages(lines))
+        # one encode a page with realignment, the halves cut from it;
+        # without it every half is encoded again
+        if realign:
+            assert calls["compress"] == len(pages) and calls["cut"] > 0
+        else:
+            assert calls["compress"] > len(pages) and not calls["cut"]
+        monkeypatch.undo()
+        assert pages == list(_pack_pages_reencoding(system, lines))
+
+    if HAVE_HYPOTHESIS:
+        _LINE = st.one_of(
+            st.sampled_from([0, 7, 8, 15, 16, 17, 32]), st.integers(0, 48)
+        ).flatmap(
+            lambda n: st.lists(
+                st.sampled_from(b"ab \0\r\t\xff"), min_size=n, max_size=n
+            ).map(bytes)
+        )
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            params=st.sampled_from(_CUT_PARAMS),
+            lines=st.lists(_LINE, min_size=1, max_size=12).flatmap(
+                lambda pool: st.lists(st.sampled_from(pool), max_size=200)
+            ),
+        )
+        def test_cut_is_the_encode_of_any_prefix(self, params, lines):
+            _assert_every_prefix_cuts(params, lines)
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            realign=st.booleans(),
+            lines=st.lists(_LINE, min_size=1, max_size=20).flatmap(
+                lambda pool: st.lists(st.sampled_from(pool), max_size=120)
+            ),
+        )
+        def test_pages_are_the_reencoding_loops_on_any_lines(self, realign, lines):
+            system = _small_page_system(realign)
+            assert list(system._pack_pages(lines)) == list(
+                _pack_pages_reencoding(system, lines)
+            )
+
+
+# ---------------------------------------------------------------------------
+# what ingest pays for
+# ---------------------------------------------------------------------------
+
+
+def test_ingest_never_walks_the_table_and_encodes_each_page_once(
+    tmp_path, monkeypatch
+):
+    """A cost guard without a clock: no ingest route reaches the table
+    walk, and each page written costs one ``compress``, re-splits
+    included."""
+
+    def walk(_table):
+        raise AssertionError("an ingest walked every hash row")
+
+    monkeypatch.setattr(HashIndexTable, "memory_footprint_bytes", walk)
+    calls = collections.Counter()
+    for name in ("compress", "cut"):
+        method = getattr(LZAHCompressor, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(LZAHCompressor, name, counted)
+    seen = _record_ingests(monkeypatch, walk=False)
+    _drive_every_ingest_route(tmp_path, _MIXED_BATCHES, _ROUTE_PARAMS, 300)
+    assert calls["cut"] > 0  # the mixed corpus overflows chunks
+    assert calls["compress"] == sum(report.pages_written for report, _ in seen)

@@ -66,8 +66,10 @@ def test_decoder_deterministic_rate(benchmark, texts, capsys):
 
 
 def test_functional_codec_throughput(benchmark, texts):
-    """Python-level LZAH decompression rate (reference only; the paper's
-    3.2 GB/s is the hardware figure the cycle model reproduces)."""
+    """Host rate of the word-by-word LZAH specification (``decompress``
+    joins ``decompress_words``; the scan kernel's bulk decoder is timed
+    by the e2e benchmark). Reference only: the paper's 3.2 GB/s is the
+    hardware figure the cycle model reproduces."""
     codec = LZAHCompressor()
     compressed = codec.compress(texts["Thunderbird"][:131072])
     out = benchmark(lambda: codec.decompress(compressed))

@@ -44,7 +44,7 @@ from repro.core.query import parse_query
 from repro.datasets.loader import read_log_lines
 from repro.datasets.schema import DATASET_SPECS
 from repro.datasets.synthetic import generator_for
-from repro.errors import MithriLogError
+from repro.errors import MithriLogError, QueryError
 from repro.obs.artifacts import write_json
 from repro.obs.expose import bootstrap_families, render_prometheus, snapshot
 from repro.obs.log import get_logger
@@ -257,12 +257,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     def _rate(value: Optional[float]) -> str:
         return f"{value / 1e9:.2f} GB/s" if value else "unknown"
 
-    # the per-stage accelerator capability measured at ingest (and
-    # persisted with the store) — the rates the scan-time model charges
+    # the per-stage accelerator capability the scan-time model charges:
+    # the pipelines' rate is measured at ingest and persisted with the
+    # store, the decompressors' follows from the params
+    try:
+        pipelines, effective = system.pipeline_rate, system.accelerator_rate
+    except QueryError:  # nothing ingested, so no corpus to measure
+        pipelines = effective = None
     log.info("  accelerator rates:")
-    log.info(f"    filter pipelines: {_rate(system._pipeline_rate)}")
-    log.info(f"    decompressor: {_rate(system._decompressor_rate)}")
-    log.info(f"    effective (min of both): {_rate(system._accelerator_rate)}")
+    log.info(f"    filter pipelines: {_rate(pipelines)}")
+    log.info(f"    decompressor: {_rate(system.decompressor_rate)}")
+    log.info(f"    effective (min of both): {_rate(effective)}")
     return 0
 
 

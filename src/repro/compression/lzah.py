@@ -36,20 +36,18 @@ stream that changes the decoded output is detected
 returning wrong log lines — the durability property the robustness
 suite's single-byte-corruption tests pin down.
 
-Three decoders read this format: :meth:`LZAHCompressor.decompress_words`
-(the word-by-word specification), :meth:`~LZAHCompressor.decompress`
-(its fast per-word form) and :meth:`~LZAHCompressor.decompress_into`,
-the scan kernel's bulk decoder, which rebuilds a *run* of streams with
-one set of numpy operations — literal slots from a CRC table
-(:func:`word_crc32`), matches resolved by a sort over ``(stream, slot,
-position)`` keys — and defers to ``decompress`` for any run it cannot
-verify.
+Two decoders read this format: :meth:`LZAHCompressor.decompress_words`,
+the word-by-word specification (:meth:`~LZAHCompressor.decompress` is
+its join), and :meth:`~LZAHCompressor.decompress_into`, the scan
+kernel's bulk decoder, which rebuilds a *run* of streams with one set of
+numpy operations — literal slots from a CRC table (:func:`word_crc32`),
+matches resolved by a sort over ``(stream, slot, position)`` keys — and
+defers to the specification for any run it cannot verify.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from repro.compression.base import Compressor
@@ -91,19 +89,6 @@ def word_crc32(np, words):
     return np.bitwise_xor.reduce(table[np.arange(word_bytes), words], axis=1) ^ base
 
 
-@dataclass(frozen=True)
-class LZAHStats:
-    """Encoder statistics for one compressed stream."""
-
-    words: int
-    matches: int
-    literals: int
-
-    @property
-    def match_rate(self) -> float:
-        return self.matches / self.words if self.words else 0.0
-
-
 class LZAHCompressor(Compressor):
     """LZ Aligned Header encoder/decoder."""
 
@@ -113,7 +98,6 @@ class LZAHCompressor(Compressor):
         self.params = params if params is not None else LZAHParams()
         if self.params.hash_table_slots > 1 << (8 * _INDEX_BYTES):
             raise ValueError("hash table too large for u16 match indices")
-        self.last_stats: Optional[LZAHStats] = None
         # encoder tables: _line_ends[r] is "\n" plus the zeros that pad a
         # line of r mod word_bytes bytes to whole words, _slot_codes[s]
         # the u16 payload of a match to slot s
@@ -162,8 +146,6 @@ class LZAHCompressor(Compressor):
                 table[slot] = word
                 flag(48)
                 payload(word)
-        matches = flags.count(49)
-        self.last_stats = LZAHStats(len(flags), matches, len(flags) - matches)
 
         # header bit i is pair i, so a chunk's flags reversed are its header
         # in binary. Chunks are padded to word alignment within the body
@@ -218,96 +200,10 @@ class LZAHCompressor(Compressor):
     # -- decoding ----------------------------------------------------------
 
     def decompress(self, data: bytes) -> bytes:
-        """Decode one stream (fast path).
-
-        Byte-identical to joining :meth:`decompress_words` — the
-        equivalence suite pins that down — but restructured for host
-        speed: loop invariants bound to locals, the per-word running CRC
-        replaced by one C-level ``zlib.crc32`` over the joined output
-        (CRC32 over a concatenation equals the running CRC over its
-        pieces), and the word-trimming branch hoisted out of the common
-        case. Every error case raises the same
-        :class:`repro.errors.CompressedFormatError` as the reference
-        decoder.
-        """
-        p = self.params
-        if len(data) < _LEN_HEADER:
-            raise CompressedFormatError("LZAH stream shorter than its header")
-        total_len = int.from_bytes(data[0:4], "little")
-        num_pairs = int.from_bytes(data[4:8], "little")
-        expected_crc = int.from_bytes(data[8:12], "little")
-        header_bytes = p.pairs_per_chunk // 8
-        word_bytes = p.word_bytes
-        slots = p.hash_table_slots
-        realign = p.newline_realign
-        pairs_per_chunk = p.pairs_per_chunk
-        from_bytes = int.from_bytes
-        data_len = len(data)
-
-        table: list[Optional[bytes]] = [None] * slots
-        hash_word = self._hash
-        out: list[bytes] = []
-        append = out.append
-        pos = _LEN_HEADER
-        produced = 0
-        remaining = num_pairs
-        while remaining > 0:
-            if pos + header_bytes > data_len:
-                raise CompressedFormatError("truncated LZAH chunk header")
-            header = from_bytes(data[pos : pos + header_bytes], "little")
-            pos += header_bytes
-            in_chunk = remaining if remaining < pairs_per_chunk else pairs_per_chunk
-            for _ in range(in_chunk):
-                if header & 1:
-                    if pos + _INDEX_BYTES > data_len:
-                        raise CompressedFormatError("truncated LZAH match index")
-                    slot = data[pos] | (data[pos + 1] << 8)
-                    pos += _INDEX_BYTES
-                    if slot >= slots:
-                        raise CompressedFormatError(
-                            f"LZAH match index {slot} outside table"
-                        )
-                    padded = table[slot]
-                    if padded is None:
-                        raise CompressedFormatError(
-                            f"LZAH match references empty slot {slot}"
-                        )
-                else:
-                    end = pos + word_bytes
-                    if end > data_len:
-                        raise CompressedFormatError("truncated LZAH literal word")
-                    padded = data[pos:end]
-                    pos = end
-                    table[hash_word(padded)] = padded
-                header >>= 1
-                if realign:
-                    nl = padded.find(b"\n")
-                    consumed = padded[: nl + 1] if nl != -1 else padded
-                else:
-                    consumed = padded
-                new_produced = produced + len(consumed)
-                if new_produced > total_len:
-                    # only the final window may overrun the declared length
-                    consumed = consumed[: total_len - produced]
-                    produced = total_len
-                else:
-                    produced = new_produced
-                append(consumed)
-            remaining -= in_chunk
-            # skip the chunk's alignment padding
-            tail = (pos - _LEN_HEADER) % word_bytes
-            if tail:
-                pos += word_bytes - tail
-        if produced != total_len:
-            raise CompressedFormatError(
-                f"LZAH stream declared {total_len} bytes but decoded {produced}"
-            )
-        decoded = b"".join(out)
-        if zlib.crc32(decoded) != expected_crc:
-            raise CompressedFormatError(
-                "LZAH stream checksum mismatch: decoded data is corrupt"
-            )
-        return decoded
+        """Decode one stream: the join of :meth:`decompress_words`, so
+        every :class:`repro.errors.CompressedFormatError` case and message
+        is the specification's."""
+        return b"".join([consumed for consumed, _padded in self.decompress_words(data)])
 
     @staticmethod
     def declared_length(data: bytes) -> int:
@@ -325,7 +221,7 @@ class LZAHCompressor(Compressor):
         (truncated, out-of-range or corrupt, no numpy), the run goes to
         :meth:`decompress` stream by stream, so output and every
         :class:`repro.errors.CompressedFormatError` case and message are
-        the per-word decoder's — for a run, those of its first bad stream.
+        the specification's — for a run, those of its first bad stream.
         """
         streams = (data, *more)
         decoded = self._bulk_decode(streams)
@@ -459,9 +355,9 @@ class LZAHCompressor(Compressor):
         exact reconstructed byte span (what joining the stream yields), and
         ``padded`` is the full zero-padded word the hardware decoder would
         emit in its "zero-padded words for the tokenizer" configuration.
-        This generator is the specification :meth:`decompress`'s fast path
-        is equivalence-tested against; it also verifies the stream CRC
-        incrementally, word by word, the way the hardware decoder does.
+        This generator is the specification: :meth:`decompress` joins it,
+        the bulk decoder is tested against it, and it verifies the stream
+        CRC incrementally, word by word, the way the hardware decoder does.
         """
         p = self.params
         if len(data) < _LEN_HEADER:

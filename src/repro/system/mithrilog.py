@@ -318,9 +318,7 @@ class MithriLogSystem:
         )
         self.original_bytes = 0
         self.total_lines = 0
-        self._accelerator_rate: Optional[float] = None
         self._pipeline_rate: Optional[float] = None
-        self._decompressor_rate: Optional[float] = None
         #: Simulated system timeline: every ingest/query advances it, so
         #: spans from successive operations line up on one trace.
         self.clock = SimClock()
@@ -380,7 +378,7 @@ class MithriLogSystem:
             pages += 1
         self.original_bytes += original
         self.total_lines += len(lines)
-        self._measure_accelerator_rate(lines)
+        self._measure_pipeline_rate(lines)
         cost = IngestCostModel()
         report = IngestReport(
             lines=len(lines),
@@ -465,19 +463,13 @@ class MithriLogSystem:
             yield payload, text, len(chunk)
             i += len(chunk)
 
-    def _measure_accelerator_rate(self, lines: Sequence[bytes]) -> None:
+    def _measure_pipeline_rate(self, lines: Sequence[bytes]) -> None:
         """Measure the filter engine's capability on this corpus (cycles)."""
         sample = list(lines[:_PERF_SAMPLE_LINES])
         if not sample:
             return
         count = PipelineCycleModel(self.params.pipeline).count_cycles(sample)
-        pipelines = count.throughput_bytes_per_sec * self.params.num_pipelines
-        decomp = self.params.num_pipelines * (
-            self.params.lzah.word_bytes * self.params.pipeline.clock_hz
-        )
-        self._pipeline_rate = pipelines
-        self._decompressor_rate = decomp
-        self._accelerator_rate = min(pipelines, decomp)
+        self._pipeline_rate = count.throughput_bytes_per_sec * self.params.num_pipelines
         if get_registry() is not None:
             # publishes the Figure 13 gauges (useful-bits ratio, padding
             # amplification) as a side effect; skipped when metrics are
@@ -487,11 +479,25 @@ class MithriLogSystem:
             )
 
     @property
-    def accelerator_rate(self) -> float:
-        """Effective decompressed-text consumption rate (bytes/s)."""
-        if self._accelerator_rate is None:
+    def pipeline_rate(self) -> float:
+        """The filter pipelines' rate on this corpus (bytes/s), measured
+        by the cycle model at ingest and persisted with the store."""
+        if self._pipeline_rate is None:
             raise QueryError("nothing ingested yet; accelerator rate unknown")
-        return self._accelerator_rate
+        return self._pipeline_rate
+
+    @property
+    def decompressor_rate(self) -> float:
+        """The decompressors' rate (bytes/s): one word per cycle per
+        pipeline (Section 7.3.1)."""
+        p = self.params
+        return p.num_pipelines * (p.lzah.word_bytes * p.pipeline.clock_hz)
+
+    @property
+    def accelerator_rate(self) -> float:
+        """Effective decompressed-text consumption rate (bytes/s): the
+        slower of the two stages."""
+        return min(self.pipeline_rate, self.decompressor_rate)
 
     # ------------------------------------------------------------------
     # Query
@@ -901,16 +907,12 @@ class MithriLogSystem:
         The accelerator time splits into decompressor and filter stages;
         since ``accelerator_rate == min(pipeline, decompressor)``, the
         identity ``bytes/min(p,d) == max(bytes/p, bytes/d)`` keeps
-        ``scan_time_s`` equal to the old three-way max. Stores loaded
-        from disk only carry the combined rate; both stages then charge
-        it, which again leaves the max unchanged.
+        ``scan_time_s`` equal to the old three-way max.
         """
         storage = self.params.storage
         stats.flash_time_s = storage.flash_seconds(stats.bytes_from_flash)
-        decomp_rate = self._decompressor_rate or self.accelerator_rate
-        filter_rate = self._pipeline_rate or self.accelerator_rate
-        stats.decompress_time_s = stats.bytes_decompressed / decomp_rate
-        stats.filter_time_s = stats.bytes_decompressed / filter_rate
+        stats.decompress_time_s = stats.bytes_decompressed / self.decompressor_rate
+        stats.filter_time_s = stats.bytes_decompressed / self.pipeline_rate
         stats.host_time_s = stats.bytes_to_host / storage.external_bandwidth
         stats.scan_time_s = max(
             stats.flash_time_s,
@@ -1012,12 +1014,12 @@ class MithriLogSystem:
             track="host", bytes=stats.bytes_to_host, **tags,
         )
         if run.partitions:
-            rate = self._decompressor_rate or self._accelerator_rate
+            rate = self.decompressor_rate
             for record in run.partitions:
                 child = context.child(partition=record.index)
                 self.tracer.record(
                     f"scan_partition[{record.index}]", t1,
-                    record.bytes_decompressed / rate if rate else 0.0,
+                    record.bytes_decompressed / rate,
                     category="query", track="workers",
                     pages=record.pages, lines_seen=record.lines_seen,
                     lines_kept=record.lines_kept,

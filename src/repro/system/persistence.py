@@ -37,8 +37,9 @@ from repro.storage.page import Page
 from repro.system.mithrilog import MithriLogSystem
 
 _PAGE_HEADER = struct.Struct("<III")
-#: 2: the hash table is a packed column image (1 held a dict per row).
-_FORMAT_VERSION = 2
+#: 3: the filter pipelines' rate is the one stored rate (2 also stored
+#: the decompressor's rate and their minimum; 1 held a dict per hash row).
+_FORMAT_VERSION = 3
 #: The write-ahead journal of a journaled store, next to ``store.json``.
 JOURNAL_NAME = "wal.bin"
 
@@ -93,9 +94,7 @@ def save_metadata(system: MithriLogSystem, directory: Union[str, Path]) -> None:
         "params": _params_to_dict(system.params),
         "original_bytes": system.original_bytes,
         "total_lines": system.total_lines,
-        "accelerator_rate": system._accelerator_rate,
         "pipeline_rate": system._pipeline_rate,
-        "decompressor_rate": system._decompressor_rate,
         "wal_bytes_applied": journal.stat().st_size if journal.exists() else 0,
         "index": {
             "data_pages": list(system.index.data_pages),
@@ -117,8 +116,7 @@ def load_store(directory: Union[str, Path], seed: int = 0) -> MithriLogSystem:
 def open_store(
     directory: Union[str, Path], seed: int = 0
 ) -> tuple[MithriLogSystem, int]:
-    """:func:`load_store`, plus the store's ``wal_bytes_applied`` (0 for
-    stores saved before the field existed)."""
+    """:func:`load_store`, plus the store's ``wal_bytes_applied``."""
     path = Path(directory)
     try:
         with open(path / "store.json", "r", encoding="utf-8") as handle:
@@ -157,7 +155,6 @@ def open_store(
 
     system.original_bytes = int(metadata["original_bytes"])
     system.total_lines = int(metadata["total_lines"])
-    for attr in ("accelerator_rate", "pipeline_rate", "decompressor_rate"):
-        value = metadata[attr]
-        setattr(system, f"_{attr}", None if value is None else float(value))
-    return system, int(metadata.get("wal_bytes_applied", 0))
+    rate = metadata["pipeline_rate"]
+    system._pipeline_rate = None if rate is None else float(rate)
+    return system, int(metadata["wal_bytes_applied"])

@@ -449,8 +449,8 @@ def _ingest_everything(batches):
         for batch in batches:
             reports.append(system.ingest(batch))
             rates.append(
-                (system.accelerator_rate, system._pipeline_rate,
-                 system._decompressor_rate)
+                (system.accelerator_rate, system.pipeline_rate,
+                 system.decompressor_rate)
             )
         flash = system.device.flash
         observed = (

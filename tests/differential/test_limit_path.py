@@ -116,8 +116,8 @@ def assert_matches_oracle(system, queries, limit, expected=None, **options):
     storage = system.params.storage
     assert stats.scan_time_s == max(
         storage.latency_s + seen.flash / storage.internal_bandwidth,
-        seen.decompressed / system._decompressor_rate,
-        seen.decompressed / system._pipeline_rate,
+        seen.decompressed / system.decompressor_rate,
+        seen.decompressed / system.pipeline_rate,
         stats.bytes_to_host / storage.external_bandwidth,
     )
     return outcome

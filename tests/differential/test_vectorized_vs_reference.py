@@ -139,28 +139,31 @@ def _stage_counts(stages) -> dict:
     return {name: (s.calls, s.units) for name, s in stages}
 
 
-def _decoder_outcomes(codec: LZAHCompressor, blob: bytes) -> list:
-    """What the per-word fast decoder, the bulk decoder and the word
-    -by-word reference make of one stream: bytes, or the refusal."""
-    outcomes = []
-    for decode in (
-        codec.decompress,
-        codec.decompress_into,
-        lambda b: b"".join(c for c, _p in codec.decompress_words(b)),
-    ):
-        try:
-            outcomes.append(("ok", decode(blob)))
-        except CompressedFormatError:
-            outcomes.append(("error", None))
-    return outcomes
-
-
 def _raised_or_returned(decode, streams) -> tuple:
     """``("ok", bytes)`` or ``("error", message)`` of ``decode(*streams)``."""
     try:
         return "ok", decode(*streams)
     except CompressedFormatError as exc:
         return "error", str(exc)
+
+
+def _spec_decode(codec: LZAHCompressor, *streams: bytes) -> bytes:
+    """The specification: each stream's ``decompress_words``, joined."""
+    return b"".join(
+        consumed for blob in streams for consumed, _p in codec.decompress_words(blob)
+    )
+
+
+def _decoder_outcomes(codec: LZAHCompressor, *streams: bytes) -> list:
+    """What the specification and the bulk decoder make of a run of
+    streams: ``("ok", bytes)`` or ``("error", message)``. Where the numpy
+    kernel vouches for the run itself, its bytes are the specification's."""
+    spec = _raised_or_returned(lambda *run: _spec_decode(codec, *run), streams)
+    if numpy_or_none() is not None:
+        decoded = codec._bulk_decode(streams)  # never raises
+        if decoded is not None:
+            assert spec == ("ok", decoded.tobytes())
+    return [spec, _raised_or_returned(codec.decompress_into, streams)]
 
 
 def _assert_kernels_agree(queries, offloaded: bool, pages) -> None:
@@ -222,8 +225,9 @@ class TestCorpusReplay:
     def test_decoder_matches_reference(self, payload):
         codec = LZAHCompressor()
         blob = codec.compress(payload)
-        assert codec.decompress_into(blob) == codec.decompress(blob)
-        assert codec.decompress(blob) == payload
+        assert codec.decompress_into(blob) == _spec_decode(codec, blob) == payload
+        if numpy_or_none() is not None:
+            assert codec._bulk_decode([blob]).tobytes() == payload
 
 
 # ---------------------------------------------------------------------------
@@ -619,25 +623,23 @@ class TestBulkDecoderFuzz:
         )
 
     def _agree(self, codec, blob: bytes, want=None) -> None:
-        """The three decoders agree on ``blob``; and with ``blob`` first,
-        middle and last in a 3-stream run, the run decoder returns the
-        per-stream texts joined or raises exactly ``decompress``'s error."""
+        """The bulk decoder agrees with the specification on ``blob``
+        alone and with ``blob`` first, middle and last in a 3-stream run:
+        the same bytes, or the same refusal message (for a run, its first
+        bad stream's). ``want`` is ``("ok", text)`` or ``("error", None)``."""
         outcomes = _decoder_outcomes(codec, blob)
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
         if want is not None:
-            assert outcomes[0] == want
+            kind, value = outcomes[0]
+            assert (kind, value if kind == "ok" else None) == want
         neighbours = [
             codec.compress(self.PAYLOAD[:700]),  # no trailing newline
             codec.compress(b"svc up ERR\n" * 40),
         ]
         for at in range(3):
             run = neighbours[:at] + [blob] + neighbours[at:]
-            expected = _raised_or_returned(
-                lambda *streams: b"".join(map(codec.decompress, streams)), run
-            )
-            assert _raised_or_returned(codec.decompress_into, run) == expected
-            if numpy_or_none() is not None:
-                codec._bulk_decode(run)  # defers (None) or decodes; never raises
+            spec, bulk = _decoder_outcomes(codec, *run)
+            assert bulk == spec
 
     def test_clean_stream_takes_the_bulk_path(self, codec):
         blob = codec.compress(self.PAYLOAD)
@@ -702,6 +704,41 @@ class TestBulkDecoderFuzz:
                 codec, blob[:4] + lie.to_bytes(4, "little") + blob[8:],
                 want=("error", None),
             )
+
+    #: every refusal the specification has, and a stream that draws it
+    REFUSALS = {
+        "shorter than its header": lambda blob, at, empty: blob[:11],
+        "truncated LZAH chunk header": lambda blob, at, empty: blob[:12],
+        "truncated LZAH match index": lambda blob, at, empty: blob[: at + 1],
+        "outside table": lambda blob, at, empty: (
+            blob[:at] + (0xFFFF).to_bytes(2, "little") + blob[at + 2 :]
+        ),
+        "references empty slot": lambda blob, at, empty: (
+            blob[:at] + empty.to_bytes(2, "little") + blob[at + 2 :]
+        ),
+        "truncated LZAH literal word": lambda blob, at, empty: blob[: at - 1],
+        "bytes but decoded": lambda blob, at, empty: (
+            (int.from_bytes(blob[:4], "little") + 1).to_bytes(4, "little") + blob[4:]
+        ),
+        "checksum mismatch": lambda blob, at, empty: (
+            blob[:8] + bytes([blob[8] ^ 1]) + blob[9:]
+        ),
+    }
+
+    @pytest.mark.parametrize("message", list(REFUSALS))
+    def test_every_refusal_reads_alike(self, codec, message):
+        """Each of the specification's eight refusals, alone and in every
+        run position: the bulk decoder defers and raises its message."""
+        blob = codec.compress(self.PAYLOAD)
+        at = _first_match_offset(codec, blob)  # a literal word ends here
+        used = {codec._hash(padded) for _c, padded in codec.decompress_words(blob)}
+        empty = min(set(range(codec.params.hash_table_slots)) - used)
+        bad = self.REFUSALS[message](blob, at, empty)
+        with pytest.raises(CompressedFormatError, match=message):
+            _spec_decode(codec, bad)
+        self._agree(codec, bad, want=("error", None))
+        if numpy_or_none() is not None:
+            assert codec._bulk_decode([bad]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -947,10 +984,9 @@ if HAVE_HYPOTHESIS:
                 LZAHParams(word_bytes=word_bytes, newline_realign=realign)
             )
             blob = codec.compress(payload)
-            via_bulk = codec.decompress_into(blob)
-            via_fast = codec.decompress(blob)
-            via_words = b"".join(c for c, _p in codec.decompress_words(blob))
-            assert via_bulk == via_fast == via_words == payload
+            assert codec.decompress_into(blob) == _spec_decode(codec, blob) == payload
+            if numpy_or_none() is not None:
+                assert codec._bulk_decode([blob]).tobytes() == payload
 
         @settings(max_examples=60, deadline=None)
         @given(
@@ -959,14 +995,15 @@ if HAVE_HYPOTHESIS:
             flip_bits=st.integers(min_value=1, max_value=255),
         )
         def test_decoder_corruption_differential(self, payload, flip_at, flip_bits):
-            """All three decoders agree on corrupted streams too: either
-            all raise CompressedFormatError or all return the same bytes
+            """The bulk decoder agrees with the specification on
+            corrupted streams too: both raise the same
+            CompressedFormatError message or both return the same bytes
             (a flip in chunk padding can be semantically invisible)."""
             codec = LZAHCompressor()
             blob = bytearray(codec.compress(payload))
             blob[flip_at % len(blob)] ^= flip_bits
             outcomes = _decoder_outcomes(codec, bytes(blob))
-            assert outcomes[0] == outcomes[1] == outcomes[2]
+            assert outcomes[0] == outcomes[1]
 
         @settings(max_examples=30, deadline=None)
         @given(pages=st.lists(any_page, min_size=1, max_size=4))

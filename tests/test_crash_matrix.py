@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
+from repro.errors import StorageError
 from repro.system import wal as wal_module
 from repro.system.mithrilog import MithriLogSystem
 from repro.system.wal import JournaledMithriLog, decode_record, encode_record
@@ -189,9 +190,9 @@ class TestCheckpointCrashWindow:
         journaled.ingest(batches[3])
         assert journaled.wal.path.read_bytes() == encode_record(batches[3])
 
-    def test_a_store_without_the_field_replays_its_whole_journal(
-        self, batches, tmp_path
-    ):
+    def test_recovery_refuses_a_version_2_store(self, batches, tmp_path):
+        """Recovery replays nothing onto a store it cannot read: a
+        version-2 ``store.json`` is refused by name."""
         journaled = JournaledMithriLog(tmp_path)
         journaled.ingest(batches[0])
         journaled.checkpoint()
@@ -199,7 +200,7 @@ class TestCheckpointCrashWindow:
         del journaled
         store_json = tmp_path / "store.json"
         metadata = json.loads(store_json.read_text())
-        assert metadata.pop("wal_bytes_applied") == 0
+        metadata["version"] = 2
         store_json.write_text(json.dumps(metadata))
-        recovered = JournaledMithriLog.recover(tmp_path)
-        self._assert_like_uncrashed(recovered, batches[0] + batches[1])
+        with pytest.raises(StorageError, match="version 2 not supported"):
+            JournaledMithriLog.recover(tmp_path)

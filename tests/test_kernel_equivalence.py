@@ -189,6 +189,7 @@ class TestLZAHDecoder:
         codec = self._codec()
         blob = codec.compress(payload)
         assert codec.decompress(blob) == payload
+        assert codec.decompress_into(blob) == payload
 
     def test_fast_decode_matches_word_reference(self):
         rng = random.Random(31)
@@ -201,7 +202,7 @@ class TestLZAHDecoder:
                 for _ in range(rng.randint(0, 40))
             )
             blob = codec.compress(payload)
-            fast = codec.decompress(blob)
+            fast = codec.decompress_into(blob)
             via_words = b"".join(
                 consumed for consumed, _padded in codec.decompress_words(blob)
             )
@@ -212,10 +213,11 @@ class TestLZAHDecoder:
         codec = self._codec()
         blob = bytearray(codec.compress(b"hello corruptible world\n" * 50))
         blob[len(blob) // 2] ^= 0xFF
-        with pytest.raises(CompressedFormatError):
-            codec.decompress(bytes(blob))
-        with pytest.raises(CompressedFormatError):
+        with pytest.raises(CompressedFormatError) as reference:
             list(codec.decompress_words(bytes(blob)))
+        with pytest.raises(CompressedFormatError) as fast:
+            codec.decompress_into(bytes(blob))
+        assert str(fast.value) == str(reference.value)
 
     def test_truncated_blob_raises(self):
         codec = self._codec()

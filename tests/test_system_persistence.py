@@ -1,12 +1,19 @@
 """Tests for store persistence (save/load round trips)."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
-from repro.errors import StorageError
+from repro.errors import QueryError, StorageError
+from repro.params import LZAHParams, SystemParams
 from repro.system.mithrilog import MithriLogSystem
 from repro.system.persistence import load_store, save_store
+from repro.system.wal import JournaledMithriLog
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +85,6 @@ class TestErrorHandling:
             load_store(tmp_path / "nope")
 
     def test_bad_version_rejected(self, saved, tmp_path):
-        import json
-
         _original, path = saved
         meta = json.loads((path / "store.json").read_text())
         meta["version"] = 999
@@ -88,8 +93,6 @@ class TestErrorHandling:
             load_store(path)
 
     def test_version_1_table_rejected(self, saved):
-        import json
-
         _original, path = saved
         meta = json.loads((path / "store.json").read_text())
         meta["version"] = 1  # a dict per row, before the packed image
@@ -99,6 +102,16 @@ class TestErrorHandling:
         }
         (path / "store.json").write_text(json.dumps(meta))
         with pytest.raises(StorageError, match="version 1 not supported"):
+            load_store(path)
+
+    def test_version_2_store_rejected(self, saved):
+        original, path = saved
+        meta = json.loads((path / "store.json").read_text())
+        meta["version"] = 2  # also stored the decompressor's rate and the minimum
+        meta["accelerator_rate"] = original.accelerator_rate
+        meta["decompressor_rate"] = original.decompressor_rate
+        (path / "store.json").write_text(json.dumps(meta))
+        with pytest.raises(StorageError, match="version 2 not supported"):
             load_store(path)
 
     def test_truncated_pages_rejected(self, saved):
@@ -117,3 +130,82 @@ class TestErrorHandling:
         (path / "pages.bin").write_bytes(bytes(blob))
         with pytest.raises(PageCorruptionError):
             load_store(path)
+
+
+def _rate_keys(store: Path) -> set:
+    """The rate keys a ``store.json`` holds."""
+    metadata = json.loads((store / "store.json").read_text())
+    return {key for key in metadata if key.endswith("rate")}
+
+
+def _assert_one_stored_rate(system: MithriLogSystem) -> None:
+    """The decompressors' rate follows from the params, the combined rate
+    from the two stage rates; before any ingest neither is known."""
+    p = system.params
+    assert system.decompressor_rate == p.num_pipelines * p.lzah.word_bytes * p.pipeline.clock_hz
+    if not system.total_lines:
+        with pytest.raises(QueryError):
+            system.accelerator_rate
+        return
+    assert system.accelerator_rate == min(system.pipeline_rate, system.decompressor_rate)
+
+
+class TestOneStoredRate:
+    """``store.json`` keeps the filter pipelines' measured rate alone,
+    and every route a system takes (ingest, checkpoint, recover, save,
+    load) keeps the derived rates derived."""
+
+    LINES = generator_for("Liberty2", seed=4).generate(400)
+
+    @pytest.mark.parametrize(
+        "word_bytes, slower", [(4, "decompressor_rate"), (32, "pipeline_rate")]
+    )
+    def test_the_slower_stage_sets_the_rate(self, word_bytes, slower):
+        lzah = LZAHParams(word_bytes=word_bytes, hash_table_bytes=64 * word_bytes)
+        system = MithriLogSystem(SystemParams(lzah=lzah))
+        system.ingest(self.LINES[:200])
+        assert system.pipeline_rate != system.decompressor_rate
+        assert system.accelerator_rate == getattr(system, slower)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        num_pipelines=st.sampled_from([1, 8]),
+        word_bytes=st.sampled_from([4, 8, 16]),
+        steps=st.lists(
+            st.sampled_from(["ingest", "checkpoint", "recover", "save_load"]),
+            min_size=1,
+            max_size=7,
+        ),
+        sizes=st.lists(st.integers(1, 120), min_size=7, max_size=7),
+    )
+    def test_rates_hold_through_every_route(self, num_pipelines, word_bytes, steps, sizes):
+        params = SystemParams(
+            num_pipelines=num_pipelines,
+            lzah=LZAHParams(word_bytes=word_bytes, hash_table_bytes=64 * word_bytes),
+        )
+        with tempfile.TemporaryDirectory() as scratch:
+            store, copy = Path(scratch) / "journaled", Path(scratch) / "copy"
+            journaled = JournaledMithriLog(store, system=MithriLogSystem(params))
+            at = 0
+            for step, size in zip(steps, sizes):
+                if step == "ingest":
+                    journaled.ingest(self.LINES[at : at + size])
+                    at += size
+                elif step == "checkpoint":
+                    journaled.checkpoint()
+                elif step == "recover":
+                    pipeline_rate = journaled.system._pipeline_rate
+                    journaled = JournaledMithriLog.recover(store)
+                    if (store / "store.json").exists():
+                        # the replay of the same lines measures the same rate
+                        assert journaled.system._pipeline_rate == pipeline_rate
+                else:
+                    save_store(journaled.system, copy)
+                    loaded = load_store(copy)
+                    assert _rate_keys(copy) == {"pipeline_rate"}
+                    assert loaded.total_lines == journaled.system.total_lines
+                    assert loaded._pipeline_rate == journaled.system._pipeline_rate
+                    _assert_one_stored_rate(loaded)
+                if (store / "store.json").exists():
+                    assert _rate_keys(store) == {"pipeline_rate"}
+                _assert_one_stored_rate(journaled.system)

@@ -12,7 +12,7 @@ take over (:class:`repro.errors.PlacementError`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import CapacityError, PlacementError
@@ -33,7 +33,6 @@ class CuckooEntry:
 
     token: bytes
     flags: list[FlagPair]
-    column: Optional[int] = None
 
     def overflow_rows_needed(self, slot_bytes: int) -> int:
         """Overflow-table rows this token consumes beyond its slot."""
@@ -96,13 +95,7 @@ class CuckooHashTable:
 
     # -- insertion ---------------------------------------------------------
 
-    def add_term(
-        self,
-        token: bytes,
-        iset_index: int,
-        negative: bool,
-        column: Optional[int] = None,
-    ) -> int:
+    def add_term(self, token: bytes, iset_index: int, negative: bool) -> int:
         """Record that ``token`` participates in intersection set ``iset_index``.
 
         Returns the row the token occupies. Raises
@@ -119,11 +112,6 @@ class CuckooHashTable:
         found = self.lookup(token)
         if found is not None:
             row, entry = found
-            if entry.column != column:
-                raise PlacementError(
-                    f"token {token!r} used with conflicting column constraints "
-                    f"({entry.column} vs {column}); one entry has one column field"
-                )
             pair = entry.flags[iset_index]
             if pair.valid and pair.negative != negative:
                 raise PlacementError(
@@ -136,7 +124,6 @@ class CuckooHashTable:
         entry = CuckooEntry(
             token=token,
             flags=[FlagPair() for _ in range(self.params.flag_pairs)],
-            column=column,
         )
         entry.flags[iset_index] = FlagPair(valid=True, negative=negative)
         self._reserve_overflow(entry)

@@ -6,12 +6,12 @@ pass, so its throughput is flat in query count (Figure 14, Table 6). A
 lines of a page (or of the scan kernel's run of pages), one fixed
 sequence of array operations.
 
-A program is a table of distinct ``(token, column)`` **facts** ("the
-line contains ``token``", or "its token at position ``column`` is
-``token``") plus a signed fact→intersection-set matrix (+1 positive
-term, −1 negative) with each set's *need* (its positive facts) and a
-set→query ownership matrix. Offloaded programs build one from the cuckoo
-table (:meth:`repro.core.hashfilter.CompiledQuery.fact_program`),
+A program is a table of distinct tokens, its **facts** ("the line
+contains ``token``", wherever it stands), plus a signed
+fact→intersection-set matrix (+1 positive term, −1 negative) with each
+set's *need* (its positive facts) and a set→query ownership matrix.
+Offloaded programs build one from the cuckoo table
+(:meth:`repro.core.hashfilter.CompiledQuery.fact_program`),
 software-fallback programs from the query algebra
 (:class:`repro.core.softmatch.SoftwareBatchMatcher`).
 
@@ -23,24 +23,23 @@ sorted keys; (3) a set is **reachable** when every one of its positive
 facts' keys was routed (two ``(keys × sets)`` products), only tokens
 whose key takes part in a reachable set go on, and a page with none
 left gets the default verdict row at once; (4) every remaining ``(token,
-fact)`` pair is placed on its line
-(:meth:`~repro.core.vectokenizer.PageTokens.lines_of`; its position,
-:meth:`~repro.core.vectokenizer.PageTokens.positions`, only where the
-fact names a column) and checked for length, column and the bytes past
-its key; (5) verified pairs scatter into a ``(lines × facts)`` matrix
-``F``, a set is satisfied where ``F @ signed`` equals its need, and a
-query keeps a line where it owns a satisfied set (both products in
-blocks of :data:`_BLOCK_ROWS` lines). **Keys of up to 8 bytes decide,
-longer facts are decided by their tail bytes**, and a set that is not
-reachable cannot be satisfied on any line, so dropping the facts only
-such sets use changes no verdict. Per-program state is O(term bytes ×
-intersection sets) — the scan executor keeps up to 128 programs alive.
+fact)`` pair is checked for length and the bytes past its key; (5)
+verified pairs are placed on their lines
+(:meth:`~repro.core.vectokenizer.PageTokens.lines_of`) and scatter into
+a ``(lines × facts)`` matrix ``F``, a set is satisfied where ``F @
+signed`` equals its need, and a query keeps a line where it owns a
+satisfied set (both products in blocks of :data:`_BLOCK_ROWS` lines).
+**Keys of up to 8 bytes decide, longer facts are decided by their tail
+bytes**, and a set that is not reachable cannot be satisfied on any
+line, so dropping the facts only such sets use changes no verdict.
+Per-program state is O(term bytes × intersection sets) — the scan
+executor keeps up to 128 programs alive.
 ``docs/PERFORMANCE.md`` has the measurements.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.backend import BackendUnavailableError, numpy_or_none
 
@@ -87,15 +86,15 @@ def _word_keys(np, text, starts, lengths, masks):
 class FactProgram:
     """Distinct facts plus the matrices that turn them into verdicts.
 
-    ``facts`` are distinct ``(token, column)`` pairs with non-empty
-    tokens (what :class:`repro.core.query.Term` guarantees); ``isets``
+    ``facts`` are distinct non-empty tokens (what
+    :class:`repro.core.query.Term` guarantees); ``isets``
     holds one ``(owning query, [(fact index, negative), ...])`` per
     intersection set.
     """
 
     def __init__(
         self,
-        facts: Sequence[tuple[bytes, Optional[int]]],
+        facts: Sequence[bytes],
         isets: Sequence[tuple[int, Sequence[tuple[int, bool]]]],
         num_queries: int,
     ) -> None:
@@ -120,8 +119,8 @@ class FactProgram:
         #: verdict row (``1 × queries``) of a line on which no fact holds
         self._default = ((self._need == 0).astype(np.float32)[None, :] @ owners) > 0
 
-        lengths = np.array([len(token) for token, _ in facts], dtype=np.int64)
-        text = b"".join(token for token, _ in facts) + _PAD
+        lengths = np.array([len(token) for token in facts], dtype=np.int64)
+        text = b"".join(facts) + _PAD
         starts = lengths.cumsum() - lengths
         #: a key's byte mask, indexed by length and clipped to all 8 bytes
         self._masks = np.array([(1 << 8 * k) - 1 for k in range(_WORD + 1)], dtype=np.uint64)
@@ -141,8 +140,6 @@ class FactProgram:
         self._key_member = np.logical_or.reduceat(positive | negative, self._first, axis=0)
         self._starts = starts[order]
         self._lengths = lengths[order]
-        columns = [-1 if column is None else column for _, column in facts]
-        self._columns = np.array(columns, dtype=np.int64)[order]
         self._blob = np.frombuffer(text, dtype=np.uint8)
         #: indexed by length, clipped to the last entry, which stays False
         self._length_ok = np.zeros(int(lengths.max(initial=0)) + 2, dtype=bool)
@@ -191,15 +188,13 @@ class FactProgram:
         if useful.size == 0:
             return None
         # every (useful token, equal-key fact) pair: facts sharing a key
-        # (one token under two columns, or tokens alike in their first 8
-        # bytes) share a run of rows
+        # (tokens alike in their first 8 bytes) share a run of rows
         hit, at = hit[useful], at[useful]
         runs = self._count[at]
         token = hit.repeat(runs)
         fact = self._first[at].repeat(runs) + _ragged(np, runs)
         starts, lengths, token = starts[token], lengths[token], survivors[token]
-        lines = page.lines_of(token)
-        fact_lengths, column = self._lengths[fact], self._columns[fact]
+        fact_lengths = self._lengths[fact]
         # bytes past the key, bounded by the shorter of the two so that
         # neither side reads past its token
         tail = np.minimum(lengths, fact_lengths) - _WORD
@@ -211,7 +206,4 @@ class FactProgram:
         )
         keep = lengths == fact_lengths
         keep[np.arange(token.size).repeat(tail)[differ]] = False
-        # in-line positions only for the pairs whose fact names a column
-        asks = (column >= 0).nonzero()[0]
-        keep[asks] &= page.positions(token[asks], lines[asks]) == column[asks]
-        return lines[keep], self._fact[fact[keep]]
+        return page.lines_of(token[keep]), self._fact[fact[keep]]

@@ -58,16 +58,16 @@ class CompiledQuery:
 
     def token_effect(
         self, token: bytes
-    ) -> Optional[tuple[int, tuple[tuple[int, int], ...], Optional[int]]]:
+    ) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
         """The filter-state update one token triggers, fully precomputed.
 
         ``None`` for tokens outside the table (the overwhelmingly common
-        case). Otherwise ``(violate_mask, bit_updates, column)``: a
-        bitmask over intersection sets this token violates, the
-        ``(iset_index, row_bit)`` pairs it satisfies, and the positional
-        constraint (``None`` when unconstrained). This flattens the
-        per-token flag-pair loop of :meth:`LineEvaluator.feed` into data
-        the batch kernel consumes with one dict probe per token.
+        case). Otherwise ``(violate_mask, bit_updates)``: a bitmask over
+        intersection sets this token violates and the ``(iset_index,
+        row_bit)`` pairs it satisfies, wherever the token stands in its
+        line. This flattens the per-token flag-pair loop of
+        :meth:`LineEvaluator.feed` into data the batch kernel consumes
+        with one dict probe per token.
         """
         cache = self._effect_cache
         try:
@@ -87,7 +87,7 @@ class CompiledQuery:
                         violate_mask |= 1 << iset_index
                     else:
                         bit_updates.append((iset_index, 1 << row))
-                effect = (violate_mask, tuple(bit_updates), entry.column)
+                effect = (violate_mask, tuple(bit_updates))
             if len(cache) < 1 << 16:
                 cache[token] = effect
             return effect
@@ -106,9 +106,7 @@ class CompiledQuery:
                 (q, [(f, e.flags[k].negative) for f, e in enumerate(entries) if e.flags[k].valid])
                 for k, q in enumerate(self.iset_to_query)
             ]
-            cached = FactProgram(
-                [(e.token, e.column) for e in entries], isets, self.num_queries
-            )
+            cached = FactProgram([e.token for e in entries], isets, self.num_queries)
             object.__setattr__(self, "_fact_program", cached)
         return cached
 
@@ -152,9 +150,7 @@ def compile_queries(
     for q_index, query in enumerate(queries):
         for iset in query.intersections:
             for term in iset.terms:
-                table.add_term(
-                    term.token, k, negative=term.negative, column=term.column
-                )
+                table.add_term(term.token, k, negative=term.negative)
             iset_to_query.append(q_index)
             k += 1
     bitmaps = [0] * total_isets
@@ -267,14 +263,12 @@ class LineEvaluator:
         self.bitmaps = [0] * program.num_isets
         self.violated = [False] * program.num_isets
 
-    def feed(self, token: bytes, position: int) -> None:
-        """Process one token at line position ``position``."""
+    def feed(self, token: bytes) -> None:
+        """Process one token of the line."""
         hit = self.program.cached_lookup(token)
         if hit is None:
             return
         row, entry = hit
-        if entry.column is not None and position != entry.column:
-            return
         for iset_index, pair in enumerate(entry.flags):
             if not pair.valid:
                 continue
@@ -315,12 +309,10 @@ class HashFilter:
     def evaluate_words(self, words: Iterable[TokenWord]) -> tuple[bool, ...]:
         """Evaluate one line's word stream; returns per-query verdicts."""
         evaluator = LineEvaluator(self.program)
-        position = 0
         for token, _last in reassemble_tokens(iter(words)):
             if token:  # the all-zero word of a token-less line carries nothing
-                evaluator.feed(token, position)
+                evaluator.feed(token)
                 self.tokens_processed += 1
-            position += 1
         self.lines_processed += 1
         return evaluator.query_verdicts()
 
@@ -352,15 +344,13 @@ class HashFilter:
             tokens_seen += len(tokens)
             violated = 0
             bitmaps = zero_bitmaps[:]
-            for position, token in enumerate(tokens):
+            for token in tokens:
                 effect = effect_cache.get(token, _UNCACHED)
                 if effect is _UNCACHED:
                     effect = token_effect(token)
                 if effect is None:
                     continue
-                violate_mask, bit_updates, column = effect
-                if column is not None and position != column:
-                    continue
+                violate_mask, bit_updates = effect
                 violated |= violate_mask
                 for iset_index, bit in bit_updates:
                     bitmaps[iset_index] |= bit

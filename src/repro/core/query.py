@@ -6,9 +6,10 @@ This is the exact query class the hardware supports (Equation 1):
 
 A :class:`Query` is a union of :class:`IntersectionSet`; each intersection
 set is a conjunction of :class:`Term`, where a term is a token that must
-(or, when ``negative``, must not) appear in the log line. A term may also
-carry a ``column`` constraint — the prefix-tree extension of Section 4.3,
-where a token must appear at a specific position in the line.
+(or, when ``negative``, must not) appear in the log line, wherever it
+stands in the line: the FT-tree template queries of the evaluation
+(Section 7.1) are position-free, so Section 4.3's column field is not
+modelled.
 
 The module also provides :func:`parse_query`, a parser for a textual
 boolean form (``"failed" AND NOT "pbs_mom:"``, with ``OR`` and
@@ -49,25 +50,26 @@ def _as_token(token: TokenLike) -> bytes:
 
 @dataclass(frozen=True)
 class Term:
-    """One query term: a token, an optional negation, an optional column."""
+    """One query term: a token and an optional negation."""
 
     token: bytes
     negative: bool = False
-    column: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "token", _as_token(self.token))
-        if self.column is not None and self.column < 0:
-            raise QueryError("column constraint must be non-negative")
 
     def negated(self) -> "Term":
-        return Term(token=self.token, negative=not self.negative, column=self.column)
+        return Term(token=self.token, negative=not self.negative)
 
     def __str__(self) -> str:
+        """The term as :func:`parse_query` reads it back: the token in
+        double quotes, or in single quotes when it holds a double quote.
+        A token holding both quote kinds, or bytes that are not UTF-8,
+        has no text form that parses back to it."""
         text = self.token.decode("utf-8", "replace")
         prefix = "NOT " if self.negative else ""
-        suffix = f"@{self.column}" if self.column is not None else ""
-        return f'{prefix}"{text}"{suffix}'
+        quote = "'" if '"' in text else '"'
+        return f"{prefix}{quote}{text}{quote}"
 
 
 @dataclass(frozen=True)
@@ -99,21 +101,15 @@ class IntersectionSet:
 
     @cached_property
     def is_contradictory(self) -> bool:
-        """True when some token appears both positive and negative (with the
-        same column constraint), making the set unsatisfiable."""
-        seen = {(t.token, t.column) for t in self.positives}
-        return any((t.token, t.column) in seen for t in self.negatives)
+        """True when some token appears both positive and negative, making
+        the set unsatisfiable."""
+        seen = {t.token for t in self.positives}
+        return any(t.token in seen for t in self.negatives)
 
     def matches_tokens(self, tokens: Sequence[bytes]) -> bool:
         """Reference (software) semantics against a tokenized line."""
         for term in self.terms:
-            if term.column is not None:
-                present = (
-                    term.column < len(tokens) and tokens[term.column] == term.token
-                )
-            else:
-                present = term.token in tokens
-            if present == term.negative:
+            if (term.token in tokens) == term.negative:
                 return False
         return True
 

@@ -8,7 +8,7 @@ reference scan path evaluates :meth:`repro.core.query.Query
 kernel the same semantics over :class:`repro.core.vectokenizer
 .PageTokens`: it translates the query algebra into a
 :class:`repro.core.factmatrix.FactProgram` — one fact per distinct
-``(token, column)`` term — the same evaluator the offloaded route runs.
+term token — the same evaluator the offloaded route runs.
 
 Deliberately counter-free, like the reference software path (no
 :class:`~repro.core.hashfilter.HashFilter` counters are touched).
@@ -34,7 +34,7 @@ class SoftwareBatchMatcher:
         for owner, query in enumerate(self.queries):
             for iset in query.intersections:
                 terms = [
-                    (fact_index.setdefault((t.token, t.column), len(fact_index)), t.negative)
+                    (fact_index.setdefault(t.token, len(fact_index)), t.negative)
                     for t in iset.terms
                 ]
                 isets.append((owner, terms))

@@ -6,9 +6,8 @@ produces the same information as flat **offset arrays** over the
 decompressed buffer instead: line spans and token spans. Nothing is
 copied out of the buffer until a token is actually needed as ``bytes``
 (a hash-filter candidate) or a line is actually kept, and a token's line
-and in-line position are computed only for the tokens that ask
-(:meth:`PageTokens.lines_of`: the filter's routed tokens;
-:meth:`PageTokens.positions`: those routed to a fact with a column).
+is computed only for the tokens that ask (:meth:`PageTokens.lines_of`:
+the filter's verified tokens).
 
 The arrays come from numpy: a token-byte mask (one ``bytes.translate``),
 token boundaries from the edges of that mask, line spans from terminator
@@ -45,9 +44,7 @@ class PageTokens:
     All offsets index ``buffer``. ``line_starts[i]:line_ends[i]`` is the
     *raw* line (tabs preserved, no terminator) — slicing it yields
     exactly ``buffer.splitlines()[i]``. ``token_starts[j]:token_ends[j]``
-    is one token, in buffer order; :meth:`lines_of` gives a token's line
-    and :meth:`positions` its position within that line (the value the
-    hash filter checks column constraints against).
+    is one token, in buffer order; :meth:`lines_of` gives a token's line.
 
     Arrays are numpy ``int64``.
     """
@@ -70,12 +67,6 @@ class PageTokens:
         """Line index of each of the token indices ``tokens``: one
         ``searchsorted`` against the line ends."""
         return self.line_ends.searchsorted(self.token_starts[tokens])
-
-    def positions(self, tokens, lines):
-        """Position in its line of each token ``tokens[i]``, given its line
-        ``lines[i]`` (:meth:`lines_of`): one ``searchsorted`` against the
-        lines' first tokens."""
-        return tokens - self.token_starts.searchsorted(self.line_starts[lines])
 
     def line_bytes(self, i: int) -> bytes:
         """Raw bytes of line ``i`` (terminator stripped, tabs intact)."""

@@ -21,8 +21,10 @@ Three consumers:
   garbage sawtooth in Perfetto and usually mean two tracers were merged
   by accident).
 - :func:`utilization_summary` — per-resource busy fractions over the
-  whole trace window, what ``MithriLogSystem`` publishes per query as
-  the ``mithrilog_util_busy_fraction`` gauge family.
+  whole trace window, index and ingest spans included. It is not the
+  ``mithrilog_util_busy_fraction`` gauge family: ``MithriLogSystem``
+  sets that per query, each scan stage's time over that one query's
+  scan window (``QueryStats.scan_time_s``).
 
 Everything here is a pure function of the spans, hence exactly as
 deterministic as the simulated timeline itself.

@@ -1,7 +1,7 @@
 """Span tracing on the simulation clock, exported as Chrome trace JSON.
 
 Every performance number in this reproduction is *simulated* time
-(:class:`repro.sim.clock.SimClock`), so spans carry two timelines:
+(:class:`repro.sim.SimClock`), so spans carry two timelines:
 
 - ``start_s`` / ``duration_s`` — **simulated seconds**, the paper's
   hardware arithmetic. These become the Chrome trace ``ts``/``dur``
@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Iterator, Optional, Union
 
 from repro.obs.artifacts import read_json, write_json
-from repro.sim.clock import SimClock
+from repro.sim import SimClock
 
 __all__ = [
     "Span",

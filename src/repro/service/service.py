@@ -42,7 +42,7 @@ from repro.service.request import (
     coerce_query,
 )
 from repro.service.qos import Batch, QoSScheduler
-from repro.sim.clock import SimClock
+from repro.sim import SimClock
 from repro.system.cluster import MithriLogCluster
 from repro.system.mithrilog import MithriLogSystem
 

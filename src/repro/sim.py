@@ -1,11 +1,15 @@
 """Simulated time source.
 
 The performance models in this library never read wall-clock time; they
-advance a :class:`SimClock`. This keeps every benchmark deterministic and
-lets a "12.8 GB/s" accelerator be modelled faithfully on any host.
+advance a :class:`SimClock`, the monotonic simulated time every system,
+service and stream moves by the seconds the models compute. This keeps
+every benchmark deterministic and lets a "12.8 GB/s" accelerator be
+modelled faithfully on any host.
 """
 
 from __future__ import annotations
+
+__all__ = ["SimClock"]
 
 
 class SimClock:

@@ -42,7 +42,7 @@ from repro.obs.metrics import get_registry, handle
 from repro.obs.profile import TraceContext, merge_into_registry, profile_to_dict
 from repro.obs.tracing import SpanTracer
 from repro.params import PROTOTYPE, SystemParams
-from repro.sim.clock import SimClock
+from repro.sim import SimClock
 from repro.storage.device import DeviceReadResult, MithriLogDevice
 from repro.storage.page import Page
 from repro.stream.sampling import SampleEstimate, estimate_matches, sample_pages

@@ -8,21 +8,16 @@ fields) are pruned into wildcards. Root-to-leaf paths are templates.
 
 - :mod:`repro.templates.fttree` — the frequency-tree extractor plus the
   Section 4.3 template-to-query compiler (sibling negation rule),
-- :mod:`repro.templates.prefixtree` — a prefix-tree extractor whose
-  templates compile to column-constrained queries,
 - :mod:`repro.templates.querygen` — the single/OR-2/OR-8 query batches
   used by all benchmarks.
 """
 
 from repro.templates.fttree import FTTree, FTTreeParams, Template
-from repro.templates.prefixtree import PrefixTree, PrefixTreeParams
 from repro.templates.querygen import QueryWorkload, build_workload
 
 __all__ = [
     "FTTree",
     "FTTreeParams",
-    "PrefixTree",
-    "PrefixTreeParams",
     "QueryWorkload",
     "Template",
     "build_workload",

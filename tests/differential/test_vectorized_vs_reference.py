@@ -74,7 +74,7 @@ FILTER_QUERIES = (
     Query(
         intersections=(
             IntersectionSet(
-                terms=(Term(token=b"svc"), Term(token=b"ERR", column=2))
+                terms=(Term(token=b"svc"), Term(token=b"ERR"))
             ),
         )
     ),
@@ -117,8 +117,6 @@ def _assert_tokenization_matches(payload: bytes) -> None:
     assert page.num_tokens == sum(len(t) for t in want_tokens)
     every = numpy_or_none().arange(page.num_tokens)
     lines = page.lines_of(every)
-    positions = page.positions(every, lines)
-    assert positions.tolist() == [j for tokens in want_tokens for j in range(len(tokens))]
     for j, line in enumerate(lines.tolist()):
         start, end = int(page.token_starts[j]), int(page.token_ends[j])
         assert int(page.line_starts[line]) <= start < end <= int(page.line_ends[line])
@@ -268,12 +266,10 @@ def _fact_programs(queries) -> list:
 
 
 def _query(*isets) -> Query:
-    """``_query([(token, negative, column), ...], ...)``."""
+    """``_query([(token, negative), ...], ...)``."""
     return Query(
         intersections=tuple(
-            IntersectionSet(
-                terms=tuple(Term(token=t, negative=n, column=c) for t, n, c in terms)
-            )
+            IntersectionSet(terms=tuple(Term(token=t, negative=n) for t, n in terms))
             for terms in isets
         )
     )
@@ -320,29 +316,29 @@ class TestFactMatrixFilter:
     @pytest.mark.parametrize(
         "queries",
         [
-            # three tokens sharing one 8-byte prefix, a column on the short one
-            [_query([(b"abcdefghX", False, None)]), _query([(b"abcdefgh", False, 2)]),
-             _query([(b"abcdefghX", False, None), (b"abcdefghY", True, None)])],
+            # three tokens sharing one 8-byte prefix
+            [_query([(b"abcdefghX", False)]), _query([(b"abcdefgh", False)]),
+             _query([(b"abcdefghX", False), (b"abcdefghY", True)])],
             # equal keys, unequal lengths: only zero padding tells them apart
-            [_query([(b"a", False, None)]), _query([(b"a\x00", False, None)]),
-             _query([(b"ab\x00\x00", False, None), (b"ab", True, None)]),
-             _query([(b"\x00", False, 4)], [(b"\x00a", False, None)])],
+            [_query([(b"a", False)]), _query([(b"a\x00", False)]),
+             _query([(b"ab\x00\x00", False), (b"ab", True)]),
+             _query([(b"\x00", False)], [(b"\x00a", False)])],
             # lengths 7, 8, 9, 16 and 17 around the key's width
-            [_query([(b"1234567", False, None)]), _query([(b"12345678", False, 1)]),
-             _query([(b"123456789", False, None)]), _query([(b"1234567890123456", False, None)]),
-             _query([(b"12345678901234567", False, None), (b"123456780", True, None)])],
+            [_query([(b"1234567", False)]), _query([(b"12345678", False)]),
+             _query([(b"123456789", False)]), _query([(b"1234567890123456", False)]),
+             _query([(b"12345678901234567", False), (b"123456780", True)])],
             # the maximal collision: every fact has the key "abcdefgh"
-            [_query([(b"abcdefgh", False, None)]), _query([(b"abcdefghX", False, 0)]),
-             _query([(b"abcdefghY", False, None), (b"abcdefghXY", True, None)]),
-             _query([(b"abcdefgh" + b"Z" * 9, False, None)])],
+            [_query([(b"abcdefgh", False)]), _query([(b"abcdefghX", False)]),
+             _query([(b"abcdefghY", False), (b"abcdefghXY", True)]),
+             _query([(b"abcdefgh" + b"Z" * 9, False)])],
             # 302-byte tokens routed to 9-byte facts' key: the tail is
             # bounded by the fact, whichever fact the blob ends with
-            [_query([(b"L" * 301 + b"M", False, None)]),
-             _query([(b"LLLLLLLLL", False, None), (b"LLLLLLLLM", True, None)])],
-            [_query([(b"LLLLLLLLM", False, None)], [(b"L" * 9, False, 0)]),
-             _query([(b"L" * 301 + b"M", False, None)])],
+            [_query([(b"L" * 301 + b"M", False)]),
+             _query([(b"LLLLLLLLL", False), (b"LLLLLLLLM", True)])],
+            [_query([(b"LLLLLLLLM", False)], [(b"L" * 9, False)]),
+             _query([(b"L" * 301 + b"M", False)])],
             # anagrams: same bytes, other order
-            [_query([(b"abc", False, None)], [(b"cab", False, 0), (b"bca", True, None)])],
+            [_query([(b"abc", False)], [(b"cab", False), (b"bca", True)])],
         ],
         ids=["shared-prefix", "zero-padding", "lengths-7-to-17", "one-key",
              "long-token-short-fact-last", "long-token-long-fact-last", "anagrams"],
@@ -363,7 +359,7 @@ class TestFactMatrixFilter:
         """The last token of a buffer with no trailing newline: its key
         reads past the text into the padding."""
         queries = [
-            _query([(token, False, None)])
+            _query([(token, False)])
             for token in (b"a", b"abc", b"12345678", b"123456789", b"12345678901234567",
                           b"L" * 301 + b"M")
         ]
@@ -376,28 +372,24 @@ class TestFactMatrixFilter:
         "queries",
         [
             # NUL and high bytes inside tokens
-            [_query([(b"nul\x00tok", False, None)]), _query([(b"\xff\xfe", False, 1)]),
-             _query([(b"high\x80", False, None), (b"nul\x00tok", True, 0)])],
+            [_query([(b"nul\x00tok", False)]), _query([(b"\xff\xfe", False)]),
+             _query([(b"high\x80", False), (b"nul\x00tok", True)])],
             # tokens longer than 255 bytes, and their near misses
-            [_query([(LONG, False, None)]), _query([(b"L" * 256, False, 0)]),
-             _query([(b"L" * 299 + b"M", False, 1)]), _query([(b"L" * 302, False, None)])],
-            # one token under two different columns (software only: a
-            # cuckoo entry has one column field)
-            [_query([(b"svc", False, 0)], [(b"svc", False, 3)]),
-             _query([(b"svc", False, 1), (b"svc", True, 0)])],
+            [_query([(LONG, False)]), _query([(b"L" * 256, False)]),
+             _query([(b"L" * 299 + b"M", False)]), _query([(b"L" * 302, False)])],
             # one token under both polarities: across sets, and inside
             # one set (contradictory: matches nothing)
-            [_query([(b"up", False, None)], [(b"up", True, None), (b"ERR", False, None)]),
-             _query([(b"svc", False, None), (b"svc", True, None)])],
+            [_query([(b"up", False)], [(b"up", True), (b"ERR", False)]),
+             _query([(b"svc", False), (b"svc", True)])],
             # the same term twice in one set
-            [_query([(b"svc", False, None), (b"svc", False, None), (b"up", False, None)])],
+            [_query([(b"svc", False), (b"svc", False), (b"up", False)])],
             # negative-only sets: keep every line without the token
-            [_query([(b"svc", True, None)]), _query([(b"ERR", True, 0), (b"up", True, None)])],
+            [_query([(b"svc", True)]), _query([(b"ERR", True), (b"up", True)])],
             # a query with zero intersection sets matches nothing
-            [Query(intersections=()), _query([(b"svc", False, None)])],
+            [Query(intersections=()), _query([(b"svc", False)])],
             [Query(intersections=())],
         ],
-        ids=["nul-high", "long", "two-columns", "both-polarities", "duplicate-term",
+        ids=["nul-high", "long", "both-polarities", "duplicate-term",
              "negative-only", "empty-query-beside", "empty-query-alone"],
     )
     def test_edge_programs_and_tokens(self, queries):
@@ -412,7 +404,7 @@ class TestFactMatrixFilter:
 
     #: ``alpha`` and ``delta`` both occur but never on one line; ``omega``
     #: and ``abcdefghYZ`` never occur, ``abcdefghY`` shares their key's
-    #: first 8 bytes; ``svc`` sits at positions 0 and 1 only.
+    #: first 8 bytes.
     REACH_PAGE = b"".join(
         line + b"\n"
         for line in (
@@ -442,24 +434,24 @@ class TestFactMatrixFilter:
     def test_keys_all_routed_but_never_on_one_line(self):
         """The set is reachable, so the full path runs, and decides
         nothing on any line."""
-        queries = [_query([(b"alpha", False, None), (b"delta", False, None)])]
+        queries = [_query([(b"alpha", False), (b"delta", False)])]
         assert not self._early_out(queries)
         page = tokenize_page_offsets(self.REACH_PAGE)
         assert not SoftwareBatchMatcher(tuple(queries)).evaluate(page).any()
 
     def test_a_positive_key_absent_takes_the_default_rows(self):
-        assert self._early_out([_query([(b"alpha", False, None), (b"omega", False, None)])])
+        assert self._early_out([_query([(b"alpha", False), (b"omega", False)])])
         # the default row holds True where a need-0 set has no routed token
         assert self._early_out(
-            [_query([(b"alpha", False, None), (b"omega", False, None)]),
-             _query([(b"omega", True, None)])]
+            [_query([(b"alpha", False), (b"omega", False)]),
+             _query([(b"omega", True)])]
         )
 
     def test_a_negative_only_set_beside_an_unreachable_set(self):
         """The negative-only set needs nothing, so it is reachable and its
         veto on ``beta``'s lines survives."""
-        queries = [_query([(b"alpha", False, None), (b"omega", False, None)],
-                          [(b"beta", True, None)])]
+        queries = [_query([(b"alpha", False), (b"omega", False)],
+                          [(b"beta", True)])]
         assert not self._early_out(queries)
         page = tokenize_page_offsets(self.REACH_PAGE)
         verdicts = SoftwareBatchMatcher(tuple(queries)).evaluate(page)[:, 0].tolist()
@@ -467,8 +459,8 @@ class TestFactMatrixFilter:
 
     @pytest.mark.parametrize(
         "terms",
-        [[(b"alpha", False, None), (b"alpha", True, None)],
-         [(b"alpha", False, None), (b"beta", False, None), (b"beta", True, None)]],
+        [[(b"alpha", False), (b"alpha", True)],
+         [(b"alpha", False), (b"beta", False), (b"beta", True)]],
         ids=["one-token", "beside-another"],
     )
     def test_a_contradictory_set(self, terms):
@@ -476,16 +468,15 @@ class TestFactMatrixFilter:
         assert not self._early_out([_query(terms)])
 
     @pytest.mark.parametrize(
-        "fact",
-        [(b"abcdefghX", None), (b"abcdefghYZ", None), (b"abcdefgh", None), (b"svc", 3)],
-        ids=["other-tail", "longer", "shorter", "other-column"],
+        "token",
+        [b"abcdefghX", b"abcdefghYZ", b"abcdefgh"],
+        ids=["other-tail", "longer", "shorter"],
     )
-    def test_a_key_routed_by_a_token_that_is_not_the_fact(self, fact):
+    def test_a_key_routed_by_a_token_that_is_not_the_fact(self, token):
         """Routing is a superset of fact hits: the set looks reachable, the
         full path runs, and verification says no. (The second query's
         9-byte fact lets ``abcdefghY`` past the length prefilter.)"""
-        token, column = fact
-        queries = [_query([(token, False, column)]), _query([(b"x" * 9, False, None)])]
+        queries = [_query([(token, False)]), _query([(b"x" * 9, False)])]
         assert not self._early_out(queries)
         page = tokenize_page_offsets(self.REACH_PAGE)
         assert not SoftwareBatchMatcher(tuple(queries)).evaluate(page).any()
@@ -493,8 +484,8 @@ class TestFactMatrixFilter:
     def test_only_one_query_of_two_is_reachable(self):
         """The reachable query is decided as before; the facts only the
         unreachable one uses (``gamma``) are dropped, not verified."""
-        queries = [_query([(b"alpha", False, None), (b"beta", False, None)]),
-                   _query([(b"gamma", False, None), (b"omega", False, None)])]
+        queries = [_query([(b"alpha", False), (b"beta", False)]),
+                   _query([(b"gamma", False), (b"omega", False)])]
         assert not self._early_out(queries)
         page = tokenize_page_offsets(self.REACH_PAGE)
         program = SoftwareBatchMatcher(tuple(queries)).program  # facts in term order
@@ -779,20 +770,13 @@ if HAVE_HYPOTHESIS:
         """Random queries whose terms draw their tokens from ``tokens``."""
         return st.lists(
             st.lists(
-                st.tuples(
-                    tokens,
-                    st.booleans(),  # negative
-                    st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
-                ),
+                st.tuples(tokens, st.booleans()),  # (token, negative)
                 min_size=1,
                 max_size=3,
                 unique_by=lambda t: t[0],
             ).map(
                 lambda terms: IntersectionSet(
-                    terms=tuple(
-                        Term(token=token, negative=neg, column=col)
-                        for token, neg, col in terms
-                    )
+                    terms=tuple(Term(token=token, negative=neg) for token, neg in terms)
                 )
             ),
             min_size=1,
@@ -913,7 +897,7 @@ if HAVE_HYPOTHESIS:
             """Programs drawn so most sets are unreachable: pages hold only
             ``present`` tokens, and most sets also need one ``absent`` token
             (which may share a present token's key). Negative-only and
-            contradictory sets, columns and need-0 vetoes all occur. Both
+            contradictory sets and need-0 vetoes all occur. Both
             routes through the whole partition kernel, against the
             reference kernel."""
             from repro.errors import CapacityError, PlacementError
@@ -925,18 +909,14 @@ if HAVE_HYPOTHESIS:
                 lambda lines: b"\n".join(lines) + b"\n"
             )
             pages = data.draw(st.lists(page, min_size=1, max_size=3))
-            term = st.tuples(
-                st.sampled_from(present),
-                st.booleans(),  # negative
-                st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
-            )
-            needs_absent = st.sampled_from(absent).map(lambda token: [(token, False, None)])
+            term = st.tuples(st.sampled_from(present), st.booleans())  # (token, negative)
+            needs_absent = st.sampled_from(absent).map(lambda token: [(token, False)])
             missing = st.one_of(needs_absent, needs_absent, needs_absent, st.just([]))
             iset = st.builds(
                 lambda terms, more: terms + more, st.lists(term, max_size=3), missing
             ).filter(bool).map(
                 lambda terms: IntersectionSet(
-                    terms=tuple(Term(token=t, negative=n, column=c) for t, n, c in terms)
+                    terms=tuple(Term(token=t, negative=n) for t, n in terms)
                 )
             )
             query = st.lists(iset, min_size=1, max_size=2).map(
@@ -951,6 +931,40 @@ if HAVE_HYPOTHESIS:
             except (PlacementError, CapacityError):
                 return
             _assert_kernels_agree(queries, True, pages)
+
+        @settings(max_examples=100, deadline=None)
+        @given(
+            data=st.data(),
+            vocab=st.lists(word_token, min_size=1, max_size=24, unique=True),
+            num_queries=st.integers(min_value=1, max_value=4),
+        )
+        def test_compile_loses_nothing(self, data, vocab, num_queries):
+            """For every program that compiles, the cuckoo table holds
+            exactly the queries' term tokens, and the table's fact program
+            and the query algebra's give equal verdicts on any page."""
+            from repro.errors import CapacityError, PlacementError
+
+            queries = tuple(
+                data.draw(
+                    st.lists(
+                        queries_over(st.sampled_from(vocab)),
+                        min_size=num_queries,
+                        max_size=num_queries,
+                    )
+                )
+            )
+            try:
+                compiled = compile_queries(queries, seed=0)
+            except (PlacementError, CapacityError):
+                assume(False)
+            terms = {t.token for q in queries for iset in q.intersections for t in iset.terms}
+            assert {entry.token for _row, entry in compiled.table.entries()} == terms
+            line = st.lists(st.one_of(st.sampled_from(vocab), word_token), max_size=8)
+            vocab_page = st.lists(line.map(b" ".join), max_size=12).map(b"\n".join)
+            page = tokenize_page_offsets(data.draw(st.one_of(vocab_page, any_page)))
+            offloaded = compiled.fact_program().evaluate(page)
+            software = SoftwareBatchMatcher(queries).program.evaluate(page)
+            assert offloaded.tolist() == software.tolist()
 
         @settings(max_examples=100, deadline=None)
         @given(
@@ -1015,9 +1029,7 @@ if HAVE_HYPOTHESIS:
                 Query(
                     intersections=(
                         IntersectionSet(terms=(Term(token=b"session"),)),
-                        IntersectionSet(
-                            terms=(Term(token=b"ERR", column=2),)
-                        ),
+                        IntersectionSet(terms=(Term(token=b"ERR"),)),
                     )
                 ),
                 Query(

@@ -55,20 +55,6 @@ class TestBasicOperations:
         assert 0 <= r0 < 256 and 0 <= r1 < 256
 
 
-class TestColumns:
-    def test_column_stored(self, table):
-        table.add_term(b"sshd", 0, negative=False, column=4)
-        _, entry = table.lookup(b"sshd")
-        assert entry.column == 4
-
-    def test_conflicting_columns_rejected(self, table):
-        table.add_term(b"sshd", 0, negative=False, column=4)
-        with pytest.raises(PlacementError):
-            table.add_term(b"sshd", 1, negative=False, column=5)
-        with pytest.raises(PlacementError):
-            table.add_term(b"sshd", 1, negative=False, column=None)
-
-
 class TestOverflow:
     def test_short_token_uses_no_overflow(self, table):
         table.add_term(b"x" * 16, 0, negative=False)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.compression.lzah import LZAHCompressor
 from repro.core.hashfilter import HashFilter, LineEvaluator, compile_queries
-from repro.core.query import IntersectionSet, Query, Term, parse_query
+from repro.core.query import parse_query
 from repro.core.tokenizer import (
     split_tokens,
     split_tokens_reference,
@@ -95,8 +95,8 @@ def per_token_verdicts(program, tokens):
     """The batch kernel's reference: one line's tokens fed one at a time
     through a :class:`LineEvaluator`."""
     evaluator = LineEvaluator(program)
-    for position, token in enumerate(tokens):
-        evaluator.feed(token, position)
+    for token in tokens:
+        evaluator.feed(token)
     return evaluator.query_verdicts()
 
 
@@ -143,29 +143,6 @@ class TestHashFilterBatchKernel:
 
     def test_empty_batch(self):
         assert HashFilter(self._program()).evaluate_token_lists([]) == []
-
-    def test_column_constrained_queries(self):
-        constrained = Query(
-            intersections=(
-                IntersectionSet(
-                    terms=(
-                        Term(token=b"svc"),
-                        Term(token=b"ERR", column=2),
-                    )
-                ),
-            )
-        )
-        program = compile_queries((constrained,), seed=0)
-        fast = HashFilter(program)
-        cases = [
-            [b"svc", b"x", b"ERR"],
-            [b"svc", b"ERR", b"x"],
-            [b"ERR", b"svc", b"ERR"],
-            [b"svc"],
-            [],
-        ]
-        verdicts = fast.evaluate_token_lists(cases)
-        assert verdicts == [per_token_verdicts(program, tokens) for tokens in cases]
 
 
 class TestLZAHDecoder:

@@ -45,7 +45,6 @@ ALLOWED = {
     "repro.index.bloom": "§6 indexing-strategy ablation: bench_ablate_index_strategy.py",
     "repro.storage.ftl": "bench_ftl.py, and FlashTranslationLayer.retire_block is the bad-block fault model",
     "repro.system.scheduler": "§4 union-join claim: bench_concurrent_queries.py, public repro.QueryScheduler",
-    "repro.templates.prefixtree": "§4.3 column extension, tests only: reaching it needs a CLI option and query syntax",
 }
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs.tracing import SpanTracer, TraceError, validate_chrome_trace
-from repro.sim.clock import SimClock
+from repro.sim import SimClock
 
 
 class TestRecord:

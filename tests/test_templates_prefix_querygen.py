@@ -1,11 +1,10 @@
-"""Tests for the prefix-tree extractor and the query workload generator."""
+"""Tests for the query workload generator."""
 
 import pytest
 
 from repro.core.query import Query
 from repro.errors import QueryError
-from repro.templates.fttree import FTTree, FTTreeParams, WILDCARD
-from repro.templates.prefixtree import PrefixTree, PrefixTreeParams
+from repro.templates.fttree import FTTree, FTTreeParams
 from repro.templates.querygen import build_workload, combine
 
 
@@ -15,43 +14,6 @@ def corpus():
     lines += [f"kernel panic cpu {i}".encode() for i in range(20)]
     lines += [b"cron job started"] * 15
     return lines
-
-
-class TestPrefixTree:
-    def test_templates_positional(self):
-        tree = PrefixTree.from_lines(corpus(), PrefixTreeParams(prune_threshold=8))
-        paths = {t.tokens for t in tree.templates}
-        assert any(p[:3] == (b"sshd", b"auth", b"failure") for p in paths)
-
-    def test_variable_column_becomes_wildcard(self):
-        tree = PrefixTree.from_lines(corpus(), PrefixTreeParams(prune_threshold=8))
-        sshd = next(t for t in tree.templates if t.tokens[0] == b"sshd")
-        assert sshd.tokens[-1] == WILDCARD  # the user id column
-
-    def test_query_carries_column_constraints(self):
-        tree = PrefixTree.from_lines(corpus(), PrefixTreeParams(prune_threshold=8))
-        sshd = next(t for t in tree.templates if t.tokens[0] == b"sshd")
-        query = tree.template_query(sshd)
-        terms = query.intersections[0].terms
-        assert all(term.column is not None for term in terms)
-        assert query.matches_line(b"sshd auth failure user u99")
-        # same tokens, wrong positions: must not match
-        assert not query.matches_line(b"u99 sshd auth failure user")
-
-    def test_all_wildcard_template_rejected(self):
-        tree = PrefixTree.from_lines(corpus())
-        from repro.templates.fttree import Template
-
-        with pytest.raises(QueryError):
-            tree.template_query(
-                Template(template_id=0, tokens=(WILDCARD, WILDCARD), support=5)
-            )
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            PrefixTreeParams(max_depth=0)
-        with pytest.raises(ValueError):
-            PrefixTreeParams(prune_threshold=1)
 
 
 class TestQueryWorkload:

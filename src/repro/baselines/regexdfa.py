@@ -371,93 +371,6 @@ def escape_token(token: bytes) -> str:
     )
 
 
-class MultiByteMatcher:
-    """A W-bytes-per-step DFA — HAWK's actual trick [68].
-
-    HAWK reaches deterministic multi-GB/s by consuming W characters per
-    cycle: the automaton's transition function is composed with itself W
-    times, so one table lookup advances W input bytes. The cost is the
-    widened alphabet (pairs, triples, ... of byte classes), which is
-    exactly why HAWK's area grows steeply with W and its FPGA port had to
-    cut parallelism — the resource story Section 7.4.3 leans on.
-
-    Implementation: take the 1-byte DFA, make acceptance *sticky* (an
-    absorbing accept state, so a match inside a W-byte block is not
-    stepped over), then build the widened transition table over tuples of
-    byte classes. Leftover tail bytes run through the 1-byte table.
-    """
-
-    def __init__(self, pattern: str, width: int = 2) -> None:
-        if width < 1:
-            raise QueryParseError("width must be at least 1")
-        self.width = width
-        self._single = RegexMatcher(pattern)
-        table = [row[:] for row in self._single._table]
-        accepting = list(self._single._accepting)
-        num_classes = len(table[0]) if table else 0
-        # sticky acceptance: accepting states absorb
-        for state, accepts in enumerate(accepting):
-            if accepts:
-                table[state] = [state] * num_classes
-        self._byte_class = self._single._byte_class
-        self._accepting = accepting
-        self._table1 = table
-        self._wide = self._widen(table, num_classes, width)
-        self._num_classes = num_classes
-
-    @property
-    def wide_table_entries(self) -> int:
-        """Size of the widened table — the area proxy for HAWK scaling."""
-        return sum(len(row) for row in self._wide)
-
-    @staticmethod
-    def _widen(table: list[list[int]], num_classes: int, width: int):
-        """Compose the transition function with itself ``width`` times.
-
-        The widened table is indexed by a radix-``num_classes`` tuple
-        code, matching how hardware would wire W class decoders.
-        """
-        wide: list[list[int]] = []
-        tuple_count = num_classes**width
-        for state in range(len(table)):
-            row = [0] * tuple_count
-            for code in range(tuple_count):
-                s = state
-                rest = code
-                # most-significant class first = first byte of the block
-                for shift in range(width - 1, -1, -1):
-                    cls = (rest // (num_classes**shift)) % num_classes
-                    s = table[s][cls]
-                row[code] = s
-            wide.append(row)
-        return wide
-
-    def search(self, data: bytes) -> bool:
-        state = 0
-        if self._accepting[state]:
-            return True
-        classes = self._byte_class
-        n = len(data)
-        w = self.width
-        nc = self._num_classes
-        block_end = n - n % w
-        pos = 0
-        while pos < block_end:
-            code = 0
-            for i in range(w):
-                code = code * nc + classes[data[pos + i]]
-            state = self._wide[state][code]
-            if self._accepting[state]:
-                return True
-            pos += w
-        while pos < n:
-            state = self._table1[state][classes[data[pos]]]
-            if self._accepting[state]:
-                return True
-            pos += 1
-        return False
-
-
 # ---------------------------------------------------------------------------
 # HARE throughput/area model (published figures)
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ def _as_token(token: TokenLike) -> bytes:
         raise QueryError(f"token must be str or bytes, got {type(token).__name__}")
     if not token:
         raise QueryError("empty token is not a valid query term")
-    if b" " in token or b"\t" in token or b"\n" in token:
+    # a stored page's tokenizer ends a line at \r as at \n: no stored
+    # token holds either
+    if any(d in token for d in (b" ", b"\t", b"\n", b"\r")):
         raise QueryError(
             f"token {token!r} contains a delimiter; tokens are single words"
         )

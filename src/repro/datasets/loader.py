@@ -19,13 +19,15 @@ from repro.params import PAGE_BYTES
 def read_log_lines(path: str | os.PathLike, limit: Optional[int] = None) -> list[bytes]:
     """Read a newline-delimited log file as a list of lines.
 
-    Handles the common real-log wrinkles: trailing newline, blank lines
-    kept (they are legal log lines), and no decoding — logs are bytes.
+    Handles the common real-log wrinkles: trailing newline, ``\\r\\n``
+    terminators (one terminator, as a stored page reads them), blank
+    lines kept (they are legal log lines), and no decoding — logs are
+    bytes.
     """
     lines: list[bytes] = []
     with open(path, "rb") as handle:
         for raw in handle:
-            lines.append(raw.rstrip(b"\n"))
+            lines.append(raw[:-2] if raw.endswith(b"\r\n") else raw.rstrip(b"\n"))
             if limit is not None and len(lines) >= limit:
                 break
     return lines

@@ -20,7 +20,6 @@ trajectory these pieces are measured by.
 from repro.exec.cache import DEFAULT_CACHE_PAGES, PageCache, payload_fingerprint
 from repro.exec.executor import (
     KernelResult,
-    ScanAggregate,
     ScanExecutor,
     ScanProgramSpec,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "KernelResult",
     "PageCache",
     "payload_fingerprint",
-    "ScanAggregate",
     "ScanExecutor",
     "ScanProgramSpec",
 ]

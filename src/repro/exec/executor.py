@@ -33,6 +33,11 @@ with two equivalence-tested stage sets, selected by
 Stage ``calls`` count pages and ``units`` bytes or lines on both, so
 the host profile does not depend on the kernel or the run size.
 
+What a scan did is one record, :class:`KernelResult`: the kernel returns
+one per partition, and :meth:`ScanExecutor.scan` returns their sum, with
+the partitions' own results, in page order, as its ``partitions``. Its
+``stages`` is the plain stage-profile dict of :mod:`repro.obs.profile`.
+
 Determinism is by construction: ``workers=1`` runs the very same
 partition kernel inline (no pool, no processes), partitions are
 contiguous slices of the candidate list, and results are concatenated in
@@ -60,13 +65,7 @@ from repro.core.softmatch import SoftwareBatchMatcher
 from repro.core.tokenizer import tokenize_page
 from repro.errors import QueryError
 from repro.obs.metrics import handle
-from repro.obs.profile import (
-    PartitionProfile,
-    ProfileBuilder,
-    StageProfile,
-    merge_into_registry,
-    merge_profiles,
-)
+from repro.obs.profile import add_stage, merge_into_registry, merge_profiles
 from repro.params import CuckooParams, LZAHParams
 
 
@@ -93,45 +92,29 @@ class ScanProgramSpec:
 
 
 @dataclass(frozen=True)
-class ScanAggregate:
-    """What one scan produced, in the units the system's stats need.
+class KernelResult:
+    """What a scan, or one partition of it, did (picklable — crosses the
+    pool boundary).
 
-    ``partitions`` carries one :class:`~repro.obs.profile
-    .PartitionProfile` per executed partition (a single record on the
-    inline path), in page order — the per-partition view the parent
-    turns into trace spans. ``profile`` is their stage-wise merge.
-    ``per_query_counts`` is the number of kept lines per concurrent
-    query (partition sums — worker-count invariant); ``decoded`` is only
-    populated on the inline path when the caller asked for the decoded
-    pages back (one immutable ``bytes`` per item, ``None`` for pages
-    that arrived already decoded), so the parent can feed its PageCache
-    without a second decompression pass.
+    ``stages`` is the host stage profile, ``{stage: {"calls", "units",
+    "wall_s"}}`` (see :mod:`repro.obs.profile`). ``per_query_counts`` is
+    the number of kept lines per concurrent query. ``decoded`` is only
+    populated when the caller asked for the decoded pages back (one
+    ``bytes`` per page, ``None`` for pages that arrived decoded), so the
+    parent can feed its PageCache without a second decompression pass.
+    A whole scan's result from :meth:`ScanExecutor.scan` holds its
+    partitions' results, in page order, in ``partitions``.
     """
 
     data: bytes  #: concatenated per-page FILTER output (kept lines)
-    bytes_decompressed: int
-    lines_seen: int
-    lines_kept: int
-    partitions: tuple[PartitionProfile, ...] = ()
-    profile: tuple[tuple[str, StageProfile], ...] = ()
-    per_query_counts: tuple[int, ...] = ()
-    decoded: tuple = ()
-
-    def profile_dict(self) -> dict[str, StageProfile]:
-        return dict(self.profile)
-
-
-@dataclass(frozen=True)
-class KernelResult:
-    """One partition's output (picklable — crosses the pool boundary)."""
-
-    data: bytes
+    pages: int
     bytes_decompressed: int
     lines_seen: int
     lines_kept: int
     per_query_counts: tuple[int, ...]
-    stages: tuple[tuple[str, StageProfile], ...]
+    stages: dict
     decoded: tuple = ()
+    partitions: tuple["KernelResult", ...] = ()
 
 
 #: Per-process memo of the numpy kernel's ``SoftwareBatchMatcher``s by
@@ -319,11 +302,12 @@ def _partition_kernel(
     run_bytes = _RUN_BYTES if spec.kernel == "vectorized" and stop_after is None else 0
     declared_length = _codec(spec).declared_length
 
-    profile = ProfileBuilder()
+    stages: dict = {}
     clock = time.perf_counter
     out_chunks: list[bytes] = []
     decoded_pages: list = []
     counts = [0] * len(spec.queries)
+    pages = 0
     bytes_decompressed = 0
     lines_seen = 0
     lines_kept = 0
@@ -332,9 +316,7 @@ def _partition_kernel(
         if misses:
             t0 = clock()
             text = decode(*misses)
-            profile.add(
-                "decompress", calls=len(misses), units=len(text), wall_s=clock() - t0
-            )
+            add_stage(stages, "decompress", len(misses), len(text), clock() - t0)
             fresh = iter(_split(text, misses, declared_length))
         # cache hits arrive decoded: their decode was skipped upstream
         texts = [payload if is_decoded else next(fresh) for is_decoded, payload in run]
@@ -343,6 +325,7 @@ def _partition_kernel(
                 None if is_decoded else page_text
                 for (is_decoded, _), page_text in zip(run, texts)
             )
+        pages += len(texts)
         bytes_decompressed += sum(map(len, texts))
         t0 = clock()
         page = tokenize(_run_text(texts))
@@ -352,8 +335,8 @@ def _partition_kernel(
         rows = tally(verdicts, counts, budget)
         kept = [line_bytes(page, i) for i in rows]
         num_lines = len(verdicts)
-        profile.add("tokenize", calls=len(texts), units=num_lines, wall_s=t1 - t0)
-        profile.add("filter", calls=len(texts), units=num_lines, wall_s=clock() - t1)
+        add_stage(stages, "tokenize", len(texts), num_lines, t1 - t0)
+        add_stage(stages, "filter", len(texts), num_lines, clock() - t1)
         lines_kept += len(kept)
         out_chunks.append(b"\n".join(kept) + (b"\n" if kept else b""))
         if len(rows) == budget:  # cancelled
@@ -362,11 +345,12 @@ def _partition_kernel(
         lines_seen += num_lines
     return KernelResult(
         data=b"".join(out_chunks),
+        pages=pages,
         bytes_decompressed=bytes_decompressed,
         lines_seen=lines_seen,
         lines_kept=lines_kept,
         per_query_counts=tuple(counts),
-        stages=profile.build_items(),
+        stages=dict(sorted(stages.items())),
         decoded=tuple(decoded_pages) if want_decoded else (),
     )
 
@@ -415,11 +399,13 @@ class ScanExecutor:
         spec: ScanProgramSpec,
         items: Sequence[tuple[bool, bytes]],
         want_decoded: bool = False,
-    ) -> ScanAggregate:
+    ) -> KernelResult:
         """Run the filter scan over ``items`` (page order preserved).
 
-        Partitions are contiguous slices, results are gathered in
-        partition order, and a worker failure (e.g. a corrupt page's
+        Partitions are contiguous slices. Their results, in partition
+        order, are the returned result's ``partitions``, and it is their
+        sum: data concatenated, counters summed, stages merged. A worker
+        failure (e.g. a corrupt page's
         :class:`repro.errors.CompressedFormatError`) propagates to the
         caller exactly as the inline path would raise it.
         ``want_decoded`` is honoured on the inline path only — on the
@@ -428,43 +414,31 @@ class ScanExecutor:
         """
         if self.workers == 1 or len(items) <= 1:
             self._m_partitions.inc(mode="inline")
-            partitions = [(0, len(items))]
             results = [_partition_kernel(spec, items, want_decoded)]
         else:
             pool = self._ensure_pool()
-            partitions = _partition_slices(len(items), self.workers)
             futures = [
                 pool.submit(_partition_kernel, spec, items[start:stop])
-                for start, stop in partitions
+                for start, stop in _partition_slices(len(items), self.workers)
             ]
             self._m_partitions.inc(len(futures), mode="pool")
             results = [future.result() for future in futures]  # partition order
-        records = tuple(
-            PartitionProfile(
-                index=index,
-                pages=stop - start,
-                bytes_decompressed=result.bytes_decompressed,
-                lines_seen=result.lines_seen,
-                lines_kept=result.lines_kept,
-                stages=result.stages,
-            )
-            for index, ((start, stop), result) in enumerate(zip(partitions, results))
-        )
-        merged = merge_profiles(r.stage_dict() for r in records)
+        stages = merge_profiles(r.stages for r in results)
         # pool workers' registries died with their processes; fold every
         # partition's accounting into the parent's, where it is scraped
-        merge_into_registry(merged)
-        return ScanAggregate(
+        merge_into_registry(stages)
+        return KernelResult(
             data=b"".join(r.data for r in results),
+            pages=sum(r.pages for r in results),
             bytes_decompressed=sum(r.bytes_decompressed for r in results),
             lines_seen=sum(r.lines_seen for r in results),
             lines_kept=sum(r.lines_kept for r in results),
-            partitions=records,
-            profile=tuple(sorted(merged.items())),
             per_query_counts=tuple(
                 map(sum, zip(*(r.per_query_counts for r in results)))
             ),
+            stages=stages,
             decoded=tuple(page for r in results for page in r.decoded),
+            partitions=tuple(results),
         )
 
 

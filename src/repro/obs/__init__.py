@@ -13,9 +13,10 @@ interpretation layer on top of it:
   (and wall time), exported as Chrome trace-event JSON so a query's
   index-lookup → flash-read → decompress → filter → host-transfer
   pipeline opens directly in Perfetto.
-- :mod:`repro.obs.profile` — deterministic host-side stage profiling
-  (calls / units / wall seconds) that survives the process-pool
-  boundary, and the :class:`~repro.obs.profile.TraceContext` threaded
+- :mod:`repro.obs.profile` — the host stage profile, one plain
+  ``{stage: {"calls", "units", "wall_s"}}`` dict from the scan kernel
+  to ``QueryStats.host_profile``, summed across pool partitions and
+  shards, and the :class:`~repro.obs.profile.TraceContext` threaded
   through shards and scan partitions.
 - :mod:`repro.obs.timeline` — per-resource utilization series derived
   from span data, exported as Chrome counter tracks.
@@ -86,14 +87,7 @@ from repro.obs.metrics import (
     set_registry,
     use_registry,
 )
-from repro.obs.profile import (
-    PartitionProfile,
-    ProfileBuilder,
-    StageProfile,
-    TraceContext,
-    merge_profiles,
-    profile_to_dict,
-)
+from repro.obs.profile import TraceContext, merge_profiles
 from repro.obs.recorder import (
     FlightRecorder,
     render_markdown,
@@ -142,9 +136,7 @@ __all__ = [
     "Logger",
     "MetricError",
     "MetricsRegistry",
-    "PartitionProfile",
     "PlanNode",
-    "ProfileBuilder",
     "QueryJournal",
     "ReportError",
     "SLO",
@@ -153,7 +145,6 @@ __all__ = [
     "SliceDelta",
     "Span",
     "SpanTracer",
-    "StageProfile",
     "TraceContext",
     "TraceError",
     "bootstrap_families",
@@ -171,7 +162,6 @@ __all__ = [
     "merge_profiles",
     "occupancy_series",
     "parse_slo_config",
-    "profile_to_dict",
     "render_markdown",
     "render_prometheus",
     "replay_journal",

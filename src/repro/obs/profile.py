@@ -1,25 +1,22 @@
 """Deterministic host-side profiling and trace-context propagation.
 
-Two gaps motivated this module (PR 3 surfaced both):
+A *stage profile* is one plain dict, ``{stage: {"calls", "units",
+"wall_s"}}``, in one form from the scan kernel's loop to
+``QueryStats.host_profile``:
 
-- **Worker invisibility.** ``ScanExecutor`` fans the scan hot path out
-  over subprocess partitions, and everything a worker does — LZAH
-  decodes, tokenization, filter evaluation — happened in a registry and
-  tracer the parent process never sees. Partition kernels now build a
-  :class:`PartitionProfile` (picklable, plain data) and return it with
-  their results; the parent merges the records into *its* registry
-  (:func:`merge_into_registry`) and lays partition spans onto the trace.
-- **No per-stage host accounting.** Simulated stage times come from the
-  pipeline arithmetic, but nothing recorded where *host wall-clock*
-  actually went (the number ``benchmarks/bench_hotpath.py`` optimises).
-  :class:`ProfileBuilder` accumulates per-stage call counts, work units
-  and wall seconds with one ``perf_counter`` pair per accounted call.
+- the partition kernel accumulates into it with :func:`add_stage` (one
+  ``perf_counter`` pair per accounted call) and returns it in its
+  :class:`~repro.exec.executor.KernelResult`, which pickles across the
+  process-pool boundary;
+- the parent sums partitions' (or shards') profiles with
+  :func:`merge_profiles` and folds the sum into *its* registry with
+  :func:`merge_into_registry`, so work done in pool workers, whose
+  registries die with the pool, is still scraped.
 
 Determinism contract: the *counts* (``calls``, ``units``) are pure
 functions of the store and query — identical at any worker count and on
-any machine — while ``wall_s`` is measurement and varies. Canonical
-renderings (:func:`profile_counts`) therefore strip ``wall_s``; the
-EXPLAIN golden tests compare only the counts.
+any machine — while ``wall_s`` is measurement and varies; the EXPLAIN
+golden tests compare only the counts.
 
 A :class:`TraceContext` names one logical operation across process and
 shard boundaries: the system mints one per query (``q<N>``), the cluster
@@ -36,19 +33,11 @@ from typing import Iterable, Mapping, Optional
 from repro.obs.metrics import handle
 
 __all__ = [
-    "SCAN_STAGES",
-    "PartitionProfile",
-    "ProfileBuilder",
-    "StageProfile",
     "TraceContext",
+    "add_stage",
     "merge_into_registry",
     "merge_profiles",
-    "profile_counts",
-    "profile_to_dict",
 ]
-
-#: The host-side scan stages the kernels account for, in pipeline order.
-SCAN_STAGES = ("decompress", "tokenize", "filter")
 
 
 @dataclass(frozen=True)
@@ -89,122 +78,38 @@ class TraceContext:
         return tags
 
 
-@dataclass(frozen=True)
-class StageProfile:
-    """One stage's accumulated accounting.
-
-    ``calls`` and ``units`` (bytes decoded, lines tokenized/evaluated)
-    are deterministic; ``wall_s`` is host measurement.
-    """
-
-    calls: int = 0
-    units: int = 0
-    wall_s: float = 0.0
-
-    def merged(self, other: "StageProfile") -> "StageProfile":
-        return StageProfile(
-            calls=self.calls + other.calls,
-            units=self.units + other.units,
-            wall_s=self.wall_s + other.wall_s,
-        )
+def add_stage(
+    profile: dict, stage: str, calls: int, units: int, wall_s: float
+) -> None:
+    """Accumulate one accounted call into ``profile``; a stage appears
+    once it is first added."""
+    entry = profile.get(stage)
+    if entry is None:
+        profile[stage] = {"calls": calls, "units": units, "wall_s": wall_s}
+    else:
+        entry["calls"] += calls
+        entry["units"] += units
+        entry["wall_s"] += wall_s
 
 
-@dataclass(frozen=True)
-class PartitionProfile:
-    """What one scan partition did — the record a worker returns.
-
-    Plain frozen data so it pickles across the process-pool boundary;
-    ``index`` is the partition's position in page order (assigned by the
-    parent, which knows the partition layout).
-    """
-
-    index: int
-    pages: int
-    bytes_decompressed: int
-    lines_seen: int
-    lines_kept: int
-    stages: tuple[tuple[str, StageProfile], ...] = ()
-
-    def stage_dict(self) -> dict[str, StageProfile]:
-        return dict(self.stages)
-
-
-class ProfileBuilder:
-    """Mutable per-stage accumulator for one scan (or one partition)."""
-
-    def __init__(self) -> None:
-        self._stages: dict[str, list[float]] = {}
-
-    def add(
-        self, stage: str, calls: int = 1, units: int = 0, wall_s: float = 0.0
-    ) -> None:
-        entry = self._stages.get(stage)
-        if entry is None:
-            self._stages[stage] = [calls, units, wall_s]
-        else:
-            entry[0] += calls
-            entry[1] += units
-            entry[2] += wall_s
-
-    def build(self) -> dict[str, StageProfile]:
-        return {
-            stage: StageProfile(calls=int(c), units=int(u), wall_s=w)
-            for stage, (c, u, w) in self._stages.items()
-        }
-
-    def build_items(self) -> tuple[tuple[str, StageProfile], ...]:
-        """The profile as sorted items — the picklable, hashable form
-        :class:`PartitionProfile` carries."""
-        return tuple(sorted(self.build().items()))
-
-
-# ---------------------------------------------------------------------------
-# Merging and rendering
-# ---------------------------------------------------------------------------
-
-
-def merge_profiles(
-    profiles: Iterable[Mapping[str, StageProfile]],
-) -> dict[str, StageProfile]:
-    """Sum stage profiles across partitions / shards / queries."""
-    merged: dict[str, StageProfile] = {}
+def merge_profiles(profiles: Iterable[Mapping[str, Mapping]]) -> dict:
+    """Sum stage profiles key by key (across partitions, shards or
+    queries); the stages come out sorted."""
+    merged: dict[str, dict] = {}
     for profile in profiles:
         for stage, entry in profile.items():
-            existing = merged.get(stage)
-            merged[stage] = entry if existing is None else existing.merged(entry)
-    return merged
+            into = merged.setdefault(stage, {})
+            for key, value in entry.items():
+                into[key] = into.get(key, 0) + value
+    return dict(sorted(merged.items()))
 
 
-def profile_to_dict(
-    profile: Mapping[str, StageProfile], wall: bool = True
-) -> dict[str, dict[str, float]]:
-    """JSON-friendly rendering; ``wall=False`` keeps only the
-    deterministic counts (the canonical/golden form)."""
-    out: dict[str, dict[str, float]] = {}
-    for stage in sorted(profile):
-        entry = profile[stage]
-        rendered: dict[str, float] = {
-            "calls": entry.calls, "units": entry.units
-        }
-        if wall:
-            rendered["wall_s"] = entry.wall_s
-        out[stage] = rendered
-    return out
-
-
-def profile_counts(
-    profile: Mapping[str, StageProfile],
-) -> dict[str, dict[str, float]]:
-    """The deterministic subset of a profile (no wall seconds)."""
-    return profile_to_dict(profile, wall=False)
-
-
-def merge_into_registry(profile: Mapping[str, StageProfile]) -> None:
+def merge_into_registry(profile: Mapping[str, Mapping]) -> None:
     """Fold a profile into the active registry's ``mithrilog_profile_*``
     family.
 
     Called by whoever *gathered* the profile — the scan executor after
-    collecting partition results, the system after a serial scan — so
+    collecting partition results, the system after a ``limit=`` read — so
     work done in pool workers (whose registries die with the process)
     still lands in the parent's exposition.
     """
@@ -214,9 +119,9 @@ def merge_into_registry(profile: Mapping[str, StageProfile]) -> None:
     units = handle("mithrilog_profile_units_total")
     wall = handle("mithrilog_profile_wall_seconds_total")
     for stage, entry in profile.items():
-        if entry.calls:
-            calls.inc(entry.calls, stage=stage)
-        if entry.units:
-            units.inc(entry.units, stage=stage)
-        if entry.wall_s > 0:
-            wall.inc(entry.wall_s, stage=stage)
+        if entry["calls"]:
+            calls.inc(entry["calls"], stage=stage)
+        if entry["units"]:
+            units.inc(entry["units"], stage=stage)
+        if entry["wall_s"] > 0:
+            wall.inc(entry["wall_s"], stage=stage)

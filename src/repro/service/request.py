@@ -22,7 +22,7 @@ of no answer. See ``docs/STREAMING.md``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.query import Query, parse_query
@@ -185,7 +185,6 @@ class TenantStats:
     shed: int = 0
     timed_out: int = 0
     approximated: int = 0  #: answered with a sampled-scan estimate
-    latencies_s: list[float] = field(default_factory=list)  #: answered only
 
     def note_submitted(self) -> None:
         """Counted at intake, *before* any outcome — so :meth:`conserved`
@@ -196,7 +195,6 @@ class TenantStats:
     def record(self, response: Response) -> None:
         if response.outcome is Outcome.OK:
             self.completed += 1
-            self.latencies_s.append(response.latency_s)
         elif response.outcome is Outcome.REJECTED:
             self.rejected += 1
         elif response.outcome is Outcome.SHED:
@@ -205,7 +203,6 @@ class TenantStats:
             self.timed_out += 1
         elif response.outcome is Outcome.APPROXIMATED:
             self.approximated += 1
-            self.latencies_s.append(response.latency_s)
 
     @property
     def accepted(self) -> int:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.core.query import Query
 from repro.errors import IngestError, QueryError, StorageError
 from repro.obs.metrics import handle
-from repro.obs.profile import TraceContext
+from repro.obs.profile import TraceContext, merge_profiles
 from repro.params import SystemParams
 from repro.system.mithrilog import IngestReport, MithriLogSystem, QueryOutcome
 
@@ -125,13 +125,7 @@ class ClusterQueryOutcome:
         deterministic calls/units synthesis; the merge is a plain sum,
         so the cluster view is as worker-count-invariant as the shards'.
         """
-        merged: dict[str, dict[str, int]] = {}
-        for outcome in self.per_shard:
-            for stage, entry in outcome.stats.profile.items():
-                into = merged.setdefault(stage, {"calls": 0, "units": 0})
-                into["calls"] += entry.get("calls", 0)
-                into["units"] += entry.get("units", 0)
-        return merged
+        return merge_profiles(o.stats.profile for o in self.per_shard)
 
 
 class MithriLogCluster:

@@ -39,7 +39,7 @@ from repro.index.inverted import InvertedIndex
 from repro.obs.explain import ExplainReport, build_explain
 from repro.obs.journal import template_fingerprint
 from repro.obs.metrics import get_registry, handle
-from repro.obs.profile import TraceContext, merge_into_registry, profile_to_dict
+from repro.obs.profile import TraceContext, merge_into_registry
 from repro.obs.tracing import SpanTracer
 from repro.params import PROTOTYPE, SystemParams
 from repro.sim import SimClock
@@ -255,7 +255,7 @@ class _Pass:
     candidates: list[int] = field(default_factory=list)
     sample_pool: int = 0  #: candidate pages before sampling
     # scan
-    partitions: Sequence = ()  #: executor partition records (``workers > 1``)
+    partitions: Sequence = ()  #: the scan's partition results (``workers > 1``)
     matched: Optional[list[bytes]] = None
     per_query: Optional[list[int]] = None
 
@@ -848,9 +848,8 @@ class MithriLogSystem:
             self.page_cache.max_pages > 0, stop_after,
         )
         self._cache_decoded(fetched, result.decoded)
-        profile = dict(result.stages)
-        merge_into_registry(profile)
-        run.stats.host_profile = profile_to_dict(profile)
+        merge_into_registry(result.stages)
+        run.stats.host_profile = result.stages
         run.per_query = list(result.per_query_counts)
         return result
 
@@ -862,8 +861,8 @@ class MithriLogSystem:
         Flash access (and with it fault injection, retries and read
         accounting) stays in the device, in candidate order. Pages that
         hit the decompressed-page cache skip the decode even in workers;
-        the rest are decoded in the pool. The aggregate's per-partition
-        profiles are the subprocess work made visible to the parent
+        the rest are decoded in the pool. The scan's per-partition
+        results are the subprocess work made visible to the parent
         (registry merge happens in the executor; ``partitions``,
         ``per_query`` and ``host_profile`` are written on the pass here).
         """
@@ -875,24 +874,24 @@ class MithriLogSystem:
         # the cache; pool workers keep their decodes local (shipping
         # pages back would dwarf the scan)
         want_decoded = workers == 1 and self.page_cache.max_pages > 0
-        aggregate = self._scan_executor_for(workers).scan(spec, items, want_decoded)
-        self._cache_decoded(fetched, aggregate.decoded)
-        self.device.account_host_bytes(len(aggregate.data))
+        result = self._scan_executor_for(workers).scan(spec, items, want_decoded)
+        self._cache_decoded(fetched, result.decoded)
+        self.device.account_host_bytes(len(result.data))
         if workers > 1:
             # partition spans only describe actual fan-out; the inline
             # path keeps the serial trace shape
-            run.partitions = aggregate.partitions
-        run.stats.partitions = max(1, len(aggregate.partitions))
-        run.stats.host_profile = profile_to_dict(aggregate.profile_dict())
-        run.per_query = list(aggregate.per_query_counts)
+            run.partitions = result.partitions
+        run.stats.partitions = len(result.partitions)
+        run.stats.host_profile = result.stages
+        run.per_query = list(result.per_query_counts)
         return DeviceReadResult(
-            data=aggregate.data,
+            data=result.data,
             pages_read=len(pages),
             bytes_from_flash=sum(len(p) for p in pages),
-            bytes_decompressed=aggregate.bytes_decompressed,
-            bytes_to_host=len(aggregate.data),
-            lines_seen=aggregate.lines_seen,
-            lines_kept=aggregate.lines_kept,
+            bytes_decompressed=result.bytes_decompressed,
+            bytes_to_host=len(result.data),
+            lines_seen=result.lines_seen,
+            lines_kept=result.lines_kept,
             read_retries=retries,
         )
 
@@ -1015,14 +1014,14 @@ class MithriLogSystem:
         )
         if run.partitions:
             rate = self.decompressor_rate
-            for record in run.partitions:
-                child = context.child(partition=record.index)
+            for index, part in enumerate(run.partitions):
+                child = context.child(partition=index)
                 self.tracer.record(
-                    f"scan_partition[{record.index}]", t1,
-                    record.bytes_decompressed / rate,
+                    f"scan_partition[{index}]", t1,
+                    part.bytes_decompressed / rate,
                     category="query", track="workers",
-                    pages=record.pages, lines_seen=record.lines_seen,
-                    lines_kept=record.lines_kept,
+                    pages=part.pages, lines_seen=part.lines_seen,
+                    lines_kept=part.lines_kept,
                     **child.tags(),
                 )
 

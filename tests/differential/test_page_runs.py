@@ -84,7 +84,7 @@ def _items(pages, hits=()):
 
 
 def _counts(stages) -> dict:
-    return {name: (s.calls, s.units) for name, s in stages}
+    return {name: (s["calls"], s["units"]) for name, s in stages.items()}
 
 
 def _assert_same_result(run, page) -> None:
@@ -159,7 +159,7 @@ def test_the_numpy_kernel_calls_no_reference_stage(monkeypatch, shape, offloaded
     )
     assert scanned.lines_seen == sum(len(page.splitlines()) for page in SHAPES[shape])
     assert scanned.decoded == reference.decoded
-    assert _counts(scanned.profile) == _counts(reference.stages)
+    assert _counts(scanned.stages) == _counts(reference.stages)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +195,7 @@ def test_workers_see_the_same_runs(workers):
         assert (runs.lines_seen, runs.lines_kept, runs.bytes_decompressed) == (
             reference.lines_seen, reference.lines_kept, reference.bytes_decompressed
         )
-        assert _counts(runs.profile) == _counts(reference.profile)
+        assert _counts(runs.stages) == _counts(reference.stages)
         assert [_counts(p.stages) for p in runs.partitions] == [
             _counts(p.stages) for p in reference.partitions
         ]

@@ -134,7 +134,7 @@ def _spec(queries, offloaded: bool, kernel: str) -> ScanProgramSpec:
 
 
 def _stage_counts(stages) -> dict:
-    return {name: (s.calls, s.units) for name, s in stages}
+    return {name: (s["calls"], s["units"]) for name, s in stages.items()}
 
 
 def _raised_or_returned(decode, streams) -> tuple:

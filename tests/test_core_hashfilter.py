@@ -242,7 +242,7 @@ class TestOracleEquivalence:
     @given(
         st.lists(
             st.binary(min_size=1, max_size=30).filter(
-                lambda t: not any(d in t for d in b" \t\n")
+                lambda t: not any(d in t for d in b" \t\n\r")
             ),
             min_size=1,
             max_size=6,

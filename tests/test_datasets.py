@@ -3,10 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.grep import grep_lines
+from repro.core.query import Query
 from repro.datasets.loader import chunk_lines_into_pages, read_log_lines
 from repro.datasets.schema import DATASET_SPECS
 from repro.datasets.synthetic import all_generators, generator_for
 from repro.errors import IngestError
+from repro.system.mithrilog import MithriLogSystem
 
 
 class TestSchema:
@@ -105,6 +108,14 @@ class TestLoader:
         path = tmp_path / "x.log"
         path.write_bytes(b"one\ntwo\n\nthree\n")
         assert read_log_lines(path) == [b"one", b"two", b"", b"three"]
+        path.write_bytes(b"node1 kernel panic\r\nnode2 disk ok\r\n")
+        lines = read_log_lines(path)
+        assert lines == [b"node1 kernel panic", b"node2 disk ok"]
+        system = MithriLogSystem()
+        system.ingest(lines)
+        query = Query.single(b"panic")
+        assert system.query(query).matched_lines == grep_lines(query, lines)
+        assert grep_lines(query, lines) == [b"node1 kernel panic"]
 
     def test_read_limit(self, tmp_path):
         path = tmp_path / "x.log"

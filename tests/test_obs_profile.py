@@ -13,14 +13,12 @@ import pytest
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.exec.executor import KernelResult
 from repro.obs.profile import (
-    PartitionProfile,
-    ProfileBuilder,
-    StageProfile,
     TraceContext,
+    add_stage,
+    merge_into_registry,
     merge_profiles,
-    profile_counts,
-    profile_to_dict,
 )
 from repro.obs.tracing import SpanTracer
 from repro.system.cluster import MithriLogCluster
@@ -35,33 +33,64 @@ def corpus(lines=3000):
 
 
 class TestProfileBuilder:
+    """A stage profile is one ``{stage: {"calls", "units", "wall_s"}}`` dict."""
+
     def test_add_accumulates(self):
-        builder = ProfileBuilder()
-        builder.add("decompress", units=100, wall_s=0.5)
-        builder.add("decompress", calls=2, units=50, wall_s=0.25)
-        profile = builder.build()
-        assert profile["decompress"] == StageProfile(
-            calls=3, units=150, wall_s=0.75
-        )
+        profile = {}
+        add_stage(profile, "decompress", 1, 100, 0.5)
+        add_stage(profile, "decompress", 2, 50, 0.25)
+        assert profile == {"decompress": {"calls": 3, "units": 150, "wall_s": 0.75}}
 
     def test_merge_profiles_sums_stages(self):
-        a = {"decompress": StageProfile(calls=1, units=10, wall_s=0.1)}
+        a = {"decompress": {"calls": 1, "units": 10, "wall_s": 0.1}}
         b = {
-            "decompress": StageProfile(calls=2, units=20, wall_s=0.2),
-            "filter": StageProfile(calls=5, units=50, wall_s=0.5),
+            "filter": {"calls": 5, "units": 50, "wall_s": 0.5},
+            "decompress": {"calls": 2, "units": 20, "wall_s": 0.2},
         }
         merged = merge_profiles([a, b])
-        assert merged["decompress"].calls == 3
-        assert merged["decompress"].units == 30
-        assert merged["decompress"].wall_s == pytest.approx(0.3)
-        assert merged["filter"].calls == 5
+        assert list(merged) == ["decompress", "filter"]
+        assert merged["decompress"]["calls"] == 3
+        assert merged["decompress"]["units"] == 30
+        assert merged["decompress"]["wall_s"] == pytest.approx(0.3)
+        assert merged["filter"]["calls"] == 5
+        assert a == {"decompress": {"calls": 1, "units": 10, "wall_s": 0.1}}
+        # a counts-only profile (``QueryStats.profile``) sums the same way
+        counts = {"filter": {"calls": 1, "units": 2}}
+        assert merge_profiles([counts, counts]) == {"filter": {"calls": 2, "units": 4}}
 
-    def test_profile_to_dict_and_counts(self):
-        profile = {"filter": StageProfile(calls=2, units=7, wall_s=0.125)}
-        assert profile_to_dict(profile) == {
-            "filter": {"calls": 2, "units": 7, "wall_s": 0.125}
-        }
-        assert profile_counts(profile) == {"filter": {"calls": 2, "units": 7}}
+    def test_merge_into_registry_reads_the_dict(self):
+        with use_registry(MetricsRegistry()) as registry:
+            merge_into_registry({
+                "decompress": {"calls": 0, "units": 0, "wall_s": 0.0},
+                "filter": {"calls": 2, "units": 7, "wall_s": 0.125},
+            })
+            families = {
+                name: registry.counter(name, "", labelnames=("stage",))
+                for name in (
+                    "mithrilog_profile_calls_total",
+                    "mithrilog_profile_units_total",
+                    "mithrilog_profile_wall_seconds_total",
+                )
+            }
+        assert [
+            (family.value(stage="filter"), family.value(stage="decompress"))
+            for family in families.values()
+        ] == [(2, 0), (7, 0), (0.125, 0)]
+
+    def test_kernel_result_is_picklable(self):
+        part = KernelResult(
+            data=b"x\n", pages=4, bytes_decompressed=100, lines_seen=10,
+            lines_kept=1, per_query_counts=(1,),
+            stages={"filter": {"calls": 4, "units": 10, "wall_s": 0.1}},
+        )
+        scan = KernelResult(
+            data=b"x\n", pages=4, bytes_decompressed=100, lines_seen=10,
+            lines_kept=1, per_query_counts=(1,), stages=part.stages,
+            partitions=(part,),
+        )
+        clone = pickle.loads(pickle.dumps(scan))
+        assert clone == scan
+        assert clone.partitions[0].stages["filter"]["units"] == 10
 
 
 class TestTraceContext:
@@ -77,16 +106,6 @@ class TestTraceContext:
         assert grandchild.tags() == {
             "trace_id": "cq3", "shard": 2, "partition": 1
         }
-
-    def test_partition_profile_is_picklable(self):
-        record = PartitionProfile(
-            index=1, pages=4, bytes_decompressed=100, lines_seen=10,
-            lines_kept=3,
-            stages=(("filter", StageProfile(calls=4, units=10, wall_s=0.1)),),
-        )
-        clone = pickle.loads(pickle.dumps(record))
-        assert clone == record
-        assert clone.stage_dict()["filter"].units == 10
 
 
 class TestWorkerVisibility:

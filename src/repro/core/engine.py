@@ -38,7 +38,6 @@ class TokenFilterEngine:
         self.seed = seed
         self._queries: tuple[Query, ...] = ()
         self._program: Optional[CompiledQuery] = None
-        self._m_compiles = handle("mithrilog_pipeline_compiles_total")
         self._m_lines_filtered = handle("mithrilog_pipeline_lines_filtered_total")
         self._m_lines_kept = handle("mithrilog_pipeline_lines_kept_total")
 
@@ -59,9 +58,7 @@ class TokenFilterEngine:
             )
         except (PlacementError, CapacityError):
             self._program = None
-            self._m_compiles.inc(mode="software")
             return False
-        self._m_compiles.inc(mode="hardware")
         return True
 
     @property

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from repro.core.hashfilter import HashFilter, compile_queries
 from repro.core.query import Query
-from repro.core.tokenizer import split_tokens
+from repro.core.tokenizer import split_tokens, stored_lines
 from repro.errors import QueryError
 from repro.params import CuckooParams
 
@@ -134,8 +134,12 @@ class TemplateTagger:
         )
 
     def tag_line(self, line: bytes) -> Optional[int]:
-        """The template id of one line, or ``None`` if nothing matches."""
-        tokens = split_tokens(line)
+        """The template id of one line, or ``None`` if nothing matches.
+
+        A line holding a line end is tagged by the tokens of its stored
+        lines, as :meth:`FTTree.classify_line
+        <repro.templates.fttree.FTTree.classify_line>` traces it."""
+        tokens = [token for stored in stored_lines(line) for token in split_tokens(stored)]
         best: Optional[tuple[int, int]] = None  # (-specificity, template_id)
         for p in self._passes:
             (verdicts,) = p.filter.evaluate_token_lists([tokens])

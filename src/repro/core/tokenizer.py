@@ -66,6 +66,17 @@ def split_tokens(line: bytes) -> List[bytes]:
     return [token for token in body.split(b" ") if token]
 
 
+def stored_lines(line: bytes) -> List[bytes]:
+    """The lines a stored page holds for ``line``.
+
+    The page tokenizers end a line at ``\\n``, ``\\r`` and ``\\r\\n``, as
+    ``bytes.splitlines`` does, so a line holding one is several stored
+    lines and no stored token holds a line end. Template mining and
+    tagging split a line here before :func:`split_tokens`.
+    """
+    return line.splitlines() or [line]
+
+
 def split_tokens_reference(line: bytes) -> List[bytes]:
     """Byte-at-a-time reference for :func:`split_tokens`.
 

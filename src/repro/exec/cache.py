@@ -27,8 +27,6 @@ import zlib
 from collections import OrderedDict
 from typing import Hashable, Optional
 
-from repro.obs.metrics import handle
-
 #: Default capacity in pages (~a few MB of decompressed text at the
 #: prototype's 8 KiB pages and ~2x compression).
 DEFAULT_CACHE_PAGES = 1024
@@ -65,10 +63,6 @@ class PageCache:
         self._entries: "OrderedDict[tuple[int, int], tuple[Hashable, tuple[int, int], bytes]]" = (
             OrderedDict()
         )
-        self._m_hits = handle("mithrilog_scan_cache_hits_total")
-        self._m_misses = handle("mithrilog_scan_cache_misses_total")
-        self._m_evictions = handle("mithrilog_scan_cache_evictions_total")
-        self._m_pages = handle("mithrilog_scan_cache_pages")
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -100,10 +94,8 @@ class PageCache:
         ):
             self._entries.move_to_end((device_key, address))
             self.hits += 1
-            self._m_hits.inc()
             return entry[2]
         self.misses += 1
-        self._m_misses.inc()
         return None
 
     # -- updates ---------------------------------------------------------
@@ -134,8 +126,6 @@ class PageCache:
         while len(entries) > self.max_pages:
             entries.popitem(last=False)
             self.evictions += 1
-            self._m_evictions.inc()
-        self._m_pages.set(len(entries))
 
     def invalidate(self, device_key: int, address: int) -> None:
         """Drop the entry for one page of one device (O(1)).
@@ -144,10 +134,8 @@ class PageCache:
         data and index-node appends and explicit writes (a store reload)
         all funnel through the same two write methods.
         """
-        if self._entries.pop((device_key, address), None) is not None:
-            self._m_pages.set(len(self._entries))
+        self._entries.pop((device_key, address), None)
 
     def clear(self) -> None:
         """Drop everything (used when a store is reloaded wholesale)."""
         self._entries.clear()
-        self._m_pages.set(0)

@@ -64,7 +64,6 @@ from repro.core.query import Query
 from repro.core.softmatch import SoftwareBatchMatcher
 from repro.core.tokenizer import tokenize_page
 from repro.errors import QueryError
-from repro.obs.metrics import handle
 from repro.obs.profile import add_stage, merge_into_registry, merge_profiles
 from repro.params import CuckooParams, LZAHParams
 
@@ -371,7 +370,6 @@ class ScanExecutor:
             raise QueryError("scan executor needs at least one worker")
         self.workers = workers
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._m_partitions = handle("mithrilog_scan_partitions_total")
 
     # -- lifecycle -------------------------------------------------------
 
@@ -413,7 +411,6 @@ class ScanExecutor:
         back would dwarf the scan itself).
         """
         if self.workers == 1 or len(items) <= 1:
-            self._m_partitions.inc(mode="inline")
             results = [_partition_kernel(spec, items, want_decoded)]
         else:
             pool = self._ensure_pool()
@@ -421,7 +418,6 @@ class ScanExecutor:
                 pool.submit(_partition_kernel, spec, items[start:stop])
                 for start, stop in _partition_slices(len(items), self.workers)
             ]
-            self._m_partitions.inc(len(futures), mode="pool")
             results = [future.result() for future in futures]  # partition order
         stages = merge_profiles(r.stages for r in results)
         # pool workers' registries died with their processes; fold every

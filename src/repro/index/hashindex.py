@@ -236,5 +236,5 @@ class HashIndexTable:
         and partial-root entries, head and counter (not host bytes).
 
         A walk over every row: the reference :attr:`words` is tested
-        against, and what the probe's gauge reads."""
+        against. No probe calls it."""
         return sum(r.memory_footprint_bytes() for r in self._rows.values())

@@ -68,10 +68,6 @@ class InvertedIndex:
         self.store = TreeListStore(flash, page_bytes)
         self.snapshots = SnapshotIndex(self.params.snapshot_leaf_threshold)
         self._data_pages: list[int] = []  # ascending (append-only ingest)
-        self._m_lookups = handle("mithrilog_index_lookups_total")
-        self._m_root_visits = handle("mithrilog_index_root_visits_total")
-        self._m_full_scans = handle("mithrilog_index_full_scans_total")
-        self._m_pages_indexed = handle("mithrilog_index_pages_indexed_total")
         self._m_memory = handle("mithrilog_index_memory_bytes")
 
     # -- ingest --------------------------------------------------------
@@ -102,7 +98,6 @@ class InvertedIndex:
                 f"(last was {self._data_pages[-1]})"
             )
         self._data_pages.append(page_addr)
-        self._m_pages_indexed.inc()
         self.table.insert_page(tokens, page_addr, self.store)
         if timestamp is not None and self.snapshots.should_flush(
             self.store.leaves.pages_spilled
@@ -204,12 +199,6 @@ class InvertedIndex:
 
         pages = tuple(sorted(candidates))
         stats.candidate_pages = len(pages)
-        if stats.tokens_looked_up:
-            self._m_lookups.inc(stats.tokens_looked_up)
-        if stats.root_visits:
-            self._m_root_visits.inc(stats.root_visits)
-        if stats.full_scan:
-            self._m_full_scans.inc()
         if self._m_memory is not NULL:  # the footprint walks every hash row
             self._m_memory.set(self.memory_footprint_bytes())
         return IndexLookupResult(pages=pages, stats=stats)

@@ -20,7 +20,6 @@ import struct
 from dataclasses import dataclass
 
 from repro.errors import LogIndexError
-from repro.obs.metrics import handle
 from repro.storage.flash import FlashArray
 from repro.storage.page import Page
 
@@ -197,7 +196,6 @@ class TreeListStore:
     def __init__(self, flash: FlashArray, page_bytes: int) -> None:
         self.leaves = NodePool(flash, _LEAF_STRUCT.size, page_bytes)
         self.roots = NodePool(flash, _ROOT_NODE_BYTES, page_bytes)
-        self._m_node_visits = handle("mithrilog_index_node_visits_total")
 
     def write_leaf(self, addresses: list[int]) -> int:
         return self.leaves.append(LeafNode(addresses=tuple(addresses)).pack())
@@ -227,17 +225,12 @@ class TreeListStore:
         addresses: list[int] = []
         root_id = head_root
         hops = 0
-        leaves_visited = 0
         while root_id != NIL:
             hops += 1
             if hops > self.roots.nodes_written + 1:
                 raise LogIndexError("root linked list contains a cycle")
             root = RootNode.unpack(self.roots.read(root_id))
-            leaf_blobs = self.leaves.read_many(list(root.leaf_ids))
-            leaves_visited += len(leaf_blobs)
-            for blob in leaf_blobs:
+            for blob in self.leaves.read_many(list(root.leaf_ids)):
                 addresses.extend(LeafNode.unpack(blob).addresses)
             root_id = root.next_root
-        if hops or leaves_visited:
-            self._m_node_visits.inc(hops + leaves_visited)
         return WalkResult(addresses=addresses, root_visits=hops)

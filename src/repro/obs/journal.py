@@ -47,7 +47,6 @@ from repro.obs.artifacts import (
     read_json,
     write_json,
 )
-from repro.obs.metrics import handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.request import Request, Response
@@ -194,8 +193,6 @@ class QueryJournal:
         self.evicted = 0  #: records dropped by ring retention
         self._appended = 0  #: total appends ever (sequence source)
         self._tallies: dict[str, _TenantTally] = {}
-        self._m_records = handle("mithrilog_workload_journal_records_total")
-        self._m_templates = handle("mithrilog_workload_templates")
 
     # -- writing ----------------------------------------------------------
 
@@ -212,7 +209,6 @@ class QueryJournal:
         fingerprint = template_fingerprint(query_text)
         if fingerprint not in self.templates:
             self.templates[fingerprint] = query_text
-            self._m_templates.set(len(self.templates))
         return fingerprint
 
     @property
@@ -235,7 +231,6 @@ class QueryJournal:
             self.evicted += overflow
         tally = self._tallies.setdefault(record.tenant, _TenantTally())
         setattr(tally, record.outcome, getattr(tally, record.outcome) + 1)
-        self._m_records.inc(outcome=record.outcome)
 
     def observe(self, response: "Response") -> JournalRecord:
         """Append a record for a resolved service response."""

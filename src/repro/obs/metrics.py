@@ -21,7 +21,7 @@ Every ``mithrilog_*`` family is declared once, in
 pattern: at *construction* they bind each family with :func:`handle`,
 and on the hot path they call the handle unconditionally::
 
-    self._m_reads = handle("mithrilog_storage_pages_read_total")
+    self._m_reads = handle("mithrilog_storage_device_reads_total")
     ...
     self._m_reads.inc()
 
@@ -366,7 +366,4 @@ def handle(name: str, registry: Optional[MetricsRegistry] = None):
     registry = registry if registry is not None else _active
     if registry is None:
         return NULL
-    extra = {"buckets": family.buckets} if family.buckets else {}
-    return getattr(registry, family.kind)(
-        name, family.help, family.labelnames, **extra
-    )
+    return getattr(registry, family.kind)(name, family.help, family.labelnames)

@@ -253,7 +253,6 @@ class SLOMonitor:
         self._m_evals = handle("mithrilog_slo_evaluations_total")
         self._m_transitions = handle("mithrilog_slo_transitions_total")
         self._m_burn = handle("mithrilog_slo_burn_rate")
-        self._m_budget = handle("mithrilog_slo_error_budget_used_ratio")
         self._m_firing = handle("mithrilog_slo_alerts_firing")
 
     def add_slo(self, slo: SLO) -> None:
@@ -325,12 +324,6 @@ class SLOMonitor:
         burn_slow = runtime.burn(slo.slow_window_s, now_s)
         self._m_burn.set(burn_fast, slo=slo.name, window="fast")
         self._m_burn.set(burn_slow, slo=slo.name, window="slow")
-        if runtime.total_events:
-            budget = (1.0 - slo.target) * runtime.total_events
-            self._m_budget.set(
-                runtime.bad_events / budget if budget > 0 else 0.0,
-                slo=slo.name,
-            )
         active = (
             burn_fast >= slo.burn_threshold
             and burn_slow >= slo.burn_threshold

@@ -140,7 +140,7 @@ class AdmissionController:
         #: honour the approximate admission class on the shedding path
         #: (the service turns this off when its backend cannot sample)
         self.approx_on_overload = approx_on_overload
-        #: sheds converted into sampled answers (metrics/report feed)
+        #: sheds converted into sampled answers
         self.degraded_to_sample = 0
         self.tenants: dict[str, TenantState] = {}
         for config in tenants:
@@ -221,7 +221,6 @@ class AdmissionController:
                         )
                     )
                     return None, []
-                self._note_hinted_shed(request)
                 return (
                     Response(
                         request=request,
@@ -238,7 +237,6 @@ class AdmissionController:
                 self.degraded_to_sample += 1
             else:
                 self._evict(victim)
-                self._note_hinted_shed(victim.request)
                 shed.append(
                     Response(
                         request=victim.request,
@@ -307,12 +305,6 @@ class AdmissionController:
         if self.hints is None:
             return request.priority
         return self.hints.effective_priority(request)
-
-    def _note_hinted_shed(self, request: Request) -> None:
-        """Count a shed that the hint demotion (not the declared
-        priority alone) steered toward a slow template."""
-        if self.hints is not None and self.hints.is_slow(request.query):
-            self.hints.note_demotion()
 
     def _lowest_priority_queued(self) -> Optional[QueuedRequest]:
         """The shedding victim: lowest (hinted) priority, then youngest."""

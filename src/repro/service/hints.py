@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import QueryError
 from repro.obs.journal import template_fingerprint
-from repro.obs.metrics import handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analytics.workload import WorkloadProfile
@@ -64,8 +63,6 @@ class TemplateHintProvider:
         self.demotion = demotion
         self.source = source  #: provenance note ("manual", "mined:<window>")
         self._memo: dict[str, bool] = {}
-        self._m_demotions = handle("mithrilog_workload_hint_demotions_total")
-        handle("mithrilog_workload_slow_templates").set(len(self.slow_templates))
 
     @classmethod
     def from_profile(
@@ -124,10 +121,6 @@ class TemplateHintProvider:
         if self.is_slow(request.query):
             return request.priority - self.demotion
         return request.priority
-
-    def note_demotion(self) -> None:
-        """Record that a demoted request actually lost a shedding tie."""
-        self._m_demotions.inc()
 
     def describe(self) -> dict:
         return {

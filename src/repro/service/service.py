@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.errors import QueryError, StorageError
 from repro.obs.journal import nearest_rank
-from repro.obs.metrics import handle
 from repro.obs.tracing import SpanTracer
 from repro.service.admission import AdmissionController
 from repro.service.request import (
@@ -178,13 +177,6 @@ class QueryService:
         self.monitor = monitor
         self._check_monitor_journal()
         self.passes = 0
-        self._m_requests = handle("mithrilog_service_requests_total")
-        self._m_queue_depth = handle("mithrilog_service_queue_depth")
-        self._m_backlog = handle("mithrilog_service_backlog")
-        self._m_latency = handle("mithrilog_service_latency_seconds")
-        self._m_passes = handle("mithrilog_service_passes_total")
-        self._m_batch = handle("mithrilog_service_batch_size")
-        self._m_degraded_to_sample = handle("mithrilog_service_degraded_to_sample")
 
     # ------------------------------------------------------------------
     # The event loop
@@ -231,11 +223,6 @@ class QueryService:
                 record = self.journal.observe(response)
                 if self.monitor is not None:
                     self.monitor.observe_record(record)
-            self._m_requests.inc(
-                tenant=tenant, outcome=response.outcome.value
-            )
-            if response.answered:
-                self._m_latency.observe(response.latency_s, tenant=tenant)
             if source is not None:
                 for follow_up in source.on_complete(response, self.clock.now - t0):
                     push(follow_up)
@@ -264,7 +251,6 @@ class QueryService:
                     settle(victim)
                 if refusal is not None:
                     settle(refusal)
-            self._publish_queue_gauges()
             if not self.admission.total_backlog:
                 continue
             for expired in self.admission.expire_deadlines(self.clock.now):
@@ -274,7 +260,6 @@ class QueryService:
                 continue
             for response in self._execute(batch, workers):
                 settle(response)
-            self._publish_queue_gauges()
 
         if self.monitor is not None:
             # force a final evaluation so alerts straddling the last
@@ -389,8 +374,6 @@ class QueryService:
                 self.clock.advance(extra)
                 elapsed += extra
         self.passes += 1
-        self._m_passes.inc()
-        self._m_batch.observe(len(batch))
         if self.tracer is not None:
             self.tracer.record(
                 "service_pass",
@@ -416,9 +399,3 @@ class QueryService:
             )
             for i, member in enumerate(batch.members)
         ]
-
-    def _publish_queue_gauges(self) -> None:
-        for name, state in self.admission.tenants.items():
-            self._m_queue_depth.set(state.backlog, tenant=name)
-        self._m_backlog.set(self.admission.total_backlog)
-        self._m_degraded_to_sample.set(self.admission.degraded_to_sample)

@@ -83,8 +83,6 @@ class MithriLogDevice:
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
         self._m_reads = handle("mithrilog_storage_device_reads_total")
-        self._m_retries = handle("mithrilog_storage_read_retries_total")
-        self._m_bytes_to_host = handle("mithrilog_storage_bytes_to_host_total")
 
     # -- writes ----------------------------------------------------------
 
@@ -155,13 +153,7 @@ class MithriLogDevice:
         """
         pages, retries = self._read_batch_with_retry(list(addresses))
         self._m_reads.inc()
-        if retries:
-            self._m_retries.inc(retries)
         return pages, retries
-
-    def account_host_bytes(self, nbytes: int) -> None:
-        """Count bytes an external scan DMAed across the host link."""
-        self._m_bytes_to_host.inc(nbytes)
 
     # -- reads -----------------------------------------------------------
 
@@ -204,9 +196,6 @@ class MithriLogDevice:
         scanned = scan_pages(pull(), stop_after_matches)
         data = scanned.data
         self._m_reads.inc()
-        self._m_bytes_to_host.inc(len(data))
-        if retries:
-            self._m_retries.inc(retries)
         return DeviceReadResult(
             data=data,
             pages_read=len(pulled),

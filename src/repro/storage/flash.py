@@ -46,10 +46,7 @@ class FlashArray:
         #: decompressed-page cache registers its invalidation here; the
         #: write path pays one truthiness test when nobody is listening.
         self.write_listeners: list[Callable[[int], None]] = []
-        self._m_pages_read = handle("mithrilog_storage_pages_read_total")
-        self._m_bytes_read = handle("mithrilog_storage_bytes_read_total")
         self._m_pages_written = handle("mithrilog_storage_pages_written_total")
-        self._m_bytes_written = handle("mithrilog_storage_bytes_written_total")
 
     # -- capacity ----------------------------------------------------------
 
@@ -81,7 +78,6 @@ class FlashArray:
         if address >= self._next_free:
             self._next_free = address + 1
         self._m_pages_written.inc()
-        self._m_bytes_written.inc(len(page))
         if self.write_listeners:
             for listener in self.write_listeners:
                 listener(address)
@@ -93,7 +89,6 @@ class FlashArray:
         self._pages[address] = page
         self._next_free = address + 1
         self._m_pages_written.inc()
-        self._m_bytes_written.inc(len(page))
         if self.write_listeners:
             for listener in self.write_listeners:
                 listener(address)
@@ -111,8 +106,6 @@ class FlashArray:
         if self.fault_injector is not None:
             page = self.fault_injector.on_read(address, page)
         page.verify()
-        self._m_pages_read.inc()
-        self._m_bytes_read.inc(len(page))
         return page
 
     def read_pages(self, addresses: Iterable[int]) -> list[Page]:
@@ -127,9 +120,6 @@ class FlashArray:
                 page = self.fault_injector.on_read(addr, page)
             page.verify()
             pages.append(page)
-        if pages:
-            self._m_pages_read.inc(len(pages))
-            self._m_bytes_read.inc(sum(len(p) for p in pages))
         return pages
 
     def corrupt_page(self, address: int, flip_at: int = 0) -> None:

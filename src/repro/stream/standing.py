@@ -32,7 +32,6 @@ from repro.core.hashfilter import pack
 from repro.core.query import Query, parse_query
 from repro.core.tokenizer import split_tokens
 from repro.errors import QueryError
-from repro.obs.metrics import handle
 from repro.obs.slo import SLO, AlertState, SLOMonitor
 from repro.stream.windows import WINDOW_AGGREGATES, WindowAggregator, WindowSpec
 
@@ -223,10 +222,6 @@ class StandingQueryRegistry:
         self._groups: list[list[_StandingState]] = []
         self._pages_seen = system.index.total_data_pages
         self.evaluations = 0
-        self._m_evals = handle("mithrilog_stream_evaluations_total")
-        self._m_matches = handle("mithrilog_stream_matches_total")
-        self._m_window = handle("mithrilog_stream_window_value")
-        self._m_registered = handle("mithrilog_stream_standing_queries")
 
     # -- registration ------------------------------------------------------
 
@@ -247,7 +242,6 @@ class StandingQueryRegistry:
         )
         if standing.threshold is not None:
             self.monitor.add_slo(standing.threshold.slo_for(standing.name))
-        self._m_registered.set(len(self._states))
         engine = self.system.engine
         states = list(self._states.values())
         groups = pack(
@@ -291,7 +285,7 @@ class StandingQueryRegistry:
         accelerator pass restricted to the new pages (``within_pages``),
         so the cost of continuous evaluation tracks the *ingest* rate,
         not the store size or (up to the hardware's provisioning) the
-        number of standing queries. Window values, metrics, and the
+        number of standing queries. Window values and the
         threshold monitor advance on the system's simulated clock; the
         queries of a group all observe at the instant their pass ends.
         """
@@ -333,17 +327,11 @@ class StandingQueryRegistry:
         """Fold one query's share of a pass into its window and alert."""
         values = state.aggregator.observe(now_s, matches, fingerprints)
         self.evaluations += 1
-        name = state.query.name
-        self._m_evals.inc(query=name)
-        if matches:
-            self._m_matches.inc(matches, query=name)
-        for aggregate, value in values.items():
-            self._m_window.set(value, query=name, aggregate=aggregate)
         threshold = state.query.threshold
         if threshold is not None:
             breached = threshold.breached(values[threshold.aggregate])
             self.monitor.observe(
-                tenant=f"{STREAM_TENANT_PREFIX}{name}",
+                tenant=f"{STREAM_TENANT_PREFIX}{state.query.name}",
                 outcome="shed" if breached else "ok",
                 latency_s=0.0,
                 now_s=now_s,

@@ -332,18 +332,12 @@ class MithriLogSystem:
         #: Monotonic query counter, minting trace ids (``q1``, ``q2``, ...).
         self._query_seq = 0
         self._m_queries = handle("mithrilog_query_total")
-        self._m_query_seconds = handle("mithrilog_query_seconds")
+        self._m_index_lookups = handle("mithrilog_index_lookups_total")
         self._m_ingest_lines = handle("mithrilog_ingest_lines_total")
-        self._m_ingest_bytes = handle("mithrilog_ingest_bytes_total")
-        self._m_ingest_compressed = handle("mithrilog_ingest_compressed_bytes_total")
         self._m_scan_workers = handle("mithrilog_scan_workers")
         self._m_batch_queries = handle("mithrilog_scan_batch_queries")
         self._m_explain = handle("mithrilog_explain_requests_total")
         self._m_util = handle("mithrilog_util_busy_fraction")
-        self._m_sampled_scans = handle("mithrilog_stream_sampled_scans_total")
-        self._m_sampled_pages_skipped = handle(
-            "mithrilog_stream_sampled_pages_skipped_total"
-        )
 
     # ------------------------------------------------------------------
     # Ingest
@@ -393,8 +387,6 @@ class MithriLogSystem:
             host_time_s=cost.host_seconds(len(lines), postings),
         )
         self._m_ingest_lines.inc(report.lines)
-        self._m_ingest_bytes.inc(report.original_bytes)
-        self._m_ingest_compressed.inc(report.compressed_bytes)
         if self.tracer is not None:
             t0 = self.clock.now
             self.tracer.record(
@@ -644,8 +636,6 @@ class MithriLogSystem:
             )
             stats.sample_fraction = run.sample_fraction
             stats.pages_sampled = len(candidates)
-            self._m_sampled_scans.inc()
-            self._m_sampled_pages_skipped.inc(run.sample_pool - len(candidates))
         if run.newest_first:
             candidates.reverse()
         run.candidates = candidates
@@ -716,7 +706,8 @@ class MithriLogSystem:
         """
         stats = run.stats
         self._m_queries.inc(path="scan" if stats.index_full_scan else "index")
-        self._m_query_seconds.observe(stats.elapsed_s)
+        if stats.index_tokens_looked_up:
+            self._m_index_lookups.inc(stats.index_tokens_looked_up)
         if self.tracer is not None:
             self._trace_query(run)
         self.clock.advance(stats.elapsed_s)
@@ -876,7 +867,6 @@ class MithriLogSystem:
         want_decoded = workers == 1 and self.page_cache.max_pages > 0
         result = self._scan_executor_for(workers).scan(spec, items, want_decoded)
         self._cache_decoded(fetched, result.decoded)
-        self.device.account_host_bytes(len(result.data))
         if workers > 1:
             # partition spans only describe actual fan-out; the inline
             # path keeps the serial trace shape

@@ -153,8 +153,6 @@ class WriteAheadLog:
         self.path.touch(exist_ok=True)
         self.fault_injector = fault_injector
         self._m_appends = handle("mithrilog_wal_appends_total")
-        self._m_bytes = handle("mithrilog_wal_bytes_appended_total")
-        self._m_fsyncs = handle("mithrilog_wal_fsync_batches_total")
         self._m_recoveries = handle("mithrilog_wal_recoveries_total")
         self._m_dropped = handle("mithrilog_wal_records_dropped_total")
         self._m_truncated = handle("mithrilog_wal_bytes_truncated_total")
@@ -176,8 +174,6 @@ class WriteAheadLog:
             journal.write(record)
             journal.flush()
         self._m_appends.inc()
-        self._m_bytes.inc(len(record))
-        self._m_fsyncs.inc()
 
     def scan(self, start: int = 0) -> WalScanReport:
         """Walk the journal from record boundary ``start``, collecting

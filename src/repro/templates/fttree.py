@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.core.query import IntersectionSet, Query, Term
-from repro.core.tokenizer import split_tokens
+from repro.core.tokenizer import split_tokens, stored_lines
 from repro.errors import QueryError
 
 #: Marker token for pruned variable fields.
@@ -119,9 +119,15 @@ class FTTree:
     def from_lines(
         cls, lines: Iterable[bytes], params: Optional[FTTreeParams] = None
     ) -> "FTTree":
-        """Build the tree from raw log lines (two passes)."""
+        """Build the tree from raw log lines (two passes).
+
+        A line holding a line end is mined as the lines a stored page
+        holds for it, so every template's tokens share one stored line.
+        """
         params = params if params is not None else FTTreeParams()
-        materialised = [split_tokens(line) for line in lines]
+        materialised = [
+            split_tokens(stored) for line in lines for stored in stored_lines(line)
+        ]
         frequencies: Counter = Counter()
         for tokens in materialised:
             frequencies.update(set(tokens))
@@ -285,10 +291,11 @@ class FTTree:
 
         Returns ``None`` when the line's path leaves the tree (no
         template has enough support) — the paper's systems would treat
-        such lines as unparsed.
+        such lines as unparsed. A line holding a line end is traced by
+        the tokens of its stored lines.
         """
         path = self._sorted_path(
-            split_tokens(line),
+            [token for stored in stored_lines(line) for token in split_tokens(stored)],
             self.frequencies,
             self.params.max_depth,
             self.stopwords,

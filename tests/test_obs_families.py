@@ -23,6 +23,7 @@ from repro.obs.expose import bootstrap_families, render_prometheus, snapshot
 from repro.obs.families import FAMILIES
 from repro.obs.journal import QueryJournal
 from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
     NULL,
     MetricError,
     MetricsRegistry,
@@ -45,11 +46,11 @@ class TestHandle:
     def test_binds_the_table_row(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            metric = handle("mithrilog_service_batch_size")
-        row = FAMILIES["mithrilog_service_batch_size"]
-        assert metric is registry.get("mithrilog_service_batch_size")
+            metric = handle("mithrilog_cluster_shard_query_seconds")
+        row = FAMILIES["mithrilog_cluster_shard_query_seconds"]
+        assert metric is registry.get("mithrilog_cluster_shard_query_seconds")
         assert (metric.kind, metric.help) == (row.kind, row.help)
-        assert metric.buckets == row.buckets + (float("inf"),)
+        assert metric.buckets == DEFAULT_BUCKETS
 
     def test_null_when_disabled_and_every_call_is_a_noop(self):
         with use_registry(None):
@@ -102,7 +103,7 @@ class TestOneDeclaration:
 
     def test_one_publishing_site_forks_on_the_registry(self):
         # NULL exists so nothing has to ask whether metrics are on. The one
-        # site left is the index probe's footprint walk (ROADMAP item 1).
+        # site left is the index probe's footprint walk (ROADMAP item 2).
         forks = set()
         for path in sorted(SRC.rglob("*.py")):
             if path.name == "metrics.py":

@@ -123,6 +123,23 @@ class TestMetricFamilies:
             "mithrilog_storage_pages_written_total"
         ).value() > 0
 
+    def test_index_lookups_sum_the_queries_token_lookups(self, corpus):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            system = MithriLogSystem(seed=1)
+            system.ingest(corpus)
+            outcomes = [
+                system.query(parse_query("KERNEL AND INFO")),
+                system.query(parse_query("FATAL"), parse_query("RAS OR NOT APP")),
+                system.query(parse_query("KERNEL"), use_index=False),
+                system.query(parse_query("NOT KERNEL")),
+            ]
+        looked_up = [o.stats.index_tokens_looked_up for o in outcomes]
+        assert looked_up[0] == 2 and looked_up[2] == looked_up[3] == 0
+        assert registry.get("mithrilog_index_lookups_total").value() == sum(
+            looked_up
+        )
+
     def test_ingest_breakdown_keys(self, corpus):
         with use_registry(MetricsRegistry()):
             report = MithriLogSystem(seed=1).ingest(corpus)

@@ -164,4 +164,4 @@ class TestGlobalHandle:
 
         with use_registry(None):
             flash = FlashArray()
-        assert flash._m_pages_read is NULL
+        assert flash._m_pages_written is NULL

@@ -13,6 +13,7 @@ workloads:
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.tokenizer import split_tokens
 from repro.datasets.synthetic import generator_for
 from repro.errors import QueryError
 from repro.faults.injectors import ServiceFaultInjector
@@ -90,6 +91,19 @@ class TestGenerators:
         b = query_pool(corpus, max_queries=8)
         assert [str(q) for q in a] == [str(q) for q in b]
         assert 0 < len(a) <= 8
+
+    def test_query_pool_mines_lines_ending_at_a_bare_cr(self):
+        # a stored page ends a line at \r, so "kernel panic" and "now"
+        # never share one: no mined token holds \r, and every query
+        # matches a line the store holds
+        lines = [b"node%d kernel panic\r now" % i for i in range(50)]
+        lines += [b"node%d disk ok" % i for i in range(50)]
+        pool = query_pool(lines, max_queries=8, num_pairs=2)
+        stored = [split_tokens(s) for line in lines for s in line.splitlines()]
+        assert pool
+        for query in pool:
+            assert not any(b"\r" in token for token in query.all_tokens), query
+            assert any(query.matches_tokens(tokens) for tokens in stored), query
 
     def test_open_loop_deterministic_and_sorted(self, pool, tenants):
         a = open_loop_requests(pool, tenants, offered_qps=500, duration_s=0.1, seed=9)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.query import Term
+from repro.core.tagger import TemplateTagger
 from repro.errors import QueryError
 from repro.templates.fttree import FTTree, FTTreeParams, Template
 
@@ -108,6 +109,17 @@ class TestClassification:
         tree = FTTree.from_lines(corpus, FTTreeParams(prune_threshold=8))
         t = tree.classify_line(b"A B")
         assert t is not None and t.tokens == (b"A", b"B")
+
+    def test_a_bare_cr_ends_a_line_when_mining_and_tagging(self):
+        # the stored page holds "A C D" and " E" as two lines
+        corpus = [b"A B"] * 10 + [b"A C D\r E"] * 6
+        tree = FTTree.from_lines(corpus, FTTreeParams(prune_threshold=8))
+        assert all(b"\r" not in tok for t in tree.templates for tok in t.tokens)
+        assert sum(tree.frequencies.values()) == 10 * 2 + 6 * 4
+        template = tree.classify_line(b"A C D\r E")
+        assert template == tree.classify_line(b"A C D E")
+        tagger = TemplateTagger.from_tree(tree)
+        assert tagger.tag_line(b"A C D\r E") == template.template_id
 
     def test_unknown_line_classifies_none_or_partial(self):
         tree = FTTree.from_lines(figure7_corpus(), FTTreeParams(prune_threshold=8))

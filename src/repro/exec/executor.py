@@ -30,8 +30,16 @@ with two equivalence-tested stage sets, selected by
   retained as the oracle the differential suite compares against and as
   the kernel of hosts without numpy.
 
+Before a run is tokenized, a pass of at most ``_PRECHECK_SETS``
+intersection sets looks for each set's positive tokens in each page's
+text (the literal pre-check): a page where every set misses a token
+holds no line that can match, so it is neither tokenized nor filtered,
+and only its line count is added to ``lines_seen``.
+
 Stage ``calls`` count pages and ``units`` bytes or lines on both, so
-the host profile does not depend on the kernel or the run size.
+the host profile does not depend on the kernel or the run size:
+``filter`` counts every page and line the kernel decided, by the filter
+or by the pre-check, ``tokenize`` the pages and lines it tokenized.
 
 What a scan did is one record, :class:`KernelResult`: the kernel returns
 one per partition, and :meth:`ScanExecutor.scan` returns their sum, with
@@ -131,6 +139,16 @@ _CODEC_MEMO: dict = {}
 #: it is in ``docs/PERFORMANCE.md``, "Page runs".
 _RUN_BYTES = 48 * 1024
 
+#: Most intersection sets a pass may hold for the kernel to look for
+#: their positive tokens in a page's text before tokenizing it (the
+#: literal pre-check, :func:`_literal_sets`). A pass of a few sets
+#: skips most pages for a few substring searches each; a batched pass
+#: (~20 sets for 16 template queries) would search for every set's
+#: tokens and rule out few pages, so it goes straight to the tokenizer.
+#: The sweep that chose it is in ``docs/PERFORMANCE.md``, "Literal
+#: pre-check".
+_PRECHECK_SETS = 8
+
 
 def _codec(spec: ScanProgramSpec):
     from repro.compression.lzah import LZAHCompressor
@@ -221,6 +239,36 @@ def _vectorized_stages(spec: ScanProgramSpec) -> tuple:
     )
 
 
+def _literal_sets(queries: Sequence[Query]) -> Optional[tuple]:
+    """Each intersection set's distinct positive tokens, longest first,
+    when the pass is small enough to pre-check (:data:`_PRECHECK_SETS`);
+    ``None`` when it is not, or when a set has no positive term (a
+    pure negation can match a line holding none of the query's tokens).
+    """
+    sets = [iset for query in queries for iset in query.intersections]
+    if len(sets) > _PRECHECK_SETS or not all(iset.positives for iset in sets):
+        return None
+    return tuple(
+        tuple(sorted({t.token for t in iset.positives}, key=lambda t: (-len(t), t)))
+        for iset in sets
+    )
+
+
+def _may_match(text: bytes, literal_sets: tuple) -> bool:
+    """False when every set has a positive token that is no substring of
+    ``text``: then no line of it can match, since a term's token holds
+    no delimiter and no line end. Stops at a set's first absent token."""
+    return any(all(token in text for token in tokens) for tokens in literal_sets)
+
+
+def _line_count(text: bytes) -> int:
+    """``len(text.splitlines())``, the tokenizers' line count, without
+    building the lines when ``text`` carries no ``\\r``."""
+    if b"\r" in text:
+        return len(text.splitlines())
+    return text.count(b"\n") + (bool(text) and not text.endswith(b"\n"))
+
+
 def _runs(items, run_bytes: int, declared_length) -> Iterator[list]:
     """``items`` in runs of consecutive pages: a run closes once its text
     reaches ``run_bytes`` (a miss counts the length its stream declares).
@@ -281,7 +329,9 @@ def _partition_kernel(
     The numpy kernel works on **runs** of consecutive pages, about
     :data:`_RUN_BYTES` of text each: one decode call for the run's
     cache misses, then one tokenize, one filter and one tally over the
-    run's text (:func:`_run_text`). Stage ``calls`` still count pages.
+    text (:func:`_run_text`) of the run's pages that the literal
+    pre-check (:func:`_may_match`) keeps; a run it rules out whole is
+    neither tokenized nor filtered. Stage ``calls`` still count pages.
 
     ``stop_after`` is the cancellable read (``limit=``): the page whose
     kept lines reach it contributes only the lines up to that match —
@@ -300,6 +350,7 @@ def _partition_kernel(
     # pulls, faults and stops page by page: both take runs of one page
     run_bytes = _RUN_BYTES if spec.kernel == "vectorized" and stop_after is None else 0
     declared_length = _codec(spec).declared_length
+    literal_sets = _literal_sets(spec.queries)
 
     stages: dict = {}
     clock = time.perf_counter
@@ -327,15 +378,31 @@ def _partition_kernel(
         pages += len(texts)
         bytes_decompressed += sum(map(len, texts))
         t0 = clock()
-        page = tokenize(_run_text(texts))
+        live, ruled_out = texts, 0  # ruled_out: lines the pre-check decided
+        if literal_sets is not None:
+            live = []
+            for text in texts:
+                if _may_match(text, literal_sets):
+                    live.append(text)
+                else:
+                    ruled_out += _line_count(text)
+            lines_seen += ruled_out
+        if not live:
+            add_stage(stages, "filter", len(texts), ruled_out, clock() - t0)
+            continue
         t1 = clock()
+        page = tokenize(_run_text(live))
+        t2 = clock()
         verdicts = evaluate(page)
         budget = None if stop_after is None else stop_after - lines_kept
         rows = tally(verdicts, counts, budget)
         kept = [line_bytes(page, i) for i in rows]
         num_lines = len(verdicts)
-        add_stage(stages, "tokenize", len(texts), num_lines, t1 - t0)
-        add_stage(stages, "filter", len(texts), num_lines, clock() - t1)
+        add_stage(stages, "tokenize", len(live), num_lines, t2 - t1)
+        add_stage(
+            stages, "filter", len(texts), num_lines + ruled_out,
+            (t1 - t0) + (clock() - t2),
+        )
         lines_kept += len(kept)
         out_chunks.append(b"\n".join(kept) + (b"\n" if kept else b""))
         if len(rows) == budget:  # cancelled

@@ -20,7 +20,7 @@ Reproduces the arithmetic behind Figures 13 and 14:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.core.backend import numpy_or_none
@@ -74,6 +74,12 @@ class TokenizedStats:
 _BLOCK_LINES = 128
 
 
+#: The ``shapes`` default of :func:`measure_tokenized_stats`: compute
+#: :func:`_line_shapes` in the call. A caller that ran the cycle model
+#: over the same sample passes that count's ``shapes`` instead.
+_OWN_SHAPES = object()
+
+
 def _line_shapes(lines: Sequence[bytes], datapath_bytes: int):
     """Per-line ``(raw bytes, token words, useful bytes)`` int64 arrays.
 
@@ -117,18 +123,20 @@ def _line_shapes(lines: Sequence[bytes], datapath_bytes: int):
 
 
 def measure_tokenized_stats(
-    lines: Iterable[bytes], datapath_bytes: int = 16
+    lines: Iterable[bytes], datapath_bytes: int = 16, shapes=_OWN_SHAPES
 ) -> TokenizedStats:
     """Tokenize ``lines`` and measure padding amplification.
 
     Uses the same token-splitting rules as the functional tokenizer
     (:func:`repro.core.tokenizer.split_tokens`) so the model and the
     functional engine cannot drift apart; :func:`_line_shapes` computes
-    the same totals in bulk where it can.
+    the same totals in bulk where it can (``shapes``, when given, is its
+    result for ``lines`` at ``datapath_bytes``).
     """
     if not isinstance(lines, (list, tuple)):
         lines = list(lines)
-    shapes = _line_shapes(lines, datapath_bytes)
+    if shapes is _OWN_SHAPES:
+        shapes = _line_shapes(lines, datapath_bytes)
     if shapes is not None:
         raw, words, useful = (int(column.sum()) for column in shapes)
     else:
@@ -160,6 +168,9 @@ class PipelineCycleCount:
     cycles: int
     raw_bytes: int
     params: PipelineParams
+    #: :func:`_line_shapes` of the counted lines at this datapath width,
+    #: for :func:`measure_tokenized_stats` over the same lines
+    shapes: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def bytes_per_cycle(self) -> float:
@@ -206,7 +217,7 @@ class PipelineCycleModel:
         if total_cycles:
             handle("mithrilog_pipeline_cycles_total").inc(total_cycles)
         return PipelineCycleCount(
-            cycles=total_cycles, raw_bytes=raw_total, params=p
+            cycles=total_cycles, raw_bytes=raw_total, params=p, shapes=shapes
         )
 
     def _walk_groups(self, lines: Sequence[bytes]) -> tuple[int, int]:

@@ -465,9 +465,10 @@ class MithriLogSystem:
         if get_registry() is not None:
             # publishes the Figure 13 gauges (useful-bits ratio, padding
             # amplification) as a side effect; skipped when metrics are
-            # off so ingest pays nothing extra
+            # off so ingest pays nothing extra. The count's line shapes
+            # are the sample's: they are not computed twice
             measure_tokenized_stats(
-                sample, datapath_bytes=self.params.pipeline.datapath_bytes
+                sample, self.params.pipeline.datapath_bytes, count.shapes
             )
 
     @property
@@ -916,8 +917,9 @@ class MithriLogSystem:
         Derived from the page/byte accounting — which is identical on the
         serial and executor paths — not from measuring either path, so
         the counts match at any worker count. Decompress calls skip cache
-        hits (the decode was skipped); the decompressed text still flows
-        through tokenize and filter on every page.
+        hits (the decode was skipped); the device's tokenizer and filter
+        still see every line of every page, even where the host kernel's
+        literal pre-check skipped a page (``host_profile`` shows that).
         """
         decoded = stats.pages_read - stats.cache_hits
         stats.profile = {

@@ -759,3 +759,36 @@ def test_ingest_never_walks_the_table_and_encodes_each_page_once(
     _drive_every_ingest_route(tmp_path, _MIXED_BATCHES, _ROUTE_PARAMS, 300)
     assert calls["cut"] > 0  # the mixed corpus overflows chunks
     assert calls["compress"] == sum(report.pages_written for report, _ in seen)
+
+
+def test_each_ingest_computes_its_line_shapes_once(monkeypatch):
+    """Both cycle models read one sample's per-line shapes: one
+    ``_line_shapes`` call per ``ingest()`` (the cycle count carries them
+    to the tokenized-stats model), while each model is still called once
+    per ingest."""
+    import repro.system.mithrilog as mithrilog_mod
+
+    calls = collections.Counter()
+
+    def counting(name, raw):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return raw(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(perf_mod, "_line_shapes", counting("shapes", perf_mod._line_shapes))
+    monkeypatch.setattr(
+        PipelineCycleModel, "count_cycles",
+        counting("cycles", PipelineCycleModel.count_cycles),
+    )
+    monkeypatch.setattr(
+        mithrilog_mod, "measure_tokenized_stats",
+        counting("tokenized", mithrilog_mod.measure_tokenized_stats),
+    )
+    lines = generator_for("Liberty2", seed=5).generate(600)
+    with use_registry(MetricsRegistry()):
+        system = MithriLogSystem(seed=1)
+        for start in range(0, len(lines), 200):
+            system.ingest(lines[start : start + 200])
+    assert calls == {"shapes": 3, "cycles": 3, "tokenized": 3}

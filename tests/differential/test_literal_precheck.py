@@ -1,0 +1,251 @@
+"""Differential tests for the scan kernel's literal pre-check.
+
+Before a run is tokenized, a pass of at most ``executor._PRECHECK_SETS``
+intersection sets looks for each set's positive tokens as substrings of
+each page's text; a page where every set misses one is neither tokenized
+nor filtered and adds only its line count to ``lines_seen``. The check
+runs in both kernels, so the oracle here never goes through the kernel
+loop: pages are decoded with the codec, split with ``bytes.splitlines``
+and matched line by line with :func:`~repro.baselines.grep.grep_lines`.
+
+Two kinds of evidence:
+
+1. **Hypothesis** — corpora of space, tab, ``\\r`` and ``\\r\\n``
+   delimited lines, empty lines, and facts that occur only inside longer
+   tokens (a substring hit the filter must still reject), on every route
+   a pass can take: direct, ``limit=`` with ``newest_first``, batched, a
+   pure negation (check off) and an OR of two sets where only one can be
+   ruled out.
+2. **Counts** — a page the check rules out reaches neither the tokenizer
+   nor the filter, and the stage profile stays the kernel's: ``filter``
+   counts every page and line decided, ``tokenize`` the ones tokenized.
+"""
+
+import pytest
+
+from repro.baselines.grep import grep_lines
+from repro.compression.lzah import LZAHCompressor
+from repro.core.backend import numpy_or_none
+from repro.core.hashfilter import HashFilter
+from repro.core.query import IntersectionSet, Query, Term
+from repro.core.softmatch import SoftwareBatchMatcher
+from repro.datasets.synthetic import generator_for
+from repro.exec import executor
+from repro.exec.executor import ScanProgramSpec, _partition_kernel
+from repro.params import CuckooParams, LZAHParams
+from repro.system.mithrilog import MithriLogSystem
+
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - exercised on minimal installs
+    HAVE_HYPOTHESIS = False
+
+KERNELS = ["reference"] + (["vectorized"] if numpy_or_none() is not None else [])
+
+# ---------------------------------------------------------------------------
+# the oracle: decoded pages, splitlines, grep
+# ---------------------------------------------------------------------------
+
+
+def _stored_pages(system) -> list[bytes]:
+    """Each data page's text, in write order, decoded by the codec."""
+    codec = LZAHCompressor(system.params.lzah)
+    return [
+        codec.decompress(system.device.flash.read_page(address).data)
+        for address in system.index.data_pages
+    ]
+
+
+def _oracle(system, queries, limit=None, newest_first=False):
+    """``(matched lines, per-query counts)`` of a pass, line at a time."""
+    union = Query(tuple(s for query in queries for s in query.intersections))
+    pages = _stored_pages(system)
+    if newest_first:
+        pages.reverse()
+    kept = [line for text in pages for line in grep_lines(union, text.splitlines())]
+    kept = kept[:limit]
+    counts = [sum(query.matches_line(line) for line in kept) for query in queries]
+    return kept, counts
+
+
+# ---------------------------------------------------------------------------
+# 1. the property: every route equals grep on both kernels
+# ---------------------------------------------------------------------------
+
+#: stored tokens; each fact below also occurs inside a longer one, so a
+#: page can hold a fact as a substring and still no line that matches it
+WORDS = [b"ab", b"xab", b"abc", b"b", b"ERR", b"ERR:", b"xERR", b"ok", b"okay"]
+FACTS = [b"ab", b"b", b"ERR", b"ok", b"zz"]
+DELIMITERS = [b" ", b"\t", b"  ", b" \t", b"\r", b"\r\n"]
+#: never stored: a set holding it is ruled out on every page
+ABSENT = b"zz"
+
+if HAVE_HYPOTHESIS:
+    _lines = st.lists(
+        st.lists(st.sampled_from(WORDS + DELIMITERS), max_size=8).map(b"".join),
+        min_size=1,
+        max_size=40,
+    )
+    _sets = st.lists(
+        st.builds(Term, token=st.sampled_from(FACTS), negative=st.booleans()),
+        min_size=1,
+        max_size=3,
+    ).map(lambda terms: IntersectionSet(tuple(terms)))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lines=_lines,
+        batches=st.integers(1, 4),
+        first=_sets,
+        second=_sets,
+        negated=st.sampled_from(FACTS),
+        limit=st.integers(1, 12),
+    )
+    def test_every_route_equals_grep(kernel, lines, batches, first, second, negated, limit):
+        system = MithriLogSystem(seed=1, scan_kernel=kernel, cache_pages=0)
+        step = -(-len(lines) // batches)
+        for start in range(0, len(lines), step):
+            system.ingest(lines[start : start + step])
+        # the pages hold the corpus, newline-terminated, in order
+        assert b"".join(_stored_pages(system)) == b"".join(line + b"\n" for line in lines)
+        direct = Query((first,))
+        negation = Query.single(Term(negated, negative=True))  # check off
+        one_ruled_out = Query((second, IntersectionSet.of(ABSENT, b"ok")))
+        passes = [
+            (direct,), (negation,), (one_ruled_out,),
+            (direct, one_ruled_out),  # batched, checked
+            (direct, negation, one_ruled_out),  # batched, check off
+        ]
+        stored = sum(len(text.splitlines()) for text in _stored_pages(system))
+        for queries in passes:
+            want = _oracle(system, queries)
+            for use_index in (False, True):
+                outcome = system.query(*queries, use_index=use_index)
+                assert (outcome.matched_lines, outcome.per_query_counts) == want
+                assert outcome.stats.lines_kept == len(want[0])
+            assert outcome.stats.lines_seen <= stored  # the index may skip pages
+            assert system.query(*queries, use_index=False).stats.lines_seen == stored
+            newest = system.query(*queries, limit=limit, newest_first=True, use_index=False)
+            assert (newest.matched_lines, newest.per_query_counts) == _oracle(
+                system, queries, limit, newest_first=True
+            )
+
+
+# ---------------------------------------------------------------------------
+# 2. counts: a ruled-out page reaches neither the tokenizer nor the filter
+# ---------------------------------------------------------------------------
+
+LINES = generator_for("Liberty2", seed=11).generate(1290)
+#: 86-line pages, the size the ingest path packs (~11 KB)
+PAGES = [b"".join(line + b"\n" for line in LINES[i : i + 86]) for i in range(0, 1290, 86)]
+#: the one page that holds the fact; a \r page, so both line counts run
+NEEDLE = b"rare sentinel here\r\nsentinel rare\rnoise\n"
+SCAN = PAGES[:7] + [NEEDLE] + PAGES[7:]
+RARE = Query.single(b"sentinel", b"rare")
+#: the pre-check is off for a pure negation and past _PRECHECK_SETS sets
+NEGATION = Query.single(Term(b"sentinel", negative=True))
+WIDE = tuple(
+    Query.single(b"sentinel", b"w%d" % i) for i in range(executor._PRECHECK_SETS + 1)
+)
+
+
+def _spec(queries, offloaded, kernel):
+    return ScanProgramSpec(
+        queries=tuple(queries), cuckoo_params=CuckooParams(), seed=0,
+        offloaded=offloaded, lzah_params=LZAHParams(), kernel=kernel,
+    )
+
+
+def _items(pages):
+    codec = LZAHCompressor()
+    return [(False, codec.compress(page)) for page in pages]
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Calls of each kernel's tokenizer and filter: ``{stage: [lines]}``."""
+    calls = {"tokenize": [], "filter": []}
+
+    def count(owner, name, stage, lines_of):
+        raw = getattr(owner, name)
+
+        def counted(*args):
+            result = raw(*args)
+            calls[stage].append(lines_of(args, result))
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(executor, "tokenize_page", "tokenize", lambda a, r: len(r[0]))
+    count(HashFilter, "evaluate_token_lists", "filter", lambda a, r: len(r))
+    if numpy_or_none() is not None:
+        from repro.core import vectokenizer
+
+        count(vectokenizer, "tokenize_page_offsets", "tokenize", lambda a, r: r.num_lines)
+        count(HashFilter, "evaluate_token_arrays", "filter", lambda a, r: len(r))
+        count(SoftwareBatchMatcher, "evaluate", "filter", lambda a, r: len(r))
+    return calls
+
+
+def _lines(text: bytes) -> int:
+    return len(text.splitlines())
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("offloaded", [True, False], ids=["offloaded", "software"])
+def test_a_ruled_out_page_is_never_tokenized(kernel, offloaded, stage_calls):
+    result = _partition_kernel(_spec([RARE], offloaded, kernel), _items(SCAN))
+    assert result.data == b"rare sentinel here\nsentinel rare\n"
+    assert result.per_query_counts == (2,)
+    # one page was tokenized, once; the filter saw its lines alone
+    assert stage_calls["tokenize"] == [_lines(NEEDLE)]
+    if kernel == "vectorized" or offloaded:
+        assert stage_calls["filter"] == [_lines(NEEDLE)]
+    # lines_seen and filter units are every line decided; tokenize units
+    # are the lines tokenized; calls count pages
+    every_line = sum(map(_lines, SCAN))
+    assert result.lines_seen == every_line
+    assert {stage: (s["calls"], s["units"]) for stage, s in result.stages.items()} == {
+        "decompress": (len(SCAN), sum(map(len, SCAN))),
+        "tokenize": (1, _lines(NEEDLE)),
+        "filter": (len(SCAN), every_line),
+    }
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_pass_ruled_out_everywhere_tokenizes_nothing(kernel, stage_calls):
+    result = _partition_kernel(_spec([RARE], True, kernel), _items(PAGES))
+    assert (result.data, result.lines_kept) == (b"", 0)
+    assert stage_calls == {"tokenize": [], "filter": []}
+    assert "tokenize" not in result.stages
+    assert result.stages["filter"]["units"] == result.lines_seen == sum(map(_lines, PAGES))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize(
+    "queries", [(NEGATION,), WIDE], ids=["pure-negation", "past-the-set-cap"]
+)
+def test_the_check_is_off_for_negations_and_wide_passes(kernel, queries, stage_calls):
+    assert executor._literal_sets(queries) is None
+    result = _partition_kernel(_spec(queries, False, kernel), _items(SCAN))
+    tokenized = sum(stage_calls["tokenize"])
+    assert tokenized == result.lines_seen == sum(map(_lines, SCAN))
+    assert result.stages["tokenize"]["calls"] == len(SCAN)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_the_system_profile_tells_tokenized_lines_from_decided_ones(kernel):
+    system = MithriLogSystem(seed=1, scan_kernel=kernel, cache_pages=0)
+    system.ingest(LINES)
+    system.ingest([b"rare sentinel", b"other line"])
+    stats = system.query(RARE, use_index=False).stats
+    host = stats.host_profile
+    assert host["filter"]["units"] == stats.lines_seen
+    assert host["filter"]["calls"] == stats.pages_read
+    assert 0 < host["tokenize"]["units"] < stats.lines_seen
+    assert host["tokenize"]["calls"] < stats.pages_read
+    # the device model tokenizes every line at wire speed
+    assert stats.profile["tokenize"] == {"calls": stats.pages_read, "units": stats.lines_seen}

@@ -31,10 +31,11 @@ with two equivalence-tested stage sets, selected by
   the kernel of hosts without numpy.
 
 Before a run is tokenized, a pass of at most ``_PRECHECK_SETS``
-intersection sets looks for each set's positive tokens in each page's
-text (the literal pre-check): a page where every set misses a token
-holds no line that can match, so it is neither tokenized nor filtered,
-and only its line count is added to ``lines_seen``.
+intersection sets looks for each set's ``_PRECHECK_TOKENS`` longest
+positive tokens in each page's text (the literal pre-check): a page
+where every set misses a token holds no line that can match, so it is
+neither tokenized nor filtered, and only its line count is added to
+``lines_seen``.
 
 Stage ``calls`` count pages and ``units`` bytes or lines on both, so
 the host profile does not depend on the kernel or the run size:
@@ -149,6 +150,12 @@ _RUN_BYTES = 48 * 1024
 #: pre-check".
 _PRECHECK_SETS = 8
 
+#: Most positive tokens of a set the pre-check looks for, the longest
+#: ones: a page an index probe selected usually holds every token of a
+#: set, and searching a subset keeps the check sound (a page missing one
+#: of them holds no match) at a bounded cost per page.
+_PRECHECK_TOKENS = 3
+
 
 def _codec(spec: ScanProgramSpec):
     from repro.compression.lzah import LZAHCompressor
@@ -240,18 +247,20 @@ def _vectorized_stages(spec: ScanProgramSpec) -> tuple:
 
 
 def _literal_sets(queries: Sequence[Query]) -> Optional[tuple]:
-    """Each intersection set's distinct positive tokens, longest first,
-    when the pass is small enough to pre-check (:data:`_PRECHECK_SETS`);
+    """Each intersection set's :data:`_PRECHECK_TOKENS` longest distinct
+    positive tokens, longest first, when the pass is small enough to
+    pre-check (:data:`_PRECHECK_SETS`);
     ``None`` when it is not, or when a set has no positive term (a
     pure negation can match a line holding none of the query's tokens).
     """
     sets = [iset for query in queries for iset in query.intersections]
     if len(sets) > _PRECHECK_SETS or not all(iset.positives for iset in sets):
         return None
-    return tuple(
-        tuple(sorted({t.token for t in iset.positives}, key=lambda t: (-len(t), t)))
+    longest_first = [
+        sorted({t.token for t in iset.positives}, key=lambda t: (-len(t), t))
         for iset in sets
-    )
+    ]
+    return tuple(tuple(tokens[:_PRECHECK_TOKENS]) for tokens in longest_first)
 
 
 def _may_match(text: bytes, literal_sets: tuple) -> bool:

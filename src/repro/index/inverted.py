@@ -23,7 +23,7 @@ from repro.errors import LogIndexError
 from repro.obs.metrics import NULL, handle
 from repro.index.hashindex import HashIndexTable
 from repro.index.snapshots import SnapshotIndex
-from repro.index.storetree import NIL, LeafNode, TreeListStore
+from repro.index.storetree import NIL, TreeListStore, leaf_addresses
 from repro.params import PAGE_BYTES, IndexParams
 from repro.storage.flash import FlashArray
 
@@ -150,6 +150,13 @@ class InvertedIndex:
         result is reversed back — ascending page address *is*
         chronological order in an append-only log.
         """
+        pages, visits = self._token_pages(token)
+        return sorted(pages), visits
+
+    def _token_pages(self, token: bytes) -> tuple[set[int], int]:
+        """:meth:`lookup_token`'s pages as a set: each row's buffer, its
+        partial root's leaves, then its list of trees, read in that
+        order."""
         pages: set[int] = set()
         visits = 0
         for row_id in self.table.candidate_rows(token):
@@ -158,14 +165,13 @@ class InvertedIndex:
                 continue
             pages.update(row.buffer)
             if row.partial_root:
-                blobs = self.store.leaves.read_many(list(row.partial_root))
-                for blob in blobs:
-                    pages.update(LeafNode.unpack(blob).addresses)
+                for blob in self.store.leaves.read_many(row.partial_root):
+                    pages.update(leaf_addresses(blob))
             if row.head_root != NIL:
                 walk = self.store.walk(row.head_root)
                 pages.update(walk.addresses)
                 visits += walk.root_visits
-        return sorted(pages), visits
+        return pages, visits
 
     def candidate_pages(self, query: Query) -> IndexLookupResult:
         """Candidate data pages for a full query.
@@ -187,12 +193,10 @@ class InvertedIndex:
                 continue
             set_pages: Optional[set[int]] = None
             for term in positives:
-                pages, visits = self.lookup_token(term.token)
+                pages, visits = self._token_pages(term.token)
                 stats.tokens_looked_up += 1
                 stats.root_visits += visits
-                set_pages = (
-                    set(pages) if set_pages is None else set_pages & set(pages)
-                )
+                set_pages = pages if set_pages is None else set_pages & pages
                 if not set_pages:
                     break
             candidates.update(set_pages or ())

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import LogIndexError
 from repro.storage.flash import FlashArray
@@ -97,13 +98,11 @@ class NodePool:
         if not 0 <= node_id < self._next_node_id:
             raise LogIndexError(f"node id {node_id} was never written")
         seq, slot = divmod(node_id, self.slots_per_page)
+        start, end = slot * self.node_bytes, (slot + 1) * self.node_bytes
         if seq < len(self._page_addrs):
-            page = self.flash.read_page(self._page_addrs[seq])
-            data = page.data
-        else:
-            data = bytes(self._tail)  # still buffered in memory: free access
-        start = slot * self.node_bytes
-        node = data[start : start + self.node_bytes]
+            node = self.flash.read_page(self._page_addrs[seq]).data[start:end]
+        else:  # still buffered in memory: free access
+            node = bytes(self._tail[start:end])
         if len(node) != self.node_bytes:
             raise LogIndexError(f"node id {node_id} not materialised yet")
         return node
@@ -128,7 +127,7 @@ class NodePool:
         self._next_node_id = int(state["next_node_id"])
         self.nodes_written = int(state["nodes_written"])
 
-    def read_many(self, node_ids: list[int]) -> list[bytes]:
+    def read_many(self, node_ids: Sequence[int]) -> list[bytes]:
         """Fetch several nodes, in order.
 
         This is the "many parallel leaf node accesses" behaviour the tree
@@ -152,10 +151,15 @@ class LeafNode:
         padded = self.addresses + (NIL,) * (NODE_FANOUT - len(self.addresses))
         return _LEAF_STRUCT.pack(*padded)
 
-    @classmethod
-    def unpack(cls, data: bytes) -> "LeafNode":
-        values = _LEAF_STRUCT.unpack(data)
-        return cls(addresses=tuple(v for v in values if v != NIL))
+
+def leaf_addresses(data: bytes) -> tuple[int, ...]:
+    """The data-page addresses of a packed leaf node: one unpack, cut at
+    the ``NIL`` padding (:meth:`LeafNode.pack` writes the addresses
+    first, and no address is ``NIL``)."""
+    values = _LEAF_STRUCT.unpack(data)
+    if values[-1] != NIL:
+        return values
+    return values[: values.index(NIL)]
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ class TreeListStore:
             if hops > self.roots.nodes_written + 1:
                 raise LogIndexError("root linked list contains a cycle")
             root = RootNode.unpack(self.roots.read(root_id))
-            for blob in self.leaves.read_many(list(root.leaf_ids)):
-                addresses.extend(LeafNode.unpack(blob).addresses)
+            for blob in self.leaves.read_many(root.leaf_ids):
+                addresses.extend(leaf_addresses(blob))
             root_id = root.next_root
         return WalkResult(addresses=addresses, root_visits=hops)

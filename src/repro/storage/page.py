@@ -8,7 +8,7 @@ corruption being caught on read.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import PageCorruptionError, StorageError
 from repro.params import PAGE_BYTES
@@ -22,13 +22,21 @@ class Page:
 
     Payloads shorter than ``PAGE_BYTES`` are legal (the tail of a stream);
     longer payloads are rejected. The checksum is computed at construction
-    and re-verified by :meth:`verify`.
+    and checked by :meth:`verify`. The payload is stored as ``bytes``
+    whatever buffer it came in, so an object's bytes cannot change and a
+    successful check holds for its life: a page verifies once. Every
+    fault the repository models (:meth:`corrupted`, an injector's bit
+    flip, ``FlashArray.corrupt_page``, a store load) yields a new,
+    unverified object.
     """
 
     data: bytes
     checksum: int = -1
+    _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.data) is not bytes:
+            object.__setattr__(self, "data", bytes(self.data))
         if len(self.data) > PAGE_BYTES:
             raise StorageError(
                 f"page payload of {len(self.data)} bytes exceeds {PAGE_BYTES}"
@@ -38,8 +46,11 @@ class Page:
 
     def verify(self) -> None:
         """Raise :class:`PageCorruptionError` if payload and checksum disagree."""
+        if self._verified:
+            return
         if zlib.crc32(self.data) != self.checksum:
             raise PageCorruptionError("page checksum mismatch")
+        object.__setattr__(self, "_verified", True)
 
     def corrupted(self, flip_at: int = 0) -> "Page":
         """Return a copy with one byte flipped but the *old* checksum.

@@ -1,12 +1,13 @@
 """Differential tests for the scan kernel's literal pre-check.
 
 Before a run is tokenized, a pass of at most ``executor._PRECHECK_SETS``
-intersection sets looks for each set's positive tokens as substrings of
-each page's text; a page where every set misses one is neither tokenized
-nor filtered and adds only its line count to ``lines_seen``. The check
-runs in both kernels, so the oracle here never goes through the kernel
-loop: pages are decoded with the codec, split with ``bytes.splitlines``
-and matched line by line with :func:`~repro.baselines.grep.grep_lines`.
+intersection sets looks for each set's ``executor._PRECHECK_TOKENS``
+longest positive tokens as substrings of each page's text; a page where
+every set misses one is neither tokenized nor filtered and adds only its
+line count to ``lines_seen``. The check runs in both kernels, so the
+oracle here never goes through the kernel loop: pages are decoded with
+the codec, split with ``bytes.splitlines`` and matched line by line
+with :func:`~repro.baselines.grep.grep_lines`.
 
 Two kinds of evidence:
 
@@ -234,6 +235,26 @@ def test_the_check_is_off_for_negations_and_wide_passes(kernel, queries, stage_c
     tokenized = sum(stage_calls["tokenize"])
     assert tokenized == result.lines_seen == sum(map(_lines, SCAN))
     assert result.stages["tokenize"]["calls"] == len(SCAN)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_set_past_the_token_cap_is_searched_for_its_longest_tokens(kernel, stage_calls):
+    # five positive tokens; only the shortest is absent from every page
+    query = Query.single(b"sentinel", b"here", b"rare", b"noise", ABSENT)
+    assert executor._PRECHECK_TOKENS == 3
+    assert executor._literal_sets([query]) == ((b"sentinel", b"noise", b"here"),)
+    result = _partition_kernel(_spec([query], True, kernel), _items(SCAN))
+    # the needle's page holds the three searched tokens, so it is tokenized
+    # and the filter rejects each of its lines; the other pages lack them
+    assert stage_calls["tokenize"] == [_lines(NEEDLE)]
+    assert (result.data, result.per_query_counts) == (b"", (0,))
+    assert result.lines_seen == sum(map(_lines, SCAN))
+    system = MithriLogSystem(seed=1, scan_kernel=kernel, cache_pages=0)
+    system.ingest([b"sentinel noise here rare"])  # a page lacking only zz
+    system.ingest([b"sentinel noise here rare zz"])
+    for use_index in (False, True):
+        outcome = system.query(query, use_index=use_index)
+        assert outcome.matched_lines == [b"sentinel noise here rare zz"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

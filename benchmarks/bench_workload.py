@@ -9,7 +9,7 @@ same seeded overload traffic twice on the simulated clock:
 1. **baseline** — no hints; the slow template shares passes and sheds
    like everyone else, and its cost leaks into every co-rider's latency;
 2. **hinted** — the baseline run's journal is mined
-   (:func:`repro.analytics.workload.mine`), a
+   (:func:`repro.obs.workload.mine`), a
    :class:`~repro.service.hints.TemplateHintProvider` is built *from
    that profile* (min-service-time identification), and the identical
    traffic is re-served with the hints feeding admission demotion and
@@ -43,7 +43,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from _harness import outcome_signature
-from repro.analytics.workload import mine
 from repro.core.query import Query
 from repro.datasets.synthetic import generator_for
 from repro.obs.journal import (
@@ -52,6 +51,7 @@ from repro.obs.journal import (
     validate_journal_payload,
 )
 from repro.obs.report import build_ab_report, validate_ab_report
+from repro.obs.workload import mine
 from repro.service import (
     QueryService,
     TemplateHintProvider,

@@ -1,26 +1,29 @@
-"""Anomaly detection on MithriLog output (Section 8's higher-order layer).
+"""Finding an error storm with time-bounded queries and template tagging.
 
-The full pipeline the paper sketches as future work, end to end:
+An operator's view of a fault storm, end to end:
 
-1. ingest a Spirit2-like corpus with a *injected fault storm* into
-   MithriLog,
-2. extract the template library with FT-tree and tag every line with its
-   template id using the wire-speed tagger,
-3. build per-minute template count vectors,
-4. fit a PCA subspace detector on the quiet prefix and flag the storm,
-5. cluster the windows to show the storm forms its own tiny cluster.
+1. stream a Spirit2-like corpus with an *injected fault storm* into
+   MithriLog, with an index snapshot every 20 seconds of log time so
+   queries can be time-bounded,
+2. ask the store how many ``error`` lines each 20-second window holds:
+   one time-bounded query per window, which reads only the pages the
+   snapshots around that window bound,
+3. flag the windows whose count stands far above the quiet prefix,
+4. extract the template library with FT-tree, tag the flagged windows'
+   error lines with the wire-speed tagger, and name the storm's template.
 
 Run with::
 
     python examples/anomaly_detection.py
 """
 
-import numpy as np
+import math
+import statistics
 
-from repro import MithriLogSystem
-from repro.analytics import KMeans, PCAAnomalyDetector, count_windows
+from repro import MithriLogSystem, parse_query
 from repro.core.tagger import TemplateTagger
 from repro.datasets import generator_for
+from repro.system.streaming import StreamingIngestor
 from repro.templates import FTTree, FTTreeParams
 
 
@@ -45,7 +48,7 @@ def build_corpus() -> tuple[list[bytes], list[float], float]:
     cut = len(epochs) * 2 // 3
     lines = lines[:cut] + storm_lines + lines[cut:]
     epochs = epochs[:cut] + storm_epochs + epochs[cut:]
-    order = np.argsort(epochs, kind="stable")
+    order = sorted(range(len(epochs)), key=epochs.__getitem__)
     return [lines[i] for i in order], [epochs[i] for i in order], storm_start
 
 
@@ -53,68 +56,63 @@ def main() -> None:
     print("building a corpus with an injected EXT3 error storm...")
     lines, epochs, storm_start = build_corpus()
 
-    system = MithriLogSystem()
-    system.ingest(lines, timestamps=epochs)
-    print(f"ingested {len(lines):,} lines")
-
-    print("extracting templates and tagging every line (wire-speed model)...")
-    tree = FTTree.from_lines(
-        lines, FTTreeParams(max_depth=10, prune_threshold=32, max_doc_frequency=0.9)
-    )
-    tagger = TemplateTagger.from_tree(tree)
-    tags = [tagger.tag_line(line) for line in lines]
-    tagged = sum(1 for t in tags if t is not None)
-    print(
-        f"  {len(tree.templates)} templates, {tagger.num_passes} accelerator "
-        f"passes, {100 * tagged / len(tags):.0f}% of lines tagged"
-    )
-
     window_s = 20.0
-    matrix = count_windows(tags, epochs, window_s, len(tree.templates))
-    storm_window = matrix.window_of(storm_start)
-    print(f"  {matrix.num_windows} {window_s:.0f}-second windows "
-          f"(storm begins in window {storm_window})")
+    system = MithriLogSystem()
+    ingestor = StreamingIngestor(system, batch_lines=256, snapshot_every_s=window_s)
+    ingestor.extend(lines, epochs)
+    ingestor.flush()
+    print(f"ingested {len(lines):,} lines into {len(system.index.data_pages)} pages")
+    first = epochs[0]
+    num_windows = math.floor((epochs[-1] - first) / window_s) + 1
+    storm_window = math.floor((storm_start - first) / window_s)
+    print(f"\ncounting error lines per {window_s:.0f}-second window "
+          f"({num_windows} windows, storm begins in window {storm_window}):")
+    errors = parse_query("error")
+    counts, matched, pages_read = [], [], 0
+    for w in range(num_windows):
+        start = first + w * window_s
+        outcome = system.query(errors, time_range=(start, start + window_s))
+        pages_read += outcome.stats.candidate_pages
+        # snapshots bound pages, not lines: a page may straddle the window
+        in_window = [
+            line for line in outcome.matched_lines
+            if start <= float(line.split()[1]) < start + window_s
+        ]
+        counts.append(len(in_window))
+        matched.append(in_window)
+    print(f"  {counts}")
+    print(f"  {pages_read / num_windows:.1f} pages read per window query")
 
-    # train on the quiet windows before the storm, score everything
-    detector = PCAAnomalyDetector().fit(matrix.counts[:storm_window])
-    report = detector.detect(matrix.counts)
-    flagged = report.anomalous_windows()
-    print(f"\nPCA subspace detector ({detector.num_components} components):")
-    print(f"  flagged windows: {flagged}")
-    top = int(np.argmax(report.scores))
-    print(
-        f"  strongest anomaly: window {top} "
-        f"(t={matrix.window_starts[top]:.0f}), score {report.scores[top]:.0f} "
-        f"vs threshold {report.threshold:.1f}"
-    )
+    # the quiet prefix sets the baseline, as a detector trained before
+    # the incident would see it
+    quiet = counts[:storm_window]
+    threshold = statistics.mean(quiet) + 3 * statistics.pstdev(quiet)
+    flagged = [w for w, count in enumerate(counts) if count > threshold]
+    print(f"  threshold {threshold:.1f} error lines; flagged windows: {flagged}")
     assert any(w >= storm_window for w in flagged), "the storm must be flagged"
     precision = sum(1 for w in flagged if w >= storm_window) / len(flagged)
     print(f"  {100 * precision:.0f}% of flags fall inside the storm era")
 
-    # a complementary view: cluster windows by traffic mix ([36]-style
-    # problem grouping); storm-era windows should separate from quiet ones
-    print("\nclustering the windows by traffic mix (k=2):")
-    result = KMeans(k=2, seed=0).fit(np.log1p(matrix.counts.astype(float)))
-    normal_cluster = int(np.bincount(result.labels[:storm_window]).argmax())
-    unusual = [
-        int(w)
-        for w in range(matrix.num_windows)
-        if result.labels[w] != normal_cluster
-    ]
-    print(f"  cluster sizes: {result.cluster_sizes().tolist()}")
-    print(f"  windows grouped apart from normal traffic: {unusual}")
-
-    # a third lens: transition (workflow) surprise over the tag stream
-    from repro.analytics import TransitionModel
-
-    model = TransitionModel(num_templates=len(tree.templates))
-    train_cut = next(i for i, t in enumerate(epochs) if t >= storm_start)
-    model.fit(tags[:train_cut])
-    normal_surprise = model.surprise(tags[: train_cut // 2])
-    storm_surprise = model.surprise(tags[train_cut : train_cut + 500])
-    print("\ntransition-model surprise (bits per transition):")
-    print(f"  normal era {normal_surprise:.2f}, storm era {storm_surprise:.2f}")
-    print("\nstorm detected and isolated.")
+    print("\nextracting templates and tagging the flagged error lines...")
+    tree = FTTree.from_lines(
+        lines, FTTreeParams(max_depth=10, prune_threshold=32, max_doc_frequency=0.9)
+    )
+    tagger = TemplateTagger.from_tree(tree)
+    tagged = sum(1 for line in lines if tagger.tag_line(line) is not None)
+    print(
+        f"  {len(tree.templates)} templates, {tagger.num_passes} accelerator "
+        f"passes, {100 * tagged / len(lines):.0f}% of lines tagged"
+    )
+    histogram = tagger.histogram([line for w in flagged for line in matched[w]])
+    storm_tag, storm_count = max(
+        ((tag, count) for tag, count in histogram.items() if tag is not None),
+        key=lambda item: item[1],
+    )
+    storm_template = tree.templates[storm_tag]
+    print(f"  {storm_count:,} of the flagged lines carry {storm_template}")
+    assert b"ext3_find_entry:" in storm_template.tokens, "the storm's template"
+    print(f"  its query: {tree.template_query(storm_template)}")
+    print("\nstorm detected and named.")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 A monitoring agent's life, minute by minute: log lines stream in with
 WAL durability, snapshots fire on a time cadence, standing queries run
-mid-stream (covering the un-persisted tail), and each era's matches are
-summarised like a log UI's dashboard pane. At the end, a simulated crash
-and recovery shows nothing acknowledged was lost.
+mid-stream (covering the un-persisted tail), and each era's match count
+is printed. At the end, a simulated crash and recovery shows nothing
+acknowledged was lost.
 
 Run with::
 
@@ -15,7 +15,6 @@ import tempfile
 from pathlib import Path
 
 from repro import parse_query
-from repro.analytics import aggregate_matches
 from repro.datasets import generator_for
 from repro.system.streaming import StreamingIngestor
 from repro.system.wal import JournaledMithriLog
@@ -42,12 +41,10 @@ def main() -> None:
         ingestor.extend(lines[chunk], epochs[chunk])
         outcome = ingestor.query(alert_query)  # includes the pending tail
         print(
-            f"\nera {round_number + 1}: {journaled.system.total_lines:,} lines "
-            f"persisted, {ingestor.pending_lines} pending"
+            f"era {round_number + 1}: {journaled.system.total_lines:,} lines "
+            f"persisted, {ingestor.pending_lines} pending, "
+            f"{len(outcome.matched_lines):,} alert lines so far"
         )
-        report = aggregate_matches(outcome.matched_lines, top_k=3)
-        for text_line in report.render().splitlines():
-            print("  " + text_line)
 
     ingestor.flush()
     print("\nsimulating a crash (no checkpoint was ever taken)...")

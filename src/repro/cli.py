@@ -152,11 +152,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         bottleneck=stats.bottleneck,
         **{k: f"{v:.6f}s" for k, v in stats.breakdown.items()},
     )
-    if args.aggregate:
-        from repro.analytics.aggregate import aggregate_matches
-
-        log.info(aggregate_matches(outcome.matched_lines).render())
-        return 0
     for line in outcome.matched_lines[: args.limit]:
         print(line.decode(errors="replace"))
     hidden = len(outcome.matched_lines) - args.limit
@@ -529,8 +524,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload_mine(args: argparse.Namespace) -> int:
-    from repro.analytics.workload import drift, mine
     from repro.obs.journal import load_journal
+    from repro.obs.workload import drift, mine
 
     journal = load_journal(args.journal)
     if not journal.conserved():
@@ -587,9 +582,9 @@ def _cmd_workload_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload_report(args: argparse.Namespace) -> int:
-    from repro.analytics.workload import mine
     from repro.obs.journal import load_journal
     from repro.obs.report import build_ab_report
+    from repro.obs.workload import mine
 
     journal_a = load_journal(args.journal_a)
     journal_b = (
@@ -899,10 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--newest-first", action="store_true",
         help="visit pages newest-first (tail exploration)",
-    )
-    p.add_argument(
-        "--aggregate", action="store_true",
-        help="print a summary (top hosts/fields, rate) instead of lines",
     )
     p.add_argument(
         "--explain", action="store_true",

@@ -17,8 +17,9 @@ A kernel runs its own stages alone, on any page (``\\r`` lines included).
 ``reference``; an explicit ``vectorized`` without numpy raises
 :class:`BackendUnavailableError`.
 
-Nothing here imports numpy at module load; the probe is lazy and cached
-so a missing numpy costs one failed import per process, ever.
+The numpy probe is cached, so a missing numpy costs one failed import
+per process, ever, and it runs when this module loads, so ``import
+repro`` pays numpy's import and the first ingest or scan does not.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ def numpy_or_none():
         else:
             _NUMPY = numpy
     return _NUMPY or None
+
+
+numpy_or_none()
 
 
 def resolve_kernel(name: Optional[str] = None) -> str:

@@ -155,8 +155,7 @@ class TemplateTagger:
         return [TaggedLine(line=line, template_id=self.tag_line(line)) for line in lines]
 
     def histogram(self, lines: Sequence[bytes]) -> dict[Optional[int], int]:
-        """Template-id counts over a batch — the input higher-order
-        analytics (Section 8) consume."""
+        """Template-id counts over a batch (``repro tag`` prints them)."""
         counts: dict[Optional[int], int] = {}
         for tagged in self.tag_lines(lines):
             counts[tagged.template_id] = counts.get(tagged.template_id, 0) + 1

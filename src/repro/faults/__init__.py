@@ -15,7 +15,7 @@ Layout:
 - :mod:`repro.faults.policies` — how the stack responds (a bounded
   read-retry budget; retries are counted, not timed);
 - :mod:`repro.faults.reporting` — what happened (fault log, per-kind
-  counters, recovery statistics).
+  counters).
 
 Hook points: ``FlashArray.read_page``/``read_pages`` consult an optional
 :class:`PageFaultInjector`; ``WriteAheadLog.append`` consults an optional
@@ -34,7 +34,7 @@ from repro.faults.injectors import (
     inject_page_faults,
 )
 from repro.faults.policies import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.faults.reporting import FaultEvent, FaultLog, RecoveryStats
+from repro.faults.reporting import FaultEvent, FaultLog
 from repro.faults.schedules import (
     AddressSchedule,
     AlwaysSchedule,
@@ -58,7 +58,6 @@ __all__ = [
     "FaultSchedule",
     "NeverSchedule",
     "PageFaultInjector",
-    "RecoveryStats",
     "RetryPolicy",
     "ServiceFaultInjector",
     "ShardFaultInjector",

@@ -1,8 +1,14 @@
-"""What happened: fault events, per-kind counters, recovery statistics.
+"""What happened: fault events and per-kind counters.
 
-Every injector records each fault it fires into a :class:`FaultLog`;
-recovery code (the device retry loop, WAL repair, cluster degradation)
-records how the fault was absorbed. Tests assert against these counters
+Every injector records each fault it fires into a :class:`FaultLog`.
+How the stack absorbed a fault is recorded where it happens, not here:
+a read the device retried to success is counted in
+:attr:`repro.system.mithrilog.QueryStats.read_retries`, a torn or
+corrupt WAL tail cut by repair in the
+``mithrilog_wal_records_dropped_total`` and
+``mithrilog_wal_bytes_truncated_total`` families, and a cluster query
+answered without a failed shard in ``ClusterQueryOutcome.degraded`` and
+``mithrilog_cluster_degraded_queries_total``. Tests assert against these
 instead of scraping logs, and the e2e robustness suite uses them to
 prove "no silent data loss": every injected fault is either retried to
 success, repaired, or visible in a degraded result — never unaccounted.
@@ -38,39 +44,14 @@ class FaultEvent:
 
 
 @dataclass
-class RecoveryStats:
-    """How injected faults were absorbed by the stack."""
-
-    retries: int = 0  #: re-issued page reads that eventually succeeded
-    retry_failures: int = 0  #: reads abandoned after the retry budget
-    wal_records_dropped: int = 0  #: torn/corrupt WAL tail records discarded
-    wal_bytes_truncated: int = 0  #: bytes cut off the WAL by repair
-    shards_degraded: int = 0  #: shard queries answered by degradation
-
-    def merge(self, other: "RecoveryStats") -> "RecoveryStats":
-        """Combine two recovery tallies (e.g. across cluster shards)."""
-        return RecoveryStats(
-            retries=self.retries + other.retries,
-            retry_failures=self.retry_failures + other.retry_failures,
-            wal_records_dropped=self.wal_records_dropped
-            + other.wal_records_dropped,
-            wal_bytes_truncated=self.wal_bytes_truncated
-            + other.wal_bytes_truncated,
-            shards_degraded=self.shards_degraded + other.shards_degraded,
-        )
-
-
-@dataclass
 class FaultLog:
-    """Append-only record of injected faults plus recovery tallies.
+    """Append-only record of injected faults.
 
     One log can be shared across many injectors (a cluster's worth), so
-    a single object answers "what did this run inject, and did the stack
-    absorb all of it?".
+    a single object answers "what did this run inject?".
     """
 
     events: list[FaultEvent] = field(default_factory=list)
-    recovery: RecoveryStats = field(default_factory=RecoveryStats)
 
     def __post_init__(self) -> None:
         # Fault events double as metrics: one counter labeled by kind and
@@ -119,10 +100,4 @@ class FaultLog:
         kinds = ", ".join(
             f"{kind}={count}" for kind, count in sorted(self.by_kind().items())
         )
-        rec = self.recovery
-        return (
-            f"injected [{kinds or 'none'}]; "
-            f"retries={rec.retries} retry_failures={rec.retry_failures} "
-            f"wal_dropped={rec.wal_records_dropped} "
-            f"degraded_shards={rec.shards_degraded}"
-        )
+        return f"injected [{kinds or 'none'}]"

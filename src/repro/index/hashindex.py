@@ -236,5 +236,7 @@ class HashIndexTable:
         and partial-root entries, head and counter (not host bytes).
 
         A walk over every row: the reference :attr:`words` is tested
-        against. No probe calls it."""
+        against. Every probe pays for it while metrics are on:
+        ``InvertedIndex.candidate_pages`` sets the
+        ``mithrilog_index_memory_bytes`` gauge from it (ROADMAP item 2)."""
         return sum(r.memory_footprint_bytes() for r in self._rows.values())

@@ -28,7 +28,10 @@ interpretation layer on top of it:
 - :mod:`repro.obs.journal` — the append-only, replayable query journal
   every service request (and direct system query) lands in: tenant,
   template fingerprint, outcome, latency decomposition, bottleneck
-  stage. Feeds :mod:`repro.analytics.workload` and the SLO monitor.
+  stage. Feeds :mod:`repro.obs.workload` and the SLO monitor.
+- :mod:`repro.obs.workload` — mining of the journal: hot templates,
+  per-tenant/template/stage/outcome slices, and drift between journal
+  windows.
 - :mod:`repro.obs.report` — A/B workload reports diffing two mined
   journal profiles slice-by-slice, flagging regressions an aggregate
   win would hide; markdown + JSON renderers.

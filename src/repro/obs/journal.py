@@ -23,7 +23,7 @@ One :class:`JournalRecord` per resolved request, carrying
   explain/profile machinery via :attr:`QueryStats.bottleneck`);
 - **window** — an optional label (``load-x2``, ``baseline``...) so one
   journal can hold several workload phases and the mining layer
-  (:mod:`repro.analytics.workload`) can diff them.
+  (:mod:`repro.obs.workload`) can diff them.
 
 The journal also counts *intake* independently of outcomes
 (:meth:`QueryJournal.note_submitted`), so the exported artifact carries

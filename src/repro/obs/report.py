@@ -4,7 +4,7 @@ The failure mode this module exists for: a change (bigger cache, new
 index strategy, a scheduler policy) improves aggregate goodput while
 quietly destroying one tenant's p99 or starving one template — the
 aggregate win *hides* the per-slice regression. The report builder
-takes two mined :class:`~repro.analytics.workload.WorkloadProfile`
+takes two mined :class:`~repro.obs.workload.WorkloadProfile`
 objects (baseline **A**, candidate **B**) produced from journals of the
 same seeded workload under the two configurations, diffs every slice
 they share, and flags exactly those hidden regressions.
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.analytics.workload import DIMENSIONS, WorkloadProfile, drift
 from repro.obs.artifacts import capped, envelope_problems, write_json
+from repro.obs.workload import DIMENSIONS, WorkloadProfile, drift
 
 __all__ = [
     "AB_REPORT_KIND",
@@ -339,7 +339,7 @@ def build_ab_report(
     20%); ``min_count`` suppresses flags on slices too thin to judge.
     The ``outcome`` dimension is excluded from flagging by default —
     outcome counts move by design when admission behaviour changes —
-    but any :data:`~repro.analytics.workload.DIMENSIONS` subset works.
+    but any :data:`~repro.obs.workload.DIMENSIONS` subset works.
     """
     for dimension in dimensions:
         if dimension not in DIMENSIONS:

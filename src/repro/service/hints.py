@@ -1,7 +1,7 @@
 """Template-aware admission hints: the mined workload fed back in.
 
 The loop the workload-observability layer closes: a journal records
-what every template *cost*, :mod:`repro.analytics.workload` mines it,
+what every template *cost*, :mod:`repro.obs.workload` mines it,
 and this module turns the mined profile into live scheduling pressure —
 without touching the admission layer's invariants (every request still
 gets exactly one response; conservation still holds).
@@ -35,7 +35,7 @@ from repro.errors import QueryError
 from repro.obs.journal import template_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analytics.workload import WorkloadProfile
+    from repro.obs.workload import WorkloadProfile
     from repro.service.request import Request
 
 __all__ = ["TemplateHintProvider", "resolve_priority"]

@@ -27,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.analytics.workload import line_template_fingerprint
 from repro.core.hashfilter import pack
 from repro.core.query import Query, parse_query
 from repro.core.tokenizer import split_tokens
 from repro.errors import QueryError
 from repro.obs.slo import SLO, AlertState, SLOMonitor
+from repro.obs.workload import line_template_fingerprint
 from repro.stream.windows import WINDOW_AGGREGATES, WindowAggregator, WindowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -67,14 +67,19 @@ def _params_from_dict(data: dict) -> SystemParams:
 
 
 def save_store(system: MithriLogSystem, directory: Union[str, Path]) -> None:
-    """Persist a system's store to ``directory`` (created if missing)."""
+    """Persist a system's store to ``directory`` (created if missing).
+
+    Each page is read through the device's retry loop, so a transient
+    read fault costs a retry, not the checkpoint.
+    """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
 
     with open(path / "pages.bin", "wb") as handle:
-        flash = system.device.flash
+        device = system.device
+        flash = device.flash
         for addr in sorted(a for a in range(flash.next_free_address) if a in flash):
-            page = flash.read_page(addr)
+            page, _ = device._read_one_with_retry(addr)
             handle.write(_PAGE_HEADER.pack(addr, len(page.data), page.checksum))
             handle.write(page.data)
     save_metadata(system, path)

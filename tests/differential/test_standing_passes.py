@@ -21,12 +21,12 @@ import random
 
 import pytest
 
-from repro.analytics.workload import line_template_fingerprint
 from repro.core import hashfilter
 from repro.core.backend import numpy_or_none
 from repro.core.query import IntersectionSet, Query, parse_query
 from repro.datasets.synthetic import generator_for
 from repro.obs.journal import QueryJournal
+from repro.obs.workload import line_template_fingerprint
 from repro.stream.standing import (
     STREAM_TENANT_PREFIX,
     StandingQuery,

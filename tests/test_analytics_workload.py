@@ -8,15 +8,15 @@ same records always produce byte-identical profiles (dict equality on
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analytics.workload import (
+from repro.errors import QueryError
+from repro.obs.journal import QueryJournal, template_fingerprint
+from repro.obs.workload import (
     DIMENSIONS,
     SliceStats,
     drift,
     hot_templates,
     mine,
 )
-from repro.errors import QueryError
-from repro.obs.journal import QueryJournal, template_fingerprint
 
 
 def fill(journal, template, n, latency_ms, tenant="t0", stage="flash",

@@ -68,12 +68,6 @@ class TestIngestAndQuery:
         assert "plan:" in out
         assert "estimated candidates:" in out
 
-    def test_query_aggregate(self, store, capsys):
-        code = main(["query", "--store", str(store), "--aggregate", "RAS"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "top hosts:" in out
-
     def test_query_limit(self, store, capsys):
         code = main(["query", "--store", str(store), "--limit", "2", "RAS"])
         assert code == 0

@@ -7,7 +7,7 @@ Simulates a deployment's lifecycle on one store:
   -> checkpoint, save, reload
   -> planner-driven queries (indexed, scanned, time-bounded)
   -> scheduler-batched template workload
-  -> template tagging into the analytics layer (counts, PCA, transitions)
+  -> template tagging of the corpus
 
 Every stage's answers are verified against the grep oracle or against
 the pre-stage answers, so any cross-feature interaction bug surfaces
@@ -16,11 +16,6 @@ here even if each feature's own tests pass.
 
 import pytest
 
-pytest.importorskip("numpy")  # the tour ends in repro.analytics
-
-import numpy as np
-
-from repro.analytics import PCAAnomalyDetector, TransitionModel, count_windows
 from repro.baselines.grep import grep_lines
 from repro.core.query import parse_query
 from repro.core.tagger import TemplateTagger
@@ -126,18 +121,8 @@ class TestWorkloadAndAnalytics:
         for query, count in zip(workload.singles, run.per_query_counts):
             assert count == len(grep_lines(query, corpus))
 
-    def test_tagging_and_analytics_pipeline(self, deployment, corpus, epochs, tree):
+    def test_tagging_and_analytics_pipeline(self, corpus, tree):
         tagger = TemplateTagger.from_tree(tree)
         tags = [tagger.tag_line(line) for line in corpus]
         coverage = sum(1 for t in tags if t is not None) / len(tags)
         assert coverage > 0.8
-
-        matrix = count_windows(tags, epochs, window_s=60.0, num_templates=len(tree.templates))
-        assert matrix.counts.sum() == len(corpus)
-        if matrix.num_windows >= 4:
-            detector = PCAAnomalyDetector().fit(matrix.counts)
-            scores = detector.scores(matrix.counts)
-            assert np.isfinite(scores).all()
-
-        model = TransitionModel(num_templates=len(tree.templates)).fit(tags)
-        assert model.surprise(tags[:100]) > 0

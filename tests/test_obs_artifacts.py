@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analytics.workload import mine
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
 from repro.errors import QueryError
@@ -34,6 +33,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.report import build_ab_report
 from repro.obs.slo import SLO, SLOError, SLOMonitor, load_slo_config
 from repro.obs.tracing import SpanTracer
+from repro.obs.workload import mine
 from repro.service import QueryService, make_tenants, open_loop_requests, query_pool
 from repro.stream import (
     StandingQuery,

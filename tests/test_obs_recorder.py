@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from repro.analytics.workload import mine
 from repro.datasets.synthetic import generator_for
 from repro.faults.injectors import ServiceFaultInjector
 from repro.faults.schedules import AtOperationsSchedule
-from repro.obs.journal import QueryJournal
 from repro.obs.check import check_file, identify, main
+from repro.obs.journal import QueryJournal
 from repro.obs.metrics import MetricsRegistry, handle, use_registry
 from repro.obs.recorder import (
     FlightRecorder,
@@ -18,6 +17,7 @@ from repro.obs.recorder import (
     write_bundle,
 )
 from repro.obs.slo import SLO, SLOMonitor
+from repro.obs.workload import mine
 from repro.service import (
     QueryService,
     make_tenants,

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analytics.workload import mine
 from repro.obs.check import check_file, identify
 from repro.obs.journal import QueryJournal
 from repro.obs.report import (
@@ -12,6 +11,7 @@ from repro.obs.report import (
     build_ab_report,
     validate_ab_report,
 )
+from repro.obs.workload import mine
 
 
 def journal_with(spec):

@@ -10,7 +10,6 @@ import pkgutil
 import pytest
 
 import repro
-from repro.core.backend import numpy_or_none
 
 MODULES = sorted(
     name
@@ -20,16 +19,8 @@ MODULES = sorted(
 )
 
 
-def _lacks_numpy(module_name: str) -> bool:
-    """A ``repro.analytics*`` module on a host without numpy (those
-    modules import numpy at load)."""
-    return module_name.split(".")[:2] == ["repro", "analytics"] and numpy_or_none() is None
-
-
 @pytest.mark.parametrize("module_name", MODULES)
 def test_module_imports(module_name):
-    if _lacks_numpy(module_name):
-        pytest.skip(f"{module_name} needs numpy")
     module = importlib.import_module(module_name)
     assert module is not None
 
@@ -46,14 +37,11 @@ def test_module_imports(module_name):
         "repro.templates",
         "repro.datasets",
         "repro.baselines",
-        "repro.analytics",
         "repro.hw",
         "repro.sim",
     ],
 )
 def test_all_exports_resolve(module_name):
-    if _lacks_numpy(module_name):
-        pytest.skip(f"{module_name} needs numpy")
     module = importlib.import_module(module_name)
     exported = getattr(module, "__all__", [])
     assert exported, f"{module_name} should declare __all__"
@@ -67,8 +55,6 @@ def test_every_public_callable_has_a_docstring():
     missing = []
     for module_name in MODULES:
         if any(part.startswith("_") for part in module_name.split(".")):
-            continue
-        if _lacks_numpy(module_name):
             continue
         module = importlib.import_module(module_name)
         if not module.__doc__:

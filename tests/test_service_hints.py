@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.analytics.workload import mine
 from repro.core.query import Query
 from repro.errors import QueryError
 from repro.obs.journal import QueryJournal, template_fingerprint
+from repro.obs.workload import mine
 from repro.service import (
     AdmissionController,
     QoSScheduler,

@@ -14,7 +14,8 @@ real one, and requires
 
 - each read to raise ``PageCorruptionError`` exactly when
   ``crc32(data) != checksum`` holds for the page the read hook handed
-  back;
+  back, and a save (which reads through the device's retry loop) to read
+  an address again exactly when the page handed back for it failed;
 - the same outcome for every operation, and the same ``FaultLog``.
 """
 
@@ -43,11 +44,11 @@ class HandedBack(PageFaultInjector):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.handed: list[Page] = []
+        self.handed: list[tuple[int, Page]] = []
 
     def on_read(self, address, page):
         page = super().on_read(address, page)
-        self.handed.append(page)
+        self.handed.append((address, page))
         return page
 
 
@@ -101,10 +102,23 @@ def _run(ops, injector: HandedBack) -> tuple[list, object]:
             except StorageError as exc:
                 outcome = ("raised", type(exc).__name__)
             outcomes.append(outcome)
+            bad = [zlib.crc32(p.data) != p.checksum for _a, p in injector.handed]
+            if op[0] == "reload":
+                # the save reads each address until a page passes its
+                # CRC, so an address ends on a bad page only when it was
+                # the last one read and the save gave up
+                reads: dict[int, list[bool]] = {}
+                for (address, _p), flag in zip(injector.handed, bad):
+                    reads.setdefault(address, []).append(flag)
+                for address, flags in reads.items():
+                    assert all(flags[:-1]), (op, address, flags)
+                    assert not flags[-1] or (
+                        outcome == ("raised", "ReadRetryExhaustedError")
+                        and address == injector.handed[-1][0]
+                    ), (op, outcome, address, flags)
             # a read raises PageCorruptionError exactly at the first page
             # handed back whose recomputed CRC disagrees
-            bad = [zlib.crc32(p.data) != p.checksum for p in injector.handed]
-            if outcome == ("raised", "PageCorruptionError"):
+            elif outcome == ("raised", "PageCorruptionError"):
                 assert bad and bad[-1] and not any(bad[:-1]), (op, bad)
             else:
                 assert not any(bad), (op, outcome, bad)
@@ -150,9 +164,11 @@ def test_a_fixed_session_reaches_every_fault_and_a_reload():
         ("ok", [outcomes[3][1][0]]), ("ok", "reloaded"),
     ]
     # a loaded page reads as it did; a corrupted one raises on every read,
-    # and so does the save that reads it
+    # and the save that reads it gives up once the retry budget is spent
     assert outcomes[5] == outcomes[6] == outcomes[0]
-    assert outcomes[7:] == [("ok", None), corrupt, corrupt, corrupt]
+    assert outcomes[7:] == [
+        ("ok", None), corrupt, corrupt, ("raised", "ReadRetryExhaustedError"),
+    ]
     assert [event.kind for event in log.events] == ["read_error", "bit_flip"]
 
 

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
 from repro.errors import QueryError, StorageError
+from repro.faults import AtOperationsSchedule, inject_page_faults
 from repro.params import LZAHParams, SystemParams
 from repro.system.mithrilog import MithriLogSystem
-from repro.system.persistence import load_store, save_store
+from repro.system.persistence import load_store, open_store, save_store
 from repro.system.wal import JournaledMithriLog
 
 
@@ -77,6 +78,20 @@ class TestRoundTrip:
         reloaded = load_store(tmp_path / "store2")
         query = parse_query("KERNEL AND INFO")
         assert reloaded.query(query).matched_lines == loaded.query(query).matched_lines
+
+
+    def test_save_survives_a_transient_read_error(self, tmp_path):
+        lines = generator_for("BGL2").generate(2000)
+        system = MithriLogSystem()
+        system.ingest(lines)
+        log = inject_page_faults(system, read_errors=AtOperationsSchedule({0}))
+        save_store(system, tmp_path / "store")
+        assert log.count("read_error") == 1
+        loaded, _ = open_store(tmp_path / "store")
+        query = parse_query("KERNEL AND INFO")
+        expected = system.query(query).matched_lines
+        assert expected
+        assert loaded.query(query).matched_lines == expected
 
 
 class TestErrorHandling:

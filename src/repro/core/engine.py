@@ -8,7 +8,8 @@ intersection sets, overflow exhaustion or cuckoo placement failure — the
 queries run in software instead, as the paper prescribes (Section
 4.2.1). The engine evaluates no lines itself: the scan kernel
 (:func:`repro.exec.executor._partition_kernel`) runs the program it
-compiled, and reports what it saw back through :meth:`account_filtered`.
+compiled, and the pass's :class:`~repro.system.mithrilog.QueryStats`
+records what it saw.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from typing import Optional
 from repro.core.hashfilter import CompiledQuery, compiled_program
 from repro.core.query import Query
 from repro.errors import CapacityError, PlacementError, QueryError
-from repro.obs.metrics import handle
 from repro.params import CuckooParams
 
 
 class TokenFilterEngine:
-    """Host-facing filter engine: compile queries, count filtered lines."""
+    """Host-facing filter engine: compile queries into one program."""
 
     def __init__(
         self,
@@ -38,8 +38,6 @@ class TokenFilterEngine:
         self.seed = seed
         self._queries: tuple[Query, ...] = ()
         self._program: Optional[CompiledQuery] = None
-        self._m_lines_filtered = handle("mithrilog_pipeline_lines_filtered_total")
-        self._m_lines_kept = handle("mithrilog_pipeline_lines_kept_total")
 
     # -- compilation -------------------------------------------------------
 
@@ -92,13 +90,3 @@ class TokenFilterEngine:
             "mode": "hardware" if self._program is not None else "software",
             "pipelines": self.num_pipelines,
         }
-
-    # -- accounting --------------------------------------------------------
-
-    def account_filtered(self, seen: int, kept: int) -> None:
-        """Record in ``mithrilog_pipeline_lines_*`` the lines the scan
-        kernel evaluated (``seen``) and kept under this engine's program."""
-        if seen:
-            self._m_lines_filtered.inc(seen)
-        if kept:
-            self._m_lines_kept.inc(kept)

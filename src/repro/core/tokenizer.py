@@ -25,8 +25,9 @@ inverted index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Sequence
 
+from repro.errors import IngestError
 from repro.params import DATAPATH_BYTES
 
 #: Token delimiters: space and horizontal tab.
@@ -72,9 +73,40 @@ def stored_lines(line: bytes) -> List[bytes]:
     The page tokenizers end a line at ``\\n``, ``\\r`` and ``\\r\\n``, as
     ``bytes.splitlines`` does, so a line holding one is several stored
     lines and no stored token holds a line end. Template mining and
-    tagging split a line here before :func:`split_tokens`.
+    tagging split a line here before :func:`split_tokens`, and
+    :func:`repro.datasets.loader.read_log_lines` splits a file's lines.
     """
     return line.splitlines() or [line]
+
+
+def check_lines(lines: Sequence[bytes]) -> None:
+    """Refuse a batch in which a line holds a line end.
+
+    A stored page ends a line at ``\\n`` and ``\\r``, so a supplied line
+    holding either would be stored as several lines, and answer with
+    lines nobody ingested. Every intake calls this before anything is
+    journaled or stored; refusing rather than splitting keeps a report's
+    line count and timestamps aligned with the caller's input. One join
+    and two C-level searches decide a clean batch; only a refused one is
+    walked line by line, to name the first bad index.
+    """
+    if not lines:
+        return
+    text = b"\n".join(lines)
+    if text.count(b"\n") == len(lines) - 1 and b"\r" not in text:
+        return
+    for index, line in enumerate(lines):
+        check_line(line, index)
+
+
+def check_line(line: bytes, index: int = 0) -> None:
+    """Refuse one line holding ``\\n`` or ``\\r``, as :func:`check_lines`
+    refuses a batch; ``index`` names the line in the error."""
+    if b"\n" in line or b"\r" in line:
+        raise IngestError(
+            f"line {index} holds a line end: {bytes(line[:40])!r}; "
+            "ingest one line per item (read_log_lines splits a file)"
+        )
 
 
 def split_tokens_reference(line: bytes) -> List[bytes]:

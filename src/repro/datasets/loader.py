@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, Optional
 
+from repro.core.tokenizer import stored_lines
 from repro.errors import IngestError
 from repro.params import PAGE_BYTES
 
@@ -19,16 +20,18 @@ from repro.params import PAGE_BYTES
 def read_log_lines(path: str | os.PathLike, limit: Optional[int] = None) -> list[bytes]:
     """Read a newline-delimited log file as a list of lines.
 
-    Handles the common real-log wrinkles: trailing newline, ``\\r\\n``
-    terminators (one terminator, as a stored page reads them), blank
-    lines kept (they are legal log lines), and no decoding — logs are
+    Lines end where a stored page ends them: at ``\\n``, ``\\r`` and
+    ``\\r\\n`` (:func:`~repro.core.tokenizer.stored_lines`), so a file with
+    bare ``\\r`` ends loads as the lines ingest accepts. Blank lines are
+    kept (they are legal log lines), and nothing is decoded — logs are
     bytes.
     """
     lines: list[bytes] = []
     with open(path, "rb") as handle:
         for raw in handle:
-            lines.append(raw[:-2] if raw.endswith(b"\r\n") else raw.rstrip(b"\n"))
+            lines.extend(stored_lines(raw))
             if limit is not None and len(lines) >= limit:
+                del lines[limit:]
                 break
     return lines
 

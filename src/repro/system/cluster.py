@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.query import Query
+from repro.core.tokenizer import check_lines
 from repro.errors import IngestError, QueryError, StorageError
 from repro.obs.metrics import handle
 from repro.obs.profile import TraceContext, merge_profiles
@@ -169,9 +170,14 @@ class MithriLogCluster:
         lines: Sequence[bytes],
         timestamps: Optional[Sequence[float]] = None,
     ) -> ClusterIngestReport:
-        """Shard a batch into contiguous slices, one per device."""
+        """Shard a batch into contiguous slices, one per device.
+
+        The whole batch is checked first, so a refused line leaves every
+        shard as it was.
+        """
         if timestamps is not None and len(timestamps) != len(lines):
             raise IngestError("timestamps must align one-to-one with lines")
+        check_lines(lines)
         reports = []
         n = len(lines)
         base = n // self.num_shards
@@ -185,7 +191,7 @@ class MithriLogCluster:
             stamps = (
                 timestamps[start : start + size] if timestamps is not None else None
             )
-            reports.append(shard.ingest(chunk, timestamps=stamps))
+            reports.append(shard.ingest(chunk, timestamps=stamps, check=False))
             start += size
         return ClusterIngestReport(shards=tuple(reports))
 

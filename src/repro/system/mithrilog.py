@@ -25,7 +25,7 @@ from repro.compression.lzah import LZAHCompressor
 from repro.core.backend import resolve_kernel
 from repro.core.engine import TokenFilterEngine
 from repro.core.query import Query
-from repro.core.tokenizer import page_token_set
+from repro.core.tokenizer import check_lines, page_token_set
 from repro.errors import IngestError, QueryError
 from repro.exec.cache import DEFAULT_CACHE_PAGES, PageCache
 from repro.exec.executor import (
@@ -333,6 +333,8 @@ class MithriLogSystem:
         self._query_seq = 0
         self._m_queries = handle("mithrilog_query_total")
         self._m_index_lookups = handle("mithrilog_index_lookups_total")
+        self._m_lines_filtered = handle("mithrilog_pipeline_lines_filtered_total")
+        self._m_lines_kept = handle("mithrilog_pipeline_lines_kept_total")
         self._m_ingest_lines = handle("mithrilog_ingest_lines_total")
         self._m_scan_workers = handle("mithrilog_scan_workers")
         self._m_batch_queries = handle("mithrilog_scan_batch_queries")
@@ -344,15 +346,26 @@ class MithriLogSystem:
     # ------------------------------------------------------------------
 
     def ingest(
-        self, lines: Sequence[bytes], timestamps: Optional[Sequence[float]] = None
+        self,
+        lines: Sequence[bytes],
+        timestamps: Optional[Sequence[float]] = None,
+        *,
+        check: bool = True,
     ) -> IngestReport:
         """Compress, store and index a batch of log lines.
 
         ``timestamps``, when given (one per line), drive the snapshot
-        index for later time-bounded queries.
+        index for later time-bounded queries. A line holding ``\\n`` or
+        ``\\r`` is refused (:func:`~repro.core.tokenizer.check_lines`)
+        before anything is stored. ``check=False`` skips that check: for
+        a cluster's shards, whose batch the cluster checked whole, and for
+        journal replay, which stores a record as it was stored when it
+        was journaled.
         """
         if timestamps is not None and len(timestamps) != len(lines):
             raise IngestError("timestamps must align one-to-one with lines")
+        if check:
+            check_lines(lines)
         compressed_total = 0
         original = 0
         pages = 0
@@ -675,7 +688,6 @@ class MithriLogSystem:
         stats.lines_kept = read.lines_kept
         stats.read_retries = read.read_retries
         run.matched = read.data.splitlines()
-        self.engine.account_filtered(stats.lines_seen, stats.lines_kept)
 
     def scan_spec(self) -> ScanProgramSpec:
         """The scan program of the engine's compiled queries: what a pass
@@ -709,6 +721,10 @@ class MithriLogSystem:
         self._m_queries.inc(path="scan" if stats.index_full_scan else "index")
         if stats.index_tokens_looked_up:
             self._m_index_lookups.inc(stats.index_tokens_looked_up)
+        if stats.lines_seen:
+            self._m_lines_filtered.inc(stats.lines_seen)
+        if stats.lines_kept:
+            self._m_lines_kept.inc(stats.lines_kept)
         if self.tracer is not None:
             self._trace_query(run)
         self.clock.advance(stats.elapsed_s)

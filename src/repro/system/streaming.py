@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.core.query import Query
+from repro.core.tokenizer import check_line, check_lines
 from repro.errors import IngestError
 from repro.exec.executor import _partition_kernel
 from repro.obs.metrics import handle
@@ -65,6 +66,8 @@ class StreamingIngestor:
         self.flush_listeners: list[FlushListener] = []
         self._m_pending = handle("mithrilog_ingest_pending_lines")
         self._m_overflow_shed = handle("mithrilog_ingest_overflow_shed_total")
+        self._m_lines_filtered = handle("mithrilog_pipeline_lines_filtered_total")
+        self._m_lines_kept = handle("mithrilog_pipeline_lines_kept_total")
 
     # -- arrival ---------------------------------------------------------
 
@@ -83,10 +86,14 @@ class StreamingIngestor:
         :attr:`lines_shed` — the bounded-buffer behaviour a lossy
         collector (syslog over UDP) exhibits. A cap below ``batch_lines``
         is the configuration where it binds, since the batch auto-flush
-        otherwise empties the buffer first.
+        otherwise empties the buffer first. A line holding ``\\n`` or
+        ``\\r`` is refused with :class:`~repro.errors.IngestError`.
         """
-        if b"\n" in line:
-            raise IngestError("append one line at a time, without newlines")
+        check_line(line)
+        self._accept(line, timestamp)
+
+    def _accept(self, line: bytes, timestamp: Optional[float]) -> None:
+        """Buffer one checked line under the overflow policy."""
         if (
             self.max_pending_lines is not None
             and len(self._pending) >= self.max_pending_lines
@@ -111,10 +118,16 @@ class StreamingIngestor:
         lines: Sequence[bytes],
         timestamps: Optional[Sequence[float]] = None,
     ) -> None:
+        """Accept a batch of lines, as :meth:`append` would one by one.
+
+        The batch is checked first, so a line holding a line end is
+        refused before any line of it is accepted.
+        """
         if timestamps is not None and len(timestamps) != len(lines):
             raise IngestError("timestamps must align with lines")
+        check_lines(lines)
         for i, line in enumerate(lines):
-            self.append(line, timestamps[i] if timestamps is not None else None)
+            self._accept(line, timestamps[i] if timestamps is not None else None)
 
     def flush(self) -> int:
         """Persist the pending tail; returns the number of lines stored."""
@@ -125,6 +138,8 @@ class StreamingIngestor:
         self._pending = []
         self._pending_stamps = []
         have_stamps = all(s is not None for s in stamps)
+        # checked again there: ``system`` may be a caller's subclass whose
+        # ingest takes only lines and timestamps
         self.system.ingest(lines, timestamps=stamps if have_stamps else None)
         self.lines_ingested += len(lines)
         self._m_pending.set(0)
@@ -164,7 +179,10 @@ class StreamingIngestor:
                 outcome.per_query_counts[q] += count
             outcome.stats.lines_seen += result.lines_seen
             outcome.stats.lines_kept += result.lines_kept
-            self.system.engine.account_filtered(result.lines_seen, result.lines_kept)
+            if result.lines_seen:
+                self._m_lines_filtered.inc(result.lines_seen)
+            if result.lines_kept:
+                self._m_lines_kept.inc(result.lines_kept)
         return outcome
 
     # -- context manager ----------------------------------------------------

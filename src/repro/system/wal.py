@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
+from repro.core.tokenizer import check_lines
 from repro.errors import IngestError, TornRecordError, WalRecordError
 from repro.obs.metrics import handle
 from repro.system.mithrilog import IngestReport, MithriLogSystem
@@ -256,8 +257,15 @@ class JournaledMithriLog:
         lines: Sequence[bytes],
         timestamps: Optional[Sequence[float]] = None,
     ) -> IngestReport:
-        """Durable ingest: journal first, then apply."""
+        """Durable ingest: journal first, then apply.
+
+        The batch is checked before it is journaled: a line holding
+        ``\\n`` would make a record that replays as a different batch.
+        """
+        check_lines(lines)
         self.wal.append(lines, timestamps)
+        # checked again there: ``system`` may be a caller's subclass whose
+        # ingest takes only lines and timestamps
         return self.system.ingest(lines, timestamps=timestamps)
 
     def query(self, *queries, **kwargs):
@@ -299,7 +307,9 @@ class JournaledMithriLog:
         for lines, timestamps in journaled.wal.replay(
             0 if truncated_since else applied
         ):
-            system.ingest(lines, timestamps=timestamps)
+            # unchecked: a record journaled before intakes refused line
+            # ends replays as the batch that was stored then
+            system.ingest(lines, timestamps=timestamps, check=False)
         if truncated_since:
             # the crash fell between truncating and telling the store:
             # finish that checkpoint before the journal outgrows the mark

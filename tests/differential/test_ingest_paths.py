@@ -472,11 +472,12 @@ def test_whole_ingest_is_the_same_with_numpy_masked(monkeypatch):
     liberty = generator_for("Liberty2", seed=5).generate(1800)
     bgl = generator_for("BGL2", seed=5).generate(1800)
     # alternating small batches (the streaming shape) and one odd batch
-    # that sends its cycle-model sample down the scalar loops
+    # of tab-delimited, empty and delimiter-only lines that sends its
+    # cycle-model sample down the scalar loops
     batches = [
         (bgl if i % 2 else liberty)[i // 2 * 450 : (i // 2 + 1) * 450]
         for i in range(8)
-    ] + [[b"alpha beta", b"foo\nbar baz", b"tail\r"]]
+    ] + [[b"alpha beta", b"foo\tbar  baz", b"", b" \t ", b"tail"]]
     with_numpy = _ingest_everything(batches)
     monkeypatch.setattr(backend_mod, "_NUMPY", False)
     without = _ingest_everything(batches)

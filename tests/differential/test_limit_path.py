@@ -23,10 +23,12 @@ from repro.core.backend import numpy_or_none
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
 from repro.faults import BernoulliSchedule, inject_page_faults
+from repro.system import mithrilog
 from repro.system.mithrilog import MithriLogSystem
 
 LINES = generator_for("Liberty2", seed=11).generate(2500)
-#: the same corpus with carriage returns inside some lines: the stored
+#: the same corpus with carriage returns inside some lines, stored with
+#: ingest's line check off (a store saved before it can hold them): the
 #: page text then splits into more lines than were ingested, on either
 #: kernel
 CR_LINES = [
@@ -182,7 +184,8 @@ def test_software_route(system):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_carriage_return_lines(kernel):
+def test_carriage_return_lines(kernel, monkeypatch):
+    monkeypatch.setattr(mithrilog, "check_lines", lambda lines: None)
     system = build(CR_LINES, scan_kernel=kernel, cache_pages=0)
     for queries in (ONE, THREE):
         for limit in limits_for(system, queries, use_index=False):

@@ -1,34 +1,24 @@
-"""Differential tests for the scan kernel's literal pre-check.
+"""Tests for the scan kernel's literal pre-check.
 
 Before a run is tokenized, a pass of at most ``executor._PRECHECK_SETS``
 intersection sets looks for each set's ``executor._PRECHECK_TOKENS``
 longest positive tokens as substrings of each page's text; a page where
 every set misses one is neither tokenized nor filtered and adds only its
-line count to ``lines_seen``. The check runs in both kernels, so the
-oracle here never goes through the kernel loop: pages are decoded with
-the codec, split with ``bytes.splitlines`` and matched line by line
-with :func:`~repro.baselines.grep.grep_lines`.
-
-Two kinds of evidence:
-
-1. **Hypothesis** — corpora of space, tab, ``\\r`` and ``\\r\\n``
-   delimited lines, empty lines, and facts that occur only inside longer
-   tokens (a substring hit the filter must still reject), on every route
-   a pass can take: direct, ``limit=`` with ``newest_first``, batched, a
-   pure negation (check off) and an OR of two sets where only one can be
-   ruled out.
-2. **Counts** — a page the check rules out reaches neither the tokenizer
-   nor the filter, and the stage profile stays the kernel's: ``filter``
-   counts every page and line decided, ``tokenize`` the ones tokenized.
+line count to ``lines_seen``. The check runs in both kernels. That every
+route's answer stays grep's — facts that occur only inside longer
+tokens, pure negations (check off), passes where only some sets can be
+ruled out — is :mod:`tests.differential.test_routes`; this file counts
+stages: a page the check rules out reaches neither the tokenizer nor the
+filter, and the stage profile stays the kernel's — ``filter`` counts
+every page and line decided, ``tokenize`` the ones tokenized.
 """
 
 import pytest
 
-from repro.baselines.grep import grep_lines
 from repro.compression.lzah import LZAHCompressor
 from repro.core.backend import numpy_or_none
 from repro.core.hashfilter import HashFilter
-from repro.core.query import IntersectionSet, Query, Term
+from repro.core.query import Query, Term
 from repro.core.softmatch import SoftwareBatchMatcher
 from repro.datasets.synthetic import generator_for
 from repro.exec import executor
@@ -36,107 +26,10 @@ from repro.exec.executor import ScanProgramSpec, _partition_kernel
 from repro.params import CuckooParams, LZAHParams
 from repro.system.mithrilog import MithriLogSystem
 
-try:
-    from hypothesis import given, settings, strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    HAVE_HYPOTHESIS = False
-
 KERNELS = ["reference"] + (["vectorized"] if numpy_or_none() is not None else [])
 
 # ---------------------------------------------------------------------------
-# the oracle: decoded pages, splitlines, grep
-# ---------------------------------------------------------------------------
-
-
-def _stored_pages(system) -> list[bytes]:
-    """Each data page's text, in write order, decoded by the codec."""
-    codec = LZAHCompressor(system.params.lzah)
-    return [
-        codec.decompress(system.device.flash.read_page(address).data)
-        for address in system.index.data_pages
-    ]
-
-
-def _oracle(system, queries, limit=None, newest_first=False):
-    """``(matched lines, per-query counts)`` of a pass, line at a time."""
-    union = Query(tuple(s for query in queries for s in query.intersections))
-    pages = _stored_pages(system)
-    if newest_first:
-        pages.reverse()
-    kept = [line for text in pages for line in grep_lines(union, text.splitlines())]
-    kept = kept[:limit]
-    counts = [sum(query.matches_line(line) for line in kept) for query in queries]
-    return kept, counts
-
-
-# ---------------------------------------------------------------------------
-# 1. the property: every route equals grep on both kernels
-# ---------------------------------------------------------------------------
-
-#: stored tokens; each fact below also occurs inside a longer one, so a
-#: page can hold a fact as a substring and still no line that matches it
-WORDS = [b"ab", b"xab", b"abc", b"b", b"ERR", b"ERR:", b"xERR", b"ok", b"okay"]
-FACTS = [b"ab", b"b", b"ERR", b"ok", b"zz"]
-DELIMITERS = [b" ", b"\t", b"  ", b" \t", b"\r", b"\r\n"]
-#: never stored: a set holding it is ruled out on every page
-ABSENT = b"zz"
-
-if HAVE_HYPOTHESIS:
-    _lines = st.lists(
-        st.lists(st.sampled_from(WORDS + DELIMITERS), max_size=8).map(b"".join),
-        min_size=1,
-        max_size=40,
-    )
-    _sets = st.lists(
-        st.builds(Term, token=st.sampled_from(FACTS), negative=st.booleans()),
-        min_size=1,
-        max_size=3,
-    ).map(lambda terms: IntersectionSet(tuple(terms)))
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @settings(max_examples=40, deadline=None)
-    @given(
-        lines=_lines,
-        batches=st.integers(1, 4),
-        first=_sets,
-        second=_sets,
-        negated=st.sampled_from(FACTS),
-        limit=st.integers(1, 12),
-    )
-    def test_every_route_equals_grep(kernel, lines, batches, first, second, negated, limit):
-        system = MithriLogSystem(seed=1, scan_kernel=kernel, cache_pages=0)
-        step = -(-len(lines) // batches)
-        for start in range(0, len(lines), step):
-            system.ingest(lines[start : start + step])
-        # the pages hold the corpus, newline-terminated, in order
-        assert b"".join(_stored_pages(system)) == b"".join(line + b"\n" for line in lines)
-        direct = Query((first,))
-        negation = Query.single(Term(negated, negative=True))  # check off
-        one_ruled_out = Query((second, IntersectionSet.of(ABSENT, b"ok")))
-        passes = [
-            (direct,), (negation,), (one_ruled_out,),
-            (direct, one_ruled_out),  # batched, checked
-            (direct, negation, one_ruled_out),  # batched, check off
-        ]
-        stored = sum(len(text.splitlines()) for text in _stored_pages(system))
-        for queries in passes:
-            want = _oracle(system, queries)
-            for use_index in (False, True):
-                outcome = system.query(*queries, use_index=use_index)
-                assert (outcome.matched_lines, outcome.per_query_counts) == want
-                assert outcome.stats.lines_kept == len(want[0])
-            assert outcome.stats.lines_seen <= stored  # the index may skip pages
-            assert system.query(*queries, use_index=False).stats.lines_seen == stored
-            newest = system.query(*queries, limit=limit, newest_first=True, use_index=False)
-            assert (newest.matched_lines, newest.per_query_counts) == _oracle(
-                system, queries, limit, newest_first=True
-            )
-
-
-# ---------------------------------------------------------------------------
-# 2. counts: a ruled-out page reaches neither the tokenizer nor the filter
+# counts: a ruled-out page reaches neither the tokenizer nor the filter
 # ---------------------------------------------------------------------------
 
 LINES = generator_for("Liberty2", seed=11).generate(1290)
@@ -146,6 +39,8 @@ PAGES = [b"".join(line + b"\n" for line in LINES[i : i + 86]) for i in range(0, 
 NEEDLE = b"rare sentinel here\r\nsentinel rare\rnoise\n"
 SCAN = PAGES[:7] + [NEEDLE] + PAGES[7:]
 RARE = Query.single(b"sentinel", b"rare")
+#: never stored: a set holding it is ruled out on every page
+ABSENT = b"zz"
 #: the pre-check is off for a pure negation and past _PRECHECK_SETS sets
 NEGATION = Query.single(Term(b"sentinel", negative=True))
 WIDE = tuple(

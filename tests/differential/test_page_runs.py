@@ -30,6 +30,7 @@ from repro.faults import BernoulliSchedule, inject_page_faults
 from repro.params import CuckooParams, LZAHParams
 from repro.service import query_pool
 from repro.storage.page import Page
+from repro.system import mithrilog
 from repro.system.mithrilog import MithriLogSystem
 
 pytestmark = pytest.mark.skipif(
@@ -230,9 +231,11 @@ def _observed(outcome) -> tuple:
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_system_scans_equal_the_reference_kernel(workers):
+def test_system_scans_equal_the_reference_kernel(workers, monkeypatch):
     """Cold, then with every third page cached (hits between misses),
-    for one query and sixteen; a few pages carry ``\\r``."""
+    for one query and sixteen; a few pages carry ``\\r`` (stored with
+    ingest's line check off, as a store saved before it can hold them)."""
+    monkeypatch.setattr(mithrilog, "check_lines", lambda lines: None)
     cr_lines = [
         line.replace(b" ", b"\r", 1) if i % 211 == 5 else line
         for i, line in enumerate(LINES)

@@ -1,20 +1,15 @@
-"""Differential tests for merged standing-query passes.
+"""Merged standing-query passes: how many, and what each one carries.
 
 The registry packs its standing queries into hardware-sized groups and
-runs one accelerator pass per group and flush. What it replaced — one
-``system.query(q, within_pages=new)`` per standing query — is kept here
-(less its metric bumps) as the oracle: :class:`PerQueryLoop` runs on a
-twin system fed the same batches, and everything a caller can see of a
-standing query must agree flush by flush: the match count, the template
-fingerprints, the window values, ``evaluations`` and the alert state.
-
-Simulated time is *meant* to differ (a merged pass is charged as one
-pass, the loop charged one per query), so windows here are wider than
-any run and alert states are compared as sequences, not timestamps.
-
-The per-query counts of a merged pass come from the kernel; the
-fingerprints come from re-matching the pass's lines per query. That the
-two agree is checked here, on every flush, instead of in the hot path.
+runs one accelerator pass per group and flush. These tests count the
+passes — eight one-set queries are one pass, a wider pool runs in
+groups that each fit the hardware, a query too wide to compile gets its
+own software pass — and check on every flush what each query took from
+its group's pass: the count and the template fingerprints of the
+flush's lines it matches, one evaluation, and the outcome its threshold
+reports to the alert monitor. That a standing query's window counts
+equal grep over every line it watched is the ``standing`` row of
+:mod:`tests.differential.test_routes`.
 """
 
 import random
@@ -67,39 +62,6 @@ WIDE = WindowSpec("sliding", 1e6)
 KERNELS = ["reference"] + (["vectorized"] if numpy_or_none() is not None else [])
 
 
-class PerQueryLoop(StandingQueryRegistry):
-    """The evaluation loop as it was before passes were merged."""
-
-    def evaluate_new_pages(self, workers=1):
-        pages = list(self.system.index.data_pages)
-        new_pages = pages[self._pages_seen:]
-        self._pages_seen = len(pages)
-        if not new_pages or not self._states:
-            return len(new_pages)
-        for state in self._states.values():
-            outcome = self.system.query(
-                state.query.query, within_pages=new_pages, workers=workers
-            )
-            matches = outcome.per_query_counts[0]
-            fingerprints = {
-                line_template_fingerprint(line) for line in outcome.matched_lines
-            }
-            now_s = self.system.clock.now
-            values = state.aggregator.observe(now_s, matches, fingerprints)
-            self.evaluations += 1
-            threshold = state.query.threshold
-            if threshold is not None:
-                breached = threshold.breached(values[threshold.aggregate])
-                self.monitor.observe(
-                    tenant=f"{STREAM_TENANT_PREFIX}{state.query.name}",
-                    outcome="shed" if breached else "ok",
-                    latency_s=0.0,
-                    now_s=now_s,
-                )
-        self.monitor.evaluate(self.system.clock.now)
-        return len(new_pages)
-
-
 def standing_set(queries, threshold_on=None):
     return [
         StandingQuery(
@@ -123,15 +85,16 @@ def batches(seed):
         at += size
 
 
-class Twin:
-    """One system, one registry, and everything observable after a flush."""
+class Watched:
+    """One system and registry; the ``system.query`` calls of each flush
+    and the outcomes it reported to the alert monitor."""
 
-    def __init__(self, registry_cls, standing, kernel):
+    def __init__(self, standing, kernel):
         self.system = MithriLogSystem(
             seed=3, scan_kernel=kernel, journal=QueryJournal()
         )
         self.system.ingest(LINES[:HISTORY])
-        self.registry = registry_cls(self.system)
+        self.registry = StandingQueryRegistry(self.system)
         for query in standing:
             self.registry.register(query)
         self.calls = []
@@ -142,50 +105,53 @@ class Twin:
             return inner(*queries, **options)
 
         self.system.query = counted
+        self.reported = {}
+        observe = self.registry.monitor.observe
+
+        def reported(**observation):
+            self.reported[observation["tenant"]] = observation["outcome"]
+            return observe(**observation)
+
+        self.registry.monitor.observe = reported
+        self.flushes = 0
 
     def flush(self, lines, workers):
-        """Ingest, evaluate, and return what the flush left behind."""
+        """Ingest and evaluate; each query took its own lines' share."""
         self.calls.clear()
-        before = {
-            q.name: self.registry.aggregator(q.name).matches_total
-            for q in self.registry.standing
-        }
+        self.reported.clear()
         self.system.ingest(lines)
-        pages = self.registry.evaluate_new_pages(workers=workers)
-        seen = {"pages": pages, "evaluations": self.registry.evaluations}
-        for q in self.registry.standing:
-            agg = self.registry.aggregator(q.name)
-            seen[q.name] = (
-                agg.matches_total - before[q.name],
-                agg._events[-1].fingerprints,
-                agg.evaluations,
-                agg.latest("count"),
-                agg.latest("distinct_templates"),
-                self.registry.alert_state(q.name),
-            )
-        return seen
+        self.registry.evaluate_new_pages(workers=workers)
+        self.flushes += 1
+        expected = {}
+        for standing in self.registry.standing:
+            matching = [line for line in lines if standing.query.matches_line(line)]
+            window = self.registry.aggregator(standing.name)
+            event = window._events[-1]
+            assert event.matches == len(matching)
+            assert event.fingerprints == {line_template_fingerprint(line) for line in matching}
+            assert window.evaluations == self.flushes
+            if standing.threshold is not None:
+                breached = standing.threshold.breached(window.matches_total)
+                expected[STREAM_TENANT_PREFIX + standing.name] = "shed" if breached else "ok"
+        assert self.reported == expected
 
     def close(self):
         self.system.close()
 
 
-def run_both(standing, kernel, workers=1, seed=11, check=None):
-    merged = Twin(StandingQueryRegistry, standing, kernel)
-    loop = Twin(PerQueryLoop, standing, kernel)
+def run(standing, kernel, workers=1, seed=11, check=None):
+    watched = Watched(standing, kernel)
     try:
         flushes = 0
         for lines in batches(seed):
-            got = merged.flush(lines, workers)
-            assert got == loop.flush(lines, workers)
-            assert len(loop.calls) == len(standing)
+            watched.flush(lines, workers)
             if check is not None:
-                check(merged, lines)
+                check(watched)
             flushes += 1
-        assert merged.registry.evaluations == flushes * len(standing)
-        return merged
+        assert watched.registry.evaluations == flushes * len(standing)
+        return watched
     finally:
-        merged.close()
-        loop.close()
+        watched.close()
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -194,30 +160,25 @@ def test_eight_queries_are_one_pass_per_flush(kernel, workers):
     standing = standing_set(POOL[:8], threshold_on=0)
     assert hashfilter.fits([s.query for s in standing])
 
-    def one_call_carrying_all_eight(merged, lines):
-        assert merged.calls == [tuple(s.query for s in standing)]
-        # the free differential check: the tally of the pass's lines
-        # re-matched per query is the count the kernel returned
-        for s in standing:
-            tally = sum(s.query.matches_line(line) for line in lines)
-            assert merged.registry.aggregator(s.name)._events[-1].matches == tally
+    def one_call_carrying_all_eight(watched):
+        assert watched.calls == [tuple(s.query for s in standing)]
 
-    merged = run_both(standing, kernel, workers, check=one_call_carrying_all_eight)
-    # the alert-state comparison was not vacuous: the watched query fired
-    assert [alert.slo for alert in merged.registry.monitor.alerts] == ["stream-s0"]
+    watched = run(standing, kernel, workers, check=one_call_carrying_all_eight)
+    # the watched query fired
+    assert [alert.slo for alert in watched.registry.monitor.alerts] == ["stream-s0"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_a_pool_wider_than_the_hardware_runs_in_groups(kernel):
     standing = standing_set(POOL[:20])
 
-    def one_call_per_group(merged, lines):
-        assert [len(call) for call in merged.calls] == [
-            len(group) for group in merged.registry._groups
+    def one_call_per_group(watched):
+        assert [len(call) for call in watched.calls] == [
+            len(group) for group in watched.registry._groups
         ]
 
-    merged = run_both(standing, kernel, seed=12, check=one_call_per_group)
-    groups = merged.registry._groups
+    watched = run(standing, kernel, seed=12, check=one_call_per_group)
+    groups = watched.registry._groups
     assert len(groups) > 1
     names = [state.query.name for group in groups for state in group]
     assert sorted(names) == sorted(s.name for s in standing)
@@ -234,23 +195,23 @@ def test_a_query_too_wide_to_compile_gets_its_own_software_pass(kernel):
     assert not hashfilter.fits([too_wide])
     standing = standing_set([POOL[0], too_wide, POOL[1]])
 
-    def two_passes(merged, lines):
-        assert merged.calls == [(POOL[0], POOL[1]), (too_wide,)]
+    def two_passes(watched):
+        assert watched.calls == [(POOL[0], POOL[1]), (too_wide,)]
 
-    merged = run_both(standing, kernel, seed=13, check=two_passes)
-    assert merged.registry.aggregator("s1").matches_total == sum(
+    watched = run(standing, kernel, seed=13, check=two_passes)
+    assert watched.registry.aggregator("s1").matches_total == sum(
         too_wide.matches_line(line) for line in LINES[HISTORY:]
     )
 
 
 def test_the_journal_files_a_merged_pass_per_query():
     standing = standing_set(POOL[:8])
-    twin = Twin(StandingQueryRegistry, standing, kernel=None)
+    watched = Watched(standing, kernel=None)
     try:
-        mark = len(twin.system.journal.records)
+        mark = len(watched.system.journal.records)
         lines = LINES[HISTORY : HISTORY + 64]
-        twin.flush(lines, workers=1)
-        rows = twin.system.journal.records[mark:]
+        watched.flush(lines, workers=1)
+        rows = watched.system.journal.records[mark:]
         assert len(rows) == len(standing)
         assert {row.mode for row in rows} == {"standing"}
         assert {row.batch_size for row in rows} == {len(standing)}
@@ -258,11 +219,11 @@ def test_the_journal_files_a_merged_pass_per_query():
         assert [row.matches for row in rows] == [
             sum(s.query.matches_line(line) for line in lines) for s in standing
         ]
-        assert [twin.system.journal.templates[row.template] for row in rows] == [
+        assert [watched.system.journal.templates[row.template] for row in rows] == [
             str(s.query) for s in standing
         ]
     finally:
-        twin.close()
+        watched.close()
 
 
 class TestLateRegistration:

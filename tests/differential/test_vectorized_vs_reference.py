@@ -2,7 +2,7 @@
 
 The reference kernel is the oracle; the numpy path (offset-array
 tokenizer, bulk decoder, fact-matrix filter) must be
-byte-for-byte equivalent to it on *arbitrary* inputs. Three layers of
+byte-for-byte equivalent to it on *arbitrary* inputs. Two layers of
 evidence:
 
 1. **Hypothesis** — randomized pages (structured log lines, multibyte
@@ -12,16 +12,16 @@ evidence:
 2. **Replayable corpus** — ``corpus_cases.json`` pins every edge case
    worth keeping forever; new divergences found by randomization get
    appended there so they replay on every run without hypothesis.
-3. **End-to-end invariance** — full scans must produce identical
-   matches, per-query counts, and *simulated* stats (breakdown,
-   bottleneck, profile) across kernel × workers.
 
 Both tokenizers split lines as ``bytes.splitlines`` does (``\\n``,
 ``\\r`` and ``\\r\\n``), so every page, ``\\r`` or not, goes through the
 same stages on each kernel; the stage-level checks below feed every page
 to both filters. Kernel selection lives here too: the suite proves that
 hosts without numpy land on the reference kernel and that an explicit
-``vectorized`` fails loudly there.
+``vectorized`` fails loudly there. Whole scans through the system are
+held to grep on each kernel by :mod:`tests.differential.test_routes`,
+and their simulated stats to each other's by
+``tests/test_kernel_equivalence.py``.
 """
 
 import base64
@@ -1086,50 +1086,3 @@ class TestBackendSelection:
         assert resolve_kernel("") == resolve_kernel(None) == resolve_kernel("auto")
         with pytest.raises(ValueError):
             resolve_kernel("bogus")
-
-    @pytest.mark.parametrize(
-        "kernel", [None, pytest.param("vectorized", marks=needs_numpy)]
-    )
-    def test_force_each_backend_end_to_end(self, kernel):
-        """The kernel the system picks by itself, and the numpy kernel
-        force-selected, produce the reference kernel's scan results on a
-        small end-to-end system."""
-        from repro.core.query import parse_query
-        from repro.datasets.synthetic import generator_for
-        from repro.system.mithrilog import MithriLogSystem
-
-        corpus = list(generator_for("Liberty2", seed=3).iter_lines(600))
-        query = parse_query("session AND opened")
-        system = MithriLogSystem(seed=3, cache_pages=0, scan_kernel=kernel)
-        system.ingest(corpus)
-        outcome = system.scan_all(query)
-        system.close()
-        oracle = MithriLogSystem(seed=3, cache_pages=0, scan_kernel="reference")
-        oracle.ingest(corpus)
-        expected = oracle.scan_all(query)
-        oracle.close()
-        assert outcome.matched_lines == expected.matched_lines
-        assert outcome.per_query_counts == expected.per_query_counts
-        assert outcome.stats.profile == expected.stats.profile
-
-    def test_scan_without_numpy_matches_grep(self, monkeypatch):
-        """Force the numpy probe to 'absent': auto-resolution must route
-        the whole scan through the reference kernel (the offset-array
-        tokenizer would raise) and still agree with the grep oracle."""
-        from repro.baselines.grep import grep_indices
-        from repro.core.query import parse_query
-        from repro.datasets.synthetic import generator_for
-        from repro.system.mithrilog import MithriLogSystem
-
-        monkeypatch.setattr(backend_mod, "_NUMPY", False)
-        corpus = list(generator_for("Liberty2", seed=3).iter_lines(600))
-        queries = [parse_query("session AND opened"), parse_query("root OR admin")]
-        system = MithriLogSystem(seed=3, cache_pages=0)
-        system.ingest(corpus)
-        outcome = system.scan_all(*queries)
-        system.close()
-        expected = [grep_indices(q, corpus) for q in queries]
-        assert list(outcome.per_query_counts) == [len(hits) for hits in expected]
-        assert outcome.matched_lines == [
-            corpus[i] for i in sorted(set().union(*expected))
-        ]

@@ -117,9 +117,23 @@ class TestLoader:
         assert system.query(query).matched_lines == grep_lines(query, lines)
         assert grep_lines(query, lines) == [b"node1 kernel panic"]
 
+    def test_a_bare_cr_ends_a_line_as_a_stored_page_ends_it(self, tmp_path):
+        path = tmp_path / "x.log"
+        text = b"node1 kernel panic\rnode2 disk ok\r\n\rtail"
+        path.write_bytes(text)
+        lines = read_log_lines(path)
+        assert lines == text.splitlines() == [
+            b"node1 kernel panic", b"node2 disk ok", b"", b"tail"
+        ]
+        system = MithriLogSystem()
+        system.ingest(lines)  # ingest refuses a line holding a line end
+        assert system.query(Query.single(b"ok")).matched_lines == [b"node2 disk ok"]
+
     def test_read_limit(self, tmp_path):
         path = tmp_path / "x.log"
         path.write_bytes(b"a\nb\nc\n")
+        assert read_log_lines(path, limit=2) == [b"a", b"b"]
+        path.write_bytes(b"a\rb\rc\n")
         assert read_log_lines(path, limit=2) == [b"a", b"b"]
 
     def test_chunks_respect_budget(self):

@@ -11,12 +11,15 @@ import math
 
 import pytest
 
+from repro.core.query import parse_query
+from repro.datasets.synthetic import generator_for
 from repro.errors import QueryError
 from repro.stream.sampling import (
     estimate_matches,
     page_in_sample,
     sample_pages,
 )
+from repro.system.mithrilog import MithriLogSystem
 
 
 class TestPageSelection:
@@ -154,3 +157,23 @@ class TestEstimator:
             "ci_high",
             "confidence",
         }
+
+
+class TestSampledPass:
+    """What a sampled pass's seed decides; its lines and counts are the
+    ``sampled`` row of ``tests/differential/test_routes.py``."""
+
+    def test_reads_fewer_pages_and_its_seed_moves_them(self):
+        system = MithriLogSystem(seed=3, cache_pages=0)
+        system.ingest(generator_for("Liberty2", seed=3).generate(3000))
+        query = parse_query("session")
+        exact = system.query(query)
+        drawn = [system.query(query, sample_fraction=0.3, sample_seed=s) for s in (0, 0, 99)]
+        system.close()
+        assert exact.estimates is None
+        assert all(0 < o.stats.pages_sampled < exact.stats.candidate_pages for o in drawn)
+        same, again, other = [(o.matched_lines, o.estimates) for o in drawn]
+        assert same == again != other
+        estimate, truth = drawn[0].estimates[0], exact.per_query_counts[0]
+        assert estimate.pages_total == exact.stats.candidate_pages
+        assert estimate.covers(truth) or estimate.relative_error(truth) < 1.0

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.grep import grep_lines
 from repro.core.query import parse_query
 from repro.datasets.synthetic import generator_for
-from repro.errors import IngestError
+from repro.errors import IngestError, QueryError
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.system.mithrilog import MithriLogSystem
 from repro.system.streaming import StreamingIngestor
@@ -55,30 +55,26 @@ class TestArrival:
 
 class TestQueryMidStream:
     def test_results_complete_including_pending(self, corpus):
-        query = parse_query("session AND opened")
-        expected = grep_lines(query, corpus[:500])
+        """On a realistic corpus; every drawn corpus is the ``pending tail``
+        row of ``tests/differential/test_routes.py``."""
+        queries = [parse_query("session AND opened"), parse_query("kernel:")]
         ingestor = StreamingIngestor(MithriLogSystem(), batch_lines=128)
         ingestor.extend(corpus[:500])
         assert ingestor.pending_lines > 0  # some tail not yet persisted
-        outcome = ingestor.query(query)
-        assert sorted(outcome.matched_lines) == sorted(expected)
+        outcome = ingestor.query(*queries)
+        stored = ingestor.query(*queries, include_pending=False)
+        assert outcome.matched_lines == grep_lines(queries[0] | queries[1], corpus[:500])
+        assert outcome.per_query_counts == [len(grep_lines(q, corpus[:500])) for q in queries]
+        assert outcome.stats.lines_seen - stored.stats.lines_seen == ingestor.pending_lines
 
-    def test_pending_excluded_when_asked(self, corpus):
-        query = parse_query("session AND opened")
-        ingestor = StreamingIngestor(MithriLogSystem(), batch_lines=128)
-        ingestor.extend(corpus[:500])
-        with_pending = ingestor.query(query, include_pending=True)
-        without = ingestor.query(query, include_pending=False)
-        assert len(without.matched_lines) <= len(with_pending.matched_lines)
-
-    def test_per_query_counts_cover_pending(self, corpus):
-        q1 = parse_query("kernel:")
-        q2 = parse_query("sshd")
-        ingestor = StreamingIngestor(MithriLogSystem(), batch_lines=128)
-        ingestor.extend(corpus[:500])
-        outcome = ingestor.query(q1, q2)
-        assert outcome.per_query_counts[0] == len(grep_lines(q1, corpus[:500]))
-        assert outcome.per_query_counts[1] == len(grep_lines(q2, corpus[:500]))
+    def test_query_before_anything_is_persisted_rejected(self):
+        system = MithriLogSystem()
+        ingestor = StreamingIngestor(system, batch_lines=10_000)
+        ingestor.extend([b"node2 sshd login failed"])
+        with pytest.raises(QueryError):
+            system.query(parse_query("login"))
+        with pytest.raises(QueryError):
+            ingestor.query(parse_query("login"))
 
 
 class TestSnapshotCadence:
